@@ -779,7 +779,7 @@ let cluster_bench () =
     (* let the async replication offers land before measuring the hot
        path (and before any failover leans on the replicas) *)
     Unix.sleepf 0.3;
-    let cold_hits = !hits in
+    let cold_hits = !hits and cold_total = !total in
     let hot_wall = sweep 0 in
     Array.sort compare latencies;
     let hot_p50 = percentile latencies 0.50
@@ -795,8 +795,9 @@ let cluster_bench () =
         sweep 0
       end
     in
+    (* hits among the requests sent after the cold sweep *)
     let hit_rate = float_of_int (!hits - cold_hits)
-                   /. float_of_int (Stdlib.max 1 (!total - cold_hits)) in
+                   /. float_of_int (Stdlib.max 1 (!total - cold_total)) in
     Printf.printf
       "  %-12s cold %.3f s  hot %.3f s  (p50 %.2f ms  p99 %.2f ms, \
        %.0f%% hits)%s\n"

@@ -26,6 +26,7 @@ module Codec = Adc_serve.Codec
 module Store = Adc_serve.Store
 module Server = Adc_serve.Server
 module Client = Adc_serve.Client
+module Transport = Adc_serve.Transport
 module Router = Adc_cluster.Router
 module Trace_reader = Adc_report.Trace_reader
 module Trace_analysis = Adc_report.Trace_analysis
@@ -1113,8 +1114,10 @@ let serve socket listen queue_depth workers jobs store store_max_entries
     }
   in
   let srv =
-    try Server.create cfg
-    with Unix.Unix_error (e, _, arg) ->
+    try Server.create cfg with
+    | Transport.Listen_failed e ->
+      die "adcopt serve: cannot listen (%s)" (Transport.error_message e)
+    | Unix.Unix_error (e, _, arg) ->
       die "adcopt serve: cannot listen (%s: %s)" arg (Unix.error_message e)
   in
   (* SIGTERM/SIGINT begin the graceful drain: stop accepting, finish
@@ -1415,8 +1418,8 @@ let route backends socket listen vnodes replicas retries connect_timeout_ms
   let router =
     try Router.create cfg with
     | Invalid_argument msg -> die "adcopt route: %s" msg
-    | Unix.Unix_error (e, _, arg) ->
-      die "adcopt route: cannot listen (%s: %s)" arg (Unix.error_message e)
+    | Transport.Listen_failed e ->
+      die "adcopt route: cannot listen (%s)" (Transport.error_message e)
   in
   let request_stop _ = Router.stop router in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop);

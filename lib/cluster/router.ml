@@ -3,7 +3,7 @@ module Api = Adc_api
 module Protocol = Adc_serve.Protocol
 module Codec = Adc_serve.Codec
 module Client = Adc_serve.Client
-module Http = Adc_serve.Http
+module Transport = Adc_serve.Transport
 module Spec = Adc_pipeline.Spec
 module Optimize = Adc_pipeline.Optimize
 module Front = Adc_pipeline.Front
@@ -12,7 +12,6 @@ module Job_key = Adc_pipeline.Job_key
 module Obs = Adc_obs
 module Metrics = Adc_obs.Metrics
 module Log = Adc_obs.Log
-module Trace_export = Adc_report.Trace_export
 
 type config = {
   backends : string list;
@@ -49,27 +48,13 @@ let default_config =
     node_id = None;
   }
 
-type conn = {
-  fd : Unix.file_descr;
-  oc : out_channel;
-  wmutex : Mutex.t;
-  mutable alive : bool;
-}
-
 type t = {
   cfg : config;
   ring : Ring.t;
   health : Health.t;
   donors : Donor.t;   (* Job_key digest -> holders (warm-start donation) *)
   origins : Donor.t;  (* store-key digest -> holders (replica-hit class.) *)
-  listeners : Unix.file_descr list;
-  tcp_port : int option;
-  ops_listener : Unix.file_descr option;
-  ops_port : int option;
-  ops_stop : bool Atomic.t;
-  stop : bool Atomic.t;
-  conns : conn list ref;
-  cmutex : Mutex.t;
+  tr : Transport.t;
   rr : int Atomic.t;  (* ping round-robin cursor *)
   started_at : float;
   smutex : Mutex.t;
@@ -87,10 +72,8 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* counters and instruments *)
 
-let bump t f =
-  Mutex.lock t.smutex;
-  f t;
-  Mutex.unlock t.smutex
+(* counters are read and written under [smutex] *)
+let locked t f = Mutex.protect t.smutex (fun () -> f t)
 
 let metric_inc t name =
   Metrics.inc (Metrics.counter t.cfg.obs.Obs.metrics name)
@@ -147,45 +130,7 @@ let preregister_metrics t =
   end
 
 (* ------------------------------------------------------------------ *)
-(* connection plumbing (same discipline as Server's) *)
-
-let send conn json =
-  Mutex.lock conn.wmutex;
-  (try
-     if conn.alive then begin
-       output_string conn.oc (Json.to_string json);
-       output_char conn.oc '\n';
-       flush conn.oc
-     end
-   with Sys_error _ | Unix.Unix_error _ -> conn.alive <- false);
-  Mutex.unlock conn.wmutex
-
-let close_conn t conn =
-  Mutex.lock conn.wmutex;
-  conn.alive <- false;
-  Mutex.unlock conn.wmutex;
-  (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-  Mutex.lock t.cmutex;
-  t.conns := List.filter (fun c -> c != conn) !(t.conns);
-  Mutex.unlock t.cmutex
-
-(* ------------------------------------------------------------------ *)
 (* placement *)
-
-(* Mirror of Server's store-key derivation: the router places a request
-   on the node that would cache it. Enumerate is cheap and store-less
-   but still deterministic per cell, so it rides a synthetic key;
-   data-plane verbs route by the key they address. *)
-let process_digest_of (req : Protocol.request) =
-  match req.Protocol.process with
-  | None -> None
-  | Some text -> (
-    (* total, like the backend's own derivation: an unparseable card
-       routes under the default keyspace and then fails with the typed
-       backend answer *)
-    match Adc_spice.parse_process text with
-    | Error _ -> None
-    | Ok p -> Adc_spice.nondefault_digest p)
 
 (* the parsed card for local spec construction (donation planning);
    falls back to the built-in card on a malformed one — the backend
@@ -195,67 +140,14 @@ let process_value_of (req : Protocol.request) =
   | Ok p -> p
   | Error _ -> Adc_circuit.Process.c025
 
-let routing_key (req : Protocol.request) =
-  let budget = req.Protocol.budget in
-  let process = process_digest_of req in
-  match req.Protocol.verb with
-  | Protocol.Optimize ->
-    Some
-      (Codec.key_optimize ?budget ?process ~k:req.Protocol.k
-         ~fs_mhz:req.Protocol.fs_mhz ~mode:req.Protocol.mode
-         ~seed:req.Protocol.seed ~attempts:req.Protocol.attempts ())
-  | Protocol.Sweep ->
-    Some
-      (Codec.key_sweep ?budget ?process ~k_from:req.Protocol.k_from
-         ~k_to:req.Protocol.k_to ~fs_mhz:req.Protocol.fs_mhz
-         ~mode:req.Protocol.mode ~seed:req.Protocol.seed
-         ~attempts:req.Protocol.attempts ())
-  | Protocol.Synth ->
-    Some
-      (Codec.key_synth ?budget ?process ~m:req.Protocol.m ~bits:req.Protocol.bits
-         ~fs_mhz:req.Protocol.fs_mhz ~seed:req.Protocol.seed
-         ~attempts:req.Protocol.attempts ())
-  | Protocol.Netlist_emit ->
-    Some
-      (Codec.key_netlist ?process ~m:req.Protocol.m ~bits:req.Protocol.bits
-         ~fs_mhz:req.Protocol.fs_mhz ~seed:req.Protocol.seed
-         ~attempts:req.Protocol.attempts ())
-  | Protocol.Batch ->
-    Some
-      (Codec.key_batch ?budget ?process ~ks:req.Protocol.ks
-         ~fs_mhz:req.Protocol.fs_mhz ~mode:req.Protocol.mode
-         ~seed:req.Protocol.seed ~attempts:req.Protocol.attempts ())
-  | Protocol.Pareto ->
-    Some
-      (Codec.key_pareto ?budget ?process ~ks:req.Protocol.ks
-         ~fs_list:req.Protocol.fs_list ~mode:req.Protocol.mode
-         ~seed:req.Protocol.seed ~attempts:req.Protocol.attempts ())
-  | Protocol.Montecarlo ->
-    let config = Option.value req.Protocol.config ~default:"(optimum)" in
-    Some
-      (Codec.key_montecarlo ?process ~k:req.Protocol.k
-         ~fs_mhz:req.Protocol.fs_mhz ~config ~trials:req.Protocol.trials
-         ~seed:req.Protocol.seed ())
-  | Protocol.Enumerate ->
-    Some
-      (Printf.sprintf "enumerate|k=%d|fs=%.17g%s" req.Protocol.k
-         req.Protocol.fs_mhz
-         (match process with None -> "" | Some d -> "|process=" ^ d))
-  | Protocol.Store_put | Protocol.Store_get | Protocol.Job_put
-  | Protocol.Job_get ->
-    req.Protocol.skey
-  | Protocol.Ping | Protocol.Stats | Protocol.Shutdown | Protocol.Dump_trace
-    ->
-    None
+(* the keys of one (k, fs) cell of a fanned request: those of the solo
+   optimize a backend would cache that cell under *)
+let cell_keys (req : Protocol.request) ~k ~fs_mhz =
+  Protocol.key_of_request
+    { req with Protocol.verb = Protocol.Optimize; k; fs_mhz }
 
-(* verbs whose successful cold result the backends would cache — the
-   set replication may legitimately offer to replicas *)
-let cacheable (verb : Protocol.verb) =
-  match verb with
-  | Protocol.Optimize | Protocol.Sweep | Protocol.Synth | Protocol.Montecarlo
-  | Protocol.Batch | Protocol.Pareto | Protocol.Netlist_emit ->
-    true
-  | _ -> false
+let place_of (keys : Protocol.keys) =
+  match keys.Protocol.place with Some key -> key | None -> raise Exit
 
 (* ------------------------------------------------------------------ *)
 (* forwarding with re-route, retry and deadline accounting *)
@@ -273,11 +165,11 @@ let with_deadline json remaining =
 
 type attempt =
   | Delivered of Json.t list * Json.t  (* buffered stream lines, final *)
-  | Transport of string                (* re-routable failure *)
+  | Undelivered of string              (* re-routable failure *)
 
 let attempt_forward ?read_timeout_ms t backend json =
   match Peer.connect ~timeout_ms:t.cfg.connect_timeout_ms backend with
-  | exception e -> Transport (Printexc.to_string e)
+  | exception e -> Undelivered (Printexc.to_string e)
   | client -> (
     (* A deadline-carrying request also bounds each reply read: a
        backend that accepts the connection and then goes silent (died
@@ -301,12 +193,12 @@ let attempt_forward ?read_timeout_ms t backend json =
           | exception e -> Error (Printexc.to_string e))
     in
     match result with
-    | Error msg -> Transport msg
+    | Error msg -> Undelivered msg
     | Ok (lines, final) -> (
       (* a draining backend's typed refusal re-routes like a dead one:
          its keys belong to the ring successor now *)
       match Json.member "error" final with
-      | Some (Json.String "shutting_down") -> Transport "backend draining"
+      | Some (Json.String "shutting_down") -> Undelivered "backend draining"
       | _ -> Delivered (lines, final)))
 
 (* Try [candidates] in order (each a distinct backend). Buffered
@@ -336,7 +228,7 @@ let forward_ordered t ~candidates ~owner ~deadline_ms ~started ~json ~emit
             "deadline exhausted while re-routing across backends" )
       | remaining ->
         if i > 0 then begin
-          bump t (fun t -> t.n_retries <- t.n_retries + 1);
+          locked t (fun t -> t.n_retries <- t.n_retries + 1);
           metric_inc t "route.retries_total";
           let backoff_ms =
             Stdlib.min (50.0 *. (2.0 ** float_of_int (i - 1))) 500.0
@@ -363,12 +255,12 @@ let forward_ordered t ~candidates ~owner ~deadline_ms ~started ~json ~emit
           count_forward t backend;
           sync_health_gauges t;
           if backend <> owner then begin
-            bump t (fun t -> t.n_reroutes <- t.n_reroutes + 1);
+            locked t (fun t -> t.n_reroutes <- t.n_reroutes + 1);
             metric_inc t "route.reroutes_total"
           end;
           List.iter emit lines;
           Ok (backend, final)
-        | Transport msg ->
+        | Undelivered msg ->
           Health.mark t.health backend false;
           count_failure t backend;
           sync_health_gauges t;
@@ -422,7 +314,7 @@ let replicate t ~backend ~key ~payload =
                    Peer.store_put ~timeout_ms:t.cfg.connect_timeout_ms b ~key
                      ~digest ~payload
                  then begin
-                   bump t (fun t ->
+                   locked t (fun t ->
                        t.n_replica_offers <- t.n_replica_offers + 1);
                    metric_inc t "route.replica_offers_total";
                    Donor.record t.origins ~digest:(md5_hex key) ~backend:b;
@@ -468,7 +360,7 @@ let donate t ~target keys =
                   Peer.job_put ~timeout_ms:t.cfg.connect_timeout_ms target
                     ~key ~outcome
                 then begin
-                  bump t (fun t -> t.n_donations <- t.n_donations + 1);
+                  locked t (fun t -> t.n_donations <- t.n_donations + 1);
                   metric_inc t "route.donations_total";
                   Donor.record t.donors ~digest ~backend:target;
                   Log.debug t.cfg.log
@@ -486,34 +378,41 @@ let donate t ~target keys =
       keys
 
 (* after a backend answered an optimize-family request: classify
-   replica hits, index fresh lineages, and fan replication offers *)
-let settle t ~backend ~key ~(req : Protocol.request) ~specs ~final =
+   replica hits, index fresh lineages, and fan replication offers.
+   [store] is the key the backend cached the forwarded request under. *)
+let settle t ~backend ~store ~(req : Protocol.request) ~specs ~final =
   match Json.member "ok" final with
   | Some (Json.Bool true) ->
     let cached = Json.member "cached" final = Some (Json.Bool true) in
-    let key_digest = md5_hex key in
-    if cached then begin
-      (match Donor.origin t.origins ~digest:key_digest with
-      | Some origin when origin <> backend ->
-        bump t (fun t -> t.n_replica_hits <- t.n_replica_hits + 1);
-        metric_inc t "route.replica_hits_total"
-      | Some _ | None -> ());
-      Donor.record t.origins ~digest:key_digest ~backend
-    end
+    let record_origin key =
+      Donor.record t.origins ~digest:(md5_hex key) ~backend
+    in
+    if cached then
+      Option.iter
+        (fun key ->
+          (match Donor.origin t.origins ~digest:(md5_hex key) with
+          | Some origin when origin <> backend ->
+            locked t (fun t -> t.n_replica_hits <- t.n_replica_hits + 1);
+            metric_inc t "route.replica_hits_total"
+          | Some _ | None -> ());
+          record_origin key)
+        store
     else begin
-      Donor.record t.origins ~digest:key_digest ~backend;
       List.iter
         (fun spec ->
           List.iter
             (fun (_, digest) -> Donor.record t.donors ~digest ~backend)
             (plan_digests req spec))
         specs;
-      if cacheable req.Protocol.verb then
-        match Json.member "result" final with
-        | Some result
-          when Json.member "truncated" result <> Some (Json.Bool true) ->
-          replicate t ~backend ~key ~payload:result
-        | _ -> ()
+      Option.iter
+        (fun key ->
+          record_origin key;
+          match Json.member "result" final with
+          | Some result
+            when Json.member "truncated" result <> Some (Json.Bool true) ->
+            replicate t ~backend ~key ~payload:result
+          | _ -> ())
+        store
     end
   | _ -> ()
 
@@ -531,11 +430,12 @@ let specs_of (req : Protocol.request) =
     | exception _ -> [])
   | _ -> []
 
-let single_forward t conn (req : Protocol.request) json ~started =
+let single_forward t conn (req : Protocol.request) ~started =
   let id = req.Protocol.id and wire_rid = req.Protocol.req_id in
-  match routing_key req with
+  let keys = Protocol.key_of_request req in
+  match keys.Protocol.place with
   | None ->
-    send conn
+    Transport.send conn
       (Protocol.error_response ~id ?req_id:wire_rid ~kind:Protocol.Bad_request
          ~message:"router: verb requires a routing key" ())
   | Some key -> (
@@ -545,19 +445,19 @@ let single_forward t conn (req : Protocol.request) json ~started =
     in
     match
       forward_routed t ~key ~deadline_ms:req.Protocol.deadline_ms ~started
-        ~json
-        ~emit:(fun line -> send conn line)
+        ~json:req.Protocol.json
+        ~emit:(fun line -> Transport.send conn line)
         ~before ()
     with
     | Ok (backend, final) ->
-      settle t ~backend ~key ~req ~specs ~final;
-      send conn final;
-      bump t (fun t -> t.n_completed <- t.n_completed + 1);
+      settle t ~backend ~store:keys.Protocol.store ~req ~specs ~final;
+      Transport.send conn final;
+      locked t (fun t -> t.n_completed <- t.n_completed + 1);
       metric_inc t "route.completed_total"
     | Error (kind, message) ->
-      send conn
+      Transport.send conn
         (Protocol.error_response ~id ?req_id:wire_rid ~kind ~message ());
-      bump t (fun t -> t.n_failed <- t.n_failed + 1);
+      locked t (fun t -> t.n_failed <- t.n_failed + 1);
       metric_inc t "route.failed_total")
 
 (* ------------------------------------------------------------------ *)
@@ -619,13 +519,8 @@ exception Fan_failed of Protocol.error_kind * string
    — and the run for a given spec is byte-identical to a solo optimize
    (the run_batch contract), which is what lets the router stitch the
    groups back into the exact single-daemon payload. *)
-let fan_batch t (req : Protocol.request) json ~started =
-  let cell_key k =
-    Codec.key_optimize ?budget:req.Protocol.budget
-      ?process:(process_digest_of req) ~k ~fs_mhz:req.Protocol.fs_mhz
-      ~mode:req.Protocol.mode ~seed:req.Protocol.seed
-      ~attempts:req.Protocol.attempts ()
-  in
+let fan_batch t (req : Protocol.request) ~started =
+  let cell_key k = place_of (cell_keys req ~k ~fs_mhz:req.Protocol.fs_mhz) in
   if req.Protocol.ks = [] then raise Exit (* backend owns the typed error *);
   let owner_of k =
     match Ring.lookup t.ring (cell_key k) with
@@ -650,7 +545,7 @@ let fan_batch t (req : Protocol.request) json ~started =
       ks
   in
   let sub_json ks =
-    match json with
+    match req.Protocol.json with
     | Json.Obj fields ->
       Json.Obj
         (List.map
@@ -687,7 +582,9 @@ let fan_batch t (req : Protocol.request) json ~started =
         match sub_error final with
         | Some (kind, message) -> raise (Fan_failed (kind, message))
         | None ->
-          settle t ~backend ~key:(cell_key (List.hd ks)) ~req
+          (* a sub-batch is not offered to replicas: its payload is not
+             what the placement key of any of its cells names *)
+          settle t ~backend ~store:None ~req
             ~specs:(try specs_of_ks ks with _ -> [])
             ~final))
     outcomes;
@@ -750,17 +647,12 @@ let fan_batch t (req : Protocol.request) json ~started =
    are byte-identical to solo optimize runs, and dominance is a pure
    function of (k, fs, p_total), so the reassembled summary matches the
    single-daemon bytes. *)
-let fan_pareto t (req : Protocol.request) json ~started ~emit =
+let fan_pareto t (req : Protocol.request) ~started ~emit =
   let _, _, cells =
     Front.grid ~ks:req.Protocol.ks ~fs_mhz:req.Protocol.fs_list
   in
-  let cell_key k f =
-    Codec.key_optimize ?budget:req.Protocol.budget
-      ?process:(process_digest_of req) ~k ~fs_mhz:f ~mode:req.Protocol.mode
-      ~seed:req.Protocol.seed ~attempts:req.Protocol.attempts ()
-  in
   let process = process_value_of req in
-  let budget_json = match json with
+  let budget_json = match req.Protocol.json with
     | Json.Obj fields -> List.assoc_opt "budget" fields
     | _ -> None
   in
@@ -801,7 +693,7 @@ let fan_pareto t (req : Protocol.request) json ~started ~emit =
             (fun spec -> donate t ~target (plan_digests req spec))
             spec
         in
-        forward_routed t ~key:(cell_key k f)
+        forward_routed t ~key:(place_of (cell_keys req ~k ~fs_mhz:f))
           ~deadline_ms:req.Protocol.deadline_ms ~started ~json:(sub_json i arr.(i))
           ~emit:(fun _ -> ())
           ~before ())
@@ -816,7 +708,8 @@ let fan_pareto t (req : Protocol.request) json ~started ~emit =
           match sub_error final with
           | Some (kind, message) -> raise (Fan_failed (kind, message))
           | None -> (
-            settle t ~backend ~key:(cell_key k f) ~req
+            settle t ~backend
+              ~store:(cell_keys req ~k ~fs_mhz:f).Protocol.store ~req
               ~specs:
                 (match Spec.make ~process ~k ~fs:(f *. 1e6) () with
                 | spec -> [ spec ]
@@ -1019,18 +912,18 @@ let stats_json t =
             ("health_transitions", Json.Int (Health.transitions t.health));
             ("backends_up", Json.Int (Health.up_count t.health));
             ("uptime_s", Json.Float (Unix.gettimeofday () -. t.started_at));
-            ("draining", Json.Bool (Atomic.get t.stop));
+            ("draining", Json.Bool (Transport.stopping t.tr));
           ] );
     ]
 
-let route_ping t conn (req : Protocol.request) json ~started =
+let route_ping t conn (req : Protocol.request) ~started =
   let id = req.Protocol.id and wire_rid = req.Protocol.req_id in
   let all = Ring.backends t.ring in
   let healthy = List.filter (Health.is_up t.health) all in
   let pool = if healthy = [] then all else healthy in
   let n = List.length pool in
   if n = 0 then
-    send conn
+    Transport.send conn
       (Protocol.error_response ~id ?req_id:wire_rid
          ~kind:Protocol.Backend_unavailable ~message:"no backends configured"
          ())
@@ -1047,18 +940,18 @@ let route_ping t conn (req : Protocol.request) json ~started =
     in
     match
       forward_ordered t ~candidates ~owner:(List.hd rotated)
-        ~deadline_ms:req.Protocol.deadline_ms ~started ~json
+        ~deadline_ms:req.Protocol.deadline_ms ~started ~json:req.Protocol.json
         ~emit:(fun _ -> ())
         ()
     with
     | Ok (_, final) ->
-      send conn final;
-      bump t (fun t -> t.n_completed <- t.n_completed + 1);
+      Transport.send conn final;
+      locked t (fun t -> t.n_completed <- t.n_completed + 1);
       metric_inc t "route.completed_total"
     | Error (kind, message) ->
-      send conn
+      Transport.send conn
         (Protocol.error_response ~id ?req_id:wire_rid ~kind ~message ());
-      bump t (fun t -> t.n_failed <- t.n_failed + 1);
+      locked t (fun t -> t.n_failed <- t.n_failed + 1);
       metric_inc t "route.failed_total"
   end
 
@@ -1069,29 +962,29 @@ let route_shutdown t conn (req : Protocol.request) =
   ignore
     (parallel_map_array (List.length ids) (fun i ->
          Peer.shutdown ~timeout_ms:t.cfg.connect_timeout_ms (List.nth ids i)));
-  send conn
+  Transport.send conn
     (Protocol.ok_response ~id ?req_id:wire_rid ~verb:Protocol.Shutdown
        ~cached:false
        (Json.Obj [ ("stopping", Json.Bool true) ]));
-  bump t (fun t -> t.n_completed <- t.n_completed + 1);
+  locked t (fun t -> t.n_completed <- t.n_completed + 1);
   metric_inc t "route.completed_total";
-  Atomic.set t.stop true
+  Transport.stop t.tr
 
-let route_dump_trace t conn (req : Protocol.request) json =
+let route_dump_trace t conn (req : Protocol.request) =
   let id = req.Protocol.id and wire_rid = req.Protocol.req_id in
   (* sequential fan: each backend's retained spans stream through
      verbatim (the sub-lines echo the client's id), then one summary *)
   let probed, failed =
     List.fold_left
       (fun (probed, failed) backend ->
-        match attempt_forward t backend json with
+        match attempt_forward t backend req.Protocol.json with
         | Delivered (lines, _final) ->
-          List.iter (fun line -> send conn line) lines;
+          List.iter (fun line -> Transport.send conn line) lines;
           (backend :: probed, failed)
-        | Transport _ -> (probed, backend :: failed))
+        | Undelivered _ -> (probed, backend :: failed))
       ([], []) (Ring.backends t.ring)
   in
-  send conn
+  Transport.send conn
     (Protocol.stream_end_response ~id ?req_id:wire_rid
        ~verb:Protocol.Dump_trace ~cached:false
        (Json.Obj
@@ -1102,76 +995,71 @@ let route_dump_trace t conn (req : Protocol.request) json =
             ( "unreachable",
               Json.List (List.rev_map (fun b -> Json.String b) failed) );
           ]));
-  bump t (fun t -> t.n_completed <- t.n_completed + 1);
+  locked t (fun t -> t.n_completed <- t.n_completed + 1);
   metric_inc t "route.completed_total"
 
 (* ------------------------------------------------------------------ *)
 (* request handling *)
 
-let handle_request t conn (req : Protocol.request) json ~started =
+let handle_request t conn (req : Protocol.request) ~started =
   let id = req.Protocol.id and wire_rid = req.Protocol.req_id in
   match req.Protocol.verb with
   | Protocol.Stats ->
-    send conn
+    Transport.send conn
       (Protocol.ok_response ~id ?req_id:wire_rid ~verb:Protocol.Stats
          ~cached:false (stats_json t));
-    bump t (fun t -> t.n_completed <- t.n_completed + 1);
+    locked t (fun t -> t.n_completed <- t.n_completed + 1);
     metric_inc t "route.completed_total"
   | Protocol.Shutdown -> route_shutdown t conn req
-  | Protocol.Dump_trace -> route_dump_trace t conn req json
-  | Protocol.Ping -> route_ping t conn req json ~started
+  | Protocol.Dump_trace -> route_dump_trace t conn req
+  | Protocol.Ping -> route_ping t conn req ~started
   | Protocol.Batch | Protocol.Pareto -> (
     let streaming = req.Protocol.verb = Protocol.Pareto in
     let emit payload =
-      send conn
+      Transport.send conn
         (Protocol.stream_point_response ~id ?req_id:wire_rid
            ~verb:req.Protocol.verb payload)
     in
     match
-      if streaming then fan_pareto t req json ~started ~emit
-      else fan_batch t req json ~started
+      if streaming then fan_pareto t req ~started ~emit
+      else fan_batch t req ~started
     with
     | payload, cached ->
-      send conn
+      Transport.send conn
         (if streaming then
            Protocol.stream_end_response ~id ?req_id:wire_rid
              ~verb:req.Protocol.verb ~cached payload
          else
            Protocol.ok_response ~id ?req_id:wire_rid ~verb:req.Protocol.verb
              ~cached payload);
-      bump t (fun t -> t.n_completed <- t.n_completed + 1);
+      locked t (fun t -> t.n_completed <- t.n_completed + 1);
       metric_inc t "route.completed_total"
     | exception Fan_failed (kind, message) ->
-      send conn
+      Transport.send conn
         (Protocol.error_response ~id ?req_id:wire_rid ~kind ~message ());
-      bump t (fun t -> t.n_failed <- t.n_failed + 1);
+      locked t (fun t -> t.n_failed <- t.n_failed + 1);
       metric_inc t "route.failed_total"
     | exception _ ->
       (* planning could not even run (bad axes, invalid k): forward the
          whole request to one backend so the typed error comes from the
          same code path a single daemon would use *)
-      single_forward t conn req json ~started)
+      single_forward t conn req ~started)
   | Protocol.Enumerate | Protocol.Optimize | Protocol.Sweep | Protocol.Synth
   | Protocol.Netlist_emit | Protocol.Montecarlo | Protocol.Store_put
   | Protocol.Store_get | Protocol.Job_put | Protocol.Job_get ->
-    single_forward t conn req json ~started
+    single_forward t conn req ~started
 
 let handle_line t conn line =
   let started = Unix.gettimeofday () in
-  bump t (fun t ->
+  locked t (fun t ->
       t.n_requests <- t.n_requests + 1;
       t.n_inflight <- t.n_inflight + 1);
   metric_inc t "route.requests_total";
   Fun.protect
-    ~finally:(fun () -> bump t (fun t -> t.n_inflight <- t.n_inflight - 1))
+    ~finally:(fun () -> locked t (fun t -> t.n_inflight <- t.n_inflight - 1))
     (fun () ->
       match Protocol.parse_request_line line with
-      | Error (kind, message) ->
-        let id =
-          match Json.parse line with
-          | exception Json.Parse_error _ -> Json.Null
-          | json -> Option.value (Json.member "id" json) ~default:Json.Null
-        in
+      | Error (kind, message, id) ->
         Log.warn t.cfg.log
           ~fields:
             [
@@ -1179,12 +1067,12 @@ let handle_line t conn line =
               ("message", Obs.Sink.String message);
             ]
           "unparseable request";
-        bump t (fun t -> t.n_failed <- t.n_failed + 1);
+        locked t (fun t -> t.n_failed <- t.n_failed + 1);
         metric_inc t "route.failed_total";
-        send conn (Protocol.error_response ~id ~kind ~message ())
+        Transport.send conn (Protocol.error_response ~id ~kind ~message ())
       | Ok req ->
-        if Atomic.get t.stop then
-          send conn
+        if Transport.stopping t.tr then
+          Transport.send conn
             (Protocol.error_response ~id:req.Protocol.id
                ?req_id:req.Protocol.req_id ~kind:Protocol.Shutting_down
                ~message:"router is draining" ())
@@ -1196,130 +1084,34 @@ let handle_line t conn line =
                   Obs.Sink.String (Protocol.verb_name req.Protocol.verb) );
               ]
             "routing request";
-          let json = Json.parse line in
-          handle_request t conn req json ~started
+          handle_request t conn req ~started
         end)
 
 (* ------------------------------------------------------------------ *)
-(* listeners, ops plane, lifecycle *)
-
-let reader t conn =
-  let ic = Unix.in_channel_of_descr conn.fd in
-  (try
-     while conn.alive do
-       let line = input_line ic in
-       if String.trim line <> "" then handle_line t conn line
-     done
-   with End_of_file | Sys_error _ | Unix.Unix_error _ -> ());
-  close_conn t conn
-
-let accept_conn t listen_fd =
-  match Unix.accept ~cloexec:true listen_fd with
-  | exception Unix.Unix_error _ -> ()
-  | fd, _ ->
-    let conn =
-      {
-        fd;
-        oc = Unix.out_channel_of_descr fd;
-        wmutex = Mutex.create ();
-        alive = true;
-      }
-    in
-    Mutex.lock t.cmutex;
-    t.conns := conn :: !(t.conns);
-    Mutex.unlock t.cmutex;
-    ignore (Thread.create (fun () -> reader t conn) ())
-
-let listen_unix path =
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
-  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind fd (Unix.ADDR_UNIX path);
-  Unix.listen fd 16;
-  fd
-
-let listen_tcp host port =
-  let addr =
-    try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    with Not_found -> Unix.inet_addr_of_string host
-  in
-  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd (Unix.ADDR_INET (addr, port));
-  Unix.listen fd 16;
-  fd
-
-let ops_handler t ~path =
-  match path with
-  | "/metrics" ->
-    let m = t.cfg.obs.Obs.metrics in
-    if Metrics.enabled m then begin
-      sync_health_gauges t;
-      Http.text (Trace_export.prometheus (Metrics.snapshot m))
-    end
-    else Http.text ~status:503 "metrics registry disabled\n"
-  | "/healthz" -> Http.text "ok\n"
-  | "/readyz" ->
-    if Atomic.get t.stop then Http.text ~status:503 "draining\n"
-    else if Health.up_count t.health = 0 then
-      Http.text ~status:503 "no healthy backends\n"
-    else Http.text "ready\n"
-  | _ -> Http.text ~status:404 "not found\n"
-
-let ops_loop t fd =
-  let rec loop () =
-    if Atomic.get t.ops_stop then ()
-    else begin
-      (match Unix.select [ fd ] [] [] 0.2 with
-      | [], _, _ -> ()
-      | _ :: _, _, _ -> (
-        match Unix.accept ~cloexec:true fd with
-        | exception Unix.Unix_error _ -> ()
-        | cfd, _ ->
-          ignore
-            (Thread.create
-               (fun () -> Http.serve_connection cfd ~handler:(ops_handler t))
-               ()))
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      loop ()
-    end
-  in
-  loop ()
+(* lifecycle *)
 
 let prober_loop t =
-  let rec loop () =
-    if Atomic.get t.ops_stop then ()
-    else begin
-      List.iter
-        (fun id ->
-          let up = Peer.ping ~timeout_ms:t.cfg.connect_timeout_ms id in
-          Health.mark t.health id up)
-        (Ring.backends t.ring);
-      sync_health_gauges t;
-      let rec sleep remaining =
-        if remaining > 0.0 && not (Atomic.get t.ops_stop) then begin
-          Unix.sleepf (Stdlib.min 0.2 remaining);
-          sleep (remaining -. 0.2)
-        end
-      in
-      sleep t.cfg.probe_period_s;
-      loop ()
-    end
-  in
-  loop ()
+  while not (Transport.stopping t.tr) do
+    List.iter
+      (fun id ->
+        let up = Peer.ping ~timeout_ms:t.cfg.connect_timeout_ms id in
+        Health.mark t.health id up)
+      (Ring.backends t.ring);
+    sync_health_gauges t;
+    let rec sleep remaining =
+      if remaining > 0.0 && not (Transport.stopping t.tr) then begin
+        Unix.sleepf (Stdlib.min 0.2 remaining);
+        sleep (remaining -. 0.2)
+      end
+    in
+    sleep t.cfg.probe_period_s
+  done
 
 let create cfg =
   if cfg.backends = [] then
     invalid_arg "Router.create: need at least one backend";
   if cfg.socket_path = None && cfg.tcp = None then
     invalid_arg "Router.create: need a unix socket path or a TCP address";
-  let unix_fd = Option.map listen_unix cfg.socket_path in
-  let tcp_fd = Option.map (fun (h, p) -> listen_tcp h p) cfg.tcp in
-  let port_of fd =
-    match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> 0
-  in
-  let ops_fd = Option.map (fun (h, p) -> listen_tcp h p) cfg.metrics_addr in
   let t =
     {
       cfg;
@@ -1327,14 +1119,9 @@ let create cfg =
       health = Health.create cfg.backends;
       donors = Donor.create ();
       origins = Donor.create ();
-      listeners = List.filter_map Fun.id [ unix_fd; tcp_fd ];
-      tcp_port = Option.map port_of tcp_fd;
-      ops_listener = ops_fd;
-      ops_port = Option.map port_of ops_fd;
-      ops_stop = Atomic.make false;
-      stop = Atomic.make false;
-      conns = ref [];
-      cmutex = Mutex.create ();
+      tr =
+        Transport.create ?socket_path:cfg.socket_path ?tcp:cfg.tcp
+          ?ops:cfg.metrics_addr ();
       rr = Atomic.make 0;
       started_at = Unix.gettimeofday ();
       smutex = Mutex.create ();
@@ -1352,9 +1139,9 @@ let create cfg =
   preregister_metrics t;
   t
 
-let tcp_port t = t.tcp_port
-let metrics_port t = t.ops_port
-let stop t = Atomic.set t.stop true
+let tcp_port t = Transport.tcp_port t.tr
+let metrics_port t = Transport.ops_port t.tr
+let stop t = Transport.stop t.tr
 
 let run t =
   Log.info t.cfg.log
@@ -1365,74 +1152,33 @@ let run t =
         ("replicas", Obs.Sink.Int t.cfg.replicas);
       ]
     "router starting";
-  let ops_thread =
-    Option.map
-      (fun fd -> Thread.create (fun () -> ops_loop t fd) ())
-      t.ops_listener
-  in
   let prober_thread =
     if t.cfg.probe_period_s > 0.0 then
       Some (Thread.create (fun () -> prober_loop t) ())
     else None
   in
-  let rec accept_loop () =
-    if Atomic.get t.stop then ()
-    else begin
-      (match Unix.select t.listeners [] [] 0.2 with
-      | readable, _, _ -> List.iter (accept_conn t) readable
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      accept_loop ()
-    end
-  in
-  accept_loop ();
-  Log.info t.cfg.log "draining";
   (* wait for in-flight forwards to finish (/readyz answers 503 while
      this runs), bounded so a wedged backend cannot pin the router *)
-  let deadline = Unix.gettimeofday () +. 30.0 in
-  let rec drain () =
-    let inflight =
-      Mutex.lock t.smutex;
-      let n = t.n_inflight in
-      Mutex.unlock t.smutex;
-      n
-    in
-    if inflight > 0 && Unix.gettimeofday () < deadline then begin
-      Unix.sleepf 0.05;
-      drain ()
-    end
+  let drain () =
+    let deadline = Unix.gettimeofday () +. 30.0 in
+    while
+      locked t (fun t -> t.n_inflight) > 0 && Unix.gettimeofday () < deadline
+    do
+      Unix.sleepf 0.05
+    done
   in
-  drain ();
-  List.iter
-    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-    t.listeners;
-  Option.iter
-    (fun path -> try Unix.unlink path with Unix.Unix_error _ -> ())
-    t.cfg.socket_path;
-  Mutex.lock t.cmutex;
-  let open_conns = !(t.conns) in
-  Mutex.unlock t.cmutex;
-  List.iter
-    (fun c ->
-      try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-    open_conns;
-  Atomic.set t.ops_stop true;
-  Option.iter Thread.join prober_thread;
-  Option.iter Thread.join ops_thread;
-  Option.iter
-    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-    t.ops_listener;
-  Log.info t.cfg.log "drained"
+  let not_ready () =
+    if Health.up_count t.health = 0 then Some "no healthy backends" else None
+  in
+  Transport.run t.tr ~log:t.cfg.log ~metrics:t.cfg.obs.Obs.metrics
+    ~before_scrape:(fun () -> sync_health_gauges t)
+    ~not_ready ~handle_line:(handle_line t) ~drain;
+  Option.iter Thread.join prober_thread
 
-let snapshot t f =
-  Mutex.lock t.smutex;
-  let v = f t in
-  Mutex.unlock t.smutex;
-  v
-
-let requests t = snapshot t (fun t -> t.n_requests)
-let completed t = snapshot t (fun t -> t.n_completed)
-let reroutes t = snapshot t (fun t -> t.n_reroutes)
-let retries_total t = snapshot t (fun t -> t.n_retries)
-let donations t = snapshot t (fun t -> t.n_donations)
-let replica_offers t = snapshot t (fun t -> t.n_replica_offers)
-let replica_hits t = snapshot t (fun t -> t.n_replica_hits)
+let requests t = locked t (fun t -> t.n_requests)
+let completed t = locked t (fun t -> t.n_completed)
+let reroutes t = locked t (fun t -> t.n_reroutes)
+let retries_total t = locked t (fun t -> t.n_retries)
+let donations t = locked t (fun t -> t.n_donations)
+let replica_offers t = locked t (fun t -> t.n_replica_offers)
+let replica_hits t = locked t (fun t -> t.n_replica_hits)

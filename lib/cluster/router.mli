@@ -6,8 +6,9 @@
     canonical bytes — so pointing an existing client at [adcopt route]
     is a config change, not a code change. Behind the socket:
 
-    - {b Placement}: each request's store key (the {!Adc_serve.Codec}
-      key the backends themselves cache under) hashes onto a {!Ring} of
+    - {b Placement}: each request's placement key
+      ({!Adc_serve.Protocol.key_of_request}, the same derivation that
+      gives the backends their store keys) hashes onto a {!Ring} of
       backends, so repeated requests for one cell land on the node that
       already holds the answer. [batch] fans into one sub-batch per
       owning backend and [pareto] into per-cell [optimize] forwards —
@@ -68,11 +69,13 @@ type t
 val create : config -> t
 (** Bind the front listeners and the ops plane. Raises
     [Invalid_argument] when the config names no backend or no
-    listener. *)
+    listener, [Adc_serve.Transport.Listen_failed] when a listener
+    cannot bind (after releasing those already bound). *)
 
 val run : t -> unit
 (** Accept and route until {!stop}; blocks the caller. On return the
-    in-flight requests have drained and every listener is closed. *)
+    in-flight requests have drained (at most 30 s) and every listener
+    is closed; the drain order is {!Adc_serve.Transport.run}'s. *)
 
 val stop : t -> unit
 (** Begin graceful shutdown (async-signal-safe). The [shutdown] verb

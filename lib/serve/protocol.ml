@@ -82,6 +82,7 @@ type request = {
   skey : string option;
   digest : string option;
   payload : Json.t option;
+  json : Json.t;
 }
 
 type error_kind =
@@ -107,19 +108,20 @@ let error_name = function
    verb computes exactly what the bare subcommand computes, with no
    default table of our own to drift. *)
 let parse_request json =
+  let fail kind message =
+    Error (kind, message, Option.value (Json.member "id" json) ~default:Json.Null)
+  in
   match json with
   | Json.Obj _ -> (
     (* version gate first: an incompatible client gets the typed
        [unsupported_version] answer even if the rest of its request
        would not decode under this build's schema *)
     match Api.of_json json Api.version with
-    | exception Api.Bad_field msg -> Error (Bad_request, msg)
+    | exception Api.Bad_field msg -> fail Bad_request msg
     | Some v when v <> version ->
-      Error
-        ( Unsupported_version,
-          Printf.sprintf
-            "unsupported protocol version %d (this daemon speaks %d)" v
-            version )
+      fail Unsupported_version
+        (Printf.sprintf
+           "unsupported protocol version %d (this daemon speaks %d)" v version)
     | _ -> (
       try
         let id = Option.value (Json.member "id" json) ~default:Json.Null in
@@ -165,15 +167,83 @@ let parse_request json =
               (match Json.member "payload" json with
               | None | Some Json.Null -> None
               | Some p -> Some p);
+            json;
           }
-      with Api.Bad_field msg -> Error (Bad_request, msg)))
-  | _ -> Error (Bad_request, "request must be a JSON object")
+      with Api.Bad_field msg -> fail Bad_request msg))
+  | _ -> fail Bad_request "request must be a JSON object"
 
 let parse_request_line line =
   match Json.parse line with
   | exception Json.Parse_error msg ->
-    Error (Bad_request, Printf.sprintf "malformed JSON: %s" msg)
+    Error (Bad_request, Printf.sprintf "malformed JSON: %s" msg, Json.Null)
   | json -> parse_request json
+
+(* ------------------------------------------------------------------ *)
+(* the request's keys: where the store caches it, where the ring puts it *)
+
+type keys = { store : string option; place : string option }
+
+let key_of_request req =
+  let budget = req.budget in
+  (* [Ok None] for the absent or built-in card, [Ok (Some digest)] for a
+     foreign one; a malformed card keys as the default card for
+     placement and never for the store *)
+  let card =
+    match req.process with
+    | None -> Ok None
+    | Some text -> (
+      match Adc_spice.parse_process text with
+      | Error _ -> Error ()
+      | Ok p -> Ok (Adc_spice.nondefault_digest p))
+  in
+  let process = Result.value card ~default:None in
+  let cached key =
+    { store = (if Result.is_ok card then Some key else None); place = Some key }
+  in
+  match req.verb with
+  | Optimize ->
+    cached
+      (Codec.key_optimize ?budget ?process ~k:req.k ~fs_mhz:req.fs_mhz
+         ~mode:req.mode ~seed:req.seed ~attempts:req.attempts ())
+  | Sweep ->
+    cached
+      (Codec.key_sweep ?budget ?process ~k_from:req.k_from ~k_to:req.k_to
+         ~fs_mhz:req.fs_mhz ~mode:req.mode ~seed:req.seed
+         ~attempts:req.attempts ())
+  | Synth ->
+    cached
+      (Codec.key_synth ?budget ?process ~m:req.m ~bits:req.bits
+         ~fs_mhz:req.fs_mhz ~seed:req.seed ~attempts:req.attempts ())
+  | Netlist_emit ->
+    cached
+      (Codec.key_netlist ?process ~m:req.m ~bits:req.bits ~fs_mhz:req.fs_mhz
+         ~seed:req.seed ~attempts:req.attempts ())
+  | Batch ->
+    cached
+      (Codec.key_batch ?budget ?process ~ks:req.ks ~fs_mhz:req.fs_mhz
+         ~mode:req.mode ~seed:req.seed ~attempts:req.attempts ())
+  | Pareto ->
+    cached
+      (Codec.key_pareto ?budget ?process ~ks:req.ks ~fs_list:req.fs_list
+         ~mode:req.mode ~seed:req.seed ~attempts:req.attempts ())
+  | Montecarlo ->
+    (* the default configuration is itself deterministic (the equation
+       optimum), so a config-less request is cacheable under a canonical
+       marker *)
+    cached
+      (Codec.key_montecarlo ?process ~k:req.k ~fs_mhz:req.fs_mhz
+         ~config:(Option.value req.config ~default:"(optimum)")
+         ~trials:req.trials ~seed:req.seed ())
+  | Enumerate ->
+    {
+      store = None;
+      place =
+        Some
+          (Printf.sprintf "enumerate|k=%d|fs=%.17g%s" req.k req.fs_mhz
+             (match process with None -> "" | Some d -> "|process=" ^ d));
+    }
+  | Store_put | Store_get | Job_put | Job_get -> { store = None; place = req.skey }
+  | Ping | Stats | Shutdown | Dump_trace -> { store = None; place = None }
 
 (* [req_id] is echoed only when the client supplied one: an absent field
    keeps every pre-existing envelope byte-identical (protocol gate) *)

@@ -112,6 +112,8 @@ type request = {
   payload : Json.t option;     (** cluster verbs: the carried object,
                                    verbatim — its canonical bytes are
                                    what the digest signs *)
+  json : Json.t;               (** the whole request object as decoded;
+                                   what a router forwards *)
 }
 (** Defaults live on the {!Adc_api} descriptors — there is deliberately
     no default table here to drift from the CLI's. *)
@@ -130,11 +132,15 @@ type error_kind =
 
 val error_name : error_kind -> string
 
-val parse_request : Json.t -> (request, error_kind * string) result
-val parse_request_line : string -> (request, error_kind * string) result
-(** [Error] carries the typed kind ([Bad_request] or
-    [Unsupported_version]) plus a human-readable message; unknown
-    fields are ignored, wrongly-typed ones rejected. *)
+val parse_request : Json.t -> (request, error_kind * string * Json.t) result
+val parse_request_line :
+  string -> (request, error_kind * string * Json.t) result
+(** Decodes the line once. [Ok] carries the request, whose [json] field
+    holds the decoded object. [Error] carries the typed kind
+    ([Bad_request] or [Unsupported_version]), a human-readable message,
+    and the request's [id] when one could be recovered ([Null]
+    otherwise), so the rejection envelope can echo it. Unknown fields
+    are ignored, wrongly-typed ones rejected. *)
 
 val ok_response :
   id:Json.t -> ?req_id:string -> verb:verb -> cached:bool -> Json.t -> Json.t
@@ -171,3 +177,32 @@ val stream_end_response :
 val response_is_final : Json.t -> bool
 (** [false] exactly for non-final stream lines: a ["stream"] member
     present with a value other than ["end"]. *)
+
+(** {1 Keys} *)
+
+type keys = {
+  store : string option;  (** the response-store key the daemon caches
+                              the answer under; [None] = never cached *)
+  place : string option;  (** the consistent-hash key a router places
+                              the request by; [None] = not ring-routed *)
+}
+
+val key_of_request : request -> keys
+(** The one key derivation the daemon and the router share, so a
+    request always lands on the node that caches it. Total: it never
+    raises, since the daemon's workers call it outside their typed-error
+    net. For every
+    cacheable verb ([optimize], [sweep], [synth], [montecarlo],
+    [batch], [pareto], [netlist-emit]) with a well-formed card, [place =
+    store], the {!Codec} key of the request. The deliberate
+    exceptions:
+
+    - a malformed [process] card gets [store = None] (the daemon
+      answers the typed card error rather than a cache hit) and [place]
+      its default-card key;
+    - [enumerate] is cheap and never stored, yet deterministic per
+      cell: a synthetic [place] ([enumerate|k=..|fs=..], plus the card
+      digest) and no [store];
+    - [store-put], [store-get], [job-put] and [job-get] are placed by
+      the [key] field they address, with no [store];
+    - [ping], [stats], [shutdown] and [dump-trace] have neither. *)

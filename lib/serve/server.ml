@@ -18,7 +18,6 @@ module Clock = Adc_obs.Clock
 module Log = Adc_obs.Log
 module Sparse = Adc_numerics.Sparse
 module Transient = Adc_circuit.Transient
-module Trace_export = Adc_report.Trace_export
 
 type config = {
   socket_path : string option;
@@ -55,17 +54,10 @@ let default_config =
     node_id = None;
   }
 
-type conn = {
-  fd : Unix.file_descr;
-  oc : out_channel;
-  wmutex : Mutex.t;
-  mutable alive : bool;
-}
-
 type item = {
   req : Protocol.request;
   rid : string;  (* request id: client-supplied or generated *)
-  conn : conn;
+  conn : Transport.conn;
   cancel : Cancel.t;
   queue_span : Span.t;
   admitted_at : int64;
@@ -76,21 +68,14 @@ type solver_seen = { sp : Sparse.totals; tr : Transient.totals }
 
 type t = {
   cfg : config;
-  listeners : Unix.file_descr list;
-  tcp_port : int option;
-  ops_listener : Unix.file_descr option;
-  ops_port : int option;
-  ops_stop : bool Atomic.t;
+  tr : Transport.t;
   flight : Obs.Sink.t option;
   req_seq : int Atomic.t;
   queue : item Queue.t;
   qmutex : Mutex.t;
   qcond : Condition.t;
-  stop : bool Atomic.t;
   shared : Optimize.shared;
   store : Store.t option;
-  conns : conn list ref;
-  cmutex : Mutex.t;
   started_at : float;
   smutex : Mutex.t;
   mutable n_requests : int;
@@ -105,10 +90,8 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* counters and instruments *)
 
-let bump t f =
-  Mutex.lock t.smutex;
-  f t;
-  Mutex.unlock t.smutex
+(* counters are read and written under [smutex] *)
+let locked t f = Mutex.protect t.smutex (fun () -> f t)
 
 let set_queue_gauge t depth =
   Metrics.set (Metrics.gauge t.cfg.obs.Obs.metrics "serve.queue_depth")
@@ -133,7 +116,7 @@ let gen_req_id t = Printf.sprintf "r%06d" (Atomic.fetch_and_add t.req_seq 1)
 let sync_solver_metrics t =
   let m = t.cfg.obs.Obs.metrics in
   if Metrics.enabled m then begin
-    Mutex.lock t.smutex;
+    locked t @@ fun t ->
     let sp = Sparse.totals () and tr = Transient.totals () in
     let prev = t.solver_seen in
     let add name v = Metrics.add (Metrics.counter m name) v in
@@ -154,33 +137,8 @@ let sync_solver_metrics t =
       (tr.Transient.total_accepted_steps - prev.tr.Transient.total_accepted_steps);
     add "solver.transient_rejected_steps_total"
       (tr.Transient.total_rejected_steps - prev.tr.Transient.total_rejected_steps);
-    t.solver_seen <- { sp; tr };
-    Mutex.unlock t.smutex
+    t.solver_seen <- { sp; tr }
   end
-
-(* ------------------------------------------------------------------ *)
-(* connection plumbing *)
-
-let send t conn json =
-  Mutex.lock conn.wmutex;
-  (try
-     if conn.alive then begin
-       output_string conn.oc (Json.to_string json);
-       output_char conn.oc '\n';
-       flush conn.oc
-     end
-   with Sys_error _ | Unix.Unix_error _ -> conn.alive <- false);
-  Mutex.unlock conn.wmutex;
-  ignore t
-
-let close_conn t conn =
-  Mutex.lock conn.wmutex;
-  conn.alive <- false;
-  Mutex.unlock conn.wmutex;
-  (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-  Mutex.lock t.cmutex;
-  t.conns := List.filter (fun c -> c != conn) !(t.conns);
-  Mutex.unlock t.cmutex
 
 (* ------------------------------------------------------------------ *)
 (* the verbs *)
@@ -200,83 +158,9 @@ let process_of (req : Protocol.request) =
   | Error e ->
     raise (Bad_request ("process card: " ^ Adc_spice.error_to_string e))
 
-(* The per-process store-key suffix digest. Deliberately total — the
-   worker computes store keys outside [dispatch_queued]'s typed-error
-   net, so this must never raise. [Some None] for the absent or
-   built-in card (default-card keys stay byte-identical); [Some (Some
-   digest)] for a foreign card; [None] for an unparseable card. The
-   unparseable case must make the request store-less rather than
-   collapse onto the default key: a cache hit there would answer with
-   the default-card result before [compute]'s {!process_of} can raise
-   the typed error. *)
-let process_digest_of (req : Protocol.request) =
-  match req.Protocol.process with
-  | None -> Some None
-  | Some text -> (
-    match Adc_spice.parse_process text with
-    | Error _ -> None
-    | Ok p -> Some (Adc_spice.nondefault_digest p))
-
 let spec_of (req : Protocol.request) =
   Spec.make ~process:(process_of req) ~k:req.Protocol.k
     ~fs:(req.Protocol.fs_mhz *. 1e6) ()
-
-let store_key (req : Protocol.request) =
-  match process_digest_of req with
-  | None -> None (* malformed card: never cached, compute owns the refusal *)
-  | Some process -> (
-  let budget = req.Protocol.budget in
-  match req.Protocol.verb with
-  | Protocol.Optimize ->
-    Some
-      (Codec.key_optimize ?budget ?process ~k:req.Protocol.k
-         ~fs_mhz:req.Protocol.fs_mhz ~mode:req.Protocol.mode
-         ~seed:req.Protocol.seed ~attempts:req.Protocol.attempts ())
-  | Protocol.Sweep ->
-    Some
-      (Codec.key_sweep ?budget ?process ~k_from:req.Protocol.k_from
-         ~k_to:req.Protocol.k_to ~fs_mhz:req.Protocol.fs_mhz
-         ~mode:req.Protocol.mode ~seed:req.Protocol.seed
-         ~attempts:req.Protocol.attempts ())
-  | Protocol.Synth ->
-    Some
-      (Codec.key_synth ?budget ?process ~m:req.Protocol.m ~bits:req.Protocol.bits
-         ~fs_mhz:req.Protocol.fs_mhz ~seed:req.Protocol.seed
-         ~attempts:req.Protocol.attempts ())
-  | Protocol.Netlist_emit ->
-    Some
-      (Codec.key_netlist ?process ~m:req.Protocol.m ~bits:req.Protocol.bits
-         ~fs_mhz:req.Protocol.fs_mhz ~seed:req.Protocol.seed
-         ~attempts:req.Protocol.attempts ())
-  | Protocol.Batch ->
-    Some
-      (Codec.key_batch ?budget ?process ~ks:req.Protocol.ks
-         ~fs_mhz:req.Protocol.fs_mhz ~mode:req.Protocol.mode
-         ~seed:req.Protocol.seed ~attempts:req.Protocol.attempts ())
-  | Protocol.Pareto ->
-    Some
-      (Codec.key_pareto ?budget ?process ~ks:req.Protocol.ks
-         ~fs_list:req.Protocol.fs_list ~mode:req.Protocol.mode
-         ~seed:req.Protocol.seed ~attempts:req.Protocol.attempts ())
-  | Protocol.Montecarlo -> (
-    (* the default configuration is itself deterministic (the equation
-       optimum), so a config-less request is cacheable under a
-       canonical empty marker *)
-    match req.Protocol.config with
-    | Some c ->
-      Some
-        (Codec.key_montecarlo ?process ~k:req.Protocol.k
-           ~fs_mhz:req.Protocol.fs_mhz ~config:c ~trials:req.Protocol.trials
-           ~seed:req.Protocol.seed ())
-    | None ->
-      Some
-        (Codec.key_montecarlo ?process ~k:req.Protocol.k
-           ~fs_mhz:req.Protocol.fs_mhz ~config:"(optimum)"
-           ~trials:req.Protocol.trials ~seed:req.Protocol.seed ()))
-  | Protocol.Ping | Protocol.Stats | Protocol.Shutdown | Protocol.Dump_trace
-  | Protocol.Enumerate | Protocol.Store_put | Protocol.Store_get
-  | Protocol.Job_put | Protocol.Job_get ->
-    None)
 
 let require_skey (req : Protocol.request) ~verb =
   match req.Protocol.skey with
@@ -616,7 +500,7 @@ let stats_json t =
         | None -> Json.Null
         | Some n -> Json.String n );
       ("uptime_s", Json.Float (Unix.gettimeofday () -. t.started_at));
-      ("draining", Json.Bool (Atomic.get t.stop));
+      ("draining", Json.Bool (Transport.stopping t.tr));
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -639,19 +523,19 @@ let process t (item : item) =
       ]
     item.queue_span;
   if Cancel.cancelled item.cancel then begin
-    bump t (fun t -> t.n_deadline <- t.n_deadline + 1);
+    locked t (fun t -> t.n_deadline <- t.n_deadline + 1);
     Metrics.inc
       (Metrics.counter t.cfg.obs.Obs.metrics "serve.deadline_exceeded_total");
     Log.warn t.cfg.log ~req_id:rid
       ~fields:[ ("verb", Obs.Sink.String (Protocol.verb_name req.Protocol.verb)) ]
       "deadline elapsed before the request reached a worker";
-    send t item.conn
+    Transport.send item.conn
       (Protocol.error_response ~id ?req_id:wire_rid
          ~kind:Protocol.Deadline_exceeded
          ~message:"deadline elapsed before the request reached a worker" ())
   end
   else begin
-    bump t (fun t ->
+    locked t (fun t ->
         t.n_inflight <- t.n_inflight + 1;
         set_inflight_gauge t t.n_inflight);
     let span = Obs.span t.cfg.obs ~name:"serve.request" () in
@@ -684,20 +568,20 @@ let process t (item : item) =
           ~fields:(fields @ [ ("slow_ms_limit", Obs.Sink.Float limit) ])
           "slow request"
       | _ -> Log.info t.cfg.log ~req_id:rid ~fields "request completed");
-      bump t (fun t ->
+      locked t (fun t ->
           t.n_inflight <- t.n_inflight - 1;
           set_inflight_gauge t t.n_inflight)
     in
     let verb = req.Protocol.verb in
     let streaming = verb = Protocol.Pareto in
     let emit result =
-      send t item.conn
+      Transport.send item.conn
         (Protocol.stream_point_response ~id ?req_id:wire_rid ~verb result)
     in
     (* streaming verbs close with a [stream:"end"] summary line instead
        of the plain envelope; single-line verbs are byte-unchanged *)
     let send_final ~cached payload =
-      send t item.conn
+      Transport.send item.conn
         (if streaming then
            Protocol.stream_end_response ~id ?req_id:wire_rid ~verb ~cached
              payload
@@ -717,7 +601,7 @@ let process t (item : item) =
             cells
         | _ -> ()
     in
-    let key = store_key req in
+    let key = (Protocol.key_of_request req).Protocol.store in
     let stored =
       match (t.store, key) with
       | Some store, Some key -> Store.find store ~key
@@ -728,7 +612,7 @@ let process t (item : item) =
       (* canonical serializer: parse-then-reserialize returns the very
          bytes that were stored, so a warm hit is byte-identical to the
          cold computation it replays *)
-      bump t (fun t -> t.n_completed <- t.n_completed + 1);
+      locked t (fun t -> t.n_completed <- t.n_completed + 1);
       finish ~ok:true ~cached:true ~truncated:false;
       let payload = Json.parse payload in
       replay_stream payload;
@@ -744,11 +628,11 @@ let process t (item : item) =
           try Store.add store ~key:k ~payload:(Json.to_string payload)
           with Sys_error _ | Unix.Unix_error _ -> ())
         | _ -> ());
-        bump t (fun t -> t.n_completed <- t.n_completed + 1);
+        locked t (fun t -> t.n_completed <- t.n_completed + 1);
         finish ~ok:true ~cached:false ~truncated;
         send_final ~cached:false payload
       | Error (kind, message) ->
-        bump t (fun t -> t.n_failed <- t.n_failed + 1);
+        locked t (fun t -> t.n_failed <- t.n_failed + 1);
         finish ~ok:false ~cached:false ~truncated:false;
         Log.error t.cfg.log ~req_id:rid
           ~fields:
@@ -758,13 +642,16 @@ let process t (item : item) =
               ("message", Obs.Sink.String message);
             ]
           "request failed";
-        send t item.conn
+        Transport.send item.conn
           (Protocol.error_response ~id ?req_id:wire_rid ~kind ~message ()))
   end
 
+let wake_workers t =
+  Mutex.protect t.qmutex (fun () -> Condition.broadcast t.qcond)
+
 let rec worker_loop t =
   Mutex.lock t.qmutex;
-  while Queue.is_empty t.queue && not (Atomic.get t.stop) do
+  while Queue.is_empty t.queue && not (Transport.stopping t.tr) do
     Condition.wait t.qcond t.qmutex
   done;
   if Queue.is_empty t.queue then Mutex.unlock t.qmutex
@@ -786,26 +673,24 @@ let admit t conn (req : Protocol.request) =
     match req.Protocol.req_id with Some r -> r | None -> gen_req_id t
   in
   let wire_rid = req.Protocol.req_id in
-  bump t (fun t -> t.n_requests <- t.n_requests + 1);
+  locked t (fun t -> t.n_requests <- t.n_requests + 1);
   Metrics.inc (Metrics.counter t.cfg.obs.Obs.metrics "serve.requests_total");
   match req.Protocol.verb with
   | Protocol.Stats ->
     sync_solver_metrics t;
-    send t conn
+    Transport.send conn
       (Protocol.ok_response ~id ?req_id:wire_rid ~verb:Protocol.Stats
          ~cached:false (stats_json t));
-    bump t (fun t -> t.n_completed <- t.n_completed + 1)
+    locked t (fun t -> t.n_completed <- t.n_completed + 1)
   | Protocol.Shutdown ->
     Log.info t.cfg.log ~req_id:rid "shutdown requested; draining";
-    send t conn
+    Transport.send conn
       (Protocol.ok_response ~id ?req_id:wire_rid ~verb:Protocol.Shutdown
          ~cached:false
          (Json.Obj [ ("stopping", Json.Bool true) ]));
-    bump t (fun t -> t.n_completed <- t.n_completed + 1);
-    Atomic.set t.stop true;
-    Mutex.lock t.qmutex;
-    Condition.broadcast t.qcond;
-    Mutex.unlock t.qmutex
+    locked t (fun t -> t.n_completed <- t.n_completed + 1);
+    Transport.stop t.tr;
+    wake_workers t
   | Protocol.Dump_trace ->
     (* inline so it answers even during overload or drain — exactly when
        an operator reaches for the flight recorder *)
@@ -820,11 +705,11 @@ let admit t conn (req : Protocol.request) =
       (fun e ->
         (* re-parse through the canonical span codec so each point line's
            [result] is exactly a trace-JSONL object Trace_reader accepts *)
-        send t conn
+        Transport.send conn
           (Protocol.stream_point_response ~id ?req_id:wire_rid ~verb
              (Json.parse (Obs.Sink.event_to_json e))))
       events;
-    send t conn
+    Transport.send conn
       (Protocol.stream_end_response ~id ?req_id:wire_rid ~verb ~cached:false
          (Json.Obj
             [
@@ -839,7 +724,7 @@ let admit t conn (req : Protocol.request) =
           ("dropped", Obs.Sink.Int dropped);
         ]
       "flight recorder dumped";
-    bump t (fun t -> t.n_completed <- t.n_completed + 1)
+    locked t (fun t -> t.n_completed <- t.n_completed + 1)
   | _ ->
     (* the deadline clock starts at admission: queueing time counts
        against the budget, which is what makes backpressure visible to
@@ -857,7 +742,7 @@ let admit t conn (req : Protocol.request) =
     let decision =
       Mutex.lock t.qmutex;
       let d =
-        if Atomic.get t.stop then
+        if Transport.stopping t.tr then
           `Reject (Protocol.Shutting_down, "server is draining")
         else if Queue.length t.queue >= t.cfg.queue_depth then
           `Reject
@@ -896,7 +781,7 @@ let admit t conn (req : Protocol.request) =
     | `Reject (kind, message) ->
       (match kind with
       | Protocol.Overloaded ->
-        bump t (fun t -> t.n_overloaded <- t.n_overloaded + 1);
+        locked t (fun t -> t.n_overloaded <- t.n_overloaded + 1);
         Metrics.inc
           (Metrics.counter t.cfg.obs.Obs.metrics "serve.overloaded_total")
       | _ -> ());
@@ -907,21 +792,16 @@ let admit t conn (req : Protocol.request) =
             ("error", Obs.Sink.String (Protocol.error_name kind));
           ]
         "request rejected";
-      send t conn (Protocol.error_response ~id ?req_id:wire_rid ~kind ~message ()))
+      Transport.send conn (Protocol.error_response ~id ?req_id:wire_rid ~kind ~message ()))
 
 let handle_line t conn line =
   match Protocol.parse_request_line line with
-  | Error (kind, message) ->
+  | Error (kind, message, id) ->
     (* [kind] is [Bad_request] or [Unsupported_version]; either way the
        envelope carries the version this daemon does speak *)
-    bump t (fun t ->
+    locked t (fun t ->
         t.n_requests <- t.n_requests + 1;
         t.n_failed <- t.n_failed + 1);
-    let id =
-      match Json.parse line with
-      | exception Json.Parse_error _ -> Json.Null
-      | json -> Option.value (Json.member "id" json) ~default:Json.Null
-    in
     Log.warn t.cfg.log
       ~fields:
         [
@@ -929,95 +809,8 @@ let handle_line t conn line =
           ("message", Obs.Sink.String message);
         ]
       "unparseable request";
-    send t conn (Protocol.error_response ~id ~kind ~message ())
+    Transport.send conn (Protocol.error_response ~id ~kind ~message ())
   | Ok req -> admit t conn req
-
-(* ------------------------------------------------------------------ *)
-(* listeners *)
-
-let reader t conn =
-  let ic = Unix.in_channel_of_descr conn.fd in
-  (try
-     while conn.alive do
-       let line = input_line ic in
-       if String.trim line <> "" then handle_line t conn line
-     done
-   with End_of_file | Sys_error _ | Unix.Unix_error _ -> ());
-  close_conn t conn
-
-let accept_conn t listen_fd =
-  match Unix.accept ~cloexec:true listen_fd with
-  | exception Unix.Unix_error _ -> ()
-  | fd, _ ->
-    let conn =
-      { fd; oc = Unix.out_channel_of_descr fd; wmutex = Mutex.create (); alive = true }
-    in
-    Mutex.lock t.cmutex;
-    t.conns := conn :: !(t.conns);
-    Mutex.unlock t.cmutex;
-    ignore (Thread.create (fun () -> reader t conn) ())
-
-let listen_unix path =
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
-  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind fd (Unix.ADDR_UNIX path);
-  Unix.listen fd 16;
-  fd
-
-let listen_tcp host port =
-  let addr =
-    try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    with Not_found -> Unix.inet_addr_of_string host
-  in
-  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd (Unix.ADDR_INET (addr, port));
-  Unix.listen fd 16;
-  fd
-
-(* ------------------------------------------------------------------ *)
-(* the ops plane: /metrics, /healthz, /readyz over plain HTTP *)
-
-let ops_handler t ~path =
-  match path with
-  | "/metrics" ->
-    let m = t.cfg.obs.Obs.metrics in
-    if Metrics.enabled m then begin
-      Metrics.inc (Metrics.counter m "serve.scrapes_total");
-      sync_solver_metrics t;
-      (* the one shared exposition path: the scrape body is exactly what
-         [adcopt trace export --format prometheus] renders offline *)
-      Http.text (Trace_export.prometheus (Metrics.snapshot m))
-    end
-    else Http.text ~status:503 "metrics registry disabled\n"
-  | "/healthz" -> Http.text "ok\n"
-  | "/readyz" ->
-    if Atomic.get t.stop then Http.text ~status:503 "draining\n"
-    else Http.text "ready\n"
-  | _ -> Http.text ~status:404 "not found\n"
-
-(* The ops listener outlives the request plane on purpose: it keeps
-   answering through the drain (so /readyz flips to 503 while in-flight
-   work finishes) and is only joined after the workers are gone. *)
-let ops_loop t fd =
-  let rec loop () =
-    if Atomic.get t.ops_stop then ()
-    else begin
-      (match Unix.select [ fd ] [] [] 0.2 with
-      | [], _, _ -> ()
-      | _ :: _, _, _ -> (
-        match Unix.accept ~cloexec:true fd with
-        | exception Unix.Unix_error _ -> ()
-        | cfd, _ ->
-          ignore
-            (Thread.create
-               (fun () -> Http.serve_connection cfd ~handler:(ops_handler t))
-               ()))
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      loop ()
-    end
-  in
-  loop ()
 
 let flight_events t =
   match t.flight with
@@ -1087,35 +880,23 @@ let create cfg =
     | None -> cfg
   in
   preregister_metrics cfg.obs.Obs.metrics;
-  let unix_fd = Option.map listen_unix cfg.socket_path in
-  let tcp_fd = Option.map (fun (h, p) -> listen_tcp h p) cfg.tcp in
-  let port_of fd =
-    match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> 0
+  let store =
+    Option.map (Store.open_dir ?max_entries:cfg.store_max_entries) cfg.store_dir
   in
-  let tcp_port = Option.map port_of tcp_fd in
-  let ops_fd = Option.map (fun (h, p) -> listen_tcp h p) cfg.metrics_addr in
+  let tr =
+    Transport.create ?socket_path:cfg.socket_path ?tcp:cfg.tcp
+      ?ops:cfg.metrics_addr ()
+  in
   {
     cfg;
-    listeners = List.filter_map Fun.id [ unix_fd; tcp_fd ];
-    tcp_port;
-    ops_listener = ops_fd;
-    ops_port = Option.map port_of ops_fd;
-    ops_stop = Atomic.make false;
+    tr;
     flight;
     req_seq = Atomic.make 1;
     queue = Queue.create ();
     qmutex = Mutex.create ();
     qcond = Condition.create ();
-    stop = Atomic.make false;
     shared = Optimize.create_shared ~obs:cfg.obs ~jobs:(Stdlib.max 1 cfg.jobs) ();
-    store =
-      Option.map
-        (Store.open_dir ?max_entries:cfg.store_max_entries)
-        cfg.store_dir;
-    conns = ref [];
-    cmutex = Mutex.create ();
+    store;
     started_at = Unix.gettimeofday ();
     smutex = Mutex.create ();
     n_requests = 0;
@@ -1127,10 +908,10 @@ let create cfg =
     solver_seen = { sp = Sparse.totals (); tr = Transient.totals () };
   }
 
-let tcp_port t = t.tcp_port
-let metrics_port t = t.ops_port
+let tcp_port t = Transport.tcp_port t.tr
+let metrics_port t = Transport.ops_port t.tr
 
-let stop t = Atomic.set t.stop true
+let stop t = Transport.stop t.tr
 
 let run t =
   Log.info t.cfg.log
@@ -1142,61 +923,26 @@ let run t =
         ("flight_capacity", Obs.Sink.Int t.cfg.flight_capacity);
       ]
     "daemon starting";
-  let ops_thread =
-    Option.map (fun fd -> Thread.create (fun () -> ops_loop t fd) ())
-      t.ops_listener
-  in
   let workers =
     List.init (Stdlib.max 1 t.cfg.workers) (fun _ ->
         Thread.create (fun () -> worker_loop t) ())
   in
-  (* accept until told to stop; the 0.2 s tick bounds how long a stop
-     request (signal or shutdown verb) waits to be noticed *)
-  let rec accept_loop () =
-    if Atomic.get t.stop then ()
-    else begin
-      (match Unix.select t.listeners [] [] 0.2 with
-      | readable, _, _ -> List.iter (accept_conn t) readable
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      accept_loop ()
-    end
+  (* drain: admission refuses new work from the stop on; the workers
+     empty the queue and finish in-flight requests *)
+  let drain () =
+    wake_workers t;
+    List.iter Thread.join workers
   in
-  accept_loop ();
-  (* drain: stop admitting (the flag is set), let the workers empty the
-     queue and finish in-flight requests, then tear the rest down. The
-     ops listener keeps answering (/readyz says 503) until the very
-     end. *)
-  Log.info t.cfg.log "draining";
-  Mutex.lock t.qmutex;
-  Condition.broadcast t.qcond;
-  Mutex.unlock t.qmutex;
-  List.iter Thread.join workers;
-  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) t.listeners;
-  Option.iter
-    (fun path -> try Unix.unlink path with Unix.Unix_error _ -> ())
-    t.cfg.socket_path;
-  (* wake readers blocked mid-line so their threads exit promptly *)
-  Mutex.lock t.cmutex;
-  let open_conns = !(t.conns) in
-  Mutex.unlock t.cmutex;
-  List.iter
-    (fun c -> try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-    open_conns;
-  Optimize.shutdown_shared t.shared;
-  Atomic.set t.ops_stop true;
-  Option.iter Thread.join ops_thread;
-  Option.iter
-    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-    t.ops_listener;
-  Log.info t.cfg.log "drained"
+  let before_scrape () =
+    Metrics.inc (Metrics.counter t.cfg.obs.Obs.metrics "serve.scrapes_total");
+    sync_solver_metrics t
+  in
+  Transport.run t.tr ~log:t.cfg.log ~metrics:t.cfg.obs.Obs.metrics
+    ~before_scrape ~not_ready:(fun () -> None) ~handle_line:(handle_line t)
+    ~drain;
+  Optimize.shutdown_shared t.shared
 
-let snapshot t f =
-  Mutex.lock t.smutex;
-  let v = f t in
-  Mutex.unlock t.smutex;
-  v
-
-let requests t = snapshot t (fun t -> t.n_requests)
-let completed t = snapshot t (fun t -> t.n_completed)
-let overloaded t = snapshot t (fun t -> t.n_overloaded)
-let deadline_exceeded t = snapshot t (fun t -> t.n_deadline)
+let requests t = locked t (fun t -> t.n_requests)
+let completed t = locked t (fun t -> t.n_completed)
+let overloaded t = locked t (fun t -> t.n_overloaded)
+let deadline_exceeded t = locked t (fun t -> t.n_deadline)

@@ -82,7 +82,9 @@ val create : config -> t
     socket is accepting (kernel backlog) from here on, so a client may
     connect as soon as [create] returns even if {!run} starts on
     another thread a moment later. Raises [Invalid_argument] when the
-    config names no listener, [Unix.Unix_error] when binding fails. *)
+    config names no listener, {!Transport.Listen_failed} when a listener
+    cannot bind (after releasing those already bound). The listeners,
+    connections, drain and ops plane are {!Transport}'s. *)
 
 val run : t -> unit
 (** Serve until {!stop}; blocks the calling thread (the CLI's main

@@ -14,6 +14,11 @@ module Ring = Adc_cluster.Ring
 module Health = Adc_cluster.Health
 module Donor = Adc_cluster.Donor
 module Router = Adc_cluster.Router
+module Transport = Adc_serve.Transport
+module Http = Adc_serve.Http
+module Optimize = Adc_pipeline.Optimize
+module Spec = Adc_pipeline.Spec
+module Job_key = Adc_pipeline.Job_key
 
 let tmp_dir prefix =
   let dir =
@@ -151,6 +156,114 @@ let test_donor () =
   Alcotest.(check int) "size" 1 (Donor.size d)
 
 (* ------------------------------------------------------------------ *)
+(* keys: one derivation for the daemon's store and the router's ring *)
+
+(* a file of the source tree, found by walking up from the test binary
+   so the suite runs from any cwd dune starts it in *)
+let locate rel =
+  let rec find dir n =
+    let cand = Filename.concat dir rel in
+    if Sys.file_exists cand || n = 0 then cand
+    else find (Filename.concat dir Filename.parent_dir_name) (n - 1)
+  in
+  find (Filename.dirname Sys.executable_name) 6
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+let card_file name = read_file (locate ("share/processes/" ^ name))
+
+let parse_exn line =
+  match Protocol.parse_request_line line with
+  | Ok req -> req
+  | Error (_, msg, _) -> Alcotest.failf "unparseable %s: %s" line msg
+
+(* every verb, with the fields its key reads *)
+let key_rows =
+  [
+    ("ping", {|"verb":"ping"|});
+    ("stats", {|"verb":"stats"|});
+    ("shutdown", {|"verb":"shutdown"|});
+    ("dump-trace", {|"verb":"dump-trace"|});
+    ("enumerate", {|"verb":"enumerate","k":10,"fs_mhz":80|});
+    ( "optimize",
+      {|"verb":"optimize","k":11,"fs_mhz":80,"mode":"hybrid","seed":5,"attempts":2,"budget":{"sa_iterations":12,"pattern_evals":20,"space_factor":0.6}|}
+    );
+    ("sweep", {|"verb":"sweep","from":10,"to":12,"fs_mhz":40|});
+    ("synth", {|"verb":"synth","m":3,"bits":10,"fs_mhz":40,"attempts":2|});
+    ("montecarlo", {|"verb":"montecarlo","k":10,"trials":50|});
+    ("montecarlo+config", {|"verb":"montecarlo","k":10,"config":"4-3-2"|});
+    ("batch", {|"verb":"batch","ks":[10,11,12],"fs_mhz":40|});
+    ("pareto", {|"verb":"pareto","ks":[10,12],"fs_list":[40,80]|});
+    ("netlist-emit", {|"verb":"netlist-emit","m":2,"bits":6,"attempts":1|});
+    ("store-put", {|"verb":"store-put","key":"entry-1","digest":"00","payload":{}|});
+    ("store-get", {|"verb":"store-get","key":"entry-2"|});
+    ("job-put", {|"verb":"job-put","key":"job-1","payload":{}|});
+    ("job-get", {|"verb":"job-get","key":"job-2"|});
+  ]
+
+(* Every verb x {no card, c018, malformed card}, both keys. The golden
+   table was rendered from the daemon's and the router's separate key
+   functions before they merged into Protocol.key_of_request, so it
+   pins that the merge moved no request to a new store slot or owner. *)
+let test_key_table () =
+  let cards =
+    [ ("none", None); ("c018", Some (card_file "c018.sp")); ("malformed", Some "r1 a\n") ]
+  in
+  let show = function None -> "-" | Some k -> k in
+  let rendered =
+    List.concat_map
+      (fun (card_name, card) ->
+        List.map
+          (fun (row, fields) ->
+            let line =
+              match card with
+              | None -> Printf.sprintf "{%s}" fields
+              | Some text ->
+                Printf.sprintf {|{%s,"process":%s}|} fields
+                  (Json.to_string (Json.String text))
+            in
+            let keys = Protocol.key_of_request (parse_exn line) in
+            Printf.sprintf "%s %s\n  store %s\n  place %s" row card_name
+              (show keys.Protocol.store) (show keys.Protocol.place))
+          key_rows)
+      cards
+  in
+  Alcotest.(check (list string)) "key table == golden"
+    (String.split_on_char '\n' (read_file (locate "test/key_table.expected")))
+    (String.split_on_char '\n' (String.concat "\n" rendered ^ "\n"))
+
+(* a well-formed request of a cacheable verb is placed on the node that
+   caches it *)
+let prop_place_is_store =
+  let cards =
+    [ None; Some (card_file "c018.sp"); Some (card_file "c025.sp"); Some (card_file "c060.sp") ]
+  in
+  QCheck.Test.make ~count:300 ~name:"keys: cacheable verbs are placed where they are stored"
+    QCheck.(
+      quad
+        (oneofl [ "optimize"; "sweep"; "synth"; "montecarlo"; "batch"; "pareto"; "netlist-emit" ])
+        (pair (int_range 8 16) (oneofl [ 10.0; 40.0; 80.0; 200.0 ]))
+        (pair (oneofl [ "equation"; "hybrid" ]) small_nat)
+        (pair (oneofl cards) (option (oneofl [ "4-3-2"; "3-3-3-2" ]))))
+    (fun (verb, (k, fs), (mode, seed), (card, config)) ->
+      let fields =
+        [
+          ("verb", Json.String verb);
+          ("k", Json.Int k);
+          ("from", Json.Int k);
+          ("to", Json.Int (k + 1));
+          ("ks", Json.List [ Json.Int k; Json.Int (k + 2) ]);
+          ("fs_mhz", Json.Float fs);
+          ("fs_list", Json.List [ Json.Float fs; Json.Float (2.0 *. fs) ]);
+          ("mode", Json.String mode);
+          ("seed", Json.Int seed);
+        ]
+        @ (match card with Some c -> [ ("process", Json.String c) ] | None -> [])
+        @ match config with Some c -> [ ("config", Json.String c) ] | None -> []
+      in
+      let keys = Protocol.key_of_request (parse_exn (Json.to_string (Json.Obj fields))) in
+      keys.Protocol.store <> None && keys.Protocol.store = keys.Protocol.place)
+
+(* ------------------------------------------------------------------ *)
 (* end-to-end fleets *)
 
 type fleet = {
@@ -162,7 +275,7 @@ type fleet = {
 }
 
 let start_fleet ?(n = 3) ?(replicas = 2) ?(replication = true)
-    ?(donation = true) () =
+    ?(donation = true) ?(route = Fun.id) () =
   let dir = tmp_dir "adcopt-cluster" in
   let backends =
     List.init n (fun i ->
@@ -185,16 +298,17 @@ let start_fleet ?(n = 3) ?(replicas = 2) ?(replication = true)
   let front = Filename.concat dir "front.sock" in
   let router =
     Router.create
-      {
-        Router.default_config with
-        Router.backends = List.map (fun (s, _, _) -> s) backends;
-        socket_path = Some front;
-        replicas;
-        replication;
-        donation;
-        probe_period_s = 0.0;
-        node_id = Some "router";
-      }
+      (route
+         {
+           Router.default_config with
+           Router.backends = List.map (fun (s, _, _) -> s) backends;
+           socket_path = Some front;
+           replicas;
+           replication;
+           donation;
+           probe_period_s = 0.0;
+           node_id = Some "router";
+         })
   in
   let router_thread = Thread.create Router.run router in
   {
@@ -214,8 +328,8 @@ let stop_fleet fleet =
       Thread.join thread)
     fleet.fl_backends
 
-let with_fleet ?n ?replicas ?replication ?donation f =
-  let fleet = start_fleet ?n ?replicas ?replication ?donation () in
+let with_fleet ?n ?replicas ?replication ?donation ?route f =
+  let fleet = start_fleet ?n ?replicas ?replication ?donation ?route () in
   Fun.protect ~finally:(fun () -> stop_fleet fleet) (fun () -> f fleet)
 
 (* run one request through a fresh connection *)
@@ -415,30 +529,101 @@ let test_cluster_replication_failover () =
         (Router.replica_hits fleet.fl_router > 0))
 
 (* donation: a hybrid spec's synthesis lineages computed on one backend
-   warm-start a dependent spec owned by another. The donated jobs show
-   up in the target's job_hits (imports count as hits on reuse). *)
+   warm-start a dependent spec owned by another. Few (k, fs) pairs share
+   a lineage, and the ring hashes backend paths under a fresh temp dir,
+   so the pair is picked through the router's own placement (the ring
+   over the backend sockets, keyed by Protocol.key_of_request) to land
+   on two different owners. *)
 let test_cluster_donation () =
   with_fleet ~n:3 (fun fleet ->
       let budget =
-        {|"budget":{"sa_iterations":10,"pattern_evals":5,"space_factor":0.05}|}
+        { Adc_synth.Synthesizer.sa_iterations = 10; pattern_evals = 5; space_factor = 0.05 }
       in
-      let opt k =
+      let opt (k, fs) =
         Printf.sprintf
-          {|{"verb":"optimize","k":%d,"fs_mhz":200,"mode":"hybrid","attempts":1,%s}|}
-          k budget
+          {|{"verb":"optimize","k":%d,"fs_mhz":%g,"mode":"hybrid","attempts":1,"budget":{"sa_iterations":10,"pattern_evals":5,"space_factor":0.05}}|}
+          k fs
       in
-      (* ks chosen so at least two land on different owners while
-         sharing warm-start lineages at the same fs *)
+      let ring =
+        Ring.create ~vnodes:Router.default_config.Router.vnodes
+          (List.map (fun (s, _, _) -> s) fleet.fl_backends)
+      in
+      let owner cell =
+        Option.bind (Protocol.key_of_request (parse_exn (opt cell))).Protocol.place
+          (Ring.lookup ring)
+      in
+      let lineage (k, fs) =
+        List.map Job_key.digest
+          (Optimize.plan_job_keys ~mode:`Hybrid ~seed:11 ~attempts:1 ~budget
+             (Spec.make ~k ~fs:(fs *. 1e6) ()))
+      in
+      let cells =
+        List.concat_map
+          (fun fs -> List.map (fun k -> (k, fs)) [ 9; 10; 11; 12 ])
+          [ 200.0; 150.0; 250.0; 100.0; 300.0 ]
+      in
+      let dependent (ka, fa) (kb, fb) =
+        ka < kb && fa = fb
+        && List.exists (fun d -> List.mem d (lineage (kb, fb))) (lineage (ka, fa))
+      in
+      match
+        List.find_map
+          (fun a ->
+            List.find_map
+              (fun b -> if dependent a b && owner a <> owner b then Some (a, b) else None)
+              cells)
+          cells
+      with
+      | None -> Alcotest.fail "no lineage-sharing pair spans two owners"
+      | Some (a, b) ->
+        Alcotest.(check bool) "precondition: the pair has two distinct owners" true
+          (owner a <> None && owner b <> None && owner a <> owner b);
+        List.iter
+          (fun ((k, fs) as cell) ->
+            let resp = call fleet.fl_front (opt cell) in
+            Alcotest.(check bool)
+              (Printf.sprintf "hybrid optimize k=%d fs=%g ok" k fs)
+              true
+              (member_exn "ok" resp = Json.Bool true))
+          [ a; b ];
+        Alcotest.(check bool) "donations brokered" true
+          (Router.donations fleet.fl_router > 0))
+
+(* a fanned batch's sub-results are never replicated under a cell's solo
+   optimize key, where a replica would answer an optimize with a batch
+   payload after failover *)
+let test_cluster_batch_not_replicated_as_optimize () =
+  with_fleet ~n:3 ~replicas:3 (fun fleet ->
+      let ks = [ 10; 11; 12; 13 ] in
+      let resp = call fleet.fl_front {|{"verb":"batch","ks":[10,11,12,13],"fs_mhz":80}|} in
+      Alcotest.(check bool) "batch ok" true (member_exn "ok" resp = Json.Bool true);
+      (* let any asynchronous replication offers land *)
+      Thread.delay 0.3;
       List.iter
         (fun k ->
-          let resp = call fleet.fl_front (opt k) in
-          Alcotest.(check bool)
-            (Printf.sprintf "hybrid optimize k=%d ok" k)
-            true
-            (member_exn "ok" resp = Json.Bool true))
-        [ 8; 9; 10; 11 ];
-      Alcotest.(check bool) "donations brokered" true
-        (Router.donations fleet.fl_router > 0))
+          let key =
+            Adc_serve.Codec.key_optimize ~k ~fs_mhz:80.0 ~mode:`Equation ~seed:11
+              ~attempts:3 ()
+          in
+          List.iter
+            (fun (sock, _, _) ->
+              let found =
+                call sock
+                  (Json.to_string
+                     (Json.Obj
+                        [ ("verb", Json.String "store-get"); ("key", Json.String key) ]))
+              in
+              match Json.member_path "result.payload" found with
+              | None -> ()
+              | Some payload ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s holds an optimize payload for k=%d"
+                     (Filename.basename sock) k)
+                  true
+                  (Json.member "k" payload = Some (Json.Int k)
+                  && Json.member "runs" payload = None))
+            fleet.fl_backends)
+        ks)
 
 let test_cluster_stats_aggregation () =
   with_fleet ~n:3 (fun fleet ->
@@ -501,6 +686,137 @@ let test_cluster_shutdown_propagates () =
       Thread.join thread)
     fleet.fl_backends
 
+(* the router's ops plane: liveness, readiness that follows the drain and
+   the fleet's health, and the route.* counters in the scrape *)
+let test_router_ops_plane () =
+  let get port path =
+    match Http.get ~host:"127.0.0.1" ~port path with
+    | Some r -> r
+    | None -> Alcotest.failf "GET %s failed" path
+  in
+  let with_ops c =
+    {
+      c with
+      Router.obs = Adc_obs.in_memory ();
+      metrics_addr = Some ("127.0.0.1", 0);
+    }
+  in
+  let ops_port router =
+    match Router.metrics_port router with
+    | Some p -> p
+    | None -> Alcotest.fail "ops listener did not bind"
+  in
+  with_fleet ~n:2 ~route:with_ops (fun fleet ->
+      let port = ops_port fleet.fl_router in
+      ignore (call fleet.fl_front {|{"verb":"ping"}|});
+      Alcotest.(check (pair int string)) "healthz" (200, "ok\n") (get port "/healthz");
+      Alcotest.(check (pair int string)) "readyz while serving" (200, "ready\n")
+        (get port "/readyz");
+      let status, scraped = get port "/metrics" in
+      Alcotest.(check int) "metrics 200" 200 status;
+      Alcotest.(check bool) "request counter exposed" true
+        (String.split_on_char '\n' scraped
+        |> List.exists (String.starts_with ~prefix:"adcopt_route_requests_total "));
+      (* hold a forward in flight so the drain stays open *)
+      let slow =
+        Thread.create
+          (fun () -> ignore (call fleet.fl_front {|{"verb":"ping","delay_ms":700}|}))
+          ()
+      in
+      Thread.delay 0.15;
+      Router.stop fleet.fl_router;
+      Thread.delay 0.05;
+      Alcotest.(check (pair int string)) "readyz during drain" (503, "draining\n")
+        (get port "/readyz");
+      Thread.join slow);
+  (* a fleet that never came up: the first failed forward marks every
+     backend down and readiness follows *)
+  let dir = tmp_dir "adcopt-cluster-ops" in
+  let front = Filename.concat dir "front.sock" in
+  let router =
+    Router.create
+      (with_ops
+         {
+           Router.default_config with
+           Router.backends = [ Filename.concat dir "gone0.sock"; Filename.concat dir "gone1.sock" ];
+           socket_path = Some front;
+           probe_period_s = 0.0;
+         })
+  in
+  let thread = Thread.create Router.run router in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.stop router;
+      Thread.join thread)
+    (fun () ->
+      let port = ops_port router in
+      let resp = call front {|{"verb":"optimize","k":10,"deadline_ms":2000}|} in
+      Alcotest.(check bool) "forward failed" true
+        (member_exn "error" resp = Json.String "backend_unavailable");
+      Alcotest.(check (pair int string)) "readyz with no backend up"
+        (503, "no healthy backends\n") (get port "/readyz"))
+
+(* a bad listen address is a typed refusal, and whatever create had
+   already bound is released: no descriptor, no socket file *)
+let test_listen_errors () =
+  let dir = tmp_dir "adcopt-listen" in
+  let sock = Filename.concat dir "front.sock" in
+  let refusal what create =
+    match create () with
+    | exception Transport.Listen_failed e -> e
+    | _ -> Alcotest.failf "%s: came up on a bad address" what
+  in
+  let check_gone what =
+    Alcotest.(check bool) (what ^ ": socket file removed") false (Sys.file_exists sock)
+  in
+  (match
+     refusal "serve" (fun () ->
+         Server.create
+           {
+             Server.default_config with
+             Server.socket_path = Some sock;
+             metrics_addr = Some ("no_such_host..", 0);
+           })
+   with
+  | Transport.Bad_host "no_such_host.." -> ()
+  | e -> Alcotest.failf "serve: %s" (Transport.error_message e));
+  check_gone "serve";
+  (match
+     refusal "route" (fun () ->
+         Router.create
+           {
+             Router.default_config with
+             Router.backends = [ "b.sock" ];
+             socket_path = Some sock;
+             tcp = Some ("bad host", 0);
+           })
+   with
+  | Transport.Bad_host "bad host" -> ()
+  | e -> Alcotest.failf "route: %s" (Transport.error_message e));
+  check_gone "route";
+  (* a taken port fails at bind, after the unix socket was bound *)
+  let busy = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close busy)
+    (fun () ->
+      Unix.bind busy (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      Unix.listen busy 1;
+      let port =
+        match Unix.getsockname busy with Unix.ADDR_INET (_, p) -> p | _ -> 0
+      in
+      (match
+         refusal "serve on a taken port" (fun () ->
+             Server.create
+               {
+                 Server.default_config with
+                 Server.socket_path = Some sock;
+                 tcp = Some ("127.0.0.1", port);
+               })
+       with
+      | Transport.Bind (_, Unix.EADDRINUSE) -> ()
+      | e -> Alcotest.failf "taken port: %s" (Transport.error_message e));
+      check_gone "taken port")
+
 (* ------------------------------------------------------------------ *)
 
 let quick name f = Alcotest.test_case name `Quick f
@@ -524,6 +840,9 @@ let () =
       ( "registry",
         [ quick "health marks and transitions" test_health;
           quick "donor index" test_donor ] );
+      ( "keys",
+        [ quick "verb x card key table" test_key_table;
+          prop prop_place_is_store ] );
       ( "router",
         [
           quick "ping and single-verb routing" test_cluster_ping_and_single_verbs;
@@ -536,5 +855,8 @@ let () =
           slow "donation warm-starts dependent jobs" test_cluster_donation;
           quick "stats aggregate across the fleet" test_cluster_stats_aggregation;
           quick "shutdown propagates the drain" test_cluster_shutdown_propagates;
+          quick "ops plane: healthz, readyz flips, metrics" test_router_ops_plane;
+          quick "no batch payload under a cell's optimize key" test_cluster_batch_not_replicated_as_optimize;
         ] );
+      ("listeners", [ quick "bad address is typed, nothing left bound" test_listen_errors ]);
     ]

@@ -40,7 +40,7 @@ let tiny_budget =
 
 let test_request_defaults () =
   match Protocol.parse_request_line {|{"verb":"optimize"}|} with
-  | Error (_, e) -> Alcotest.failf "parse failed: %s" e
+  | Error (_, e, _) -> Alcotest.failf "parse failed: %s" e
   | Ok r ->
     Alcotest.(check int) "k" 13 r.Protocol.k;
     Alcotest.(check (float 0.0)) "fs" 40.0 r.Protocol.fs_mhz;
@@ -55,7 +55,7 @@ let test_request_fields () =
     Protocol.parse_request_line
       {|{"id":7,"verb":"sweep","from":11,"to":12,"fs_mhz":25.5,"mode":"hybrid","seed":3,"deadline_ms":250}|}
   with
-  | Error (_, e) -> Alcotest.failf "parse failed: %s" e
+  | Error (_, e, _) -> Alcotest.failf "parse failed: %s" e
   | Ok r ->
     Alcotest.(check bool) "verb" true (r.Protocol.verb = Protocol.Sweep);
     Alcotest.(check int) "from" 11 r.Protocol.k_from;
@@ -88,13 +88,13 @@ let test_request_version_gate () =
        (Printf.sprintf {|{"verb":"ping","version":%d}|} Protocol.version)
    with
   | Ok _ -> ()
-  | Error (_, m) -> Alcotest.failf "current version refused: %s" m);
+  | Error (_, m, _) -> Alcotest.failf "current version refused: %s" m);
   (match Protocol.parse_request_line {|{"verb":"ping"}|} with
   | Ok _ -> ()
-  | Error (_, m) -> Alcotest.failf "unversioned request refused: %s" m);
+  | Error (_, m, _) -> Alcotest.failf "unversioned request refused: %s" m);
   match Protocol.parse_request_line {|{"verb":"ping","version":99}|} with
-  | Error (Protocol.Unsupported_version, _) -> ()
-  | Error (k, m) ->
+  | Error (Protocol.Unsupported_version, _, _) -> ()
+  | Error (k, m, _) ->
     Alcotest.failf "wrong error kind %s: %s" (Protocol.error_name k) m
   | Ok _ -> Alcotest.fail "version 99 accepted"
 
@@ -103,19 +103,19 @@ let test_request_budget () =
      Protocol.parse_request_line
        {|{"verb":"optimize","budget":{"sa_iterations":12,"pattern_evals":20,"space_factor":0.6}}|}
    with
-  | Error (_, m) -> Alcotest.failf "parse failed: %s" m
+  | Error (_, m, _) -> Alcotest.failf "parse failed: %s" m
   | Ok r ->
     Alcotest.(check bool) "budget decoded" true
       (r.Protocol.budget = Some tiny_budget));
   (match Protocol.parse_request_line {|{"verb":"optimize"}|} with
   | Ok r -> Alcotest.(check bool) "no budget" true (r.Protocol.budget = None)
-  | Error (_, m) -> Alcotest.failf "parse failed: %s" m);
+  | Error (_, m, _) -> Alcotest.failf "parse failed: %s" m);
   (* a partial budget must fail loudly, never mix with defaults *)
   match
     Protocol.parse_request_line
       {|{"verb":"optimize","budget":{"sa_iterations":12}}|}
   with
-  | Error (Protocol.Bad_request, _) -> ()
+  | Error (Protocol.Bad_request, _, _) -> ()
   | _ -> Alcotest.fail "partial budget accepted"
 
 let test_member_path () =
@@ -768,7 +768,7 @@ let test_worker_misdispatch_is_typed_error () =
       let parse line =
         match Protocol.parse_request_line line with
         | Ok r -> r
-        | Error (_, m) -> Alcotest.failf "parse: %s" m
+        | Error (_, m, _) -> Alcotest.failf "parse: %s" m
       in
       List.iter
         (fun line ->
