@@ -9,6 +9,16 @@ type result = {
   residual : float;
 }
 
+(* process-wide totals for live metrics, mirroring Transient.totals:
+   summed over every solve (converged or not) on any domain *)
+type totals = { total_solves : int; total_newton_iterations : int }
+
+let g_solves = Atomic.make 0
+let g_newton = Atomic.make 0
+
+let totals () =
+  { total_solves = Atomic.get g_solves; total_newton_iterations = Atomic.get g_newton }
+
 let residual_norm nl ~x ~time ~source_scale ~gmin ~cap_policy =
   let res = Vec.create (Netlist.unknown_count nl) in
   Mna.residual_into nl ~x ~time ~source_scale ~gmin ~cap_policy res;
@@ -43,10 +53,10 @@ let newton_dense ~max_iter ~vstep_limit ~x0 ~time ~source_scale ~gmin
     let res_norm = Vec.norm_inf res in
     if converged ~prev_dx ~res_norm then Ok (x, k)
     else if k >= max_iter then
-      Error (Printf.sprintf "Newton: no convergence in %d iterations" max_iter)
+      Error (Printf.sprintf "Newton: no convergence in %d iterations" max_iter, k)
     else begin
       match Mat.solve jac (Vec.scale (-1.0) res) with
-      | exception Mat.Singular -> Error "Newton: singular Jacobian"
+      | exception Mat.Singular -> Error ("Newton: singular Jacobian", k)
       | dx ->
         let dx_norm = damp_and_update ~vstep_limit ~nv x dx in
         iterate (k + 1) dx_norm
@@ -66,13 +76,13 @@ let newton_sparse ~max_iter ~vstep_limit ~ctx ~x0 ~time ~source_scale ~gmin
     let res_norm = Vec.norm_inf res in
     if converged ~prev_dx ~res_norm then Ok (x, k)
     else if k >= max_iter then
-      Error (Printf.sprintf "Newton: no convergence in %d iterations" max_iter)
+      Error (Printf.sprintf "Newton: no convergence in %d iterations" max_iter, k)
     else begin
       for i = 0 to n - 1 do
         rhs.(i) <- -.res.(i)
       done;
       match Mna.factor_and_solve ctx ~rhs ~dx with
-      | exception Sparse.Singular -> Error "Newton: singular Jacobian"
+      | exception Sparse.Singular -> Error ("Newton: singular Jacobian", k)
       | () ->
         let dx_norm = damp_and_update ~vstep_limit ~nv x dx in
         iterate (k + 1) dx_norm
@@ -80,8 +90,10 @@ let newton_sparse ~max_iter ~vstep_limit ~ctx ~x0 ~time ~source_scale ~gmin
   in
   iterate 0 Float.infinity
 
-let newton ?(max_iter = 120) ?(vstep_limit = 0.4) ?(backend = `Sparse) ?ctx
-    ~x0 ~time ~source_scale ~gmin ~cap_policy nl =
+(* the kernels report the iterations spent on failure too, so the DC
+   totals count every iteration a solve performs *)
+let newton_counted ?(max_iter = 120) ?(vstep_limit = 0.4) ?(backend = `Sparse)
+    ?ctx ~x0 ~time ~source_scale ~gmin ~cap_policy nl =
   match backend with
   | `Dense ->
     newton_dense ~max_iter ~vstep_limit ~x0 ~time ~source_scale ~gmin
@@ -91,11 +103,28 @@ let newton ?(max_iter = 120) ?(vstep_limit = 0.4) ?(backend = `Sparse) ?ctx
     newton_sparse ~max_iter ~vstep_limit ~ctx ~x0 ~time ~source_scale ~gmin
       ~cap_policy nl
 
+let newton ?max_iter ?vstep_limit ?backend ?ctx ~x0 ~time ~source_scale ~gmin
+    ~cap_policy nl =
+  Result.map_error fst
+    (newton_counted ?max_iter ?vstep_limit ?backend ?ctx ~x0 ~time
+       ~source_scale ~gmin ~cap_policy nl)
+
 let solve ?x0 ?(time = 0.0) ?(max_iter = 120) ?(backend = `Sparse) ?ctx nl =
   (match Netlist.validate nl with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Dc.solve: bad netlist: " ^ msg));
+  (match ctx with
+  | Some c when Mna.ctx_netlist c != nl ->
+    invalid_arg "Dc.solve: ctx was built for a different netlist"
+  | _ -> ());
   let n = Netlist.unknown_count nl in
+  (match x0 with
+  | Some x when Array.length x <> n ->
+    invalid_arg
+      (Printf.sprintf "Dc.solve: x0 has %d entries, the netlist %d unknowns"
+         (Array.length x) n)
+  | _ -> ());
+  Atomic.incr g_solves;
   let x0 = match x0 with Some x -> Vec.copy x | None -> Vec.create n in
   let ctx =
     match (backend, ctx) with
@@ -104,8 +133,13 @@ let solve ?x0 ?(time = 0.0) ?(max_iter = 120) ?(backend = `Sparse) ?ctx nl =
     | `Sparse, None -> Some (Mna.context nl)
   in
   let newton ~x0 ~source_scale ~gmin =
-    newton ~max_iter ~backend ?ctx ~x0 ~time ~source_scale ~gmin
-      ~cap_policy:Mna.Cap_open nl
+    let r =
+      newton_counted ~max_iter ~backend ?ctx ~x0 ~time ~source_scale ~gmin
+        ~cap_policy:Mna.Cap_open nl
+    in
+    let (Ok (_, k) | Error (_, k)) = r in
+    ignore (Atomic.fetch_and_add g_newton k);
+    Result.map_error fst r
   in
   let finish ~x ~iterations ~strategy =
     let residual =

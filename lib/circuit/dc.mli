@@ -30,14 +30,32 @@ val solve :
 (** Find the operating point. [time] fixes source values and switch
     states (default 0). [ctx] reuses a caller-held sparse context
     (ignored for the dense backend); when omitted one is created
-    internally. *)
+    internally.
+
+    Caller invariants, checked at entry with [Invalid_argument]: a [ctx]
+    must have been built by [Mna.context] for this very [nl] (physical
+    equality; a value-only retarget through [Netlist.set_wave] keeps it
+    valid), and [x0] must have [Netlist.unknown_count nl] entries. *)
+
+type totals = {
+  total_solves : int;             (** {!solve} calls, converged or not *)
+  total_newton_iterations : int;
+      (** Newton iterations inside {!solve}, failed continuation
+          attempts included *)
+}
+
+val totals : unit -> totals
+(** Monotonic process-wide counters summed over every {!solve} on any
+    domain — the live-metrics view of the DC work, mirroring
+    [Transient.totals]. Iterations of the transient engine's own
+    {!newton} calls are not included. *)
 
 val node_voltage : result -> Netlist.node -> float
 (** Voltage of a node in a solved result (0 for ground). *)
 
 val branch_current : Netlist.t -> result -> string -> float
 (** Current through a named voltage source (positive from [np] to [nn]
-    through the source). Raises [Not_found] for unknown names. *)
+    through the source). Raises [Invalid_argument] for unknown names. *)
 
 val newton :
   ?max_iter:int -> ?vstep_limit:float ->

@@ -124,6 +124,24 @@ let switch t name np nn ~r_on ~r_off ~closed_at =
   register_name t name;
   add t (Switch { s_name = name; np; nn; r_on; r_off; closed_at })
 
+let set_wave t name wave =
+  let found = ref false in
+  let devs =
+    List.map
+      (function
+        | Vsource v when v.v_name = name ->
+          found := true;
+          Vsource { v with wave }
+        | Isource i when i.i_name = name ->
+          found := true;
+          Isource { i with wave }
+        | d -> d)
+      t.devs
+  in
+  if not !found then
+    invalid_arg (Printf.sprintf "Netlist.set_wave: no independent source %S" name);
+  t.devs <- devs
+
 let devices t = List.rev t.devs
 
 let mos_devices t =

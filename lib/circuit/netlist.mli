@@ -69,6 +69,14 @@ val switch :
   t -> string -> node -> node ->
   r_on:float -> r_off:float -> closed_at:(float -> bool) -> unit
 
+val set_wave : t -> string -> Stimulus.t -> unit
+(** [set_wave t name wave] retargets the independent voltage or current
+    source [name] to [wave] in place. Structure-preserving: nodes,
+    branches and device order are untouched, and MNA assembly's slot
+    program never depends on element values, so an [Mna.ctx] built
+    before the call stays valid and assembles the new value. Raises
+    [Invalid_argument] when [name] is not an independent source. *)
+
 val devices : t -> device list
 (** Devices in insertion order. *)
 

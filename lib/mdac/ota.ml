@@ -2,6 +2,7 @@ module Process = Adc_circuit.Process
 module Netlist = Adc_circuit.Netlist
 module Stimulus = Adc_circuit.Stimulus
 module Dc = Adc_circuit.Dc
+module Mna = Adc_circuit.Mna
 module Smallsig = Adc_circuit.Smallsig
 module Mosfet = Adc_circuit.Mosfet
 module Transient = Adc_circuit.Transient
@@ -164,25 +165,57 @@ let build ?(load_cap = 1e-12) ?vcm ?(drive_noninv = true) ?inv_dc proc z =
 (* Open-loop amplifiers rail their output at any practical input offset;
    measurement benches null the offset with a DC servo. We bisect the
    inverting-input DC level until the output sits at its mid-swing bias
-   point (the output is monotone decreasing in the inverting input). *)
+   point (the output is monotone decreasing in the inverting input).
+
+   The search probes ([lo], [hi], each bisection [mid]) form a DC sweep
+   and are solved like one: a single bench and sparse context, built on
+   the first probe, retargeted in place through [Netlist.set_wave], each
+   Newton started from the previous probe's solution (the first from
+   zero). A warm probe that fails is retried cold on a fresh bench.
+   Warm and cold probes agree far below the 10 mV stop tolerance, so
+   wherever every cold probe converges the search takes the all-cold
+   path; where a cold probe would exhaust its continuation strategies,
+   the warm one may still converge and the search goes on. The returned
+   point is always solved cold on a fresh bench, so its operating point
+   never depends on the probes' starting points. See docs/SOLVER.md. *)
 let solve_biased ?(load_cap = 1e-12) ?vcm ?(backend = `Sparse) proc z =
   let vcm_v = match vcm with Some v -> v | None -> default_vcm proc in
   let target = 0.5 *. proc.Process.vdd in
-  let out_at inv_dc =
+  let solve_cold inv_dc =
     let p = build ~load_cap ~vcm:vcm_v ~inv_dc proc z in
     match Dc.solve ~backend p.nl with
-    | Ok op -> Some (p, op, Dc.node_voltage op p.out)
+    | Ok op -> Some (p, op)
     | Error _ -> None
   in
+  let sweep =
+    lazy
+      (let p = build ~load_cap ~vcm:vcm_v proc z in
+       (p, match backend with `Sparse -> Some (Mna.context p.nl) | `Dense -> None))
+  in
+  let x_prev = ref None in
+  let probe inv_dc =
+    let p, ctx = Lazy.force sweep in
+    Netlist.set_wave p.nl "vin" (Stimulus.Dc inv_dc);
+    let solved =
+      match Dc.solve ~backend ?ctx ?x0:!x_prev p.nl with
+      | Ok op -> Some (p, op)
+      | Error _ -> solve_cold inv_dc
+    in
+    Option.map
+      (fun (p, op) ->
+        x_prev := Some op.Dc.x;
+        Dc.node_voltage op p.out)
+      solved
+  in
   let lo = Float.max 0.2 (vcm_v -. 0.3) and hi = Float.min proc.Process.vdd (vcm_v +. 0.3) in
-  match (out_at lo, out_at hi) with
+  match (probe lo, probe hi) with
   | None, _ | _, None -> Error "OTA DC failed during bias servo"
-  | Some (_, _, v_lo), Some (_, _, v_hi) ->
+  | Some v_lo, Some v_hi ->
     if (v_lo -. target) *. (v_hi -. target) > 0.0 then begin
       (* cannot center the output: return the plain solution; callers see
          the railed metrics and grade the point as infeasible *)
-      match out_at vcm_v with
-      | Some (p, op, _) -> Ok (p, op, vcm_v)
+      match solve_cold vcm_v with
+      | Some (p, op) -> Ok (p, op, vcm_v)
       | None -> Error "OTA DC failed"
     end
     else begin
@@ -190,16 +223,16 @@ let solve_biased ?(load_cap = 1e-12) ?vcm ?(backend = `Sparse) proc z =
         let mid = 0.5 *. (lo +. hi) in
         if i >= 60 then mid
         else
-          match out_at mid with
+          match probe mid with
           | None -> mid
-          | Some (_, _, v) ->
+          | Some v ->
             if Float.abs (v -. target) < 0.01 then mid
             else if (v -. target) > 0.0 then bisect mid hi (i + 1)
             else bisect lo mid (i + 1)
       in
       let v_star = bisect lo hi 0 in
-      match out_at v_star with
-      | Some (p, op, _) -> Ok (p, op, v_star)
+      match solve_cold v_star with
+      | Some (p, op) -> Ok (p, op, v_star)
       | None -> Error "OTA DC failed at servo point"
     end
 

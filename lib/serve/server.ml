@@ -18,6 +18,7 @@ module Clock = Adc_obs.Clock
 module Log = Adc_obs.Log
 module Sparse = Adc_numerics.Sparse
 module Transient = Adc_circuit.Transient
+module Dc = Adc_circuit.Dc
 
 type config = {
   socket_path : string option;
@@ -64,7 +65,7 @@ type item = {
 }
 
 (* last solver totals folded into the metrics registry (delta sync) *)
-type solver_seen = { sp : Sparse.totals; tr : Transient.totals }
+type solver_seen = { sp : Sparse.totals; tr : Transient.totals; dc : Dc.totals }
 
 type t = {
   cfg : config;
@@ -117,7 +118,7 @@ let sync_solver_metrics t =
   let m = t.cfg.obs.Obs.metrics in
   if Metrics.enabled m then begin
     locked t @@ fun t ->
-    let sp = Sparse.totals () and tr = Transient.totals () in
+    let sp = Sparse.totals () and tr = Transient.totals () and dc = Dc.totals () in
     let prev = t.solver_seen in
     let add name v = Metrics.add (Metrics.counter m name) v in
     add "solver.sparse_analyses_total"
@@ -137,7 +138,10 @@ let sync_solver_metrics t =
       (tr.Transient.total_accepted_steps - prev.tr.Transient.total_accepted_steps);
     add "solver.transient_rejected_steps_total"
       (tr.Transient.total_rejected_steps - prev.tr.Transient.total_rejected_steps);
-    t.solver_seen <- { sp; tr }
+    add "solver.dc_solves_total" (dc.Dc.total_solves - prev.dc.Dc.total_solves);
+    add "solver.dc_newton_iterations_total"
+      (dc.Dc.total_newton_iterations - prev.dc.Dc.total_newton_iterations);
+    t.solver_seen <- { sp; tr; dc }
   end
 
 (* ------------------------------------------------------------------ *)
@@ -840,6 +844,8 @@ let preregister_metrics m =
         "solver.newton_iterations_total";
         "solver.transient_accepted_steps_total";
         "solver.transient_rejected_steps_total";
+        "solver.dc_solves_total";
+        "solver.dc_newton_iterations_total";
       ];
     List.iter
       (fun n -> ignore (Metrics.gauge m n))
@@ -905,7 +911,7 @@ let create cfg =
     n_deadline = 0;
     n_failed = 0;
     n_inflight = 0;
-    solver_seen = { sp = Sparse.totals (); tr = Transient.totals () };
+    solver_seen = { sp = Sparse.totals (); tr = Transient.totals (); dc = Dc.totals () };
   }
 
 let tcp_port t = Transport.tcp_port t.tr

@@ -169,6 +169,28 @@ let test_dc_common_source_bias () =
   check_close ~eps:1e-6 "vds consistency" vout m.vds;
   check_close ~eps:1e-4 "resistor current = ids" ((3.3 -. vout) /. 5000.0) m.ids
 
+(* misuse of the optional arguments is refused at entry, before any
+   assembly: a ctx recorded for another netlist (even a structurally
+   equal one) and a start vector of the wrong length *)
+let test_dc_argument_guards () =
+  let divider () =
+    let nl = Netlist.create proc in
+    let vin = Netlist.node nl "in" and mid = Netlist.node nl "mid" in
+    Netlist.vsource nl "vs" vin Netlist.ground (Stimulus.Dc 3.3);
+    Netlist.resistor nl "r1" vin mid 1000.0;
+    Netlist.resistor nl "r2" mid Netlist.ground 2000.0;
+    nl
+  in
+  let nl = divider () in
+  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+  Alcotest.(check bool) "foreign ctx rejected" true
+    (raises (fun () -> Dc.solve ~ctx:(Mna.context (divider ())) nl));
+  Alcotest.(check bool) "short x0 rejected" true
+    (raises (fun () -> Dc.solve ~x0:[| 0.0 |] nl));
+  Alcotest.(check bool) "own ctx and full-length x0 accepted" false
+    (raises (fun () ->
+         Dc.solve ~ctx:(Mna.context nl) ~x0:(Array.make (Netlist.unknown_count nl) 0.0) nl))
+
 let test_dc_rejects_floating_node () =
   let nl = Netlist.create proc in
   let a = Netlist.node nl "a" and b = Netlist.node nl "b" in
@@ -705,6 +727,7 @@ let () =
           quick "nmos diode" test_dc_nmos_diode;
           quick "common source bias" test_dc_common_source_bias;
           quick "floating node rejected" test_dc_rejects_floating_node;
+          quick "argument guards" test_dc_argument_guards;
           QCheck_alcotest.to_alcotest prop_dc_resistor_ladder_kcl;
         ] );
       ( "ac",

@@ -218,6 +218,190 @@ let test_ota_power_tracks_bias () =
   | Error e, _ | _, Error e -> Alcotest.failf "evaluate failed: %s" e
 
 (* ------------------------------------------------------------------ *)
+(* Bias servo *)
+
+module Dc = Adc_circuit.Dc
+module Mna = Adc_circuit.Mna
+module Netlist = Adc_circuit.Netlist
+module Stimulus = Adc_circuit.Stimulus
+module Spec = Adc_pipeline.Spec
+module Synthesizer = Adc_synth.Synthesizer
+
+(* The servo as it was before its probes were warm-started: every probe
+   and the returned point built and solved cold. Kept as the oracle for
+   [Ota.biased_operating_point]; it also reports whether it took the
+   cannot-center branch and whether any of its cold probes failed. *)
+type oracle = {
+  res : (Dc.result, string) result;
+  railed : bool;
+  probe_failed : bool;
+}
+
+let cold_servo ~load_cap ~backend proc z =
+  let vcm_v = Ota.default_vcm proc in
+  let target = 0.5 *. proc.Process.vdd in
+  let probe_failed = ref false in
+  let out_at inv_dc =
+    let p = Ota.build ~load_cap ~vcm:vcm_v ~inv_dc proc z in
+    match Dc.solve ~backend p.Ota.nl with
+    | Ok op -> Some (op, Dc.node_voltage op p.Ota.out)
+    | Error _ ->
+      probe_failed := true;
+      None
+  in
+  let lo = Float.max 0.2 (vcm_v -. 0.3) and hi = Float.min proc.Process.vdd (vcm_v +. 0.3) in
+  let res, railed =
+    match (out_at lo, out_at hi) with
+    | None, _ | _, None -> (Error "OTA DC failed during bias servo", false)
+    | Some (_, v_lo), Some (_, v_hi) ->
+      if (v_lo -. target) *. (v_hi -. target) > 0.0 then
+        match out_at vcm_v with
+        | Some (op, _) -> (Ok op, true)
+        | None -> (Error "OTA DC failed", true)
+      else begin
+        let rec bisect lo hi i =
+          let mid = 0.5 *. (lo +. hi) in
+          if i >= 60 then mid
+          else
+            match out_at mid with
+            | None -> mid
+            | Some (_, v) ->
+              if Float.abs (v -. target) < 0.01 then mid
+              else if (v -. target) > 0.0 then bisect mid hi (i + 1)
+              else bisect lo mid (i + 1)
+        in
+        match out_at (bisect lo hi 0) with
+        | Some (op, _) -> (Ok op, false)
+        | None -> (Error "OTA DC failed at servo point", false)
+      end
+  in
+  { res; railed; probe_failed = !probe_failed }
+
+let share_dir =
+  let rec find dir n =
+    let cand = Filename.concat dir (Filename.concat "share" "processes") in
+    if Sys.file_exists (Filename.concat cand "c025.sp") || n = 0 then cand
+    else find (Filename.concat dir Filename.parent_dir_name) (n - 1)
+  in
+  find (Filename.dirname Sys.executable_name) 6
+
+let card name =
+  match Adc_spice.load_process_file (Filename.concat share_dir name) with
+  | Ok p -> p
+  | Error e -> Alcotest.failf "%s: %s" name e
+
+(* Seeded candidates around the analytic first cut: every width, the
+   bias current and the compensation scaled by independent factors in
+   [0.8, 1.25], the cascode gate biases shifted by up to 0.2 V. *)
+let servo_candidates ~rng ~n (z : Ota.sizing) =
+  let f () = exp (Random.State.float rng (2.0 *. log 1.25) -. log 1.25) in
+  let dv () = Random.State.float rng 0.4 -. 0.2 in
+  List.init n (fun _ ->
+      {
+        z with
+        Ota.w_pair = z.Ota.w_pair *. f ();
+        w_mirror = z.Ota.w_mirror *. f ();
+        w_tail = z.Ota.w_tail *. f ();
+        w_cs = z.Ota.w_cs *. f ();
+        w_sink = z.Ota.w_sink *. f ();
+        i_bias = z.Ota.i_bias *. f ();
+        c_comp = z.Ota.c_comp *. f ();
+        v_casc = z.Ota.v_casc +. dv ();
+        v_cascp = z.Ota.v_cascp +. dv ();
+      })
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v)) a b
+
+let check_same_op what (e : Dc.result) (got : Dc.result) =
+  if not (same_bits e.Dc.x got.Dc.x) then Alcotest.failf "%s: op.x differs" what;
+  Alcotest.(check int) (what ^ ": iterations") e.Dc.iterations got.Dc.iterations;
+  Alcotest.(check string) (what ^ ": strategy") e.Dc.strategy got.Dc.strategy
+
+(* Wherever every cold probe converges, the warm-started servo walks the
+   same bisection and returns the oracle's point bit for bit. Where a
+   cold probe fails, the oracle gives up while the warm probe may
+   converge and the search goes on; the returned point must then still
+   be the cold solution of the returned bench. *)
+let test_servo_matches_cold_oracle () =
+  let rng = Random.State.make [| 13; 0x5e70 |] in
+  let specs =
+    [
+      ("c025", Spec.paper_case ~k:10);
+      ("c018", Spec.make ~process:(card "c018.sp") ~k:10 ~fs:40e6 ());
+      ("c060", Spec.make ~process:(card "c060.sp") ~k:10 ~fs:40e6 ());
+    ]
+  in
+  let jobs = [ { Spec.m = 2; input_bits = 8 }; { Spec.m = 3; input_bits = 10 } ] in
+  let centered = ref 0 and railed = ref 0 in
+  List.iter
+    (fun (card_name, spec) ->
+      let proc = spec.Spec.process in
+      List.iter
+        (fun job ->
+          let req = Spec.stage_requirements spec job in
+          let load_cap = req.Mdac_stage.c_load_eff in
+          let z0 = Synthesizer.initial_sizing proc req in
+          List.iteri
+            (fun i z ->
+              List.iter
+                (fun backend ->
+                  let what =
+                    Printf.sprintf "%s %s candidate %d %s" card_name (Spec.job_to_string job) i
+                      (match backend with `Sparse -> "sparse" | `Dense -> "dense")
+                  in
+                  let o = cold_servo ~load_cap ~backend proc z in
+                  let got = Ota.biased_operating_point ~load_cap ~backend proc z in
+                  (match o.res with
+                  | Ok _ when o.railed -> incr railed
+                  | Ok _ -> incr centered
+                  | Error _ -> ());
+                  match (o.res, got) with
+                  | _, Ok (p, op) when o.probe_failed -> (
+                    match Dc.solve ~backend p.Ota.nl with
+                    | Ok cold -> check_same_op (what ^ " (cold re-solve)") cold op
+                    | Error e -> Alcotest.failf "%s: returned bench does not solve cold: %s" what e)
+                  | Error e, Error got -> Alcotest.(check string) (what ^ ": error") e got
+                  | Ok e, Ok (_, got) -> check_same_op what e got
+                  | Ok _, Error e -> Alcotest.failf "%s: servo failed (%s), oracle did not" what e
+                  | Error e, Ok _ -> Alcotest.failf "%s: oracle failed (%s), servo did not" what e)
+                [ `Sparse; `Dense ])
+            (z0 :: servo_candidates ~rng ~n:6 z0))
+        jobs)
+    specs;
+  Alcotest.(check bool) (Printf.sprintf "centered points covered (%d)" !centered) true (!centered > 0);
+  Alcotest.(check bool) (Printf.sprintf "cannot-center points covered (%d)" !railed) true (!railed > 0)
+
+(* A context recorded before a value-only retarget assembles the new
+   value: solving through it is bit-equal to solving a bench built with
+   that value from the start, from the same starting point. *)
+let test_set_wave_keeps_ctx_valid () =
+  let z = { Ota.default_sizing with Ota.topology = Ota.Miller_cascode; v_casc = 1.3 } in
+  let vcm = Ota.default_vcm proc in
+  let retargeted = Ota.build ~inv_dc:(vcm -. 0.2) proc z in
+  let ctx = Mna.context retargeted.Ota.nl in
+  Netlist.set_wave retargeted.Ota.nl "vin" (Stimulus.Dc (vcm +. 0.01));
+  let fresh = Ota.build ~inv_dc:(vcm +. 0.01) proc z in
+  let n = Netlist.unknown_count fresh.Ota.nl in
+  let x0 = Array.init n (fun i -> 0.05 *. float_of_int (i mod 7)) in
+  match (Dc.solve ~ctx ~x0 retargeted.Ota.nl, Dc.solve ~x0 fresh.Ota.nl) with
+  | Ok a, Ok b ->
+    Alcotest.(check bool) "op.x bit-equal" true (same_bits a.Dc.x b.Dc.x);
+    Alcotest.(check int) "iterations" b.Dc.iterations a.Dc.iterations;
+    Alcotest.(check string) "strategy" b.Dc.strategy a.Dc.strategy
+  | Error e, _ | _, Error e -> Alcotest.failf "solve failed: %s" e
+
+let test_set_wave_rejects_non_sources () =
+  let p = Ota.build proc Ota.default_sizing in
+  List.iter
+    (fun name ->
+      match Netlist.set_wave p.Ota.nl name (Stimulus.Dc 1.0) with
+      | () -> Alcotest.failf "set_wave %S accepted" name
+      | exception Invalid_argument _ -> ())
+    [ "no_such_source"; "m1"; "cl" ]
+
+(* ------------------------------------------------------------------ *)
 (* Switched-capacitor MDAC transient bench *)
 
 module Sc_mdac = Adc_mdac.Sc_mdac
@@ -304,5 +488,11 @@ let () =
           quick "settling bench" test_ota_settling_bench_accuracy;
           quick "symbolic transfer" test_ota_symbolic_transfer_mentions_devices;
           quick "power tracks bias" test_ota_power_tracks_bias;
+        ] );
+      ( "bias-servo",
+        [
+          quick "matches the cold oracle" test_servo_matches_cold_oracle;
+          quick "set_wave keeps a ctx valid" test_set_wave_keeps_ctx_valid;
+          quick "set_wave rejects non-sources" test_set_wave_rejects_non_sources;
         ] );
     ]

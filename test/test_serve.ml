@@ -998,6 +998,32 @@ let test_server_ops_plane_scrape () =
         (contains scraped "adcopt_solver_sparse_solves_total");
       Alcotest.(check bool) "scrapes counted" true
         (contains scraped "adcopt_serve_scrapes_total 1");
+      (* the evaluator's DC work reaches the scrape: both counters are
+         preregistered and move once a hybrid optimize has run *)
+      let counter text name =
+        let prefix = "adcopt_" ^ name ^ " " in
+        match
+          List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' text)
+        with
+        | Some line ->
+          float_of_string
+            (String.sub line (String.length prefix) (String.length line - String.length prefix))
+        | None -> Alcotest.failf "%s missing from the scrape" name
+      in
+      let dc_counters = [ "solver_dc_solves_total"; "solver_dc_newton_iterations_total" ] in
+      let before = List.map (counter scraped) dc_counters in
+      let hybrid =
+        Client.request c
+          (Json.parse
+             {|{"verb":"optimize","k":10,"mode":"hybrid","seed":7,"attempts":1,"budget":{"sa_iterations":12,"pattern_evals":20,"space_factor":0.6}}|})
+      in
+      Alcotest.(check bool) "hybrid optimize ok" true
+        (member_exn "ok" hybrid = Json.Bool true);
+      let _, rescraped = http_get port "/metrics" in
+      List.iter2
+        (fun name b ->
+          Alcotest.(check bool) (name ^ " moved") true (counter rescraped name > b))
+        dc_counters before;
       (* hold a worker busy so the drain stays open, then watch /readyz
          flip to 503 while the daemon finishes the in-flight ping *)
       let slow =
