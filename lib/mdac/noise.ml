@@ -32,15 +32,23 @@ let integrate_psd tf ~psd ~freqs =
   done;
   sqrt !acc
 
+exception Non_finite of string
+
 let analyze ?(gamma = 2.0 /. 3.0) ?(f_lo = 1e3) ?(f_hi = 1e11)
     ?(points_per_decade = 10) nl (ss : Smallsig.t) ~out =
-  match Dpi.build nl ss with
-  | exception Dpi.Unsupported msg -> Error ("noise analysis: " ^ msg)
-  | dpi ->
+  (* a transfer function with a non-finite coefficient integrates to NaN
+     without complaint; refuse it, naming the source it belongs to *)
+  let finite source tf = if Ratfun.is_finite tf then tf else raise (Non_finite source) in
+  let analysis () =
+    let dpi = Dpi.build nl ss in
     let freqs = Adc_circuit.Ac.logspace ~f_start:f_lo ~f_stop:f_hi ~points_per_decade in
     let kt = Process.kt (Netlist.process nl) in
     let mos_tbl = Hashtbl.create 8 in
     List.iter (fun (m : Smallsig.mos_op) -> Hashtbl.replace mos_tbl m.Smallsig.name m) ss.Smallsig.mos;
+    let contribution source ~psd ~src_pos ~src_neg =
+      let tf = finite source (dpi.Dpi.numeric_tf_current ~src_pos ~src_neg ~out) in
+      { source; psd_a2 = psd; v_out_rms = integrate_psd tf ~psd ~freqs }
+    in
     let contributions =
       List.filter_map
         (fun d ->
@@ -51,15 +59,10 @@ let analyze ?(gamma = 2.0 /. 3.0) ?(f_lo = 1e3) ?(f_hi = 1e11)
             | Some op ->
               let psd = 4.0 *. kt *. gamma *. Float.abs op.Smallsig.gm in
               if psd <= 0.0 then None
-              else begin
-                let tf = dpi.Dpi.numeric_tf_current ~src_pos:dd ~src_neg:s ~out in
-                Some { source = m_name; psd_a2 = psd; v_out_rms = integrate_psd tf ~psd ~freqs }
-              end
+              else Some (contribution m_name ~psd ~src_pos:dd ~src_neg:s)
           end
           | Netlist.Resistor { r_name; np; nn; ohms } ->
-            let psd = 4.0 *. kt /. ohms in
-            let tf = dpi.Dpi.numeric_tf_current ~src_pos:np ~src_neg:nn ~out in
-            Some { source = r_name; psd_a2 = psd; v_out_rms = integrate_psd tf ~psd ~freqs }
+            Some (contribution r_name ~psd:(4.0 *. kt /. ohms) ~src_pos:np ~src_neg:nn)
           | Netlist.Capacitor _ | Netlist.Vsource _ | Netlist.Isource _
           | Netlist.Vcvs _ | Netlist.Switch _ -> None)
         (Netlist.devices nl)
@@ -70,19 +73,23 @@ let analyze ?(gamma = 2.0 /. 3.0) ?(f_lo = 1e3) ?(f_hi = 1e11)
            (fun a (c : contribution) -> a +. (c.v_out_rms *. c.v_out_rms))
            0.0 contributions)
     in
-    let signal_tf = dpi.Dpi.numeric_tf out in
+    let signal_tf = finite "the signal input" (dpi.Dpi.numeric_tf out) in
     let midband_gain = Float.abs (Ratfun.dc_gain signal_tf) in
     let v_in_rms = if midband_gain > 0.0 then v_out_rms /. midband_gain else infinity in
-    Ok
-      {
-        v_out_rms;
-        v_in_rms;
-        midband_gain;
-        contributions =
-          List.sort
-            (fun (a : contribution) (b : contribution) ->
-              compare b.v_out_rms a.v_out_rms)
-            contributions;
-        f_lo;
-        f_hi;
-      }
+    {
+      v_out_rms;
+      v_in_rms;
+      midband_gain;
+      contributions =
+        List.sort
+          (fun (a : contribution) (b : contribution) -> compare b.v_out_rms a.v_out_rms)
+          contributions;
+      f_lo;
+      f_hi;
+    }
+  in
+  match analysis () with
+  | exception Dpi.Unsupported msg -> Error ("noise analysis: " ^ msg)
+  | exception Non_finite source ->
+    Error ("noise analysis: non-finite transfer function from " ^ source)
+  | report -> Ok report

@@ -34,4 +34,6 @@ val analyze :
   (report, string) result
 (** Integrate every device's noise over [f_lo, f_hi] (defaults 1 kHz to
     100 GHz, 10 points/decade, log-trapezoid). The netlist must contain
-    exactly one AC source (the signal reference for input referral). *)
+    exactly one AC source (the signal reference for input referral).
+    [Error] when the DPI analysis cannot take the circuit or the output
+    node, or when a transfer function has a non-finite coefficient. *)

@@ -265,43 +265,45 @@ let evaluate ?(load_cap = 1e-12) ?vcm ?backend (proc : Process.t) z =
     | exception Dpi.Unsupported msg -> Error ("DPI failed: " ^ msg)
     | dpi ->
       let h = Dpi.numeric_transfer_to dpi p.out in
-      let spec = Analysis.characterize h in
-      let i_supply = Smallsig.total_supply_current p.nl op ~supply:p.supply_name in
-      let m m_name = Smallsig.find_mos ss m_name in
-      let m5 = m "m5" and m6 = m "m6" and m7 = m "m7" in
-      let v_out = Dc.node_voltage op p.out in
-      (* swing: output may move until M6 or M7 leaves saturation *)
-      ignore v_out;
-      let swing_high = proc.Process.vdd -. m6.vdsat in
-      let swing_low = m7.vdsat in
-      (* slew: falling edge limited by the sink current through CL+Cc;
-         the internal node is limited by the tail current through Cc *)
-      let i_tail = Float.abs m5.ids and i_sink = Float.abs m7.ids in
-      let slew_rate =
-        Float.min (i_tail /. z.c_comp) (i_sink /. (load_cap +. z.c_comp))
-      in
-      let all_saturated = Smallsig.saturation_ok ss ~except:[] in
-      let pole1 =
-        if Array.length spec.Analysis.poles > 0 then
-          Some (Complex.norm spec.Analysis.poles.(0) /. (2.0 *. Float.pi))
-        else None
-      in
-      let input_cap = (m "m2").caps.Mosfet.cgs in
-      Ok
-        {
-          power = i_supply *. proc.Process.vdd;
-          i_supply;
-          dc_gain = spec.Analysis.dc_gain;
-          gbw_hz = spec.Analysis.unity_gain_hz;
-          phase_margin_deg = spec.Analysis.phase_margin_deg;
-          pole1_hz = pole1;
-          swing_low;
-          swing_high;
-          slew_rate;
-          all_saturated;
-          input_cap;
-          tf = h;
-        }
+      match Analysis.characterize h with
+      | exception Invalid_argument msg -> Error ("transfer-function analysis failed: " ^ msg)
+      | spec ->
+        let i_supply = Smallsig.total_supply_current p.nl op ~supply:p.supply_name in
+        let m m_name = Smallsig.find_mos ss m_name in
+        let m5 = m "m5" and m6 = m "m6" and m7 = m "m7" in
+        let v_out = Dc.node_voltage op p.out in
+        (* swing: output may move until M6 or M7 leaves saturation *)
+        ignore v_out;
+        let swing_high = proc.Process.vdd -. m6.vdsat in
+        let swing_low = m7.vdsat in
+        (* slew: falling edge limited by the sink current through CL+Cc;
+           the internal node is limited by the tail current through Cc *)
+        let i_tail = Float.abs m5.ids and i_sink = Float.abs m7.ids in
+        let slew_rate =
+          Float.min (i_tail /. z.c_comp) (i_sink /. (load_cap +. z.c_comp))
+        in
+        let all_saturated = Smallsig.saturation_ok ss ~except:[] in
+        let pole1 =
+          if Array.length spec.Analysis.poles > 0 then
+            Some (Complex.norm spec.Analysis.poles.(0) /. (2.0 *. Float.pi))
+          else None
+        in
+        let input_cap = (m "m2").caps.Mosfet.cgs in
+        Ok
+          {
+            power = i_supply *. proc.Process.vdd;
+            i_supply;
+            dc_gain = spec.Analysis.dc_gain;
+            gbw_hz = spec.Analysis.unity_gain_hz;
+            phase_margin_deg = spec.Analysis.phase_margin_deg;
+            pole1_hz = pole1;
+            swing_low;
+            swing_high;
+            slew_rate;
+            all_saturated;
+            input_cap;
+            tf = h;
+          }
   end
 
 let symbolic_transfer ?(load_cap = 1e-12) ?vcm proc z =

@@ -98,7 +98,8 @@ val evaluate :
   sizing ->
   (performance, string) result
 (** The hybrid evaluation (DC sim -> small-signal -> DPI/SFG -> metrics).
-    [Error] only for hard failures (DC non-convergence); infeasible but
+    [Error] only for hard failures (DC non-convergence, a circuit the
+    DPI analysis cannot take, a non-finite transfer function); infeasible but
     simulable points return their true metrics for the optimizer to
     grade. [backend] selects the DC linear solver (default [`Sparse]). *)
 

@@ -78,15 +78,91 @@ let eval_complex p z =
   done;
   !acc
 
+let is_finite p = Array.for_all Float.is_finite p
+
+(* Process-wide root-finding totals for live metrics, mirroring
+   [Dc.totals]: each {!roots} call adds once on return, never per
+   iteration. *)
+type totals = {
+  roots_calls : int;
+  aberth_iterations : int;
+  aberth_max_iter_hits : int;
+}
+
+let g_calls = Atomic.make 0
+let g_iterations = Atomic.make 0
+let g_max_iter_hits = Atomic.make 0
+
+let totals () =
+  {
+    roots_calls = Atomic.get g_calls;
+    aberth_iterations = Atomic.get g_iterations;
+    aberth_max_iter_hits = Atomic.get g_max_iter_hits;
+  }
+
+(* [x / y] by Smith's method, operation for operation the stdlib
+   [Complex.div] (both branches), written to [out.(0)] (re) and
+   [out.(1)] (im). Inlined, so its float arguments stay unboxed. *)
+let[@inline] div_into out xre xim yre yim =
+  if Float.abs yre >= Float.abs yim then begin
+    let r = yim /. yre in
+    let d = yre +. (r *. yim) in
+    out.(0) <- (xre +. (r *. xim)) /. d;
+    out.(1) <- (xim -. (r *. xre)) /. d
+  end
+  else begin
+    let r = yre /. yim in
+    let d = yim +. (r *. yre) in
+    out.(0) <- ((r *. xre) +. xim) /. d;
+    out.(1) <- ((r *. xim) -. xre) /. d
+  end
+
+(* [c(z)] by Horner, operation for operation [eval_complex] (including
+   the [+. 0.0] that the stdlib [Complex.add] of a real coefficient
+   applies to the imaginary part), written to [out.(0)], [out.(1)]. *)
+let[@inline] horner_into out c zre zim =
+  let re = ref 0.0 and im = ref 0.0 in
+  for k = Array.length c - 1 downto 0 do
+    let are = !re and aim = !im in
+    re := ((are *. zre) -. (aim *. zim)) +. c.(k);
+    im := ((are *. zim) +. (aim *. zre)) +. 0.0
+  done;
+  out.(0) <- !re;
+  out.(1) <- !im
+
+(* [Float.hypot x y] is never below the larger of [|x|] and [|y|] (up to
+   its last-bit error), so once that magnitude clears [t] with room to
+   spare, [hypot x y > t] is decided without calling it. A NaN component
+   is left to hypot itself (which answers NaN, or infinity beside an
+   infinite component). The two comparisons below therefore answer
+   exactly what the same comparison on [Float.hypot x y] answers. *)
+let[@inline] surely_above x y t =
+  let s = (t *. 1.000001) +. 1e-300 in
+  let ax = Float.abs x and ay = Float.abs y in
+  (ax > s && ay = ay) || (ay > s && ax = ax)
+
+let[@inline] hypot_gt x y t = surely_above x y t || Float.hypot x y > t
+let[@inline] hypot_lt x y t = (not (surely_above x y t)) && Float.hypot x y < t
+
 (* Aberth-Ehrlich: all roots simultaneously.
 
    Transfer-function polynomials have coefficients spanning many decades
    (powers of time constants), so we first scale the variable x = s*r with
    r chosen from the coefficient magnitudes to bring the roots near the
-   unit circle, which keeps the iteration well conditioned. *)
+   unit circle, which keeps the iteration well conditioned.
+
+   The iteration runs over unboxed float arrays: each complex operation
+   is the stdlib [Complex] one written out in its exact operation order
+   (Smith's division; [Complex.norm] is [Float.hypot], only ever
+   compared), and roots are updated in place in index order
+   (Gauss-Seidel), so the result is bit for bit the boxed [Complex.t]
+   formulation while the loop allocates nothing. The sweep's largest
+   step matters only through [max_step < tol], that is [0 < tol] and
+   every step below [tol]. *)
 let roots ?(max_iter = 200) ?(tol = 1e-12) p =
   let n = degree p in
   if n < 1 then invalid_arg "Poly.roots: degree < 1";
+  if not (is_finite p) then invalid_arg "Poly.roots: non-finite coefficient";
   (* variable scaling: r ~ geometric estimate of root magnitude *)
   let a0 = Float.abs p.(0) and an = Float.abs p.(n) in
   let r =
@@ -100,52 +176,69 @@ let roots ?(max_iter = 200) ?(tol = 1e-12) p =
   let q = Array.map (fun c -> c /. lead) q in
   let qp = derivative q in
   (* initial guesses on a circle with irrational angle step *)
-  let zs =
-    Array.init n (fun k ->
-        let theta = (2.0 *. Float.pi *. float_of_int k /. float_of_int n) +. 0.4 in
-        { Complex.re = 0.9 *. cos theta; im = 0.9 *. sin theta })
-  in
+  let zr = Array.make n 0.0 and zi = Array.make n 0.0 in
+  for k = 0 to n - 1 do
+    let theta = (2.0 *. Float.pi *. float_of_int k /. float_of_int n) +. 0.4 in
+    zr.(k) <- 0.9 *. cos theta;
+    zi.(k) <- 0.9 *. sin theta
+  done;
+  let out = Array.make 2 0.0 in
   let converged = ref false in
   let iter = ref 0 in
   while (not !converged) && !iter < max_iter do
     incr iter;
-    let max_step = ref 0.0 in
+    let all_small = ref true in
     for i = 0 to n - 1 do
-      let zi = zs.(i) in
-      let pv = eval_complex q zi in
-      let pdv = eval_complex qp zi in
-      if Complex.norm pv > 0.0 then begin
-        let newton =
-          if Complex.norm pdv < 1e-300 then { Complex.re = 1e-3; im = 1e-3 }
-          else Complex.div pv pdv
-        in
-        let repulse = ref Complex.zero in
+      let zre = zr.(i) and zim = zi.(i) in
+      horner_into out q zre zim;
+      let pre = out.(0) and pim = out.(1) in
+      horner_into out qp zre zim;
+      let dre = out.(0) and dim = out.(1) in
+      if hypot_gt pre pim 0.0 then begin
+        (* newton = p(z) / p'(z) *)
+        if hypot_lt dre dim 1e-300 then begin
+          out.(0) <- 1e-3;
+          out.(1) <- 1e-3
+        end
+        else div_into out pre pim dre dim;
+        let nre = out.(0) and nim = out.(1) in
+        (* repulse = sum_{j <> i} 1 / (z_i - z_j) *)
+        let rre = ref 0.0 and rim = ref 0.0 in
         for j = 0 to n - 1 do
           if j <> i then begin
-            let d = Complex.sub zi zs.(j) in
-            if Complex.norm d > 1e-300 then
-              repulse := Complex.add !repulse (Complex.div Complex.one d)
+            let ddre = zre -. zr.(j) and ddim = zim -. zi.(j) in
+            if hypot_gt ddre ddim 1e-300 then begin
+              div_into out 1.0 0.0 ddre ddim;
+              rre := !rre +. out.(0);
+              rim := !rim +. out.(1)
+            end
           end
         done;
-        let denom = Complex.sub Complex.one (Complex.mul newton !repulse) in
-        let step =
-          if Complex.norm denom < 1e-300 then newton
-          else Complex.div newton denom
-        in
-        zs.(i) <- Complex.sub zi step;
-        max_step := Float.max !max_step (Complex.norm step)
+        (* denom = 1 - newton * repulse *)
+        let mre = (nre *. !rre) -. (nim *. !rim)
+        and mim = (nre *. !rim) +. (nim *. !rre) in
+        let ere = 1.0 -. mre and eim = 0.0 -. mim in
+        if hypot_lt ere eim 1e-300 then begin
+          out.(0) <- nre;
+          out.(1) <- nim
+        end
+        else div_into out nre nim ere eim;
+        let sre = out.(0) and sim = out.(1) in
+        zr.(i) <- zre -. sre;
+        zi.(i) <- zim -. sim;
+        all_small := !all_small && hypot_lt sre sim tol
       end
     done;
-    if !max_step < tol then converged := true
+    if !all_small && 0.0 < tol then converged := true
   done;
+  Atomic.incr g_calls;
+  ignore (Atomic.fetch_and_add g_iterations !iter);
+  if not !converged then Atomic.incr g_max_iter_hits;
   (* unscale and clean imaginary residue of real roots *)
-  Array.map
-    (fun z ->
-      let z = { Complex.re = z.Complex.re *. r; im = z.Complex.im *. r } in
-      if Float.abs z.Complex.im < 1e-9 *. (1.0 +. Float.abs z.Complex.re) then
-        { z with Complex.im = 0.0 }
-      else z)
-    zs
+  Array.init n (fun k ->
+      let re = zr.(k) *. r and im = zi.(k) *. r in
+      if Float.abs im < 1e-9 *. (1.0 +. Float.abs re) then { Complex.re; im = 0.0 }
+      else { Complex.re; im })
 
 let from_roots rs =
   let p =

@@ -32,11 +32,31 @@ val derivative : t -> t
 val eval : t -> float -> float
 val eval_complex : t -> Complex.t -> Complex.t
 
+val is_finite : t -> bool
+(** Every coefficient is finite (no NaN, no infinity). *)
+
 val roots : ?max_iter:int -> ?tol:float -> t -> Complex.t array
 (** [roots p] computes all complex roots by the Aberth-Ehrlich
-    simultaneous iteration. Requires [degree p >= 1]. Real-axis roots are
-    snapped to the axis when their imaginary part is below the cleanup
-    threshold. *)
+    simultaneous iteration, stopping once a sweep moves no root by
+    [tol] (scaled variable) or after [max_iter] sweeps. Real-axis roots
+    are snapped to the axis when their imaginary part is below the
+    cleanup threshold. The iteration allocates nothing; the result is
+    bit for bit that of the same iteration over boxed [Complex.t].
+    Raises [Invalid_argument] when [degree p < 1] or when a coefficient
+    is not finite (no root would move, and the initial guesses would
+    come back as plausible-looking roots). *)
+
+type totals = {
+  roots_calls : int;           (** {!roots} calls that ran the iteration *)
+  aberth_iterations : int;     (** Aberth sweeps summed over those calls *)
+  aberth_max_iter_hits : int;  (** calls that stopped at [max_iter]
+                                   without meeting [tol] *)
+}
+
+val totals : unit -> totals
+(** Monotonic process-wide counters summed over every {!roots} call on
+    any domain, added once per call — the live-metrics view of
+    root-finding, mirroring [Dc.totals]. *)
 
 val from_roots : Complex.t array -> t
 (** Monic real polynomial with the given roots; conjugate pairs must both

@@ -17,6 +17,7 @@ module Span = Adc_obs.Span
 module Clock = Adc_obs.Clock
 module Log = Adc_obs.Log
 module Sparse = Adc_numerics.Sparse
+module Poly = Adc_numerics.Poly
 module Transient = Adc_circuit.Transient
 module Dc = Adc_circuit.Dc
 
@@ -65,7 +66,12 @@ type item = {
 }
 
 (* last solver totals folded into the metrics registry (delta sync) *)
-type solver_seen = { sp : Sparse.totals; tr : Transient.totals; dc : Dc.totals }
+type solver_seen = {
+  sp : Sparse.totals;
+  tr : Transient.totals;
+  dc : Dc.totals;
+  po : Poly.totals;
+}
 
 type t = {
   cfg : config;
@@ -118,7 +124,8 @@ let sync_solver_metrics t =
   let m = t.cfg.obs.Obs.metrics in
   if Metrics.enabled m then begin
     locked t @@ fun t ->
-    let sp = Sparse.totals () and tr = Transient.totals () and dc = Dc.totals () in
+    let sp = Sparse.totals () and tr = Transient.totals () and dc = Dc.totals ()
+    and po = Poly.totals () in
     let prev = t.solver_seen in
     let add name v = Metrics.add (Metrics.counter m name) v in
     add "solver.sparse_analyses_total"
@@ -141,7 +148,12 @@ let sync_solver_metrics t =
     add "solver.dc_solves_total" (dc.Dc.total_solves - prev.dc.Dc.total_solves);
     add "solver.dc_newton_iterations_total"
       (dc.Dc.total_newton_iterations - prev.dc.Dc.total_newton_iterations);
-    t.solver_seen <- { sp; tr; dc }
+    add "solver.poly_roots_total" (po.Poly.roots_calls - prev.po.Poly.roots_calls);
+    add "solver.aberth_iterations_total"
+      (po.Poly.aberth_iterations - prev.po.Poly.aberth_iterations);
+    add "solver.aberth_max_iter_total"
+      (po.Poly.aberth_max_iter_hits - prev.po.Poly.aberth_max_iter_hits);
+    t.solver_seen <- { sp; tr; dc; po }
   end
 
 (* ------------------------------------------------------------------ *)
@@ -846,6 +858,9 @@ let preregister_metrics m =
         "solver.transient_rejected_steps_total";
         "solver.dc_solves_total";
         "solver.dc_newton_iterations_total";
+        "solver.poly_roots_total";
+        "solver.aberth_iterations_total";
+        "solver.aberth_max_iter_total";
       ];
     List.iter
       (fun n -> ignore (Metrics.gauge m n))
@@ -911,7 +926,13 @@ let create cfg =
     n_deadline = 0;
     n_failed = 0;
     n_inflight = 0;
-    solver_seen = { sp = Sparse.totals (); tr = Transient.totals (); dc = Dc.totals () };
+    solver_seen =
+      {
+        sp = Sparse.totals ();
+        tr = Transient.totals ();
+        dc = Dc.totals ();
+        po = Poly.totals ();
+      };
   }
 
 let tcp_port t = Transport.tcp_port t.tr

@@ -44,9 +44,9 @@ let freq_window poles zeros =
     (Float.max 1e-3 (lo /. 1e3), hi *. 1e3)
 
 let characterize h =
-  let h = Ratfun.reduce h in
-  let poles = sort_by_magnitude (Ratfun.poles h) in
-  let zeros = sort_by_magnitude (Ratfun.zeros h) in
+  let h, poles, zeros = Ratfun.factor h in
+  let poles = sort_by_magnitude poles in
+  let zeros = sort_by_magnitude zeros in
   let dc_signed = Ratfun.dc_gain h in
   let dc = Float.abs dc_signed in
   let f_lo, f_hi = freq_window poles zeros in
@@ -57,7 +57,6 @@ let characterize h =
     | Some fu ->
       (* phase margin relative to the inversion-free loop convention:
          PM = 180 + phase(H(j wu)) with phase unwrapped from DC *)
-      let ph_fu = Complex.arg (Ratfun.eval_jw h fu) in
       let ph_dc = Complex.arg (Ratfun.eval_jw h (f_lo /. 10.0)) in
       (* unwrap by stepping in log frequency *)
       let steps = 200 in
@@ -75,7 +74,6 @@ let characterize h =
         prev := p;
         unwrapped := p
       done;
-      ignore ph_fu;
       (* measure phase relative to the DC phase (handles inverting gains) *)
       let excess = (!unwrapped -. ph_dc) *. 180.0 /. Float.pi in
       Some (180.0 +. excess)
@@ -98,8 +96,7 @@ let is_stable spec =
 
 (* Residue of H(s)/s at pole p_k: N(p_k) / (p_k * D'(p_k)). *)
 let step_terms h =
-  let h = Ratfun.reduce h in
-  let poles = Ratfun.poles h in
+  let h, poles, _ = Ratfun.factor h in
   let d' = Poly.derivative h.Ratfun.den in
   let final = Ratfun.dc_gain h in
   let residues =

@@ -16,7 +16,9 @@ type spec = {
 
 val characterize : Ratfun.t -> spec
 (** Full report; performs numeric pole/zero extraction (with pole/zero
-    cancellation) and frequency-domain searches. *)
+    cancellation, one root pass per polynomial through
+    {!Ratfun.factor}) and frequency-domain searches. Raises
+    [Invalid_argument] when [h] has a non-finite coefficient. *)
 
 val magnitude_at : Ratfun.t -> float -> float
 (** |H| at a frequency in Hz. *)

@@ -30,8 +30,6 @@ let ymat_create n = { n; cells = Array.make (n * n) [] }
 let ystamp m i j e =
   if i <> 0 && j <> 0 then m.cells.((i * m.n) + j) <- e :: m.cells.((i * m.n) + j)
 
-let yget m i j = Expr.sum m.cells.((i * m.n) + j)
-
 let stamp_admittance m a b y =
   ystamp m a a y;
   ystamp m b b y;
@@ -131,6 +129,10 @@ let build ?(input = Auto) ?(switch_time = 0.0) nl (ss : Smallsig.t) =
            reaching one here means the netlist mutated between passes *)
         raise (Unsupported (Printf.sprintf "VCVS %s not supported by DPI" e_name)))
     (Netlist.devices nl);
+  (* every Y cell simplified once, after the last stamp: the edges, the
+     J column and each of the nu + 1 determinant samples read these *)
+  let ysum = Array.map Expr.sum m.cells in
+  let yget i j = ysum.((i * n) + j) in
   (* unknown nodes *)
   let is_unknown node =
     node <> Netlist.ground
@@ -149,12 +151,12 @@ let build ?(input = Auto) ?(switch_time = 0.0) nl (ss : Smallsig.t) =
     match vertex.(i) with
     | None -> ()
     | Some vi ->
-      let yii = yget m i i in
+      let yii = yget i i in
       if yii = Expr.zero then
         raise (Unsupported (Printf.sprintf "node %s has no driving-point admittance" (Netlist.node_name nl i)));
       for j = 1 to n - 1 do
         if j <> i then begin
-          let yij = yget m i j in
+          let yij = yget i j in
           if yij <> Expr.zero then begin
             let gain = Expr.(neg (Div (yij, yii))) in
             match vertex.(j) with
@@ -215,7 +217,7 @@ let build ?(input = Auto) ?(switch_time = 0.0) nl (ss : Smallsig.t) =
   (match input with
   | `Voltage u ->
     Array.iteri
-      (fun k node -> jvec.(k) <- Expr.neg (yget m node u))
+      (fun k node -> jvec.(k) <- Expr.neg (yget node u))
       unknowns
   | `Current src_name ->
     List.iter
@@ -232,7 +234,7 @@ let build ?(input = Auto) ?(switch_time = 0.0) nl (ss : Smallsig.t) =
         | Netlist.Isource _ | Netlist.Resistor _ | Netlist.Capacitor _
         | Netlist.Vsource _ | Netlist.Vcvs _ | Netlist.Mos _ | Netlist.Switch _ -> ())
       (Netlist.devices nl));
-  let ycell i j = yget m unknowns.(i) unknowns.(j) in
+  let ycell i j = yget unknowns.(i) unknowns.(j) in
   (* frequency scale: geometric mean of the diagonal g/c corner rates *)
   let omega0 =
     let acc = ref 0.0 and cnt = ref 0 in

@@ -50,19 +50,24 @@ let rec of_expr (e : Expr.t) ~env =
     let rec go acc i = if i = 0 then acc else go (mul acc base) (i - 1) in
     if k >= 0 then go one k else div one (go one (-k))
 
+let roots_of p = if Poly.degree p < 1 then [||] else Poly.roots p
+
 (* Cancellation works on root sets: any numerator root matched (within a
    relative tolerance scaled to the root magnitude) by a denominator root
    is removed from both. The scalar gain is preserved by rebuilding monic
-   polynomials and reapplying the leading-coefficient ratio. *)
-let reduce ?(tol = 1e-6) a =
-  if Poly.is_zero a.num || Poly.degree a.num < 1 || Poly.degree a.den < 1 then a
+   polynomials and reapplying the leading-coefficient ratio. When nothing
+   cancels, the roots already computed are the answer; when something
+   does, the rebuilt polynomials are rooted afresh (their roots are close
+   to, but not bit-equal with, the surviving ones). *)
+let factor ?(tol = 1e-6) a =
+  if Poly.is_zero a.num || Poly.degree a.num < 1 || Poly.degree a.den < 1 then
+    (a, roots_of a.den, roots_of a.num)
   else begin
     let nz = Poly.roots a.num and dp = Poly.roots a.den in
     let num_lead = (Poly.coeffs a.num).(Poly.degree a.num) in
     let den_lead = (Poly.coeffs a.den).(Poly.degree a.den) in
-    let remaining_d = Array.to_list dp in
     let matched = ref [] in
-    let remaining_d = ref remaining_d in
+    let remaining_d = ref (Array.to_list dp) in
     let keep_n =
       Array.to_list nz
       |> List.filter (fun (z : Complex.t) ->
@@ -79,17 +84,23 @@ let reduce ?(tol = 1e-6) a =
                matched := z :: !matched;
                false)
     in
-    if !matched = [] then a
+    if !matched = [] then (a, dp, nz)
     else begin
       let num' = Poly.scale num_lead (Poly.from_roots (Array.of_list keep_n)) in
       let den' = Poly.scale den_lead (Poly.from_roots (Array.of_list !remaining_d)) in
-      make num' den'
+      let h = make num' den' in
+      (h, roots_of h.den, roots_of h.num)
     end
   end
 
-let poles a = if Poly.degree a.den < 1 then [||] else Poly.roots a.den
+let reduce ?tol a =
+  let h, _, _ = factor ?tol a in
+  h
 
-let zeros a = if Poly.degree a.num < 1 then [||] else Poly.roots a.num
+let poles a = roots_of a.den
+let zeros a = roots_of a.num
+
+let is_finite a = Poly.is_finite a.num && Poly.is_finite a.den
 
 let dc_gain a =
   let d = Poly.eval a.den 0.0 in

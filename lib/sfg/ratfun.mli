@@ -34,13 +34,23 @@ val of_expr : Expr.t -> env:(string -> float) -> t
 (** Instantiate a symbolic expression: every variable except ["s"] is
     looked up in [env]. *)
 
+val factor : ?tol:float -> t -> t * Complex.t array * Complex.t array
+(** [factor h] is [(reduce h, poles (reduce h), zeros (reduce h))],
+    rooting each polynomial once when nothing cancels: the roots that
+    decide cancellation are the answer. When roots do cancel, the rebuilt
+    polynomials are rooted again, exactly as the separate calls would.
+    Raises [Invalid_argument] on a non-finite coefficient. *)
+
 val reduce : ?tol:float -> t -> t
 (** Cancel (numerically) common roots of numerator and denominator.
     Mason's rule produces un-reduced ratios; cancellation keeps pole/zero
-    lists honest. *)
+    lists honest. The first component of {!factor}. *)
 
 val poles : t -> Complex.t array
 val zeros : t -> Complex.t array
+val is_finite : t -> bool
+(** Every coefficient of numerator and denominator is finite. *)
+
 val dc_gain : t -> float
 (** Value at s = 0; infinite denominators yield [infinity]. *)
 

@@ -100,6 +100,22 @@ let test_noise_ktc_theorem () =
           expected report.Noise.v_out_rms)
     [ 100.0; 1000.0; 10000.0 ]
 
+(* NaN capacitance makes every transfer function NaN: a typed error, not
+   a report full of NaN *)
+let test_noise_non_finite_tf_is_error () =
+  let nl = Netlist.create proc in
+  let vin = Netlist.node nl "in" and out = Netlist.node nl "out" in
+  Netlist.vsource nl ~ac_mag:1.0 "vs" vin Netlist.ground (Stimulus.Dc 0.0);
+  Netlist.resistor nl "r" vin out 1e3;
+  Netlist.capacitor nl "c" out Netlist.ground nan;
+  let dc = match Dc.solve nl with Ok x -> x | Error e -> Alcotest.failf "dc: %s" e in
+  let ss = Smallsig.extract nl dc in
+  match Noise.analyze nl ss ~out with
+  | Ok report -> Alcotest.failf "noise report from a NaN network: %g V" report.Noise.v_out_rms
+  | Error e ->
+    Alcotest.(check bool) ("typed error: " ^ e) true
+      (String.starts_with ~prefix:"noise analysis: non-finite transfer function" e)
+
 let test_noise_ota_contributions () =
   let z = Ota.default_sizing in
   let p = Ota.build proc z in
@@ -231,6 +247,7 @@ let () =
         [
           quick "kT/C theorem" test_noise_ktc_theorem;
           quick "ota contributions" test_noise_ota_contributions;
+          quick "non-finite transfer function is an error" test_noise_non_finite_tf_is_error;
         ] );
       ( "area",
         [

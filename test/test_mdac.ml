@@ -178,6 +178,18 @@ let test_ota_simple_evaluates () =
     Alcotest.(check bool) "swing window sane" true
       (perf.Ota.swing_high > perf.Ota.swing_low)
 
+(* A non-finite load capacitance leaves the DC point alone but makes the
+   transfer function NaN: the evaluator answers a typed error instead of
+   metrics read off the root finder's untouched initial guesses. *)
+let test_ota_non_finite_tf_is_error () =
+  match Ota.evaluate ~load_cap:nan proc Ota.default_sizing with
+  | Ok perf ->
+    Alcotest.failf "evaluated a NaN transfer function: a0 %g, pole1 %s" perf.Ota.dc_gain
+      (match perf.Ota.pole1_hz with Some f -> string_of_float f | None -> "none")
+  | Error e ->
+    Alcotest.(check bool) ("typed error: " ^ e) true
+      (String.starts_with ~prefix:"transfer-function analysis failed" e)
+
 let test_ota_cascode_has_more_gain () =
   let simple = { Ota.default_sizing with Ota.topology = Ota.Miller_simple } in
   let cascode = { Ota.default_sizing with Ota.topology = Ota.Miller_cascode; v_casc = 1.3 } in
@@ -277,39 +289,6 @@ let cold_servo ~load_cap ~backend proc z =
   in
   { res; railed; probe_failed = !probe_failed }
 
-let share_dir =
-  let rec find dir n =
-    let cand = Filename.concat dir (Filename.concat "share" "processes") in
-    if Sys.file_exists (Filename.concat cand "c025.sp") || n = 0 then cand
-    else find (Filename.concat dir Filename.parent_dir_name) (n - 1)
-  in
-  find (Filename.dirname Sys.executable_name) 6
-
-let card name =
-  match Adc_spice.load_process_file (Filename.concat share_dir name) with
-  | Ok p -> p
-  | Error e -> Alcotest.failf "%s: %s" name e
-
-(* Seeded candidates around the analytic first cut: every width, the
-   bias current and the compensation scaled by independent factors in
-   [0.8, 1.25], the cascode gate biases shifted by up to 0.2 V. *)
-let servo_candidates ~rng ~n (z : Ota.sizing) =
-  let f () = exp (Random.State.float rng (2.0 *. log 1.25) -. log 1.25) in
-  let dv () = Random.State.float rng 0.4 -. 0.2 in
-  List.init n (fun _ ->
-      {
-        z with
-        Ota.w_pair = z.Ota.w_pair *. f ();
-        w_mirror = z.Ota.w_mirror *. f ();
-        w_tail = z.Ota.w_tail *. f ();
-        w_cs = z.Ota.w_cs *. f ();
-        w_sink = z.Ota.w_sink *. f ();
-        i_bias = z.Ota.i_bias *. f ();
-        c_comp = z.Ota.c_comp *. f ();
-        v_casc = z.Ota.v_casc +. dv ();
-        v_cascp = z.Ota.v_cascp +. dv ();
-      })
-
 let same_bits a b =
   Array.length a = Array.length b
   && Array.for_all2 (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v)) a b
@@ -329,8 +308,8 @@ let test_servo_matches_cold_oracle () =
   let specs =
     [
       ("c025", Spec.paper_case ~k:10);
-      ("c018", Spec.make ~process:(card "c018.sp") ~k:10 ~fs:40e6 ());
-      ("c060", Spec.make ~process:(card "c060.sp") ~k:10 ~fs:40e6 ());
+      ("c018", Spec.make ~process:(Fixtures.card "c018.sp") ~k:10 ~fs:40e6 ());
+      ("c060", Spec.make ~process:(Fixtures.card "c060.sp") ~k:10 ~fs:40e6 ());
     ]
   in
   let jobs = [ { Spec.m = 2; input_bits = 8 }; { Spec.m = 3; input_bits = 10 } ] in
@@ -367,7 +346,7 @@ let test_servo_matches_cold_oracle () =
                   | Ok _, Error e -> Alcotest.failf "%s: servo failed (%s), oracle did not" what e
                   | Error e, Ok _ -> Alcotest.failf "%s: oracle failed (%s), servo did not" what e)
                 [ `Sparse; `Dense ])
-            (z0 :: servo_candidates ~rng ~n:6 z0))
+            (z0 :: Fixtures.candidates ~rng ~n:6 z0))
         jobs)
     specs;
   Alcotest.(check bool) (Printf.sprintf "centered points covered (%d)" !centered) true (!centered > 0);
@@ -484,6 +463,7 @@ let () =
         [
           quick "netlists valid" test_ota_netlist_valid;
           quick "simple evaluates" test_ota_simple_evaluates;
+          quick "non-finite transfer function is an error" test_ota_non_finite_tf_is_error;
           quick "cascode gain" test_ota_cascode_has_more_gain;
           quick "settling bench" test_ota_settling_bench_accuracy;
           quick "symbolic transfer" test_ota_symbolic_transfer_mentions_devices;

@@ -319,6 +319,66 @@ let prop_poly_from_roots_round_trip =
         want;
       !ok)
 
+(* Real polynomials whose coefficients span many decades, like the
+   powers of time constants in a transfer function: each coefficient is
+   a signed mantissa times 10^e with e in [-20, 20], a few set to exactly
+   zero (the leading one never). *)
+let gen_wide_poly =
+  QCheck2.Gen.(
+    let* n = int_range 1 14 in
+    let coeff =
+      let* zero = int_range 0 9 in
+      if zero = 0 then return 0.0
+      else
+        let* m = float_range 1.0 10.0 and* e = int_range (-20) 20 and* neg = bool in
+        return ((if neg then -.m else m) *. (10.0 ** float_of_int e))
+    in
+    let* lower = array_size (return n) coeff in
+    let* m = float_range 1.0 10.0 and* e = int_range (-20) 20 in
+    return (Array.append lower [| m *. (10.0 ** float_of_int e) |]))
+
+let prop_roots_bit_equal_boxed_oracle =
+  QCheck2.Test.make ~name:"roots bit-equal to the boxed Complex oracle" ~count:300
+    ~print:(fun c -> String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") c)))
+    gen_wide_poly
+    (fun c ->
+      let p = Poly.of_coeffs c in
+      Oracle.same_roots (Oracle.roots p) (Poly.roots p)
+      && Oracle.same_roots (Oracle.roots ~max_iter:7 p) (Poly.roots ~max_iter:7 p))
+
+let test_poly_roots_rejects_non_finite () =
+  (* a NaN coefficient used to leave every root unmoved, and the scaled
+     initial circle came back as finite roots (1.17 +- 0.50i here) *)
+  List.iter
+    (fun c ->
+      match Poly.roots (Poly.of_coeffs c) with
+      | rs ->
+        Alcotest.failf "accepted a non-finite coefficient: %d roots, first %g%+gi"
+          (Array.length rs) rs.(0).Complex.re rs.(0).Complex.im
+      | exception Invalid_argument _ -> ())
+    [ [| 2.0; nan; 1.0 |]; [| nan; 1.0 |]; [| 1.0; 2.0; infinity |]; [| neg_infinity; 1.0; 1.0 |] ];
+  Alcotest.(check bool) "is_finite" false (Poly.is_finite (Poly.of_coeffs [| 2.0; nan; 1.0 |]))
+
+(* The Aberth sweep allocates nothing: with [tol = 0] every call runs
+   exactly [max_iter] sweeps, and 5 or 60 of them cost the same minor
+   words (the setup and the result only). The totals add once per call. *)
+let test_poly_roots_allocation_free () =
+  let p = Poly.from_roots (Array.init 11 (fun k -> { Complex.re = -.float_of_int (k + 1); im = 0.0 })) in
+  let words max_iter =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Poly.roots ~tol:0.0 ~max_iter p));
+    Gc.minor_words () -. before
+  in
+  ignore (words 1);
+  let t0 = Poly.totals () in
+  let w5 = words 5 and w60 = words 60 in
+  let t1 = Poly.totals () in
+  Alcotest.(check (float 0.0)) "minor words independent of sweeps" w5 w60;
+  Alcotest.(check int) "two calls" 2 (t1.Poly.roots_calls - t0.Poly.roots_calls);
+  Alcotest.(check int) "sweeps summed" 65 (t1.Poly.aberth_iterations - t0.Poly.aberth_iterations);
+  Alcotest.(check int) "both stopped at max_iter" 2
+    (t1.Poly.aberth_max_iter_hits - t0.Poly.aberth_max_iter_hits)
+
 (* ------------------------------------------------------------------ *)
 (* FFT *)
 
@@ -589,6 +649,9 @@ let () =
           quick "roots complex" test_poly_roots_complex_pair;
           quick "roots wide magnitudes" test_poly_roots_wide_magnitudes;
           QCheck_alcotest.to_alcotest prop_poly_from_roots_round_trip;
+          QCheck_alcotest.to_alcotest prop_roots_bit_equal_boxed_oracle;
+          quick "roots reject non-finite coefficients" test_poly_roots_rejects_non_finite;
+          quick "roots allocation-free" test_poly_roots_allocation_free;
         ] );
       ( "fft",
         [

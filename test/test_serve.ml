@@ -998,8 +998,8 @@ let test_server_ops_plane_scrape () =
         (contains scraped "adcopt_solver_sparse_solves_total");
       Alcotest.(check bool) "scrapes counted" true
         (contains scraped "adcopt_serve_scrapes_total 1");
-      (* the evaluator's DC work reaches the scrape: both counters are
-         preregistered and move once a hybrid optimize has run *)
+      (* the evaluator's DC and root-finding work reaches the scrape: the
+         counters are preregistered and move once a hybrid optimize has run *)
       let counter text name =
         let prefix = "adcopt_" ^ name ^ " " in
         match
@@ -1010,8 +1010,16 @@ let test_server_ops_plane_scrape () =
             (String.sub line (String.length prefix) (String.length line - String.length prefix))
         | None -> Alcotest.failf "%s missing from the scrape" name
       in
-      let dc_counters = [ "solver_dc_solves_total"; "solver_dc_newton_iterations_total" ] in
-      let before = List.map (counter scraped) dc_counters in
+      let evaluator_counters =
+        [
+          "solver_dc_solves_total";
+          "solver_dc_newton_iterations_total";
+          "solver_poly_roots_total";
+          "solver_aberth_iterations_total";
+          "solver_aberth_max_iter_total";
+        ]
+      in
+      let before = List.map (counter scraped) evaluator_counters in
       let hybrid =
         Client.request c
           (Json.parse
@@ -1023,7 +1031,7 @@ let test_server_ops_plane_scrape () =
       List.iter2
         (fun name b ->
           Alcotest.(check bool) (name ^ " moved") true (counter rescraped name > b))
-        dc_counters before;
+        evaluator_counters before;
       (* hold a worker busy so the drain stays open, then watch /readyz
          flip to 503 while the daemon finishes the in-flight ping *)
       let slow =

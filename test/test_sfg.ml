@@ -382,6 +382,110 @@ let prop_mason_cascade_of_random_gains =
       Float.abs (Expr.eval t (fun _ -> raise Not_found) -. expected)
       < 1e-9 *. (1.0 +. expected))
 
+(* ------------------------------------------------------------------ *)
+(* One root pass per transfer function, bit for bit the separate passes *)
+
+module Ota = Adc_mdac.Ota
+module Mdac_stage = Adc_mdac.Mdac_stage
+module Spec = Adc_pipeline.Spec
+module Synthesizer = Adc_synth.Synthesizer
+
+let check_same_spec what h =
+  if not (Oracle.same_spec (Oracle.characterize h) (Analysis.characterize h)) then
+    Alcotest.failf "%s: characterize differs from the separate-pass oracle" what
+
+let distinct_lhp_roots n ~scale =
+  Array.init n (fun k ->
+      { Complex.re = -.scale *. (10.0 ** (0.7 *. float_of_int k)); im = 0.0 })
+
+(* (s+1)(s+2) / ((s+1)(s+3)): the rebuilt polynomials are rooted again *)
+let test_factor_cancelling_matches_oracle () =
+  let num = Poly.mul (Poly.of_coeffs [| 1.0; 1.0 |]) (Poly.of_coeffs [| 2.0; 1.0 |]) in
+  let den = Poly.mul (Poly.of_coeffs [| 1.0; 1.0 |]) (Poly.of_coeffs [| 3.0; 1.0 |]) in
+  let h = Ratfun.make num den in
+  let r, poles, zeros = Ratfun.factor h in
+  let o = Oracle.reduce h in
+  let same_poly a b =
+    let a = Poly.coeffs a and b = Poly.coeffs b in
+    Array.length a = Array.length b && Array.for_all2 Oracle.same_float a b
+  in
+  Alcotest.(check int) "cancelled to first order" 1 (Poly.degree r.Ratfun.den);
+  Alcotest.(check bool) "reduced num bit-equal" true (same_poly o.Ratfun.num r.Ratfun.num);
+  Alcotest.(check bool) "reduced den bit-equal" true (same_poly o.Ratfun.den r.Ratfun.den);
+  Alcotest.(check bool) "poles bit-equal" true (Oracle.same_roots (Oracle.poles o) poles);
+  Alcotest.(check bool) "zeros bit-equal" true (Oracle.same_roots (Oracle.zeros o) zeros);
+  check_same_spec "cancelling ratio" h
+
+(* Without cancellation, characterize roots numerator and denominator
+   once each: 2 calls where reduce-then-poles-then-zeros made 4. *)
+let test_characterize_roots_once () =
+  let num = Poly.scale 1e11 (Poly.from_roots (distinct_lhp_roots 11 ~scale:3e3)) in
+  let den = Poly.from_roots (distinct_lhp_roots 11 ~scale:1e3) in
+  let h = Ratfun.make num den in
+  Alcotest.(check int) "degree 11" 11 (Poly.degree h.Ratfun.den);
+  let calls () = (Poly.totals ()).Poly.roots_calls in
+  let before = calls () in
+  let spec = Analysis.characterize h in
+  Alcotest.(check int) "roots calls" 2 (calls () - before);
+  Alcotest.(check int) "nothing cancelled" 11 (Array.length spec.Analysis.poles);
+  check_same_spec "degree-11 ratio" h
+
+(* A NaN coefficient used to come back as dc = nan with two finite
+   "poles" (the initial guesses); it is now refused. *)
+let test_characterize_rejects_non_finite () =
+  let h = Ratfun.make Poly.one (Poly.of_coeffs [| 2.0; nan; 1.0 |]) in
+  Alcotest.(check bool) "not finite" false (Ratfun.is_finite h);
+  match Analysis.characterize h with
+  | spec ->
+    Alcotest.failf "characterized a NaN ratio: dc %g, %d poles" spec.Analysis.dc_gain
+      (Array.length spec.Analysis.poles)
+  | exception Invalid_argument _ -> ()
+
+(* The OTA transfer functions the hybrid evaluator sees, at seeded
+   candidates around the first cut of two MDAC jobs on three cards. *)
+let test_characterize_matches_oracle_on_otas () =
+  let rng = Random.State.make [| 14; 0xab37 |] in
+  let specs =
+    [
+      ("c025", Spec.paper_case ~k:10);
+      ("c018", Spec.make ~process:(Fixtures.card "c018.sp") ~k:10 ~fs:40e6 ());
+      ("c060", Spec.make ~process:(Fixtures.card "c060.sp") ~k:10 ~fs:40e6 ());
+    ]
+  in
+  let jobs = [ { Spec.m = 2; input_bits = 8 }; { Spec.m = 3; input_bits = 10 } ] in
+  let compared = ref 0 and high_order = ref 0 in
+  List.iter
+    (fun (card_name, spec) ->
+      let proc = spec.Spec.process in
+      List.iter
+        (fun job ->
+          let req = Spec.stage_requirements spec job in
+          let z0 = Synthesizer.initial_sizing proc req in
+          List.iteri
+            (fun i z ->
+              match Ota.evaluate ~load_cap:req.Mdac_stage.c_load_eff proc z with
+              | Error _ -> ()
+              | Ok perf ->
+                let h = perf.Ota.tf in
+                let what =
+                  Printf.sprintf "%s %s candidate %d" card_name (Spec.job_to_string job) i
+                in
+                if
+                  not
+                    (Oracle.same_roots (Oracle.roots h.Ratfun.den) (Poly.roots h.Ratfun.den)
+                    && Oracle.same_roots (Oracle.roots h.Ratfun.num) (Poly.roots h.Ratfun.num))
+                then Alcotest.failf "%s: roots differ from the boxed oracle" what;
+                check_same_spec what h;
+                incr compared;
+                if Poly.degree h.Ratfun.den >= 10 then incr high_order)
+            (z0 :: Fixtures.candidates ~rng ~n:6 z0))
+        jobs)
+    specs;
+  Alcotest.(check bool) (Printf.sprintf "candidates compared (%d)" !compared) true (!compared >= 30);
+  Alcotest.(check bool)
+    (Printf.sprintf "cascode-order transfer functions covered (%d)" !high_order)
+    true (!high_order > 0)
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "sfg"
@@ -433,5 +537,9 @@ let () =
           quick "step response" test_analysis_step_response;
           quick "settling" test_analysis_settling;
           quick "unstable" test_analysis_unstable;
+          quick "factor after cancel matches oracle" test_factor_cancelling_matches_oracle;
+          quick "characterize roots once" test_characterize_roots_once;
+          quick "characterize rejects non-finite" test_characterize_rejects_non_finite;
+          quick "characterize matches oracle on otas" test_characterize_matches_oracle_on_otas;
         ] );
     ]
