@@ -9,6 +9,7 @@ module Transient = Adc_circuit.Transient
 module Dpi = Adc_sfg.Dpi
 module Ratfun = Adc_sfg.Ratfun
 module Analysis = Adc_sfg.Analysis
+module Rootfind = Adc_numerics.Rootfind
 
 type topology = Miller_simple | Miller_cascode
 
@@ -162,79 +163,230 @@ let build ?(load_cap = 1e-12) ?vcm ?(drive_noninv = true) ?inv_dc proc z =
   Netlist.capacitor nl "cl" p.out Netlist.ground load_cap;
   p
 
-(* Open-loop amplifiers rail their output at any practical input offset;
-   measurement benches null the offset with a DC servo. We bisect the
-   inverting-input DC level until the output sits at its mid-swing bias
-   point (the output is monotone decreasing in the inverting input).
+(* Process-wide servo counters for live metrics, mirroring [Poly.totals]:
+   each {!solve_biased} call adds once on return. *)
+type servo_totals = { servo_calls : int; servo_probes : int; servo_fallbacks : int }
 
-   The search probes ([lo], [hi], each bisection [mid]) form a DC sweep
-   and are solved like one: a single bench and sparse context, built on
-   the first probe, retargeted in place through [Netlist.set_wave], each
-   Newton started from the previous probe's solution (the first from
-   zero). A warm probe that fails is retried cold on a fresh bench.
-   Warm and cold probes agree far below the 10 mV stop tolerance, so
-   wherever every cold probe converges the search takes the all-cold
-   path; where a cold probe would exhaust its continuation strategies,
-   the warm one may still converge and the search goes on. The returned
-   point is always solved cold on a fresh bench, so its operating point
-   never depends on the probes' starting points. See docs/SOLVER.md. *)
+let g_servo_calls = Atomic.make 0
+let g_servo_probes = Atomic.make 0
+let g_servo_fallbacks = Atomic.make 0
+
+let servo_totals () =
+  {
+    servo_calls = Atomic.get g_servo_calls;
+    servo_probes = Atomic.get g_servo_probes;
+    servo_fallbacks = Atomic.get g_servo_fallbacks;
+  }
+
+(* The servo's closed-loop guide: the open-loop bench with [vin] replaced
+   by a unity-gain VCVS [ein] that holds [inv] at vcm + (v_out - vdd/2).
+   The output falls as [inv] rises, so the loop is negative feedback and
+   its operating point sits where the open-loop output crosses
+   mid-supply, to within the input-referred error of the loop. *)
+let build_locator ~load_cap ~vcm proc z =
+  let nl = Netlist.create proc in
+  let p = build_core proc z nl in
+  let gnd = Netlist.ground in
+  let vmid = Netlist.node nl "vmid" in
+  Netlist.vsource nl "vip" p.noninv gnd (Stimulus.Dc vcm);
+  Netlist.vsource nl "vmid_src" vmid gnd (Stimulus.Dc (0.5 *. proc.Process.vdd));
+  Netlist.vcvs nl "ein" ~p:p.inv ~n:p.noninv ~cp:p.out ~cn:vmid ~gain:1.0;
+  Netlist.capacitor nl "cl" p.out gnd load_cap;
+  p
+
+(* The locator's solution [xl] carried onto the sweep bench's unknowns by
+   node and branch name, [ein] standing where [vin] is; what the sweep
+   bench has and the locator lacks starts at zero. *)
+let carry_over ~locator xl (sweep : ports) =
+  let nl = sweep.nl and ll = locator.nl in
+  let nv = Netlist.node_count nl - 1 and nvl = Netlist.node_count ll - 1 in
+  let x = Array.make (Netlist.unknown_count nl) 0.0 in
+  for n = 1 to nv do
+    match Netlist.find_node ll (Netlist.node_name nl n) with
+    | Some m -> x.(n - 1) <- xl.(Netlist.node_index m - 1)
+    | None -> ()
+  done;
+  List.iter
+    (function
+      | Netlist.Vsource { v_name = name; _ } | Netlist.Vcvs { e_name = name; _ } -> (
+        let lname = if name = "vin" then "ein" else name in
+        match (Netlist.branch_index nl name, Netlist.branch_index ll lname) with
+        | Some b, Some bl -> x.(nv + b) <- xl.(nvl + bl)
+        | _ -> ())
+      | _ -> ())
+    (Netlist.devices nl);
+  x
+
+let servo_tol = 0.01
+
+(* Bracket walk: the first step, the growth bounds of later steps, and
+   the step budget of one side. A cascode cell's +-tol band is ~1e-7 V
+   wide, so the first step lands near its edge; after it the secant
+   sizes the steps, and the growth bounds keep a flat rail (no slope)
+   from stalling the walk or a noisy slope from throwing it across the
+   window. *)
+let first_step = 1e-7
+let min_growth = 2.0
+let max_growth = 100.0
+let walk_budget = 20
+
+(* Open-loop amplifiers rail their output at any practical input offset;
+   measurement benches null the offset with a DC servo: the bisection of
+   the inverting-input DC level for the point where the output sits
+   within [servo_tol] of mid-supply (the output is non-increasing in the
+   inverting input). Most of the bisection's probes would land on a rail,
+   where each costs a full Newton solve for one sign, so the servo first
+   locates the transition and then replays the bisection over what it
+   learned there:
+
+   - Locator: the closed-loop bench, solved cold once, puts the crossing
+     near [x_c = v(inv)]. [x_c] only places probes.
+   - Bracket: probe [x_c], then walk outward until one probe has
+     [f = v_out - vdd/2 >= tol] and one [f <= -tol].
+   - Replay: the plain bisection from [(lo, hi)], which decides each
+     midpoint from the bracket's samples where monotonicity settles it
+     and probes it for real otherwise ([Rootfind.monotone_bisect]).
+
+   If the locator fails, [x_c] falls outside [(lo, hi)], a bracket probe
+   or a replay probe fails, or the walk runs out of steps, the guide is
+   dropped: the servo probes [lo] and [hi] and replays with no known
+   samples, which is the plain bisection probe for probe (a failed probe
+   there ends the search at its midpoint, as it always did).
+
+   Probes form a DC sweep and are solved like one: a single bench and
+   sparse context, retargeted in place through [Netlist.set_wave], each
+   Newton started from the previous probe's solution (the first guided
+   probe from the locator's, carried over by name; the fallback's first
+   from zero). A warm probe that fails is retried cold on a fresh bench.
+   The returned point is always solved cold on a fresh bench, so its
+   operating point never depends on the probes' starting points. See
+   docs/SOLVER.md. *)
 let solve_biased ?(load_cap = 1e-12) ?vcm ?(backend = `Sparse) proc z =
   let vcm_v = match vcm with Some v -> v | None -> default_vcm proc in
   let target = 0.5 *. proc.Process.vdd in
+  (* A cold solve is a function of its point alone, so a point whose
+     cold solve failed once in this call is not solved again: a probe
+     that failed warm and cold is often the bisection's last midpoint,
+     hence the returned point, and a failed replay probe is often met
+     again by the fallback. *)
+  let cold_failed = ref [] in
   let solve_cold inv_dc =
-    let p = build ~load_cap ~vcm:vcm_v ~inv_dc proc z in
-    match Dc.solve ~backend p.nl with
-    | Ok op -> Some (p, op)
-    | Error _ -> None
-  in
-  let sweep =
-    lazy
-      (let p = build ~load_cap ~vcm:vcm_v proc z in
-       (p, match backend with `Sparse -> Some (Mna.context p.nl) | `Dense -> None))
-  in
-  let x_prev = ref None in
-  let probe inv_dc =
-    let p, ctx = Lazy.force sweep in
-    Netlist.set_wave p.nl "vin" (Stimulus.Dc inv_dc);
-    let solved =
-      match Dc.solve ~backend ?ctx ?x0:!x_prev p.nl with
+    if List.mem inv_dc !cold_failed then None
+    else
+      let p = build ~load_cap ~vcm:vcm_v ~inv_dc proc z in
+      match Dc.solve ~backend p.nl with
       | Ok op -> Some (p, op)
+      | Error _ ->
+        cold_failed := inv_dc :: !cold_failed;
+        None
+  in
+  let sweep = build ~load_cap ~vcm:vcm_v proc z in
+  let ctx = match backend with `Sparse -> Some (Mna.context sweep.nl) | `Dense -> None in
+  let x_prev = ref None and probes = ref 0 in
+  (* [f] at [inv_dc]: the output's distance from mid-supply *)
+  let probe inv_dc =
+    incr probes;
+    Netlist.set_wave sweep.nl "vin" (Stimulus.Dc inv_dc);
+    let solved =
+      match Dc.solve ~backend ?ctx ?x0:!x_prev sweep.nl with
+      | Ok op -> Some (sweep, op)
       | Error _ -> solve_cold inv_dc
     in
     Option.map
       (fun (p, op) ->
         x_prev := Some op.Dc.x;
-        Dc.node_voltage op p.out)
+        Dc.node_voltage op p.out -. target)
       solved
   in
   let lo = Float.max 0.2 (vcm_v -. 0.3) and hi = Float.min proc.Process.vdd (vcm_v +. 0.3) in
-  match (probe lo, probe hi) with
-  | None, _ | _, None -> Error "OTA DC failed during bias servo"
-  | Some v_lo, Some v_hi ->
-    if (v_lo -. target) *. (v_hi -. target) > 0.0 then begin
-      (* cannot center the output: return the plain solution; callers see
-         the railed metrics and grade the point as infeasible *)
-      match solve_cold vcm_v with
-      | Some (p, op) -> Ok (p, op, vcm_v)
-      | None -> Error "OTA DC failed"
-    end
-    else begin
-      let rec bisect lo hi i =
-        let mid = 0.5 *. (lo +. hi) in
-        if i >= 60 then mid
-        else
-          match probe mid with
-          | None -> mid
-          | Some v ->
-            if Float.abs (v -. target) < 0.01 then mid
-            else if (v -. target) > 0.0 then bisect mid hi (i + 1)
-            else bisect lo mid (i + 1)
-      in
-      let v_star = bisect lo hi 0 in
-      match solve_cold v_star with
-      | Some (p, op) -> Ok (p, op, v_star)
-      | None -> Error "OTA DC failed at servo point"
-    end
+  (* Walk from [(x0, f0)] in direction [d] (+1 right, -1 left) until [f]
+     clears [-d * tol]. Steps grow geometrically; the secant from
+     [(x0, f0)] to the last probe sizes the next one, aimed at
+     [-2 d tol], within [min_growth, max_growth] times the last. The
+     samples are consed onto [known]. *)
+  let walk ~known x0 f0 d h =
+    let aim = -2.0 *. d *. servo_tol in
+    let rec go known h n =
+      if n = 0 then None
+      else
+        let x = Float.min hi (Float.max lo (x0 +. (d *. h))) in
+        match probe x with
+        | None -> None
+        | Some f ->
+          let known = (x, f) :: known in
+          if d *. f <= -.servo_tol then Some (known, x, f)
+          else if x = lo || x = hi then None
+          else
+            let s = (f -. f0) /. (x -. x0) in
+            let h_aim = if s < 0.0 then d *. (aim -. f0) /. s else Float.infinity in
+            go known (Float.min (max_growth *. h) (Float.max (min_growth *. h) h_aim)) (n - 1)
+    in
+    go known h walk_budget
+  in
+  (* the known samples of a bracket around the crossing, or [None] *)
+  let bracket x_c =
+    match probe x_c with
+    | None -> None
+    | Some f_c -> (
+      let known = [ (x_c, f_c) ] in
+      (* first toward the crossing, then, unless [x_c] itself clears the
+         near side, the other way with the first side's secant slope *)
+      let d = if f_c >= 0.0 then 1.0 else -1.0 in
+      match walk ~known x_c f_c d first_step with
+      | None -> None
+      | Some (known, _, _) when d *. f_c >= servo_tol -> Some known
+      | Some (known, x1, f1) ->
+        let s = (f1 -. f_c) /. (x1 -. x_c) in
+        let h = -.d *. ((2.0 *. d *. servo_tol) -. f_c) /. s in
+        let h = if h > 0.0 && h < Float.infinity then h else first_step in
+        Option.map (fun (known, _, _) -> known) (walk ~known x_c f_c (-.d) h))
+  in
+  let guided =
+    let locator = build_locator ~load_cap ~vcm:vcm_v proc z in
+    match Dc.solve ~backend locator.nl with
+    | Error _ -> None
+    | Ok op ->
+      let x_c = Dc.node_voltage op locator.inv in
+      if not (x_c > lo && x_c < hi) then None
+      else begin
+        x_prev := Some (carry_over ~locator op.Dc.x sweep);
+        bracket x_c
+      end
+  in
+  let replay known =
+    Rootfind.monotone_bisect ~tol:servo_tol ~known ~probe lo hi
+  in
+  let fallback () =
+    Atomic.incr g_servo_fallbacks;
+    x_prev := None;
+    match (probe lo, probe hi) with
+    | None, _ | _, None -> `Failed
+    | Some f_lo, Some f_hi ->
+      if f_lo *. f_hi > 0.0 then `Railed
+      else `Centered (match replay [] with Ok mid | Error mid -> mid)
+  in
+  let outcome =
+    match guided with
+    | None -> fallback ()
+    | Some known -> (
+      match replay known with
+      | Ok v_star -> `Centered v_star
+      | Error _ -> fallback ())
+  in
+  Atomic.incr g_servo_calls;
+  ignore (Atomic.fetch_and_add g_servo_probes !probes);
+  match outcome with
+  | `Failed -> Error "OTA DC failed during bias servo"
+  | `Railed -> (
+    (* cannot center the output: return the plain solution; callers see
+       the railed metrics and grade the point as infeasible *)
+    match solve_cold vcm_v with
+    | Some (p, op) -> Ok (p, op, vcm_v)
+    | None -> Error "OTA DC failed")
+  | `Centered v_star -> (
+    match solve_cold v_star with
+    | Some (p, op) -> Ok (p, op, v_star)
+    | None -> Error "OTA DC failed at servo point")
 
 let biased_operating_point ?load_cap ?vcm ?backend proc z =
   match solve_biased ?load_cap ?vcm ?backend proc z with
@@ -271,9 +423,7 @@ let evaluate ?(load_cap = 1e-12) ?vcm ?backend (proc : Process.t) z =
         let i_supply = Smallsig.total_supply_current p.nl op ~supply:p.supply_name in
         let m m_name = Smallsig.find_mos ss m_name in
         let m5 = m "m5" and m6 = m "m6" and m7 = m "m7" in
-        let v_out = Dc.node_voltage op p.out in
         (* swing: output may move until M6 or M7 leaves saturation *)
-        ignore v_out;
         let swing_high = proc.Process.vdd -. m6.vdsat in
         let swing_low = m7.vdsat in
         (* slew: falling edge limited by the sink current through CL+Cc;

@@ -144,3 +144,42 @@ let find_sign_change f xs =
       else go (i + 1) x fx
   in
   if n < 2 then None else go 1 xs.(0) (f xs.(0))
+
+(* A sample [(p, f)] of a non-increasing [f] bounds [f mid] from one
+   side: [p >= mid] gives [f mid >= f p], [p <= mid] gives [f mid <= f p].
+   The known samples decide [mid] only when exactly one outcome follows
+   from them; a set that implies two outcomes contradicts monotonicity
+   and decides nothing. *)
+let decide_known ~tol known mid =
+  let exists pred = List.exists (fun (p, f) -> pred p f) known in
+  let right = exists (fun p f -> p >= mid && f >= tol)
+  and left = exists (fun p f -> p <= mid && f <= -.tol)
+  and stop =
+    exists (fun p f -> p <= mid && f < tol) && exists (fun p f -> p >= mid && f > -.tol)
+  in
+  match (right, left, stop) with
+  | true, false, false -> `Right
+  | false, true, false -> `Left
+  | false, false, true -> `Stop
+  | _ -> `Probe
+
+(* A real sample is not kept: every later midpoint lies on the side it
+   was decided toward, where that sample bounds nothing. *)
+let monotone_bisect ~tol ~known ~probe lo hi =
+  let rec go lo hi i =
+    let mid = 0.5 *. (lo +. hi) in
+    if i >= 60 then Ok mid
+    else
+      match decide_known ~tol known mid with
+      | `Stop -> Ok mid
+      | `Right -> go mid hi (i + 1)
+      | `Left -> go lo mid (i + 1)
+      | `Probe -> (
+        match probe mid with
+        | None -> Error mid
+        | Some f ->
+          if Float.abs f < tol then Ok mid
+          else if f > 0.0 then go mid hi (i + 1)
+          else go lo mid (i + 1))
+  in
+  go lo hi 0

@@ -23,3 +23,27 @@ val golden_min : ?tol:float -> (float -> float) -> float -> float -> float
 val find_sign_change : (float -> float) -> float array -> (float * float) option
 (** Scan a grid of abscissae for the first adjacent pair with a sign
     change; feeds {!brent}. *)
+
+val monotone_bisect :
+  tol:float -> known:(float * float) list ->
+  probe:(float -> float option) -> float -> float -> (float, float) result
+(** [monotone_bisect ~tol ~known ~probe lo hi] bisects [[lo, hi]] for a
+    point where a non-increasing [f] lies in [(-tol, tol)]. Each of at
+    most 60 midpoints is decided as a real sample would decide it: stop
+    when [|f mid| < tol], go right when [f mid > 0], left otherwise.
+    After 60 halvings the next midpoint is the result. The search ends
+    with [Ok mid] at a decided midpoint, or with [Error mid] where
+    [probe mid] failed ([None]).
+
+    [known] holds samples [(x, f x)] already taken. A midpoint is
+    decided from them, without a probe, when exactly one outcome
+    follows by monotonicity: right if some [x >= mid] has
+    [f x >= tol]; left if some [x <= mid] has [f x <= -tol]; stop if
+    some [x <= mid] has [f x < tol] and some [x >= mid] has
+    [f x > -tol]. Otherwise [probe mid] is called.
+
+    With [known = []] this is plain bisection, probe for probe. With
+    true samples of a non-increasing [f] and no failed probe it returns
+    the same midpoint, bit for bit, and probes a subset of the midpoints
+    plain bisection probes. The sign of [f lo] and [f hi] is the
+    caller's business. *)

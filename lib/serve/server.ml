@@ -20,6 +20,7 @@ module Sparse = Adc_numerics.Sparse
 module Poly = Adc_numerics.Poly
 module Transient = Adc_circuit.Transient
 module Dc = Adc_circuit.Dc
+module Ota = Adc_mdac.Ota
 
 type config = {
   socket_path : string option;
@@ -71,6 +72,7 @@ type solver_seen = {
   tr : Transient.totals;
   dc : Dc.totals;
   po : Poly.totals;
+  sv : Ota.servo_totals;
 }
 
 type t = {
@@ -125,7 +127,7 @@ let sync_solver_metrics t =
   if Metrics.enabled m then begin
     locked t @@ fun t ->
     let sp = Sparse.totals () and tr = Transient.totals () and dc = Dc.totals ()
-    and po = Poly.totals () in
+    and po = Poly.totals () and sv = Ota.servo_totals () in
     let prev = t.solver_seen in
     let add name v = Metrics.add (Metrics.counter m name) v in
     add "solver.sparse_analyses_total"
@@ -153,7 +155,10 @@ let sync_solver_metrics t =
       (po.Poly.aberth_iterations - prev.po.Poly.aberth_iterations);
     add "solver.aberth_max_iter_total"
       (po.Poly.aberth_max_iter_hits - prev.po.Poly.aberth_max_iter_hits);
-    t.solver_seen <- { sp; tr; dc; po }
+    add "solver.servo_probes_total" (sv.Ota.servo_probes - prev.sv.Ota.servo_probes);
+    add "solver.servo_fallbacks_total"
+      (sv.Ota.servo_fallbacks - prev.sv.Ota.servo_fallbacks);
+    t.solver_seen <- { sp; tr; dc; po; sv }
   end
 
 (* ------------------------------------------------------------------ *)
@@ -861,6 +866,8 @@ let preregister_metrics m =
         "solver.poly_roots_total";
         "solver.aberth_iterations_total";
         "solver.aberth_max_iter_total";
+        "solver.servo_probes_total";
+        "solver.servo_fallbacks_total";
       ];
     List.iter
       (fun n -> ignore (Metrics.gauge m n))
@@ -932,6 +939,7 @@ let create cfg =
         tr = Transient.totals ();
         dc = Dc.totals ();
         po = Poly.totals ();
+        sv = Ota.servo_totals ();
       };
   }
 

@@ -352,6 +352,170 @@ let test_servo_matches_cold_oracle () =
   Alcotest.(check bool) (Printf.sprintf "centered points covered (%d)" !centered) true (!centered > 0);
   Alcotest.(check bool) (Printf.sprintf "cannot-center points covered (%d)" !railed) true (!railed > 0)
 
+(* The closed-loop guide has to pay for itself over the oracle test's
+   seeded candidates: centered points take it (at most one fallback in
+   ten) and average at most 8 real probes, where plain bisection needs
+   ~20; cannot-center points, whose locator lands outside the window,
+   fall back to probing [lo] and [hi]. A silent return to full bisection
+   fails here. *)
+let test_servo_takes_the_guide () =
+  let rng = Random.State.make [| 13; 0x5e70 |] in
+  let specs =
+    [
+      Spec.paper_case ~k:10;
+      Spec.make ~process:(Fixtures.card "c018.sp") ~k:10 ~fs:40e6 ();
+      Spec.make ~process:(Fixtures.card "c060.sp") ~k:10 ~fs:40e6 ();
+    ]
+  in
+  let jobs = [ { Spec.m = 2; input_bits = 8 }; { Spec.m = 3; input_bits = 10 } ] in
+  let centered = ref 0 and probes = ref 0 and fallbacks = ref 0 in
+  let railed = ref 0 and railed_fallbacks = ref 0 in
+  List.iter
+    (fun spec ->
+      let proc = spec.Spec.process in
+      List.iter
+        (fun job ->
+          let req = Spec.stage_requirements spec job in
+          let load_cap = req.Mdac_stage.c_load_eff in
+          let z0 = Synthesizer.initial_sizing proc req in
+          List.iter
+            (fun z ->
+              List.iter
+                (fun backend ->
+                  let o = cold_servo ~load_cap ~backend proc z in
+                  let before = Ota.servo_totals () in
+                  ignore (Ota.biased_operating_point ~load_cap ~backend proc z);
+                  let after = Ota.servo_totals () in
+                  if after.Ota.servo_calls - before.Ota.servo_calls <> 1 then
+                    Alcotest.fail "biased_operating_point is not one servo call";
+                  let d_probes = after.Ota.servo_probes - before.Ota.servo_probes
+                  and d_fallbacks = after.Ota.servo_fallbacks - before.Ota.servo_fallbacks in
+                  match o.res with
+                  | Ok _ when o.railed ->
+                    incr railed;
+                    railed_fallbacks := !railed_fallbacks + d_fallbacks
+                  | Ok _ ->
+                    incr centered;
+                    probes := !probes + d_probes;
+                    fallbacks := !fallbacks + d_fallbacks
+                  | Error _ -> ())
+                [ `Sparse; `Dense ])
+            (z0 :: Fixtures.candidates ~rng ~n:6 z0))
+        jobs)
+    specs;
+  Alcotest.(check bool) "centered points covered" true (!centered > 0);
+  Alcotest.(check bool) "cannot-center points covered" true (!railed > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "centered: %d fallbacks in %d calls, at most 1 in 10" !fallbacks !centered)
+    true
+    (10 * !fallbacks <= !centered);
+  Alcotest.(check bool)
+    (Printf.sprintf "centered: %d real probes in %d calls, at most 8 per call" !probes !centered)
+    true
+    (!probes <= 8 * !centered);
+  Alcotest.(check int) "every cannot-center point falls back" !railed !railed_fallbacks
+
+(* The plain warm-started servo on the sparse backend, as it was before
+   the closed-loop guide: one sweep bench and context, each probe's Newton started from the
+   previous probe's solution (the first from zero), a failed warm probe
+   retried cold on a fresh bench, the returned point solved cold. The
+   guided servo falls back to exactly this sequence. It also reports its
+   probe count and whether its bisection ended at a failed probe. *)
+type warm = { w_res : (Dc.result, string) result; w_probes : int; ended_failed : bool }
+
+let warm_servo ~load_cap proc z =
+  let vcm_v = Ota.default_vcm proc in
+  let target = 0.5 *. proc.Process.vdd in
+  let solve_cold inv_dc =
+    let p = Ota.build ~load_cap ~vcm:vcm_v ~inv_dc proc z in
+    Result.to_option (Dc.solve p.Ota.nl)
+  in
+  let sweep = Ota.build ~load_cap ~vcm:vcm_v proc z in
+  let ctx = Mna.context sweep.Ota.nl in
+  let x_prev = ref None and probes = ref 0 and ended_failed = ref false in
+  let probe inv_dc =
+    incr probes;
+    Netlist.set_wave sweep.Ota.nl "vin" (Stimulus.Dc inv_dc);
+    let solved =
+      match Dc.solve ~ctx ?x0:!x_prev sweep.Ota.nl with
+      | Ok op -> Some op
+      | Error _ -> solve_cold inv_dc
+    in
+    Option.map
+      (fun op ->
+        x_prev := Some op.Dc.x;
+        Dc.node_voltage op sweep.Ota.out -. target)
+      solved
+  in
+  let lo = Float.max 0.2 (vcm_v -. 0.3) and hi = Float.min proc.Process.vdd (vcm_v +. 0.3) in
+  let at inv_dc err = Option.to_result ~none:err (solve_cold inv_dc) in
+  let w_res =
+    match (probe lo, probe hi) with
+    | None, _ | _, None -> Error "OTA DC failed during bias servo"
+    | Some f_lo, Some f_hi when f_lo *. f_hi > 0.0 -> at vcm_v "OTA DC failed"
+    | Some _, Some _ ->
+      let rec bisect lo hi i =
+        let mid = 0.5 *. (lo +. hi) in
+        if i >= 60 then mid
+        else
+          match probe mid with
+          | None ->
+            ended_failed := true;
+            mid
+          | Some f ->
+            if Float.abs f < 0.01 then mid
+            else if f > 0.0 then bisect mid hi (i + 1)
+            else bisect lo mid (i + 1)
+      in
+      at (bisect lo hi 0) "OTA DC failed at servo point"
+  in
+  { w_res; w_probes = !probes; ended_failed = !ended_failed }
+
+(* A c018 cascode cell from a full-budget k = 10 optimisation: its
+   open-loop gain is ~1e7, and probes inside its ~1e-8 V transition can
+   fail warm and cold. Here a replay probe of the guided search fails
+   where the plain bisection, walking there from the window's edges,
+   converges and centres the output. The servo drops the guide and runs
+   the plain bisection, so it returns the plain warm servo's point
+   rather than ending at the guided search's failed midpoint. *)
+let test_servo_falls_back_on_failed_replay () =
+  let proc = Fixtures.card "c018.sp" in
+  let load_cap = 0x1.a7a2aff16d2d9p-45 in
+  let z =
+    {
+      Ota.topology = Ota.Miller_cascode;
+      w_pair = 0x1.c49d46b8753bap-17;
+      l_pair = 0x1.0c6f7a0b5ed8dp-21;
+      w_mirror = 0x1.d1359f2ccc038p-19;
+      l_mirror = 0x1.ad7f29abcaf48p-22;
+      w_tail = 0x1.becff103459c9p-16;
+      l_tail = 0x1.421f5f40d8376p-21;
+      w_cs = 0x1.80835924b07a5p-16;
+      l_cs = 0x1.421f5f40d8376p-22;
+      w_sink = 0x1.550820c936bdap-14;
+      l_sink = 0x1.421f5f40d8376p-21;
+      i_bias = 0x1.b4cc775763215p-15;
+      c_comp = 0x1.2bee834eaf0c8p-43;
+      r_zero = 0x1.b398a90098589p+10;
+      v_casc = 0x1.1246c483edfd7p+0;
+      v_cascp = 0x1.817de12c7aa74p-1;
+    }
+  in
+  let w = warm_servo ~load_cap proc z in
+  Alcotest.(check bool) "plain warm servo centres the output" true
+    (Result.is_ok w.w_res && not w.ended_failed);
+  let before = Ota.servo_totals () in
+  let got = Ota.biased_operating_point ~load_cap proc z in
+  let after = Ota.servo_totals () in
+  Alcotest.(check int) "the guide is dropped" 1 (after.Ota.servo_fallbacks - before.Ota.servo_fallbacks);
+  let probes = after.Ota.servo_probes - before.Ota.servo_probes in
+  Alcotest.(check bool)
+    (Printf.sprintf "guided probes before the plain ones (%d > %d)" probes w.w_probes)
+    true (probes > w.w_probes);
+  match (w.w_res, got) with
+  | Ok e, Ok (_, got) -> check_same_op "c018 failed replay" e got
+  | Error e, _ | _, Error e -> Alcotest.failf "c018 failed replay: %s" e
+
 (* A context recorded before a value-only retarget assembles the new
    value: solving through it is bit-equal to solving a bench built with
    that value from the start, from the same starting point. *)
@@ -472,6 +636,8 @@ let () =
       ( "bias-servo",
         [
           quick "matches the cold oracle" test_servo_matches_cold_oracle;
+          quick "takes the closed-loop guide" test_servo_takes_the_guide;
+          quick "falls back on a failed replay probe" test_servo_falls_back_on_failed_replay;
           quick "set_wave keeps a ctx valid" test_set_wave_keeps_ctx_valid;
           quick "set_wave rejects non-sources" test_set_wave_rejects_non_sources;
         ] );

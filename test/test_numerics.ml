@@ -468,6 +468,157 @@ let test_find_sign_change () =
     check_close "hi" 5.0 b
   | None -> Alcotest.fail "expected sign change"
 
+(* Monotone replay of the bias servo's bisection. The reference is the
+   servo's plain bisection as it was written before the replay existed:
+   probe every midpoint, stop within [tol], go right on a positive
+   sample, left otherwise, end at a failed probe. *)
+let servo_tol = 0.01
+let servo_lo = 0.348
+let servo_hi = 0.948
+
+let plain_bisect probe lo hi =
+  let rec go lo hi i =
+    let mid = 0.5 *. (lo +. hi) in
+    if i >= 60 then mid
+    else
+      match probe mid with
+      | None -> mid
+      | Some f ->
+        if Float.abs f < servo_tol then mid
+        else if f > 0.0 then go mid hi (i + 1)
+        else go lo mid (i + 1)
+  in
+  go lo hi 0
+
+(* the result of a search and the midpoints it probed, in order *)
+let recorded search f =
+  let probed = ref [] in
+  let r = search (fun x -> probed := x :: !probed; f x) in
+  (r, List.rev !probed)
+
+let bits = Int64.bits_of_float
+let same_float a b = Int64.equal (bits a) (bits b)
+
+(* a replay that decided [want] without a failed probe *)
+let decided want = function Ok m -> same_float want m | Error _ -> false
+
+(* A non-increasing response on [servo_lo, servo_hi] like an open-loop
+   amplifier's output around mid-supply: flat rails at +-r joined by a
+   clamped-linear or tanh transition of slope -k centred at c. *)
+type response = { clamped : bool; c : float; k : float; r : float }
+
+let response_f m x =
+  let u = -.m.k *. (x -. m.c) in
+  if m.clamped then Float.max (-.m.r) (Float.min m.r u) else m.r *. tanh (u /. m.r)
+
+let gen_response =
+  QCheck2.Gen.(
+    let* clamped = bool
+    and* c = float_range (servo_lo +. 1e-6) (servo_hi -. 1e-6)
+    and* lk = float_range 1.0 8.0
+    and* r = float_range 0.005 1.0 in
+    return { clamped; c; k = 10.0 ** lk; r })
+
+let print_response m =
+  Printf.sprintf "{clamped=%b; c=%h; k=%h; r=%h}" m.clamped m.c m.k m.r
+
+(* Known samples: anywhere in the window, within a few transition widths
+   of the centre, or at one of the midpoints plain bisection probes. *)
+type sample_at = Anywhere of float | Near of float | Plain_mid of float
+
+let gen_samples =
+  QCheck2.Gen.(
+    list_size (int_range 0 12)
+      (oneof
+         [
+           map (fun u -> Anywhere u) (float_range 0.0 1.0);
+           map (fun z -> Near z) (float_range (-5.0) 5.0);
+           map (fun u -> Plain_mid u) (float_range 0.0 1.0);
+         ]))
+
+let sample_x m plain_mids = function
+  | Anywhere u -> servo_lo +. (u *. (servo_hi -. servo_lo))
+  | Near z -> Float.min servo_hi (Float.max servo_lo (m.c +. (z *. m.r /. m.k)))
+  | Plain_mid u ->
+    let n = List.length plain_mids in
+    List.nth plain_mids (min (n - 1) (int_of_float (u *. float_of_int n)))
+
+let replay_probe ~known probe =
+  recorded (fun probe ->
+      Rootfind.monotone_bisect ~tol:servo_tol ~known ~probe servo_lo servo_hi)
+    probe
+
+let replay ~known f = replay_probe ~known (fun x -> Some (f x))
+
+let prop_monotone_bisect_replays_plain =
+  QCheck2.Test.make ~name:"monotone replay returns the plain bisection's midpoint" ~count:500
+    ~print:(fun (m, ss) -> Printf.sprintf "%s with %d samples" (print_response m) (List.length ss))
+    QCheck2.Gen.(pair gen_response gen_samples)
+    (fun (m, samples) ->
+      let f = response_f m in
+      let want, plain_mids =
+        recorded (fun probe -> plain_bisect probe servo_lo servo_hi) (fun x -> Some (f x))
+      in
+      let empty, empty_mids = replay ~known:[] f in
+      let known = List.map (fun s -> let x = sample_x m plain_mids s in (x, f x)) samples in
+      let got, got_mids = replay ~known f in
+      decided want empty
+      && List.equal same_float plain_mids empty_mids
+      && decided want got
+      && List.for_all (fun x -> List.exists (same_float x) plain_mids) got_mids)
+
+(* Two samples that cannot both come from a non-increasing function,
+   straddling the first midpoint: the replay must not pick a side, so its
+   first probe is that midpoint. *)
+let prop_monotone_bisect_probes_on_contradiction =
+  QCheck2.Test.make ~name:"monotone replay probes where known samples contradict" ~count:300
+    ~print:(fun (m, ss, (p, q)) ->
+      Printf.sprintf "%s with %d samples, contradiction at %h/%h" (print_response m)
+        (List.length ss) p q)
+    QCheck2.Gen.(
+      triple gen_response gen_samples (pair (float_range 0.0 1.0) (float_range 0.0 1.0)))
+    (fun (m, samples, (u, v)) ->
+      let f = response_f m in
+      let mid0 = 0.5 *. (servo_lo +. servo_hi) in
+      let p = servo_lo +. (u *. (mid0 -. servo_lo)) and q = mid0 +. (v *. (servo_hi -. mid0)) in
+      let _, plain_mids =
+        recorded (fun probe -> plain_bisect probe servo_lo servo_hi) (fun x -> Some (f x))
+      in
+      let known =
+        (p, -.(2.0 *. servo_tol))
+        :: (q, 2.0 *. servo_tol)
+        :: List.map (fun s -> let x = sample_x m plain_mids s in (x, f x)) samples
+      in
+      match replay ~known f with
+      | _, first :: _ -> same_float first mid0
+      | _, [] -> false)
+
+(* A failed real probe ends the search at its midpoint and is told apart
+   from a decided one: [Error mid] where plain bisection returned [mid]. *)
+let test_monotone_bisect_failed_probe_ends_search () =
+  let fails_right x = if x > 0.7 then None else Some (-1.0) in
+  let got, probed =
+    recorded (fun probe ->
+        Rootfind.monotone_bisect ~tol:servo_tol ~known:[ (0.7, 1.0) ] ~probe servo_lo servo_hi)
+      fails_right
+  in
+  (* the sample at 0.7 decides 0.648 (go right) unprobed; 0.798 is probed
+     and fails *)
+  (match got with
+   | Error m -> check_close "ends at the failed midpoint" 0.798 m
+   | Ok m -> Alcotest.failf "decided %g past a failed probe" m);
+  Alcotest.(check int) "one probe" 1 (List.length probed);
+  (* with nothing known: 0.648 is probed (go right), 0.798 is probed and
+     fails *)
+  let fails_past x = if x > 0.75 then None else Some 1.0 in
+  let want, plain_mids = recorded (fun probe -> plain_bisect probe servo_lo servo_hi) fails_past in
+  let empty, empty_mids = replay_probe ~known:[] fails_past in
+  Alcotest.(check bool) "empty known set fails where plain bisection stops" true
+    (match empty with Error m -> same_float want m | Ok _ -> false);
+  Alcotest.(check int) "two probes" 2 (List.length empty_mids);
+  Alcotest.(check bool) "same probes as plain bisection" true
+    (List.equal same_float plain_mids empty_mids)
+
 (* ------------------------------------------------------------------ *)
 (* Stats *)
 
@@ -670,6 +821,9 @@ let () =
           quick "newton" test_newton_converges;
           quick "golden" test_golden_min;
           quick "sign change" test_find_sign_change;
+          QCheck_alcotest.to_alcotest prop_monotone_bisect_replays_plain;
+          QCheck_alcotest.to_alcotest prop_monotone_bisect_probes_on_contradiction;
+          quick "monotone replay ends at a failed probe" test_monotone_bisect_failed_probe_ends_search;
         ] );
       ( "stats",
         [

@@ -998,8 +998,10 @@ let test_server_ops_plane_scrape () =
         (contains scraped "adcopt_solver_sparse_solves_total");
       Alcotest.(check bool) "scrapes counted" true
         (contains scraped "adcopt_serve_scrapes_total 1");
-      (* the evaluator's DC and root-finding work reaches the scrape: the
-         counters are preregistered and move once a hybrid optimize has run *)
+      (* the evaluator's DC, bias-servo and root-finding work reaches the
+         scrape: the counters are preregistered and move once a hybrid
+         optimize has run (servo fallbacks are rare, so that one need only
+         be present) *)
       let counter text name =
         let prefix = "adcopt_" ^ name ^ " " in
         match
@@ -1017,8 +1019,10 @@ let test_server_ops_plane_scrape () =
           "solver_poly_roots_total";
           "solver_aberth_iterations_total";
           "solver_aberth_max_iter_total";
+          "solver_servo_probes_total";
         ]
       in
+      ignore (counter scraped "solver_servo_fallbacks_total");
       let before = List.map (counter scraped) evaluator_counters in
       let hybrid =
         Client.request c
