@@ -14,7 +14,6 @@
      dune exec bench/main.exe -- serve     -- server-mode load (BENCH_SERVE.json)
      dune exec bench/main.exe -- cluster   -- sharded fleet vs solo (BENCH_CLUSTER.json)
      dune exec bench/main.exe -- pareto    -- (k, fs) grid FoM front (BENCH_PARETO.json)
-     dune exec bench/main.exe -- sim       -- simulation-mode solver bench (BENCH_SIM.json)
      dune exec bench/main.exe -- netlist   -- SPICE parse/emit + process swap (BENCH_NETLIST.json)
 
    The Bechamel group holds one Test.make per table/figure pipeline (on
@@ -34,11 +33,6 @@ module Classic = Adc_baseline.Classic
 module Units = Adc_numerics.Units
 module Netlist = Adc_circuit.Netlist
 module Stimulus = Adc_circuit.Stimulus
-module Transient = Adc_circuit.Transient
-module Mna = Adc_circuit.Mna
-module Sparse = Adc_numerics.Sparse
-module Ota = Adc_mdac.Ota
-module Mdac_stage = Adc_mdac.Mdac_stage
 module Obs = Adc_obs
 module Json = Adc_json.Json
 module Server = Adc_serve.Server
@@ -905,272 +899,6 @@ let pareto_bench () =
   Printf.printf "wrote BENCH_PARETO.json\n\n"
 
 (* ------------------------------------------------------------------ *)
-(* sim: simulation-mode solver benchmark.  Each target runs under three
-   modes — the dense oracle on the fixed grid, the sparse solver on the
-   same grid (must match to solver noise), and the sparse solver under
-   adaptive LTE stepping (the default everywhere).  A DC-evaluator leg
-   replays an annealing-style candidate sweep under both backends and
-   records the selected optimum from each, which CI asserts are
-   byte-identical.  Results land in BENCH_SIM.json. *)
-
-type sim_mode = {
-  mode_name : string;
-  backend : Mna.backend;
-  control : Transient.control;
-}
-
-let sim_modes =
-  [
-    { mode_name = "dense-fixed"; backend = `Dense; control = Transient.Fixed };
-    { mode_name = "sparse-fixed"; backend = `Sparse; control = Transient.Fixed };
-    { mode_name = "sparse-adaptive"; backend = `Sparse;
-      control = Transient.Lte Transient.default_lte };
-  ]
-
-let sim_proc = Adc_circuit.Process.c025
-
-(* a long RC ladder: the sparse win grows with unknown count (dense LU is
-   O(n^3) per Newton iteration, the ladder factors in O(n)) *)
-let sim_rc_ladder sections () =
-  let nl = Netlist.create sim_proc in
-  let nodes =
-    Array.init (sections + 1) (fun i -> Netlist.node nl (Printf.sprintf "n%d" i))
-  in
-  Netlist.vsource nl "vs" nodes.(0) Netlist.ground (Stimulus.step ~from:0.0 ~to_:1.0 ());
-  for i = 0 to sections - 1 do
-    Netlist.resistor nl (Printf.sprintf "r%d" i) nodes.(i) nodes.(i + 1) 1000.0;
-    Netlist.capacitor nl (Printf.sprintf "c%d" i) nodes.(i + 1) Netlist.ground 1e-12
-  done;
-  nl
-
-(* the switched-capacitor charge-redistribution bench from the tests:
-   small, but full of switch flips the step controller must hit *)
-let sim_switched_cap () =
-  let nl = Netlist.create sim_proc in
-  let a = Netlist.node nl "a" and b = Netlist.node nl "b" and src = Netlist.node nl "src" in
-  Netlist.vsource nl "vs" src Netlist.ground (Stimulus.Dc 2.0);
-  Netlist.switch nl "sw_chg" src a ~r_on:10.0 ~r_off:1e13 ~closed_at:(fun t -> t < 1e-9);
-  Netlist.capacitor nl "c1" a Netlist.ground 1e-12;
-  Netlist.switch nl "sw_share" a b ~r_on:10.0 ~r_off:1e13 ~closed_at:(fun t -> t > 2e-9);
-  Netlist.capacitor nl "c2" b Netlist.ground 1e-12;
-  Netlist.resistor nl "bleed" b Netlist.ground 1e6;
-  nl
-
-let sim_transient_target ~name ~build ~t_stop ~dt =
-  let unknowns = Netlist.unknown_count (build ()) in
-  let nnz = Mna.ctx_nnz (Mna.context (build ())) in
-  let dense_wall = ref 0.0 and dense_wave = ref None in
-  let rows =
-    List.map
-      (fun m ->
-        let nl = build () in
-        let t0 = Unix.gettimeofday () in
-        let res =
-          Transient.run_with_stats ~control:m.control ~backend:m.backend nl ~t_stop ~dt
-        in
-        let wall = Unix.gettimeofday () -. t0 in
-        match res with
-        | Error e -> failwith (Printf.sprintf "sim %s/%s: %s" name m.mode_name e)
-        | Ok (w, st) ->
-          let diff =
-            match !dense_wave with
-            | None ->
-              dense_wall := wall;
-              dense_wave := Some w;
-              0.0
-            | Some wd ->
-              let d = ref 0.0 in
-              Array.iteri
-                (fun i row ->
-                  Array.iteri
-                    (fun j v ->
-                      d := Float.max !d (Float.abs (v -. wd.Transient.data.(i).(j))))
-                    row)
-                w.Transient.data;
-              !d
-          in
-          Printf.printf
-            "  %-14s %-16s %8.4f s  %5d newton  %4d+%d steps  diff %.3g\n%!" name
-            m.mode_name wall st.Transient.newton_iterations st.Transient.accepted_steps
-            st.Transient.rejected_steps diff;
-          let solver_fields =
-            match st.Transient.solver with
-            | None -> []
-            | Some s ->
-              [ ("analyses", Json.Int s.Sparse.analyses);
-                ("refactorizations", Json.Int s.Sparse.refactorizations);
-                ("solves", Json.Int s.Sparse.solves) ]
-          in
-          ( m.mode_name,
-            wall,
-            Json.Obj
-              ([ ("mode", Json.String m.mode_name);
-                 ("wall_s", Json.Float wall);
-                 ("newton_iterations", Json.Int st.Transient.newton_iterations);
-                 ("accepted_steps", Json.Int st.Transient.accepted_steps);
-                 ("rejected_steps", Json.Int st.Transient.rejected_steps);
-                 ("max_abs_diff_vs_dense", Json.Float diff) ]
-              @ solver_fields) ))
-      sim_modes
-  in
-  let wall_of mode = match List.find_opt (fun (n, _, _) -> n = mode) rows with
-    | Some (_, w, _) -> w
-    | None -> nan
-  in
-  let speedup mode = !dense_wall /. Float.max 1e-9 (wall_of mode) in
-  Json.Obj
-    [ ("name", Json.String name);
-      ("unknowns", Json.Int unknowns);
-      ("jacobian_nnz", Json.Int nnz);
-      ("modes", Json.List (List.map (fun (_, _, j) -> j) rows));
-      ("speedup_sparse_fixed_vs_dense", Json.Float (speedup "sparse-fixed"));
-      ("speedup_sparse_adaptive_vs_dense", Json.Float (speedup "sparse-adaptive")) ]
-
-(* annealing-style candidate sweep: the evaluator-calls-dominated shape
-   the synthesis loop spends its time in.  Same fixed candidate list
-   under both backends; the selected optimum must match byte for byte. *)
-let sim_dc_evaluator () =
-  let spec13 = Spec.paper_case ~k:13 in
-  let req = Spec.stage_requirements spec13 { Spec.m = 3; input_bits = 11 } in
-  let base = Synthesizer.initial_sizing spec13.Spec.process req in
-  let candidates =
-    List.init 12 (fun i ->
-        let s = 0.7 +. (0.06 *. float_of_int i) in
-        { base with
-          Ota.w_pair = base.Ota.w_pair *. s;
-          w_cs = base.Ota.w_cs *. s;
-          c_comp = base.Ota.c_comp *. (0.8 +. (0.04 *. float_of_int i)) })
-  in
-  let eval_all backend =
-    let t0 = Unix.gettimeofday () in
-    let metrics =
-      List.map
-        (fun sz ->
-          fst
-            (Synthesizer.evaluate_sizing ~backend ~kind:Synthesizer.Hybrid
-               spec13.Spec.process req sz))
-        candidates
-    in
-    (metrics, Unix.gettimeofday () -. t0)
-  in
-  let optimum metrics =
-    (* lowest power among candidates with all devices saturated; the
-       selection (not the float prints) is what must agree, but the
-       rendered string is the artifact CI compares *)
-    let get name m = Option.value ~default:nan (List.assoc_opt name m) in
-    let best = ref (-1) and best_power = ref infinity in
-    List.iteri
-      (fun i m ->
-        let power = get "power" m and saturated = get "saturated" m in
-        if saturated > 0.5 && power < !best_power then begin
-          best := i;
-          best_power := power
-        end)
-      metrics;
-    if !best < 0 then "none"
-    else
-      let c = List.nth candidates !best in
-      Printf.sprintf "candidate-%02d w_pair=%.4g c_comp=%.4g power=%.6g" !best
-        c.Ota.w_pair c.Ota.c_comp !best_power
-  in
-  let dense_metrics, dense_wall = eval_all `Dense in
-  let sparse_metrics, sparse_wall = eval_all `Sparse in
-  let opt_dense = optimum dense_metrics and opt_sparse = optimum sparse_metrics in
-  Printf.printf "  dc-evaluator   dense  %8.4f s   sparse %8.4f s  (%.2fx)\n%!"
-    dense_wall sparse_wall (dense_wall /. Float.max 1e-9 sparse_wall);
-  Printf.printf "    optimum dense:  %s\n    optimum sparse: %s\n%!" opt_dense opt_sparse;
-  Json.Obj
-    [ ("candidates", Json.Int (List.length candidates));
-      ("dense_wall_s", Json.Float dense_wall);
-      ("sparse_wall_s", Json.Float sparse_wall);
-      ("speedup", Json.Float (dense_wall /. Float.max 1e-9 sparse_wall));
-      ("optimum_dense", Json.String opt_dense);
-      ("optimum_sparse", Json.String opt_sparse);
-      ("optimum_identical", Json.Bool (String.equal opt_dense opt_sparse)) ]
-
-(* the large-swing settling verification leg, timed end to end (DC
-   operating point + transient) per mode *)
-let sim_ota_settling () =
-  let spec13 = Spec.paper_case ~k:13 in
-  let req = Spec.stage_requirements spec13 { Spec.m = 3; input_bits = 11 } in
-  let caps = req.Mdac_stage.caps in
-  let run m =
-    let t0 = Unix.gettimeofday () in
-    let res =
-      Ota.settling_bench ~backend:m.backend ~control:m.control spec13.Spec.process
-        Ota.default_sizing ~gain:caps.Adc_mdac.Caps.gain
-        ~c_feedback:caps.Adc_mdac.Caps.c_feedback ~c_load:req.Mdac_stage.c_load_ext
-        ~v_step:(req.Mdac_stage.spec.Mdac_stage.vref_pp /. 4.0)
-        ~t_window:(2.0 *. req.Mdac_stage.t_settle)
-        ~tol:req.Mdac_stage.settle_tol
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    match res with
-    | Error e -> failwith ("sim ota-settling/" ^ m.mode_name ^ ": " ^ e)
-    | Ok s -> (wall, s.Ota.final_value)
-  in
-  let rows = List.map (fun m -> (m, run m)) sim_modes in
-  let dense_wall, dense_final =
-    snd (List.hd rows)
-  in
-  Json.Obj
-    [ ("name", Json.String "ota-settling");
-      ("modes",
-       Json.List
-         (List.map
-            (fun (m, (wall, final)) ->
-              Printf.printf "  %-14s %-16s %8.4f s  final %.6f V\n%!" "ota-settling"
-                m.mode_name wall final;
-              Json.Obj
-                [ ("mode", Json.String m.mode_name);
-                  ("wall_s", Json.Float wall);
-                  ("final_value", Json.Float final);
-                  ("final_diff_vs_dense", Json.Float (Float.abs (final -. dense_final))) ])
-            rows));
-      ("speedup_sparse_adaptive_vs_dense",
-       Json.Float
-         (let _, (wall, _) =
-            List.nth rows 2
-          in
-          dense_wall /. Float.max 1e-9 wall)) ]
-
-let sim_bench () =
-  header "sim: solver benchmark - dense oracle vs sparse, fixed vs adaptive dt";
-  let ladder =
-    sim_transient_target ~name:"rc-ladder-160" ~build:(sim_rc_ladder 160) ~t_stop:400e-9
-      ~dt:1e-9
-  in
-  let sc =
-    sim_transient_target ~name:"switched-cap" ~build:sim_switched_cap ~t_stop:20e-9
-      ~dt:20e-12
-  in
-  let settling = sim_ota_settling () in
-  let dc = sim_dc_evaluator () in
-  let headline =
-    match ladder with
-    | Json.Obj fields -> (
-      match List.assoc "speedup_sparse_adaptive_vs_dense" fields with
-      | Json.Float f -> f
-      | _ -> nan)
-    | _ -> nan
-  in
-  let json =
-    Json.Obj
-      [ ("targets", Json.List [ ladder; sc; settling ]);
-        ("dc_evaluator", dc);
-        ("headline_speedup", Json.Float headline);
-        ("shared_analyses", Json.Int (Mna.shared_analyses ())) ]
-  in
-  let oc = open_out "BENCH_SIM.json" in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf
-    "  headline: sparse+adaptive is %.1fx the dense fixed-grid oracle on the ladder\n" headline;
-  Printf.printf "  (%d symbolic analyses published process-wide)\n" (Mna.shared_analyses ());
-  Printf.printf "wrote BENCH_SIM.json\n\n"
-
-(* ------------------------------------------------------------------ *)
 (* netlist: SPICE interop throughput plus the price of a process swap.
    A ~1k-device mixed deck (RC rungs, one mosfet and one switch each) is
    emitted, re-parsed and re-emitted in timed loops, and the emitted
@@ -1182,7 +910,7 @@ let sim_bench () =
 let netlist_bench () =
   header "netlist: SPICE parse/emit throughput, process-card swap";
   let sections = 250 in
-  let nl = Netlist.create sim_proc in
+  let nl = Netlist.create Adc_circuit.Process.c025 in
   let nodes =
     Array.init (sections + 1) (fun i -> Netlist.node nl (Printf.sprintf "n%d" i))
   in
@@ -1326,7 +1054,6 @@ let () =
   | "cluster" -> cluster_bench ()
   | "batch" -> batch_bench ()
   | "pareto" -> pareto_bench ()
-  | "sim" -> sim_bench ()
   | "netlist" -> netlist_bench ()
   | "fast" ->
     fig1 ~hybrid:false ();
@@ -1344,5 +1071,5 @@ let () =
     micro ()
   | other ->
     Printf.eprintf
-      "unknown target %S (use fig1|fig2|fig3|retarget|ablation|extensions|overhead|micro|serve|cluster|batch|pareto|sim|netlist|fast|all)\n" other;
+      "unknown target %S (use fig1|fig2|fig3|retarget|ablation|extensions|overhead|micro|serve|cluster|batch|pareto|netlist|fast|all)\n" other;
     exit 1

@@ -1,5 +1,4 @@
 module Vec = Adc_numerics.Vec
-module Mat = Adc_numerics.Mat
 module Sparse = Adc_numerics.Sparse
 
 type result = {
@@ -44,34 +43,17 @@ let damp_and_update ~vstep_limit ~nv x dx =
   done;
   damp *. !max_v_step
 
-let newton_dense ~max_iter ~vstep_limit ~x0 ~time ~source_scale ~gmin
-    ~cap_policy nl =
-  let nv = Netlist.node_count nl - 1 in
-  let x = Vec.copy x0 in
-  let rec iterate k prev_dx =
-    let jac, res = Mna.assemble nl ~x ~time ~source_scale ~gmin ~cap_policy in
-    let res_norm = Vec.norm_inf res in
-    if converged ~prev_dx ~res_norm then Ok (x, k)
-    else if k >= max_iter then
-      Error (Printf.sprintf "Newton: no convergence in %d iterations" max_iter, k)
-    else begin
-      match Mat.solve jac (Vec.scale (-1.0) res) with
-      | exception Mat.Singular -> Error ("Newton: singular Jacobian", k)
-      | dx ->
-        let dx_norm = damp_and_update ~vstep_limit ~nv x dx in
-        iterate (k + 1) dx_norm
-    end
-  in
-  iterate 0 Float.infinity
-
-let newton_sparse ~max_iter ~vstep_limit ~ctx ~x0 ~time ~source_scale ~gmin
-    ~cap_policy nl =
+(* The one damped-Newton kernel. It reports the iterations spent on
+   failure too, so the DC totals count every iteration a solve performs. *)
+let newton_counted ?(max_iter = 120) ?(vstep_limit = 0.4) ?ctx ~x0 ~time
+    ~source_scale ~gmin ~cap_policy nl =
+  let ctx = match ctx with Some c -> c | None -> Mna.context nl in
   let nv = Netlist.node_count nl - 1 in
   let n = Netlist.unknown_count nl in
   let x = Vec.copy x0 in
   let rhs = Vec.create n and dx = Vec.create n in
   let rec iterate k prev_dx =
-    Mna.assemble_sparse ctx ~x ~time ~source_scale ~gmin ~cap_policy;
+    Mna.assemble_into ctx ~x ~time ~source_scale ~gmin ~cap_policy;
     let res = Mna.ctx_residual ctx in
     let res_norm = Vec.norm_inf res in
     if converged ~prev_dx ~res_norm then Ok (x, k)
@@ -90,26 +72,13 @@ let newton_sparse ~max_iter ~vstep_limit ~ctx ~x0 ~time ~source_scale ~gmin
   in
   iterate 0 Float.infinity
 
-(* the kernels report the iterations spent on failure too, so the DC
-   totals count every iteration a solve performs *)
-let newton_counted ?(max_iter = 120) ?(vstep_limit = 0.4) ?(backend = `Sparse)
-    ?ctx ~x0 ~time ~source_scale ~gmin ~cap_policy nl =
-  match backend with
-  | `Dense ->
-    newton_dense ~max_iter ~vstep_limit ~x0 ~time ~source_scale ~gmin
-      ~cap_policy nl
-  | `Sparse ->
-    let ctx = match ctx with Some c -> c | None -> Mna.context nl in
-    newton_sparse ~max_iter ~vstep_limit ~ctx ~x0 ~time ~source_scale ~gmin
-      ~cap_policy nl
-
-let newton ?max_iter ?vstep_limit ?backend ?ctx ~x0 ~time ~source_scale ~gmin
+let newton ?max_iter ?vstep_limit ?ctx ~x0 ~time ~source_scale ~gmin
     ~cap_policy nl =
   Result.map_error fst
-    (newton_counted ?max_iter ?vstep_limit ?backend ?ctx ~x0 ~time
-       ~source_scale ~gmin ~cap_policy nl)
+    (newton_counted ?max_iter ?vstep_limit ?ctx ~x0 ~time ~source_scale ~gmin
+       ~cap_policy nl)
 
-let solve ?x0 ?(time = 0.0) ?(max_iter = 120) ?(backend = `Sparse) ?ctx nl =
+let solve ?x0 ?(time = 0.0) ?(max_iter = 120) ?ctx nl =
   (match Netlist.validate nl with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Dc.solve: bad netlist: " ^ msg));
@@ -126,15 +95,10 @@ let solve ?x0 ?(time = 0.0) ?(max_iter = 120) ?(backend = `Sparse) ?ctx nl =
   | _ -> ());
   Atomic.incr g_solves;
   let x0 = match x0 with Some x -> Vec.copy x | None -> Vec.create n in
-  let ctx =
-    match (backend, ctx) with
-    | `Dense, _ -> None
-    | `Sparse, Some c -> Some c
-    | `Sparse, None -> Some (Mna.context nl)
-  in
+  let ctx = match ctx with Some c -> c | None -> Mna.context nl in
   let newton ~x0 ~source_scale ~gmin =
     let r =
-      newton_counted ~max_iter ~backend ?ctx ~x0 ~time ~source_scale ~gmin
+      newton_counted ~max_iter ~ctx ~x0 ~time ~source_scale ~gmin
         ~cap_policy:Mna.Cap_open nl
     in
     let (Ok (_, k) | Error (_, k)) = r in

@@ -4,12 +4,10 @@
     and then source stepping when plain Newton fails (standard SPICE
     continuation strategy).
 
-    The linear solves run on the sparse backend by default: a
-    [Mna.ctx] carries the preallocated matrix buffers and the (shared)
-    symbolic factorization, so each Newton iteration costs one
-    allocation-free assembly plus one numeric refactorization. Pass
-    [~backend:`Dense] to run the dense-LU oracle instead — the
-    equivalence tests require both backends to agree to 1e-9.
+    The linear solves run on an [Mna.ctx], which carries the
+    preallocated sparse matrix buffers and the (shared) symbolic
+    factorization, so each Newton iteration costs one allocation-free
+    assembly plus one numeric refactorization.
 
     Convergence accepts when the previous damped voltage update is below
     1e-10 {e and} the residual assembled at the {e updated} point is
@@ -25,12 +23,10 @@ type result = {
 
 val solve :
   ?x0:float array -> ?time:float -> ?max_iter:int ->
-  ?backend:Mna.backend -> ?ctx:Mna.ctx -> Netlist.t ->
-  (result, string) Stdlib.result
+  ?ctx:Mna.ctx -> Netlist.t -> (result, string) Stdlib.result
 (** Find the operating point. [time] fixes source values and switch
-    states (default 0). [ctx] reuses a caller-held sparse context
-    (ignored for the dense backend); when omitted one is created
-    internally.
+    states (default 0). [ctx] reuses a caller-held context; when
+    omitted one is created internally.
 
     Caller invariants, checked at entry with [Invalid_argument]: a [ctx]
     must have been built by [Mna.context] for this very [nl] (physical
@@ -58,8 +54,7 @@ val branch_current : Netlist.t -> result -> string -> float
     through the source). Raises [Invalid_argument] for unknown names. *)
 
 val newton :
-  ?max_iter:int -> ?vstep_limit:float ->
-  ?backend:Mna.backend -> ?ctx:Mna.ctx ->
+  ?max_iter:int -> ?vstep_limit:float -> ?ctx:Mna.ctx ->
   x0:float array -> time:float -> source_scale:float -> gmin:float ->
   cap_policy:Mna.cap_policy -> Netlist.t ->
   (float array * int, string) Stdlib.result

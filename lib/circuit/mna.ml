@@ -8,8 +8,6 @@ type cap_policy =
   | Cap_open
   | Cap_companion of (cap_index:int -> np:int -> nn:int -> farads:float -> cap_companion)
 
-type backend = [ `Sparse | `Dense ]
-
 let node_voltage_of (x : Vec.t) n = if n = 0 then 0.0 else x.(n - 1)
 
 let cap_count nl =
@@ -179,18 +177,32 @@ let intern_pattern pat =
   Mutex.unlock cache_mutex;
   entry
 
-type ctx = {
-  nl : Netlist.t;
-  pat : Sparse.pattern;
+(* The sparse state behind a production context. *)
+type sparse_lu = {
   mat : Sparse.t;
-  res : Vec.t;
   prog_open : int array;  (* slot per jadd call under Cap_open *)
   prog_companion : int array;  (* slot per jadd call under Cap_companion *)
   entry : cache_entry;
   mutable numeric : Sparse.numeric option;
 }
 
-let context nl =
+type solver =
+  | Sparse_lu of sparse_lu
+  | Dense_lu of { mutable jac : Mat.t }
+      (* the oracle: the last [assemble]d Jacobian, solved by [Mat.solve] *)
+
+type ctx = { nl : Netlist.t; res : Vec.t; solver : solver }
+
+module Oracle = struct
+  let dense = Domain.DLS.new_key (fun () -> false)
+
+  let with_dense f =
+    let prev = Domain.DLS.get dense in
+    Domain.DLS.set dense true;
+    Fun.protect ~finally:(fun () -> Domain.DLS.set dense prev) f
+end
+
+let sparse_lu nl =
   let n = Netlist.unknown_count nl in
   let x0 = Vec.create n in
   let dummy_companion =
@@ -214,56 +226,65 @@ let context nl =
     Array.map (fun (r, c) -> Sparse.slot pat ~row:r ~col:c) calls
   in
   {
-    nl;
-    pat;
     mat = Sparse.create pat;
-    res = Vec.create n;
     prog_open = to_prog calls_open;
     prog_companion = to_prog calls_companion;
     entry = intern_pattern pat;
     numeric = None;
   }
 
+let context nl =
+  let n = Netlist.unknown_count nl in
+  let solver =
+    if Domain.DLS.get Oracle.dense then Dense_lu { jac = Mat.create n n }
+    else Sparse_lu (sparse_lu nl)
+  in
+  { nl; res = Vec.create n; solver }
+
 let ctx_netlist ctx = ctx.nl
 let ctx_residual ctx = ctx.res
-let ctx_unknowns ctx = Sparse.dim ctx.pat
-let ctx_nnz ctx = Sparse.nnz ctx.pat
 
-let assemble_sparse ctx ~x ~time ~source_scale ~gmin ~cap_policy =
-  Sparse.clear ctx.mat;
-  Array.fill ctx.res 0 (Array.length ctx.res) 0.0;
-  let prog =
-    match cap_policy with
-    | Cap_open -> ctx.prog_open
-    | Cap_companion _ -> ctx.prog_companion
-  in
-  let cur = ref 0 in
-  assemble_core ctx.nl ~x ~time ~source_scale ~gmin ~cap_policy
-    ~jadd:(fun _ _ v ->
-      Sparse.add ctx.mat (Array.unsafe_get prog !cur) v;
-      incr cur)
-    ~fadd:(fun i v -> ctx.res.(i) <- ctx.res.(i) +. v)
+let assemble_into ctx ~x ~time ~source_scale ~gmin ~cap_policy =
+  match ctx.solver with
+  | Sparse_lu lu ->
+    Sparse.clear lu.mat;
+    Array.fill ctx.res 0 (Array.length ctx.res) 0.0;
+    let prog =
+      match cap_policy with
+      | Cap_open -> lu.prog_open
+      | Cap_companion _ -> lu.prog_companion
+    in
+    let cur = ref 0 in
+    assemble_core ctx.nl ~x ~time ~source_scale ~gmin ~cap_policy
+      ~jadd:(fun _ _ v ->
+        Sparse.add lu.mat (Array.unsafe_get prog !cur) v;
+        incr cur)
+      ~fadd:(fun i v -> ctx.res.(i) <- ctx.res.(i) +. v)
+  | Dense_lu d ->
+    let jac, res = assemble ctx.nl ~x ~time ~source_scale ~gmin ~cap_policy in
+    d.jac <- jac;
+    Array.blit res 0 ctx.res 0 (Array.length res)
 
-let ensure_numeric ctx =
-  match ctx.numeric with
+let ensure_numeric lu =
+  match lu.numeric with
   | Some num -> num
   | None ->
     let sym =
       Mutex.lock cache_mutex;
-      let cached = ctx.entry.sym in
+      let cached = lu.entry.sym in
       Mutex.unlock cache_mutex;
       match cached with
       | Some s -> s
       | None ->
         (* analyze outside the lock (reads only this ctx's matrix);
            first writer wins, racers just recompute an identical value *)
-        let s = Sparse.analyze ctx.mat in
+        let s = Sparse.analyze lu.mat in
         Mutex.lock cache_mutex;
         let s =
-          match ctx.entry.sym with
+          match lu.entry.sym with
           | Some existing -> existing
           | None ->
-            ctx.entry.sym <- Some s;
+            lu.entry.sym <- Some s;
             incr cache_analyses;
             s
         in
@@ -271,17 +292,24 @@ let ensure_numeric ctx =
         s
     in
     let num = Sparse.create_numeric sym in
-    ctx.numeric <- Some num;
+    lu.numeric <- Some num;
     num
 
 let factor_and_solve ctx ~rhs ~dx =
-  let num = ensure_numeric ctx in
-  Sparse.refactorize num ctx.mat;
-  Sparse.solve num ~b:rhs ~x:dx
+  match ctx.solver with
+  | Sparse_lu lu ->
+    let num = ensure_numeric lu in
+    Sparse.refactorize num lu.mat;
+    Sparse.solve num ~b:rhs ~x:dx
+  | Dense_lu d -> (
+    match Mat.solve d.jac rhs with
+    | exception Mat.Singular -> raise Sparse.Singular
+    | sol -> Array.blit sol 0 dx 0 (Array.length sol))
 
 let ctx_stats ctx =
-  match ctx.numeric with
-  | Some num -> Sparse.stats num
-  | None -> { Sparse.analyses = 0; refactorizations = 0; solves = 0 }
+  match ctx.solver with
+  | Sparse_lu { numeric = Some num; _ } -> Sparse.stats num
+  | Sparse_lu { numeric = None; _ } | Dense_lu _ ->
+    { Sparse.analyses = 0; refactorizations = 0; solves = 0 }
 
 let shared_analyses () = !cache_analyses

@@ -8,17 +8,16 @@
     node (or the branch voltage equation), so a solution satisfies
     [f = 0] and Newton solves [J dx = -f].
 
-    Two assembly paths share one stamping traversal:
-    {ul
-    {- {!assemble} builds a dense [Adc_numerics.Mat.t] — the cross-check
-       oracle kept behind the [`Dense] backend flag;}
-    {- {!assemble_sparse} writes into a preallocated {!ctx}: an unboxed
-       sparse matrix over a sparsity pattern recorded once per netlist,
-       stamped by replaying a slot program with no per-iteration
-       allocation. Symbolic LU factorizations are cached per {e topology}
-       (structural pattern equality), so annealing candidates that only
-       change element values reuse the same pivot order and fill
-       schedule and pay numeric refactorization only.}} *)
+    One stamping traversal serves both solvers behind a {!ctx}. The
+    production solver writes into an unboxed sparse matrix over a
+    sparsity pattern recorded once per netlist, stamped by replaying a
+    slot program with no per-iteration allocation. Symbolic LU
+    factorizations are cached per {e topology} (structural pattern
+    equality), so annealing candidates that only change element values
+    reuse the same pivot order and fill schedule and pay numeric
+    refactorization only. The dense LU oracle, an independent
+    cross-check for the tests, is reached only through
+    {!Oracle.with_dense}. *)
 
 type cap_companion = {
   geq : float;  (** companion conductance *)
@@ -31,22 +30,8 @@ type cap_policy =
       (** Transient: integration-method companion model; [cap_index]
           counts capacitors in declaration order. *)
 
-type backend = [ `Sparse | `Dense ]
-(** Solver backend selector: [`Sparse] (default everywhere) or the dense
-    [`Dense] oracle used by equivalence tests and benchmarks. *)
-
 val node_voltage_of : float array -> int -> float
 (** Voltage of a node index given the unknown vector (0 for ground). *)
-
-val assemble :
-  Netlist.t ->
-  x:float array ->
-  time:float ->
-  source_scale:float ->
-  gmin:float ->
-  cap_policy:cap_policy ->
-  Adc_numerics.Mat.t * float array
-(** Build the dense Jacobian and residual at the point [x]. *)
 
 val residual_into :
   Netlist.t ->
@@ -63,21 +48,24 @@ val residual_into :
 val cap_count : Netlist.t -> int
 (** Number of capacitors (companion-model history slots). *)
 
-(** {1 Sparse assembly contexts} *)
+(** {1 Assembly contexts} *)
 
 type ctx
-(** Preallocated sparse assembly state bound to one netlist: the
-    recorded sparsity pattern, slot programs for both capacitor
-    policies, the unboxed matrix/residual buffers, and (lazily) a
-    numeric factorization workspace. Not thread-safe; create one per
-    domain. The symbolic factorization behind it is shared read-only
-    across all contexts with the same topology. *)
+(** Preallocated assembly state bound to one netlist. A production
+    context holds the recorded sparsity pattern, slot programs for both
+    capacitor policies, the unboxed matrix/residual buffers, and
+    (lazily) a numeric factorization workspace; the symbolic
+    factorization behind it is shared read-only across all contexts with
+    the same topology. A context built inside {!Oracle.with_dense}
+    instead assembles a dense matrix and solves it by dense LU. Not
+    thread-safe; create one per domain. *)
 
 val context : Netlist.t -> ctx
 (** Record the pattern and slot programs for a netlist (two stamping
-    traversals, no factorization yet). *)
+    traversals, no factorization yet), or, inside {!Oracle.with_dense},
+    a dense context. *)
 
-val assemble_sparse :
+val assemble_into :
   ctx ->
   x:float array ->
   time:float ->
@@ -86,7 +74,8 @@ val assemble_sparse :
   cap_policy:cap_policy ->
   unit
 (** Stamp the Jacobian and residual at [x] into the context's buffers,
-    replaying the recorded slot program (allocation-free). *)
+    replaying the recorded slot program (allocation-free on a production
+    context). *)
 
 val factor_and_solve : ctx -> rhs:float array -> dx:float array -> unit
 (** Factor the last assembled Jacobian (numeric refactorization over the
@@ -95,18 +84,25 @@ val factor_and_solve : ctx -> rhs:float array -> dx:float array -> unit
     [Adc_numerics.Sparse.Singular] on singular systems. *)
 
 val ctx_residual : ctx -> float array
-(** The residual buffer filled by the last {!assemble_sparse}. *)
+(** The residual buffer filled by the last {!assemble_into}. *)
 
 val ctx_netlist : ctx -> Netlist.t
-val ctx_unknowns : ctx -> int
-val ctx_nnz : ctx -> int
-(** Stored Jacobian nonzeros (pattern size). *)
 
 val ctx_stats : ctx -> Adc_numerics.Sparse.stats
 (** Factorization/solve counters of this context's workspace (zeros
-    before the first solve). *)
+    before the first solve, and always zeros on a dense context). *)
 
 val shared_analyses : unit -> int
 (** Process-wide count of symbolic analyses published to the topology
     cache — stays tiny while refactorization counts grow, which is the
     point. *)
+
+(** The dense LU oracle. Test-only: no production path enters it. *)
+module Oracle : sig
+  val with_dense : (unit -> 'a) -> 'a
+  (** [with_dense f] runs [f] with {!context} building dense contexts on
+      the calling domain, so every DC and transient solve reached from
+      [f] runs on the original [Adc_numerics.Mat] LU path, float op for
+      float op. The previous state is restored when [f] returns or
+      raises. *)
+end

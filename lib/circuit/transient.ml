@@ -26,7 +26,7 @@ type stats = {
   newton_iterations : int;
   accepted_steps : int;
   rejected_steps : int;
-  solver : Sparse.stats option;
+  solver : Sparse.stats;
 }
 
 (* process-wide totals for live metrics, mirroring Sparse.totals: summed
@@ -57,16 +57,17 @@ let record_totals ~newton ~accepted ~rejected =
   ignore (Atomic.fetch_and_add g_accepted accepted);
   ignore (Atomic.fetch_and_add g_rejected rejected)
 
-let run_with_stats ?x0 ?(max_newton = 60) ?(control = Lte default_lte)
-    ?(backend = `Sparse) nl ~t_stop ~dt =
-  if dt <= 0.0 || t_stop <= 0.0 then
-    invalid_arg "Transient.run: bad time parameters";
-  let ctx = match backend with `Sparse -> Some (Mna.context nl) | `Dense -> None in
+let run_with_stats ?x0 ?(max_newton = 60) ?(control = Lte default_lte) nl
+    ~t_stop ~dt =
+  (* [> 0.0] is false on NaN; infinities would leave a one-point grid *)
+  if not (dt > 0.0 && t_stop > 0.0 && Float.is_finite dt && Float.is_finite t_stop)
+  then invalid_arg "Transient.run: bad time parameters";
+  let ctx = Mna.context nl in
   let x0 =
     match x0 with
     | Some x -> Ok (Vec.copy x)
     | None -> begin
-      match Dc.solve ~time:0.0 ~backend ?ctx nl with
+      match Dc.solve ~time:0.0 ~ctx nl with
       | Ok r -> Ok r.x
       | Error e -> Error ("Transient.run: initial DC failed: " ^ e)
     end
@@ -112,7 +113,7 @@ let run_with_stats ?x0 ?(max_newton = 60) ?(control = Lte default_lte)
           let geq = 2.0 *. farads /. h in
           { Mna.geq; ieq = -.((geq *. cap_v.(cap_index)) +. cap_i.(cap_index)) }
       in
-      Dc.newton ~max_iter:max_newton ~vstep_limit:3.3 ~backend ?ctx
+      Dc.newton ~max_iter:max_newton ~vstep_limit:3.3 ~ctx
         ~x0:x_guess ~time:t ~source_scale:1.0 ~gmin:1e-12
         ~cap_policy:(Mna.Cap_companion companion) nl
     in
@@ -341,18 +342,17 @@ let run_with_stats ?x0 ?(max_newton = 60) ?(control = Lte default_lte)
     (match !error with
     | Some e -> Error e
     | None ->
-      let solver = match ctx with Some c -> Some (Mna.ctx_stats c) | None -> None in
       Ok
         ( { times; data },
           {
             newton_iterations = !newton_iters;
             accepted_steps = !accepted;
             rejected_steps = !rejected;
-            solver;
+            solver = Mna.ctx_stats ctx;
           } ))
 
-let run ?x0 ?max_newton ?control ?backend nl ~t_stop ~dt =
-  match run_with_stats ?x0 ?max_newton ?control ?backend nl ~t_stop ~dt with
+let run ?x0 ?max_newton ?control nl ~t_stop ~dt =
+  match run_with_stats ?x0 ?max_newton ?control nl ~t_stop ~dt with
   | Ok (w, _) -> Ok w
   | Error e -> Error e
 

@@ -47,8 +47,7 @@ type stats = {
   newton_iterations : int;  (** summed over all step solves *)
   accepted_steps : int;
   rejected_steps : int;  (** LTE rejections + Newton failures retried *)
-  solver : Adc_numerics.Sparse.stats option;
-      (** factorization counters ([None] on the dense backend) *)
+  solver : Adc_numerics.Sparse.stats;  (** factorization counters *)
 }
 
 type totals = {
@@ -67,7 +66,6 @@ val run :
   ?x0:float array ->
   ?max_newton:int ->
   ?control:control ->
-  ?backend:Mna.backend ->
   Netlist.t ->
   t_stop:float ->
   dt:float ->
@@ -75,19 +73,19 @@ val run :
 (** Simulate from t = 0 to [t_stop] (rounded up to a whole number of
     [dt] grid intervals). When [x0] is omitted the initial state is the
     DC operating point at t = 0 (switches in their t = 0 state).
-    [control] defaults to [Lte default_lte]; [backend] to [`Sparse]. *)
+    [control] defaults to [Lte default_lte]. Raises [Invalid_argument]
+    unless [dt] and [t_stop] are finite and positive. *)
 
 val run_with_stats :
   ?x0:float array ->
   ?max_newton:int ->
   ?control:control ->
-  ?backend:Mna.backend ->
   Netlist.t ->
   t_stop:float ->
   dt:float ->
   (waveforms * stats, string) result
 (** Same as {!run}, also reporting step/iteration/factorization counts
-    (the numbers BENCH_SIM.json aggregates). *)
+    of the run. *)
 
 val node_waveform : Netlist.t -> waveforms -> Netlist.node -> (float * float) array
 (** Time series of one node voltage on the fixed grid. *)

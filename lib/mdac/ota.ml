@@ -261,8 +261,8 @@ let walk_budget = 20
    The returned point is always solved cold on a fresh bench, so its
    operating point never depends on the probes' starting points. See
    docs/SOLVER.md. *)
-let solve_biased ?(load_cap = 1e-12) ?vcm ?(backend = `Sparse) proc z =
-  let vcm_v = match vcm with Some v -> v | None -> default_vcm proc in
+let solve_biased ?(load_cap = 1e-12) proc z =
+  let vcm_v = default_vcm proc in
   let target = 0.5 *. proc.Process.vdd in
   (* A cold solve is a function of its point alone, so a point whose
      cold solve failed once in this call is not solved again: a probe
@@ -274,21 +274,21 @@ let solve_biased ?(load_cap = 1e-12) ?vcm ?(backend = `Sparse) proc z =
     if List.mem inv_dc !cold_failed then None
     else
       let p = build ~load_cap ~vcm:vcm_v ~inv_dc proc z in
-      match Dc.solve ~backend p.nl with
+      match Dc.solve p.nl with
       | Ok op -> Some (p, op)
       | Error _ ->
         cold_failed := inv_dc :: !cold_failed;
         None
   in
   let sweep = build ~load_cap ~vcm:vcm_v proc z in
-  let ctx = match backend with `Sparse -> Some (Mna.context sweep.nl) | `Dense -> None in
+  let ctx = Mna.context sweep.nl in
   let x_prev = ref None and probes = ref 0 in
   (* [f] at [inv_dc]: the output's distance from mid-supply *)
   let probe inv_dc =
     incr probes;
     Netlist.set_wave sweep.nl "vin" (Stimulus.Dc inv_dc);
     let solved =
-      match Dc.solve ~backend ?ctx ?x0:!x_prev sweep.nl with
+      match Dc.solve ~ctx ?x0:!x_prev sweep.nl with
       | Ok op -> Some (sweep, op)
       | Error _ -> solve_cold inv_dc
     in
@@ -343,7 +343,7 @@ let solve_biased ?(load_cap = 1e-12) ?vcm ?(backend = `Sparse) proc z =
   in
   let guided =
     let locator = build_locator ~load_cap ~vcm:vcm_v proc z in
-    match Dc.solve ~backend locator.nl with
+    match Dc.solve locator.nl with
     | Error _ -> None
     | Ok op ->
       let x_c = Dc.node_voltage op locator.inv in
@@ -388,8 +388,8 @@ let solve_biased ?(load_cap = 1e-12) ?vcm ?(backend = `Sparse) proc z =
     | Some (p, op) -> Ok (p, op, v_star)
     | None -> Error "OTA DC failed at servo point")
 
-let biased_operating_point ?load_cap ?vcm ?backend proc z =
-  match solve_biased ?load_cap ?vcm ?backend proc z with
+let biased_operating_point ?load_cap proc z =
+  match solve_biased ?load_cap proc z with
   | Error e -> Error e
   | Ok (p, op, _) -> Ok (p, op)
 
@@ -408,8 +408,8 @@ type performance = {
   tf : Ratfun.t;
 }
 
-let evaluate ?(load_cap = 1e-12) ?vcm ?backend (proc : Process.t) z =
-  match solve_biased ~load_cap ?vcm ?backend proc z with
+let evaluate ?(load_cap = 1e-12) (proc : Process.t) z =
+  match solve_biased ~load_cap proc z with
   | Error e -> Error e
   | Ok (p, op, _inv_dc) -> begin
     let ss = Smallsig.extract p.nl op in
@@ -456,8 +456,8 @@ let evaluate ?(load_cap = 1e-12) ?vcm ?backend (proc : Process.t) z =
           }
   end
 
-let symbolic_transfer ?(load_cap = 1e-12) ?vcm proc z =
-  match solve_biased ~load_cap ?vcm proc z with
+let symbolic_transfer ?(load_cap = 1e-12) proc z =
+  match solve_biased ~load_cap proc z with
   | Error e -> Error e
   | Ok (p, op, _inv_dc) -> begin
     let ss = Smallsig.extract p.nl op in
@@ -477,12 +477,12 @@ type settling_result = {
    the sampling capacitor's bottom plate is stepped by [v_step]; charge
    conservation at the virtual ground drives the output to
    -gain * v_step (relative to its bias point). *)
-let settling_bench ?vcm ?backend ?control (proc : Process.t) z ~gain
-    ~c_feedback ~c_load ~v_step ~t_window ~tol =
-  let vcm = match vcm with Some v -> v | None -> default_vcm proc in
+let settling_bench (proc : Process.t) z ~gain ~c_feedback ~c_load ~v_step
+    ~t_window ~tol =
+  let vcm = default_vcm proc in
   (* find the virtual-ground level that centers the output (the sampling
      phase of a real MDAC establishes it through the reset switches) *)
-  match solve_biased ~vcm ?backend proc z with
+  match solve_biased proc z with
   | Error e -> Error e
   | Ok (_, _, v_star) ->
   let nl = Netlist.create proc in
@@ -502,7 +502,7 @@ let settling_bench ?vcm ?backend ?control (proc : Process.t) z ~gain
   Netlist.capacitor nl "cs" step_node p.inv c_sample;
   Netlist.capacitor nl "cf" p.inv p.out c_feedback;
   Netlist.capacitor nl "cl" p.out gnd c_load;
-  match Dc.solve ?backend nl with
+  match Dc.solve nl with
   | Error e -> Error ("settling bench DC failed: " ^ e)
   | Ok op -> begin
     let v0_out = Dc.node_voltage op p.out in
@@ -510,7 +510,7 @@ let settling_bench ?vcm ?backend ?control (proc : Process.t) z ~gain
     let t_step = 1.01e-9 in
     let t_stop = t_step +. t_window in
     let dt = t_window /. 800.0 in
-    match Transient.run ~x0:op.Dc.x ?backend ?control nl ~t_stop ~dt with
+    match Transient.run ~x0:op.Dc.x nl ~t_stop ~dt with
     | Error e -> Error ("settling bench transient failed: " ^ e)
     | Ok w ->
       let final_value = Transient.final_voltage nl w p.out in

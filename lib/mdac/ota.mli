@@ -68,8 +68,7 @@ val build :
     internal offset-nulling servo). *)
 
 val biased_operating_point :
-  ?load_cap:float -> ?vcm:float -> ?backend:Adc_circuit.Mna.backend ->
-  Adc_circuit.Process.t -> sizing ->
+  ?load_cap:float -> Adc_circuit.Process.t -> sizing ->
   (ports * Adc_circuit.Dc.result, string) result
 (** The open-loop bench solved at the offset-nulled bias point (the
     servo the evaluator uses internally); for external analyses such as
@@ -107,8 +106,6 @@ type performance = {
 
 val evaluate :
   ?load_cap:float ->
-  ?vcm:float ->
-  ?backend:Adc_circuit.Mna.backend ->
   Adc_circuit.Process.t ->
   sizing ->
   (performance, string) result
@@ -116,10 +113,10 @@ val evaluate :
     [Error] only for hard failures (DC non-convergence, a circuit the
     DPI analysis cannot take, a non-finite transfer function); infeasible but
     simulable points return their true metrics for the optimizer to
-    grade. [backend] selects the DC linear solver (default [`Sparse]). *)
+    grade. *)
 
 val symbolic_transfer :
-  ?load_cap:float -> ?vcm:float -> Adc_circuit.Process.t -> sizing ->
+  ?load_cap:float -> Adc_circuit.Process.t -> sizing ->
   (Adc_sfg.Expr.t, string) result
 (** The designer-facing symbolic open-loop transfer function produced by
     the DPI/SFG + Mason step. *)
@@ -132,9 +129,6 @@ type settling_result = {
 }
 
 val settling_bench :
-  ?vcm:float ->
-  ?backend:Adc_circuit.Mna.backend ->
-  ?control:Adc_circuit.Transient.control ->
   Adc_circuit.Process.t ->
   sizing ->
   gain:float ->

@@ -11,20 +11,22 @@ type result = {
   settled : bool;
 }
 
+(* Cs = Cf, F *)
+let c_unit = 0.5e-12
+
 (* Flip-around 1.5-bit stage. Charge conservation at the summing node:
    (Cs + Cf)(v_in - vg) sampled, then Cs to the DAC level and Cf to the
    output give v_out = 2 v_in - v_dac for Cs = Cf, independent of the
    virtual-ground level vg. *)
-let build_bench ?vcm ?(c_unit = 0.5e-12) ?backend (proc : Process.t) sizing
-    ~v_in ~code ~vref_pp ~fs =
+let build_bench (proc : Process.t) sizing ~v_in ~code ~vref_pp ~fs =
   if code < 0 || code > 2 then invalid_arg "Sc_mdac.residue_bench: code out of range";
   if fs <= 0.0 then invalid_arg "Sc_mdac.residue_bench: fs <= 0";
-  let vcm = match vcm with Some v -> v | None -> Ota.default_vcm proc in
+  let vcm = Ota.default_vcm proc in
   let half = vref_pp /. 2.0 in
   let v_in_abs = vcm +. v_in in
   let v_dac_abs = vcm +. (float_of_int (code - 1) *. half) in
   (* virtual-ground level: where the servo'd amplifier holds its input *)
-  match Ota.biased_operating_point ~vcm ?backend proc sizing with
+  match Ota.biased_operating_point proc sizing with
   | Error e -> Error e
   | Ok (ports0, op0) ->
     let v_star = Dc.node_voltage op0 ports0.Ota.inv in
@@ -57,23 +59,22 @@ let build_bench ?vcm ?(c_unit = 0.5e-12) ?backend (proc : Process.t) sizing
     Netlist.capacitor nl "cl" p.Ota.out gnd 0.5e-12;
     Ok (nl, p, t_half, vcm, half)
 
-let bench_netlist ?vcm ?c_unit ?backend proc sizing ~v_in ~code ~vref_pp ~fs =
+let bench_netlist proc sizing ~v_in ~code ~vref_pp ~fs =
   Result.map
     (fun (nl, _, _, _, _) -> nl)
-    (build_bench ?vcm ?c_unit ?backend proc sizing ~v_in ~code ~vref_pp ~fs)
+    (build_bench proc sizing ~v_in ~code ~vref_pp ~fs)
 
-let residue_bench ?vcm ?c_unit ?backend ?control (proc : Process.t) sizing
-    ~v_in ~code ~vref_pp ~fs =
-  match build_bench ?vcm ?c_unit ?backend proc sizing ~v_in ~code ~vref_pp ~fs with
+let residue_bench (proc : Process.t) sizing ~v_in ~code ~vref_pp ~fs =
+  match build_bench proc sizing ~v_in ~code ~vref_pp ~fs with
   | Error e -> Error e
   | Ok (nl, p, t_half, vcm, half) ->
     let v_in_abs = vcm +. v_in in
-    (match Dc.solve ?backend nl with
+    (match Dc.solve nl with
     | Error e -> Error ("SC bench DC failed: " ^ e)
     | Ok op -> begin
       let t_stop = 2.0 *. t_half in
       let dt = t_stop /. 1600.0 in
-      match Transient.run ~x0:op.Dc.x ?backend ?control nl ~t_stop ~dt with
+      match Transient.run ~x0:op.Dc.x nl ~t_stop ~dt with
       | Error e -> Error ("SC bench transient failed: " ^ e)
       | Ok w ->
         let wf = Transient.node_waveform nl w p.Ota.out in

@@ -17,9 +17,6 @@ type result = {
 }
 
 val bench_netlist :
-  ?vcm:float ->
-  ?c_unit:float ->
-  ?backend:Adc_circuit.Mna.backend ->
   Adc_circuit.Process.t ->
   Ota.sizing ->
   v_in:float ->
@@ -34,10 +31,6 @@ val bench_netlist :
     DC solve fails. *)
 
 val residue_bench :
-  ?vcm:float ->
-  ?c_unit:float ->
-  ?backend:Adc_circuit.Mna.backend ->
-  ?control:Adc_circuit.Transient.control ->
   Adc_circuit.Process.t ->
   Ota.sizing ->
   v_in:float ->          (* input voltage relative to vcm, V *)
@@ -46,4 +39,5 @@ val residue_bench :
   fs:float ->
   (result, string) Stdlib.result
 (** Simulate one conversion: sampling during the first half period,
-    amplification during the second. [c_unit] defaults to 0.5 pF. *)
+    amplification during the second, with 0.5 pF sampling and feedback
+    capacitors. *)

@@ -225,9 +225,9 @@ let equation_metrics (proc : Process.t) (req : Mdac_stage.requirements) (z : Ota
     ("swing", swing); ("saturated", 1.0);
   ]
 
-let hybrid_metrics ?backend (proc : Process.t) (req : Mdac_stage.requirements)
+let hybrid_metrics (proc : Process.t) (req : Mdac_stage.requirements)
     (z : Ota.sizing) =
-  match Ota.evaluate ~load_cap:req.Mdac_stage.c_load_eff ?backend proc z with
+  match Ota.evaluate ~load_cap:req.Mdac_stage.c_load_eff proc z with
   | Error _ -> ([], None)
   | Ok perf ->
     let metric_opt name v = Option.map (fun x -> (name, x)) v in
@@ -244,13 +244,13 @@ let hybrid_metrics ?backend (proc : Process.t) (req : Mdac_stage.requirements)
     in
     (List.filter_map Fun.id base, Some perf)
 
-let evaluate_sizing ?backend ~kind proc req z =
+let evaluate_sizing ~kind proc req z =
   match kind with
   | Equation_only -> (equation_metrics proc req z, None)
-  | Hybrid | Hybrid_verified -> hybrid_metrics ?backend proc req z
+  | Hybrid | Hybrid_verified -> hybrid_metrics proc req z
 
 let synthesize ?(kind = Hybrid) ?(engine = `Sa) ?budget ?(seed = 1) ?warm_start
-    ?(obs = Adc_obs.null) ?span_parent ?backend proc
+    ?(obs = Adc_obs.null) ?span_parent proc
     (req : Mdac_stage.requirements) =
   let span = Adc_obs.span obs ?parent:span_parent ~name:"synth.search" () in
   let budget =
@@ -271,7 +271,7 @@ let synthesize ?(kind = Hybrid) ?(engine = `Sa) ?budget ?(seed = 1) ?warm_start
     incr eval_count;
     let values = Space.denormalize space x in
     let z = sizing_of_values seed_sizing values in
-    let metrics, _ = evaluate_sizing ?backend ~kind proc req z in
+    let metrics, _ = evaluate_sizing ~kind proc req z in
     if metrics = [] then 1e3
     else begin
       let lookup name = List.assoc_opt name metrics in
@@ -301,7 +301,7 @@ let synthesize ?(kind = Hybrid) ?(engine = `Sa) ?budget ?(seed = 1) ?warm_start
   in
   let best_values = Space.denormalize space refined.Pattern.best_x in
   let best_sizing = sizing_of_values seed_sizing best_values in
-  let metrics, perf = evaluate_sizing ?backend ~kind proc req best_sizing in
+  let metrics, perf = evaluate_sizing ~kind proc req best_sizing in
   let result =
   if metrics = [] then Error "synthesized point failed final evaluation"
   else begin
@@ -313,7 +313,7 @@ let synthesize ?(kind = Hybrid) ?(engine = `Sa) ?budget ?(seed = 1) ?warm_start
       | Hybrid_verified -> begin
         let caps = req.Mdac_stage.caps in
         match
-          Ota.settling_bench ?backend proc best_sizing ~gain:caps.Adc_mdac.Caps.gain
+          Ota.settling_bench proc best_sizing ~gain:caps.Adc_mdac.Caps.gain
             ~c_feedback:caps.Adc_mdac.Caps.c_feedback
             ~c_load:req.Mdac_stage.c_load_ext
             ~v_step:(req.Mdac_stage.spec.Mdac_stage.vref_pp /. 4.0)

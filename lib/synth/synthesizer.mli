@@ -57,16 +57,13 @@ val design_space :
     normalized coordinates. *)
 
 val evaluate_sizing :
-  ?backend:Adc_circuit.Mna.backend ->
   kind:evaluator_kind ->
   Adc_circuit.Process.t ->
   Adc_mdac.Mdac_stage.requirements ->
   Adc_mdac.Ota.sizing ->
   (string * float) list * Adc_mdac.Ota.performance option
 (** Metrics list: "power", "a0", "gbw", "pm", "sr", "swing", "saturated".
-    Empty list when the point is unsimulatable. [backend] selects the
-    circuit-simulation linear solver (default [`Sparse]; [`Dense] is the
-    cross-check oracle). *)
+    Empty list when the point is unsimulatable. *)
 
 val synthesize :
   ?kind:evaluator_kind ->
@@ -76,7 +73,6 @@ val synthesize :
   ?warm_start:Adc_mdac.Ota.sizing ->
   ?obs:Adc_obs.t ->
   ?span_parent:Adc_obs.Span.t ->
-  ?backend:Adc_circuit.Mna.backend ->
   Adc_circuit.Process.t ->
   Adc_mdac.Mdac_stage.requirements ->
   (solution, string) result

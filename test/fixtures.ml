@@ -1,5 +1,5 @@
-(* Inputs shared by the test suites: the shipped process cards and
-   seeded OTA sizings around a first cut. *)
+(* Inputs shared by the test suites: the shipped process cards, seeded
+   OTA sizings around a first cut, and the solver switch. *)
 
 module Ota = Adc_mdac.Ota
 
@@ -36,3 +36,11 @@ let candidates ~rng ~n (z : Ota.sizing) =
         v_cascp = z.Ota.v_cascp +. dv ();
       })
 
+
+(* Run [f] on the production sparse solver or on the dense LU oracle. *)
+let on_solver solver f =
+  match solver with
+  | `Sparse -> f ()
+  | `Dense -> Adc_circuit.Mna.Oracle.with_dense f
+
+let solver_name = function `Sparse -> "sparse" | `Dense -> "dense"

@@ -516,10 +516,10 @@ let equivalence_netlists () =
   ]
 
 let solve_dc_backend name backend nl =
-  match Dc.solve ~backend nl with
+  match Fixtures.on_solver backend (fun () -> Dc.solve nl) with
   | Ok r -> r
-  | Error e -> Alcotest.failf "%s: DC failed on %s backend: %s" name
-      (match backend with `Sparse -> "sparse" | `Dense -> "dense") e
+  | Error e ->
+    Alcotest.failf "%s: DC failed on %s backend: %s" name (Fixtures.solver_name backend) e
 
 let test_dc_backends_agree () =
   List.iter
@@ -531,32 +531,60 @@ let test_dc_backends_agree () =
         Alcotest.failf "%s: dense and sparse operating points differ by %g" name diff)
     (equivalence_netlists ())
 
+(* A long RC ladder: the largest system the solver tests run, where
+   dense LU is O(n^3) per Newton iteration and the ladder factors in O(n). *)
+let rc_ladder sections () =
+  let nl = Netlist.create proc in
+  let nodes =
+    Array.init (sections + 1) (fun i -> Netlist.node nl (Printf.sprintf "n%d" i))
+  in
+  Netlist.vsource nl "vs" nodes.(0) Netlist.ground (Stimulus.step ~from:0.0 ~to_:1.0 ());
+  for i = 0 to sections - 1 do
+    Netlist.resistor nl (Printf.sprintf "r%d" i) nodes.(i) nodes.(i + 1) 1000.0;
+    Netlist.capacitor nl (Printf.sprintf "c%d" i) nodes.(i + 1) Netlist.ground 1e-12
+  done;
+  nl
+
 let test_transient_backends_agree () =
   (* identical fixed-step trajectories: both backends solve the same
-     Newton systems, so the whole waveform must agree to solver noise *)
+     Newton systems, so the whole waveform must agree to solver noise.
+     The sparse runs replay the shared symbolic factorization (no
+     analysis of their own); the dense oracle reports no counters. *)
+  let builders = equivalence_netlists () in
   let cases =
     [
-      ("rc lowpass", "rc lowpass", 5e-6, 5e-8);
-      ("switch divider", "switch divider", 1e-6, 1e-8);
-      ("switched cap", "switched cap", 20e-9, 20e-12);
+      ("rc lowpass", List.assoc "rc lowpass" builders, 5e-6, 5e-8);
+      ("switch divider", List.assoc "switch divider" builders, 1e-6, 1e-8);
+      ("switched cap", List.assoc "switched cap" builders, 20e-9, 20e-12);
+      ("rc ladder 160", rc_ladder 160, 400e-9, 1e-9);
     ]
   in
-  let builders = equivalence_netlists () in
   List.iter
-    (fun (name, key, t_stop, dt) ->
-      let build = List.assoc key builders in
+    (fun (name, build, t_stop, dt) ->
       let run backend =
-        match Transient.run ~control:Transient.Fixed ~backend (build ()) ~t_stop ~dt with
-        | Ok w -> w
+        match
+          Fixtures.on_solver backend (fun () ->
+              Transient.run_with_stats ~control:Transient.Fixed (build ()) ~t_stop ~dt)
+        with
+        | Ok r -> r
         | Error e -> Alcotest.failf "%s: transient failed: %s" name e
       in
-      let wd = run `Dense and ws = run `Sparse in
+      let wd, std = run `Dense and ws, sts = run `Sparse in
       Array.iteri
         (fun i t ->
           let diff = Vec.max_abs_diff wd.Transient.data.(i) ws.Transient.data.(i) in
           if diff > 1e-9 then
             Alcotest.failf "%s: backends differ by %g at t=%g" name diff t)
-        wd.Transient.times)
+        wd.Transient.times;
+      let s = sts.Transient.solver in
+      Alcotest.(check int) (name ^ ": sparse analyses") 0 s.Sparse.analyses;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: sparse refactorizations (%d) cover the steps" name
+           s.Sparse.refactorizations)
+        true
+        (s.Sparse.refactorizations >= sts.Transient.accepted_steps);
+      Alcotest.(check bool) (name ^ ": dense reports zeros") true
+        (std.Transient.solver = { Sparse.analyses = 0; refactorizations = 0; solves = 0 }))
     cases
 
 (* Regression for the Newton convergence criterion: acceptance is judged
@@ -617,7 +645,7 @@ let prop_random_netlist_backends_agree =
         nl
       in
       let solve backend nl =
-        match Dc.solve ~backend nl with
+        match Fixtures.on_solver backend (fun () -> Dc.solve nl) with
         | Ok r -> r.Dc.x
         | Error e -> Alcotest.failf "random netlist DC failed: %s" e
       in
@@ -666,11 +694,45 @@ let test_lte_matches_fixed_rc () =
     fixed_wf;
   Alcotest.(check bool) "adaptive takes fewer steps" true
     (ada_st.Transient.accepted_steps < fixed_st.Transient.accepted_steps / 4);
-  match ada_st.Transient.solver with
-  | None -> Alcotest.fail "sparse backend reports solver stats"
-  | Some s ->
-    Alcotest.(check bool) "refactorizations dominate analyses" true
-      (s.Sparse.refactorizations > 0 && s.Sparse.analyses = 0)
+  let s = ada_st.Transient.solver in
+  Alcotest.(check bool) "refactorizations dominate analyses" true
+    (s.Sparse.refactorizations > 0 && s.Sparse.analyses = 0)
+
+(* The oracle hook is scoped: contexts built inside it are dense (their
+   counters stay zero through a solve), and the production solver is
+   back once the thunk returns or raises. *)
+let test_oracle_hook_is_scoped () =
+  let nl = List.assoc "divider" (equivalence_netlists ()) () in
+  let refactorizations () =
+    let ctx = Mna.context nl in
+    ignore (Dc.solve ~ctx nl);
+    (Mna.ctx_stats ctx).Sparse.refactorizations
+  in
+  Alcotest.(check int) "dense inside" 0 (Mna.Oracle.with_dense refactorizations);
+  Alcotest.(check int) "dense when nested" 0
+    (Mna.Oracle.with_dense (fun () ->
+         ignore (Mna.Oracle.with_dense refactorizations);
+         refactorizations ()));
+  Alcotest.check_raises "the thunk's exception escapes" Exit (fun () ->
+      Mna.Oracle.with_dense (fun () -> raise Exit));
+  Alcotest.(check bool) "sparse after a raise" true (refactorizations () > 0)
+
+(* NaN passes a [<= 0.0] guard and infinities collapse the output grid
+   to one point, whose t = 0 state would then read as settled. *)
+let test_transient_rejects_non_finite_times () =
+  let nl = List.assoc "rc lowpass" (equivalence_netlists ()) () in
+  List.iter
+    (fun (what, t_stop, dt) ->
+      match Transient.run nl ~t_stop ~dt with
+      | _ -> Alcotest.failf "%s accepted" what
+      | exception Invalid_argument msg ->
+        Alcotest.(check string) what "Transient.run: bad time parameters" msg)
+    [
+      ("dt = nan", 1e-6, nan);
+      ("t_stop = nan", nan, 1e-8);
+      ("t_stop = infinity", infinity, 1e-8);
+      ("dt = infinity", 1e-6, infinity);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Netlist bookkeeping *)
@@ -742,6 +804,7 @@ let () =
           quick "settling time" test_transient_settling_time;
           quick "switch divider" test_transient_switch_divider;
           quick "sine source" test_transient_sine_follows_source;
+          quick "rejects non-finite times" test_transient_rejects_non_finite_times;
         ] );
       ( "stimulus",
         [
@@ -761,6 +824,7 @@ let () =
           quick "newton residual is fresh" test_newton_residual_is_fresh;
           QCheck_alcotest.to_alcotest prop_random_netlist_backends_agree;
           quick "lte matches fixed rc" test_lte_matches_fixed_rc;
+          quick "oracle hook is scoped" test_oracle_hook_is_scoped;
         ] );
       ( "netlist",
         [

@@ -249,13 +249,13 @@ type oracle = {
   probe_failed : bool;
 }
 
-let cold_servo ~load_cap ~backend proc z =
+let cold_servo ~load_cap proc z =
   let vcm_v = Ota.default_vcm proc in
   let target = 0.5 *. proc.Process.vdd in
   let probe_failed = ref false in
   let out_at inv_dc =
     let p = Ota.build ~load_cap ~vcm:vcm_v ~inv_dc proc z in
-    match Dc.solve ~backend p.Ota.nl with
+    match Dc.solve p.Ota.nl with
     | Ok op -> Some (op, Dc.node_voltage op p.Ota.out)
     | Error _ ->
       probe_failed := true;
@@ -326,19 +326,20 @@ let test_servo_matches_cold_oracle () =
             (fun i z ->
               List.iter
                 (fun backend ->
+                  Fixtures.on_solver backend @@ fun () ->
                   let what =
                     Printf.sprintf "%s %s candidate %d %s" card_name (Spec.job_to_string job) i
-                      (match backend with `Sparse -> "sparse" | `Dense -> "dense")
+                      (Fixtures.solver_name backend)
                   in
-                  let o = cold_servo ~load_cap ~backend proc z in
-                  let got = Ota.biased_operating_point ~load_cap ~backend proc z in
+                  let o = cold_servo ~load_cap proc z in
+                  let got = Ota.biased_operating_point ~load_cap proc z in
                   (match o.res with
                   | Ok _ when o.railed -> incr railed
                   | Ok _ -> incr centered
                   | Error _ -> ());
                   match (o.res, got) with
                   | _, Ok (p, op) when o.probe_failed -> (
-                    match Dc.solve ~backend p.Ota.nl with
+                    match Dc.solve p.Ota.nl with
                     | Ok cold -> check_same_op (what ^ " (cold re-solve)") cold op
                     | Error e -> Alcotest.failf "%s: returned bench does not solve cold: %s" what e)
                   | Error e, Error got -> Alcotest.(check string) (what ^ ": error") e got
@@ -382,9 +383,10 @@ let test_servo_takes_the_guide () =
             (fun z ->
               List.iter
                 (fun backend ->
-                  let o = cold_servo ~load_cap ~backend proc z in
+                  Fixtures.on_solver backend @@ fun () ->
+                  let o = cold_servo ~load_cap proc z in
                   let before = Ota.servo_totals () in
-                  ignore (Ota.biased_operating_point ~load_cap ~backend proc z);
+                  ignore (Ota.biased_operating_point ~load_cap proc z);
                   let after = Ota.servo_totals () in
                   if after.Ota.servo_calls - before.Ota.servo_calls <> 1 then
                     Alcotest.fail "biased_operating_point is not one servo call";
@@ -544,6 +546,28 @@ let test_set_wave_rejects_non_sources () =
       | exception Invalid_argument _ -> ())
     [ "no_such_source"; "m1"; "cl" ]
 
+(* The large-swing settling leg of a 13-bit converter's m = 3 stage at
+   11 input bits, DC operating point plus adaptive transient, lands on
+   the same final value on the sparse solver and on the dense oracle. *)
+let test_settling_bench_matches_oracle () =
+  let spec = Spec.paper_case ~k:13 in
+  let req = Spec.stage_requirements spec { Spec.m = 3; input_bits = 11 } in
+  let caps = req.Mdac_stage.caps in
+  let final backend =
+    match
+      Fixtures.on_solver backend (fun () ->
+          Ota.settling_bench spec.Spec.process Ota.default_sizing ~gain:caps.Caps.gain
+            ~c_feedback:caps.Caps.c_feedback ~c_load:req.Mdac_stage.c_load_ext
+            ~v_step:(req.Mdac_stage.spec.Mdac_stage.vref_pp /. 4.0)
+            ~t_window:(2.0 *. req.Mdac_stage.t_settle)
+            ~tol:req.Mdac_stage.settle_tol)
+    with
+    | Ok s -> s.Ota.final_value
+    | Error e -> Alcotest.failf "%s settling bench failed: %s" (Fixtures.solver_name backend) e
+  in
+  let diff = Float.abs (final `Dense -. final `Sparse) in
+  Alcotest.(check bool) (Printf.sprintf "final values differ by %g" diff) true (diff <= 1e-9)
+
 (* ------------------------------------------------------------------ *)
 (* Switched-capacitor MDAC transient bench *)
 
@@ -630,6 +654,7 @@ let () =
           quick "non-finite transfer function is an error" test_ota_non_finite_tf_is_error;
           quick "cascode gain" test_ota_cascode_has_more_gain;
           quick "settling bench" test_ota_settling_bench_accuracy;
+          quick "settling bench matches oracle" test_settling_bench_matches_oracle;
           quick "symbolic transfer" test_ota_symbolic_transfer_mentions_devices;
           quick "power tracks bias" test_ota_power_tracks_bias;
         ] );

@@ -230,6 +230,49 @@ let test_hybrid_evaluator_runs () =
   Alcotest.(check bool) "metrics present" true (List.mem_assoc "a0" metrics);
   Alcotest.(check bool) "simulated performance attached" true (perf <> None)
 
+(* An annealing-style sweep of 12 OTA candidates around the 13-bit
+   first cut (m = 3 at 11 bits): the optimum the hybrid evaluator
+   selects, rendered with its power, is the same on the sparse solver
+   and on the dense oracle. *)
+let test_hybrid_sweep_optimum_matches_oracle () =
+  let spec = Adc_pipeline.Spec.paper_case ~k:13 in
+  let proc = spec.Adc_pipeline.Spec.process in
+  let req = Adc_pipeline.Spec.stage_requirements spec { Adc_pipeline.Spec.m = 3; input_bits = 11 } in
+  let base = Synthesizer.initial_sizing proc req in
+  let candidates =
+    List.init 12 (fun i ->
+        let s = 0.7 +. (0.06 *. float_of_int i) in
+        {
+          base with
+          Ota.w_pair = base.Ota.w_pair *. s;
+          w_cs = base.Ota.w_cs *. s;
+          c_comp = base.Ota.c_comp *. (0.8 +. (0.04 *. float_of_int i));
+        })
+  in
+  (* lowest power among the candidates with every device saturated *)
+  let optimum () =
+    let get name m = Option.value ~default:nan (List.assoc_opt name m) in
+    let best = ref (-1) and best_power = ref infinity in
+    List.iteri
+      (fun i z ->
+        let m, _ = Synthesizer.evaluate_sizing ~kind:Synthesizer.Hybrid proc req z in
+        let power = get "power" m in
+        if get "saturated" m > 0.5 && power < !best_power then begin
+          best := i;
+          best_power := power
+        end)
+      candidates;
+    if !best < 0 then "none"
+    else
+      let c = List.nth candidates !best in
+      Printf.sprintf "candidate-%02d w_pair=%.4g c_comp=%.4g power=%.6g" !best c.Ota.w_pair
+        c.Ota.c_comp !best_power
+  in
+  let sparse = optimum () in
+  Alcotest.(check bool) (sparse ^ ": some candidate qualifies") true (sparse <> "none");
+  Alcotest.(check string) "dense oracle selects the same optimum" sparse
+    (Adc_circuit.Mna.Oracle.with_dense optimum)
+
 let test_synthesize_small_budget () =
   let req = easy_requirements () in
   match
@@ -330,6 +373,7 @@ let () =
           quick "constraint coverage" test_constraints_of_covers_specs;
           quick "equation evaluator" test_equation_evaluator_runs;
           quick "hybrid evaluator" test_hybrid_evaluator_runs;
+          quick "hybrid sweep optimum matches oracle" test_hybrid_sweep_optimum_matches_oracle;
           slow "small synthesis" test_synthesize_small_budget;
           slow "deterministic pattern" test_synthesize_deterministic_pattern_only;
           slow "warm start" test_warm_start_uses_fewer_evals;
