@@ -173,7 +173,16 @@ let map_ordered t f xs =
   in
   List.map (function Ok v -> v | Error e -> raise e) settled
 
+(* A terminated domain leaves its major heap behind, garbage included.
+   One major cycle adopts that heap and the next one sweeps it; until
+   then the memory stays held while the next pool's domains grow heaps
+   of their own. A process that opens pool after pool (one per
+   optimization) and allocates little completes few major cycles per
+   pool, so without a collection here it holds several dead pools' heaps
+   at once. The collection costs about 2 ms after a 10-bit hybrid
+   optimization on a 2-core x86-64 host, once per pool. *)
 let shutdown t =
+  let joined = t.workers <> [] in
   if t.size > 1 then begin
     Mutex.lock t.mutex;
     t.closed <- true;
@@ -183,11 +192,12 @@ let shutdown t =
     t.workers <- []
   end
   else t.closed <- true;
-  match t.instr with
+  (match t.instr with
   | None -> ()
   | Some instr ->
     Obs.Metrics.set instr.wall
-      (Int64.to_float (Obs.Clock.elapsed_ns ~since:t.created_ns))
+      (Int64.to_float (Obs.Clock.elapsed_ns ~since:t.created_ns)));
+  if joined then Gc.full_major ()
 
 let with_pool ?obs ?size f =
   let t = create ?obs ?size () in

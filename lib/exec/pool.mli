@@ -75,9 +75,10 @@ val map_ordered : t -> ('a -> 'b) -> 'a list -> 'b list
     after all tasks have settled, so no task is abandoned mid-flight. *)
 
 val shutdown : t -> unit
-(** [shutdown t] waits for the queue to drain, stops the workers, and
-    joins their domains. Idempotent. Submitting after shutdown raises
-    [Invalid_argument]. *)
+(** [shutdown t] waits for the queue to drain, stops the workers, joins
+    their domains, and then runs a full major collection, so the heaps
+    the workers leave behind are reclaimed before another pool starts.
+    Idempotent. Submitting after shutdown raises [Invalid_argument]. *)
 
 val with_pool : ?obs:Adc_obs.t -> ?size:int -> (t -> 'a) -> 'a
 (** [with_pool ~size f] runs [f] over a fresh pool and guarantees

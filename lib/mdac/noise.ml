@@ -46,7 +46,7 @@ let analyze ?(gamma = 2.0 /. 3.0) ?(f_lo = 1e3) ?(f_hi = 1e11)
     let mos_tbl = Hashtbl.create 8 in
     List.iter (fun (m : Smallsig.mos_op) -> Hashtbl.replace mos_tbl m.Smallsig.name m) ss.Smallsig.mos;
     let contribution source ~psd ~src_pos ~src_neg =
-      let tf = finite source (dpi.Dpi.numeric_tf_current ~src_pos ~src_neg ~out) in
+      let tf = finite source (Dpi.numeric_tf_current dpi ~src_pos ~src_neg ~out) in
       { source; psd_a2 = psd; v_out_rms = integrate_psd tf ~psd ~freqs }
     in
     let contributions =
@@ -73,7 +73,7 @@ let analyze ?(gamma = 2.0 /. 3.0) ?(f_lo = 1e3) ?(f_hi = 1e11)
            (fun a (c : contribution) -> a +. (c.v_out_rms *. c.v_out_rms))
            0.0 contributions)
     in
-    let signal_tf = finite "the signal input" (dpi.Dpi.numeric_tf out) in
+    let signal_tf = finite "the signal input" (Dpi.numeric_tf dpi out) in
     let midband_gain = Float.abs (Ratfun.dc_gain signal_tf) in
     let v_in_rms = if midband_gain > 0.0 then v_out_rms /. midband_gain else infinity in
     {

@@ -413,10 +413,9 @@ let evaluate ?(load_cap = 1e-12) (proc : Process.t) z =
   | Error e -> Error e
   | Ok (p, op, _inv_dc) -> begin
     let ss = Smallsig.extract p.nl op in
-    match Dpi.build p.nl ss with
+    match Dpi.numeric_transfer_to (Dpi.build p.nl ss) p.out with
     | exception Dpi.Unsupported msg -> Error ("DPI failed: " ^ msg)
-    | dpi ->
-      let h = Dpi.numeric_transfer_to dpi p.out in
+    | h ->
       match Analysis.characterize h with
       | exception Invalid_argument msg -> Error ("transfer-function analysis failed: " ^ msg)
       | spec ->

@@ -18,48 +18,6 @@ let get m i j = m.a.((i * m.n) + j)
 let set m i j v = m.a.((i * m.n) + j) <- v
 let add_to m i j v = m.a.((i * m.n) + j) <- Complex.add m.a.((i * m.n) + j) v
 
-let det m =
-  let n = m.n in
-  let a = Array.copy m.a in
-  let idx i j = (i * n) + j in
-  let sign = ref 1.0 in
-  let result = ref Complex.one in
-  (try
-     for k = 0 to n - 1 do
-       let pmax = ref (Complex.norm a.(idx k k)) in
-       let prow = ref k in
-       for i = k + 1 to n - 1 do
-         let v = Complex.norm a.(idx i k) in
-         if v > !pmax then begin
-           pmax := v;
-           prow := i
-         end
-       done;
-       if !pmax = 0.0 then begin
-         result := Complex.zero;
-         raise Exit
-       end;
-       if !prow <> k then begin
-         sign := -. !sign;
-         for j = k to n - 1 do
-           let tmp = a.(idx k j) in
-           a.(idx k j) <- a.(idx !prow j);
-           a.(idx !prow j) <- tmp
-         done
-       end;
-       let pivot = a.(idx k k) in
-       result := Complex.mul !result pivot;
-       for i = k + 1 to n - 1 do
-         let f = Complex.div a.(idx i k) pivot in
-         if f <> Complex.zero then
-           for j = k + 1 to n - 1 do
-             a.(idx i j) <- Complex.sub a.(idx i j) (Complex.mul f a.(idx k j))
-           done
-       done
-     done
-   with Exit -> ());
-  { Complex.re = !result.Complex.re *. !sign; im = !result.Complex.im *. !sign }
-
 let solve m b =
   let n = m.n in
   if Array.length b <> n then invalid_arg "Cxm.solve: dimension mismatch";

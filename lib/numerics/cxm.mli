@@ -33,7 +33,3 @@ val dim : t -> int
 val solve : t -> Complex.t array -> Complex.t array
 (** Gaussian elimination with partial pivoting; destroys neither input.
     Raises {!Singular} on numerically singular systems. *)
-
-val det : t -> Complex.t
-(** Determinant via LU with partial pivoting; returns zero for singular
-    matrices instead of raising. *)

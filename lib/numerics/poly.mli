@@ -58,6 +58,12 @@ val totals : unit -> totals
     any domain, added once per call — the live-metrics view of
     root-finding, mirroring [Dc.totals]. *)
 
+val horner_into : float array -> float array -> float -> float -> unit
+(** [horner_into out c zre zim] writes the polynomial with coefficients
+    [c] (lowest degree first, as {!coeffs}) at [z] to [out.(0)],
+    [out.(1)], operation for operation {!eval_complex}. Allocates
+    nothing. *)
+
 val from_roots : Complex.t array -> t
 (** Monic real polynomial with the given roots; conjugate pairs must both
     be present (the small imaginary residue of the product is dropped). *)

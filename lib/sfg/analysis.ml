@@ -20,16 +20,52 @@ let sort_by_magnitude arr =
   Array.sort (fun (x : Complex.t) (y : Complex.t) -> compare (Complex.norm x) (Complex.norm y)) a;
   a
 
+(* H(j 2 pi f) into [out.(0)], [out.(1)]: operation for operation
+   [Ratfun.eval_jw] over the coefficient arrays [num] and [den]: Horner
+   on each, then the stdlib [Complex.div] (Smith's method) written out *)
+let eval_jw_into out ~num ~den f =
+  let w = 2.0 *. Float.pi *. f in
+  Poly.horner_into out num 0.0 w;
+  let xre = out.(0) and xim = out.(1) in
+  Poly.horner_into out den 0.0 w;
+  let yre = out.(0) and yim = out.(1) in
+  if Float.abs yre >= Float.abs yim then begin
+    let r = yim /. yre in
+    let d = yre +. (r *. yim) in
+    out.(0) <- (xre +. (r *. xim)) /. d;
+    out.(1) <- (xim -. (r *. xre)) /. d
+  end
+  else begin
+    let r = yre /. yim in
+    let d = yim +. (r *. yre) in
+    out.(0) <- ((r *. xre) +. xim) /. d;
+    out.(1) <- ((r *. xim) -. xre) /. d
+  end
+
 (* log-spaced search for |H| crossing [level]; hz bounds derived from the
-   pole/zero magnitudes so the search window always brackets the action *)
-let find_crossing h ~level ~f_lo ~f_hi =
+   pole/zero magnitudes so the search window always brackets the action.
+   The 400 grid points are computed as the scan reaches them (an array of
+   them would be allocated straight into the major heap), and the scan
+   stops where [Rootfind.find_sign_change] would. *)
+let find_crossing out ~num ~den ~level ~f_lo ~f_hi =
   let n = 400 in
   let lf0 = log10 f_lo and lf1 = log10 f_hi in
-  let grid = Array.init n (fun i -> 10.0 ** (lf0 +. ((lf1 -. lf0) *. float_of_int i /. float_of_int (n - 1)))) in
-  let f_of x = magnitude_at h x -. level in
-  match Rootfind.find_sign_change f_of grid with
-  | None -> None
-  | Some (a, b) -> Some (Rootfind.brent f_of a b)
+  let grid i = 10.0 ** (lf0 +. ((lf1 -. lf0) *. float_of_int i /. float_of_int (n - 1))) in
+  let f_of x =
+    eval_jw_into out ~num ~den x;
+    Float.hypot out.(0) out.(1) -. level
+  in
+  let rec scan i prev_x prev_f =
+    if i >= n then None
+    else
+      let x = grid i in
+      let fx = f_of x in
+      if prev_f *. fx <= 0.0 && (prev_f <> 0.0 || fx <> 0.0) then
+        Some (Rootfind.brent f_of prev_x x)
+      else scan (i + 1) x fx
+  in
+  let x0 = grid 0 in
+  scan 1 x0 (f_of x0)
 
 let freq_window poles zeros =
   let mags =
@@ -50,21 +86,27 @@ let characterize h =
   let dc_signed = Ratfun.dc_gain h in
   let dc = Float.abs dc_signed in
   let f_lo, f_hi = freq_window poles zeros in
-  let unity = if dc > 1.0 then find_crossing h ~level:1.0 ~f_lo ~f_hi else None in
+  let num = Poly.coeffs h.Ratfun.num and den = Poly.coeffs h.Ratfun.den in
+  let out = Array.make 2 0.0 in
+  let phase_at f =
+    eval_jw_into out ~num ~den f;
+    Float.atan2 out.(1) out.(0)
+  in
+  let unity = if dc > 1.0 then find_crossing out ~num ~den ~level:1.0 ~f_lo ~f_hi else None in
   let pm =
     match unity with
     | None -> None
     | Some fu ->
       (* phase margin relative to the inversion-free loop convention:
          PM = 180 + phase(H(j wu)) with phase unwrapped from DC *)
-      let ph_dc = Complex.arg (Ratfun.eval_jw h (f_lo /. 10.0)) in
+      let ph_dc = phase_at (f_lo /. 10.0) in
       (* unwrap by stepping in log frequency *)
       let steps = 200 in
       let prev = ref ph_dc in
       let unwrapped = ref ph_dc in
       for i = 1 to steps do
         let f = (f_lo /. 10.0) *. ((fu /. (f_lo /. 10.0)) ** (float_of_int i /. float_of_int steps)) in
-        let p = Complex.arg (Ratfun.eval_jw h f) in
+        let p = phase_at f in
         let rec adjust p =
           if p -. !prev > Float.pi then adjust (p -. (2.0 *. Float.pi))
           else if p -. !prev < -.Float.pi then adjust (p +. (2.0 *. Float.pi))
@@ -78,7 +120,9 @@ let characterize h =
       let excess = (!unwrapped -. ph_dc) *. 180.0 /. Float.pi in
       Some (180.0 +. excess)
   in
-  let bw = if dc > 0.0 then find_crossing h ~level:(dc /. sqrt 2.0) ~f_lo ~f_hi else None in
+  let bw =
+    if dc > 0.0 then find_crossing out ~num ~den ~level:(dc /. sqrt 2.0) ~f_lo ~f_hi else None
+  in
   let gbw = match bw with Some f -> Some (dc *. f) | None -> None in
   {
     dc_gain = dc;

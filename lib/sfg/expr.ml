@@ -90,25 +90,6 @@ let rec eval e env =
     if d = 0.0 then raise Division_by_zero else eval a env /. d
   | Pow (a, k) -> eval a env ** float_of_int k
 
-let rec eval_complex e env =
-  match e with
-  | Const c -> { Complex.re = c; im = 0.0 }
-  | Var n -> env n
-  | Add ts -> List.fold_left (fun acc t -> Complex.add acc (eval_complex t env)) Complex.zero ts
-  | Mul ts -> List.fold_left (fun acc t -> Complex.mul acc (eval_complex t env)) Complex.one ts
-  | Neg a -> Complex.neg (eval_complex a env)
-  | Div (a, b) ->
-    let d = eval_complex b env in
-    if Complex.norm d = 0.0 then raise Division_by_zero
-    else Complex.div (eval_complex a env) d
-  | Pow (a, k) ->
-    let base = eval_complex a env in
-    let rec go acc i =
-      if i = 0 then acc else go (Complex.mul acc base) (Stdlib.( - ) i 1)
-    in
-    if k >= 0 then go Complex.one k
-    else Complex.div Complex.one (go Complex.one (Stdlib.( ~- ) k))
-
 let vars e =
   let acc = ref [] in
   let rec go = function

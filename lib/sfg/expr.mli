@@ -42,10 +42,6 @@ val eval : t -> (string -> float) -> float
     (raises [Not_found] otherwise). Division by zero raises
     [Division_by_zero]. *)
 
-val eval_complex : t -> (string -> Complex.t) -> Complex.t
-(** Complex evaluation (e.g. with [s] bound to a point on the imaginary
-    axis). *)
-
 val vars : t -> string list
 (** Free variables, sorted, without duplicates. *)
 

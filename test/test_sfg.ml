@@ -208,14 +208,16 @@ let test_dpi_symbolic_form () =
   Alcotest.(check bool) "references c_c" true (List.mem "c_c" vs);
   Alcotest.(check bool) "references s" true (List.mem "s" vs)
 
-let common_source () =
+(* [m_name] names the transistor, so a test can make a topology no
+   other test has compiled *)
+let common_source ?(m_name = "m1") () =
   let nl = Netlist.create proc in
   let vdd = Netlist.node nl "vdd" and out = Netlist.node nl "out" and g = Netlist.node nl "g" in
   Netlist.vsource nl "vdd_src" vdd Netlist.ground (Stimulus.Dc 3.3);
   Netlist.vsource nl ~ac_mag:1.0 "vg" g Netlist.ground (Stimulus.Dc 1.0);
   Netlist.resistor nl "rd" vdd out 5000.0;
   Netlist.capacitor nl "cl" out Netlist.ground 1e-12;
-  Netlist.mosfet nl "m1" ~d:out ~g ~s:Netlist.ground ~b:Netlist.ground Process.Nmos
+  Netlist.mosfet nl m_name ~d:out ~g ~s:Netlist.ground ~b:Netlist.ground Process.Nmos
     ~w:10e-6 ~l:1e-6 ();
   (nl, out)
 
@@ -252,6 +254,201 @@ let test_dpi_rejects_vcvs () =
        ignore (Dpi.build nl ss);
        false
      with Dpi.Unsupported _ -> true)
+
+(* ------------------------------------------------------------------ *)
+(* Compiled DPI programs, bit for bit the Expr-sampling reference *)
+
+module Mosfet = Adc_circuit.Mosfet
+module Ota = Adc_mdac.Ota
+module Mdac_stage = Adc_mdac.Mdac_stage
+module Spec = Adc_pipeline.Spec
+module Synthesizer = Adc_synth.Synthesizer
+module Optimize = Adc_pipeline.Optimize
+
+let small_signal nl =
+  match Dc.solve nl with Ok r -> Smallsig.extract nl r | Error e -> Alcotest.failf "dc: %s" e
+
+(* a transfer function, or the refusal both sides must agree on *)
+let outcome f =
+  match f () with
+  | tf -> Some tf
+  | exception (Dpi.Unsupported _ | Oracle.Unsupported _) -> None
+
+(* true when both answered *)
+let check_same_tf what expected actual =
+  match (outcome expected, outcome actual) with
+  | Some e, Some a ->
+    if not (Oracle.same_ratfun e a) then
+      Alcotest.failf "%s: coefficients differ from the reference" what;
+    true
+  | None, None -> false
+  | Some _, None -> Alcotest.failf "%s: refused where the reference answers" what
+  | None, Some _ -> Alcotest.failf "%s: answered where the reference refuses" what
+
+(* the signal transfer function and every current injection the noise
+   analysis makes (drain-source of each MOS, across each resistor) *)
+let check_against_reference what nl ss out =
+  let dpi = Dpi.build nl ss and o = Oracle.dpi nl ss in
+  if
+    not
+      (check_same_tf (what ^ ", signal")
+         (fun () -> o.Oracle.numeric_tf out)
+         (fun () -> Dpi.numeric_tf dpi out))
+  then Alcotest.failf "%s: no signal transfer function" what;
+  let injection name src_pos src_neg =
+    ignore @@ check_same_tf
+      (Printf.sprintf "%s, injection across %s" what name)
+      (fun () -> o.Oracle.numeric_tf_current ~src_pos ~src_neg ~out)
+      (fun () -> Dpi.numeric_tf_current dpi ~src_pos ~src_neg ~out)
+  in
+  List.iter
+    (function
+      | Netlist.Mos { m_name; d; s; _ } -> injection m_name d s
+      | Netlist.Resistor { r_name; np; nn; _ } -> injection r_name np nn
+      | Netlist.Capacitor _ | Netlist.Vsource _ | Netlist.Isource _ | Netlist.Vcvs _
+      | Netlist.Switch _ -> ())
+    (Netlist.devices nl)
+
+let test_dpi_fixtures_match_reference () =
+  let nl, _, out = rc_netlist () in
+  check_against_reference "rc" nl (small_signal nl) out;
+  let nl, out = common_source () in
+  check_against_reference "common source" nl (small_signal nl) out
+
+let ten_bit_specs () =
+  [
+    ("c025", Spec.paper_case ~k:10);
+    ("c018", Spec.make ~process:(Fixtures.card "c018.sp") ~k:10 ~fs:40e6 ());
+    ("c060", Spec.make ~process:(Fixtures.card "c060.sp") ~k:10 ~fs:40e6 ());
+  ]
+
+let simple_job = { Spec.m = 2; input_bits = 8 }
+let cascode_job = { Spec.m = 3; input_bits = 10 }
+
+(* the OTA bench and small-signal data at a sizing's servo point *)
+let ota_point spec job z =
+  let req = Spec.stage_requirements spec job in
+  match Ota.biased_operating_point ~load_cap:req.Mdac_stage.c_load_eff spec.Spec.process z with
+  | Error _ -> None
+  | Ok (p, op) -> Some (p, Smallsig.extract p.Ota.nl op)
+
+let first_cut spec job =
+  Synthesizer.initial_sizing spec.Spec.process (Spec.stage_requirements spec job)
+
+let test_dpi_otas_match_reference () =
+  let rng = Random.State.make [| 17; 0xd91 |] in
+  let compared = ref 0 in
+  List.iter
+    (fun (card_name, spec) ->
+      List.iter
+        (fun job ->
+          let z0 = first_cut spec job in
+          List.iteri
+            (fun i z ->
+              match ota_point spec job z with
+              | None -> ()
+              | Some (p, ss) ->
+                check_against_reference
+                  (Printf.sprintf "%s %s candidate %d" card_name (Spec.job_to_string job) i)
+                  p.Ota.nl ss p.Ota.out;
+                incr compared)
+            (z0 :: Fixtures.candidates ~rng ~n:3 z0))
+        [ simple_job; cascode_job ])
+    (ten_bit_specs ());
+  Alcotest.(check bool) (Printf.sprintf "candidates compared (%d)" !compared) true (!compared >= 18)
+
+(* a MOS cap that crosses zero changes what is stamped: its own program *)
+let test_dpi_cap_sign_change_compiles_anew () =
+  let nl, out = common_source ~m_name:"m_cap_sign" () in
+  let ss = small_signal nl in
+  let flip (ss : Smallsig.t) =
+    let flip_cgs (m : Smallsig.mos_op) =
+      let c = m.Smallsig.caps in
+      { m with Smallsig.caps = { c with Mosfet.cgs = -.c.Mosfet.cgs } }
+    in
+    { ss with Smallsig.mos = List.map flip_cgs ss.Smallsig.mos }
+  in
+  Alcotest.(check bool) "cgs > 0 at the operating point" true
+    ((Smallsig.find_mos ss "m_cap_sign").Smallsig.caps.Mosfet.cgs > 0.0);
+  let before = Dpi.compiled_programs () in
+  check_against_reference "cgs > 0" nl ss out;
+  Alcotest.(check int) "first topology compiled" (before + 1) (Dpi.compiled_programs ());
+  check_against_reference "cgs < 0" nl (flip ss) out;
+  Alcotest.(check int) "the flipped cap compiles its own" (before + 2) (Dpi.compiled_programs ());
+  ignore (Dpi.build nl ss);
+  ignore (Dpi.build nl (flip ss));
+  Alcotest.(check int) "both are cached" (before + 2) (Dpi.compiled_programs ())
+
+(* the same OTA on another card is the same topology *)
+let test_dpi_program_shared_across_cards () =
+  let point card_name =
+    let spec = List.assoc card_name (ten_bit_specs ()) in
+    match ota_point spec cascode_job (first_cut spec cascode_job) with
+    | Some pt -> pt
+    | None -> Alcotest.failf "%s: no operating point at the first cut" card_name
+  in
+  let p25, ss25 = point "c025" in
+  ignore (Dpi.build p25.Ota.nl ss25);
+  let after_c025 = Dpi.compiled_programs () in
+  let p18, ss18 = point "c018" in
+  check_against_reference "c018 on the c025 program" p18.Ota.nl ss18 p18.Ota.out;
+  Alcotest.(check int) "no compilation for c018" after_c025 (Dpi.compiled_programs ())
+
+(* Two domains build a topology nobody has compiled yet at the same time:
+   both may compile, one program is published, both answer the
+   reference's bytes. *)
+let test_dpi_compile_race () =
+  let nl, out = common_source ~m_name:"m_race" () in
+  let ss = small_signal nl in
+  let expected = (Oracle.dpi nl ss).Oracle.numeric_tf out in
+  let before = Dpi.compiled_programs () in
+  let go = Atomic.make false in
+  let racer () =
+    while not (Atomic.get go) do
+      Domain.cpu_relax ()
+    done;
+    Dpi.numeric_tf (Dpi.build nl ss) out
+  in
+  let d1 = Domain.spawn racer and d2 = Domain.spawn racer in
+  Atomic.set go true;
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  Alcotest.(check bool) "first racer" true (Oracle.same_ratfun expected r1);
+  Alcotest.(check bool) "second racer" true (Oracle.same_ratfun expected r2);
+  Alcotest.(check int) "one program published" (before + 1) (Dpi.compiled_programs ())
+
+(* The output must be an SFG unknown, on a fresh topology and a cached one *)
+let test_dpi_output_not_unknown () =
+  let nl = Netlist.create proc in
+  let vin = Netlist.node nl "in" and out = Netlist.node nl "out" in
+  Netlist.vsource nl ~ac_mag:1.0 "vs_out_check" vin Netlist.ground (Stimulus.Dc 0.0);
+  Netlist.resistor nl "r" vin out 1000.0;
+  Netlist.capacitor nl "c" out Netlist.ground 1e-9;
+  let ss = small_signal nl in
+  let refused what =
+    match Dpi.numeric_transfer_to (Dpi.build nl ss) vin with
+    | _ -> Alcotest.failf "%s: the input node was accepted as an output" what
+    | exception Dpi.Unsupported _ -> ()
+  in
+  let before = Dpi.compiled_programs () in
+  refused "cache miss";
+  Alcotest.(check int) "compiled once" (before + 1) (Dpi.compiled_programs ());
+  refused "cache hit";
+  Alcotest.(check int) "then cached" (before + 1) (Dpi.compiled_programs ())
+
+(* A hybrid optimization builds thousands of candidates over a handful of
+   topologies. Runs before any other OTA test of this suite, so the count
+   is this job's own. *)
+let test_dpi_hybrid_job_compiles_few () =
+  let before = Dpi.compiled_programs () in
+  let budget = { Synthesizer.sa_iterations = 12; pattern_evals = 20; space_factor = 0.6 } in
+  let r =
+    Optimize.run ~mode:`Hybrid ~seed:7 ~attempts:1 ~budget ~jobs:1 (Spec.paper_case ~k:10)
+  in
+  let compiled = Dpi.compiled_programs () - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d programs for %d evaluator calls" compiled r.Optimize.synthesis_evaluations)
+    true
+    (compiled >= 1 && compiled <= 9 && r.Optimize.synthesis_evaluations > 100)
 
 (* ------------------------------------------------------------------ *)
 (* Analysis *)
@@ -385,11 +582,6 @@ let prop_mason_cascade_of_random_gains =
 (* ------------------------------------------------------------------ *)
 (* One root pass per transfer function, bit for bit the separate passes *)
 
-module Ota = Adc_mdac.Ota
-module Mdac_stage = Adc_mdac.Mdac_stage
-module Spec = Adc_pipeline.Spec
-module Synthesizer = Adc_synth.Synthesizer
-
 let check_same_spec what h =
   if not (Oracle.same_spec (Oracle.characterize h) (Analysis.characterize h)) then
     Alcotest.failf "%s: characterize differs from the separate-pass oracle" what
@@ -516,10 +708,17 @@ let () =
         ] );
       ( "dpi",
         [
+          quick "hybrid job compiles few programs" test_dpi_hybrid_job_compiles_few;
           quick "rc lowpass" test_dpi_rc_lowpass;
           quick "symbolic form" test_dpi_symbolic_form;
           quick "matches ac engine" test_dpi_matches_ac_engine;
           quick "rejects vcvs" test_dpi_rejects_vcvs;
+          quick "fixtures match reference" test_dpi_fixtures_match_reference;
+          quick "otas match reference" test_dpi_otas_match_reference;
+          quick "cap sign change compiles anew" test_dpi_cap_sign_change_compiles_anew;
+          quick "program shared across cards" test_dpi_program_shared_across_cards;
+          quick "compile race" test_dpi_compile_race;
+          quick "output must be an unknown" test_dpi_output_not_unknown;
         ] );
       ( "structure",
         [
