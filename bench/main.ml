@@ -12,7 +12,6 @@
      dune exec bench/main.exe -- overhead  -- tracing cost on/memory/file
      dune exec bench/main.exe -- micro     -- Bechamel micro-benchmarks
      dune exec bench/main.exe -- serve     -- server-mode load (BENCH_SERVE.json)
-     dune exec bench/main.exe -- cluster   -- sharded fleet vs solo (BENCH_CLUSTER.json)
      dune exec bench/main.exe -- pareto    -- (k, fs) grid FoM front (BENCH_PARETO.json)
      dune exec bench/main.exe -- netlist   -- SPICE parse/emit + process swap (BENCH_NETLIST.json)
 
@@ -39,7 +38,6 @@ module Server = Adc_serve.Server
 module Client = Adc_serve.Client
 module Codec = Adc_serve.Codec
 module Front = Adc_pipeline.Front
-module Router = Adc_cluster.Router
 
 let line = String.make 72 '-'
 let header title = Printf.printf "%s\n%s\n%s\n" line title line
@@ -675,172 +673,6 @@ let serve_bench () =
   Printf.printf "wrote BENCH_SERVE.json and BENCH_SERVE.metrics.prom\n\n"
 
 (* ------------------------------------------------------------------ *)
-(* cluster: sharded fleet behind the consistent-hash router.  The same
-   shared-cell workload runs against a 1-backend and a 3-backend fleet
-   (in-process daemons + router, throwaway sockets and stores): a cold
-   phase populates the fleet, a hot phase measures the routed-hit
-   latency, and a failover phase stops one backend mid-stream so the
-   re-routed keys are served from ring replicas — the cross-node hit
-   count the replication plane exists for.  BENCH_CLUSTER.json. *)
-
-let cluster_bench () =
-  header "cluster: 1 vs 3 backends behind the consistent-hash router";
-  (* a fleet member dying mid-write must surface as EPIPE, not kill the
-     bench — same disposition the daemons set for themselves *)
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let tmp = Filename.get_temp_dir_name () in
-  let fresh_dir name =
-    let d = Filename.concat tmp
-        (Printf.sprintf "adcopt-bench-%s-%d" name (Unix.getpid ())) in
-    (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) ->
-      Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d));
-    d
-  in
-  let fresh_sock name =
-    let p = Filename.concat tmp
-        (Printf.sprintf "adcopt-bench-%s-%d.sock" name (Unix.getpid ())) in
-    if Sys.file_exists p then Sys.remove p;
-    p
-  in
-  (* the shared-cell workload: a small set of hot (k, fs) cells hit
-     repeatedly from several clients, equation mode so the bench
-     measures the routing and cache planes rather than synthesis *)
-  let cells =
-    List.concat_map
-      (fun k -> List.map (fun f -> (k, f)) [ 40.0; 80.0 ])
-      [ 10; 11; 12; 13 ]
-  in
-  let request_of i =
-    let k, f = List.nth cells (i mod List.length cells) in
-    (* deadline_ms doubles as the router's reply-read bound, so a
-       backend killed with a request in flight re-routes instead of
-       wedging the sweep *)
-    Json.Obj
-      [ ("id", Json.Int i); ("verb", Json.String "optimize");
-        ("k", Json.Int k); ("fs_mhz", Json.Float f);
-        ("deadline_ms", Json.Int 10_000) ]
-  in
-  let run_fleet ~label ~n_backends ~failover =
-    let backends =
-      List.init n_backends (fun i ->
-          let name = Printf.sprintf "%s-b%d" label i in
-          let sock = fresh_sock name in
-          let srv =
-            Server.create
-              { Server.default_config with
-                socket_path = Some sock;
-                workers = 2;
-                jobs = 1;
-                store_dir = Some (fresh_dir name);
-                node_id = Some name }
-          in
-          (sock, srv, Thread.create Server.run srv))
-    in
-    let front = fresh_sock (label ^ "-front") in
-    let router =
-      Router.create
-        { Router.default_config with
-          backends = List.map (fun (s, _, _) -> s) backends;
-          socket_path = Some front;
-          probe_period_s = 0.2 }
-    in
-    let router_thread = Thread.create Router.run router in
-    let clients = 4 and per_client = 24 in
-    let latencies = Array.make (clients * per_client) 0.0 in
-    let hits = ref 0 and total = ref 0 and tally = Mutex.create () in
-    let sweep phase_off =
-      let client c =
-        let conn = Client.connect_unix front in
-        for r = 0 to per_client - 1 do
-          let i = (c * per_client) + r in
-          let t0 = Unix.gettimeofday () in
-          let resp = Client.request conn (request_of (phase_off + i)) in
-          let dt = Unix.gettimeofday () -. t0 in
-          Mutex.lock tally;
-          latencies.(i) <- dt *. 1e3;
-          incr total;
-          if Json.member "cached" resp = Some (Json.Bool true) then incr hits;
-          Mutex.unlock tally
-        done;
-        Client.close conn
-      in
-      let wall0 = Unix.gettimeofday () in
-      let threads = List.init clients (fun c -> Thread.create client c) in
-      List.iter Thread.join threads;
-      Unix.gettimeofday () -. wall0
-    in
-    let cold_wall = sweep 0 in
-    (* let the async replication offers land before measuring the hot
-       path (and before any failover leans on the replicas) *)
-    Unix.sleepf 0.3;
-    let cold_hits = !hits and cold_total = !total in
-    let hot_wall = sweep 0 in
-    Array.sort compare latencies;
-    let hot_p50 = percentile latencies 0.50
-    and hot_p99 = percentile latencies 0.99 in
-    let failover_wall =
-      if not failover then 0.0
-      else begin
-        (* stop the fleet's last backend; its keys re-route to ring
-           successors, which hold digest-verified replicas *)
-        let _, victim, vthread = List.nth backends (n_backends - 1) in
-        Server.stop victim;
-        Thread.join vthread;
-        sweep 0
-      end
-    in
-    (* hits among the requests sent after the cold sweep *)
-    let hit_rate = float_of_int (!hits - cold_hits)
-                   /. float_of_int (Stdlib.max 1 (!total - cold_total)) in
-    Printf.printf
-      "  %-12s cold %.3f s  hot %.3f s  (p50 %.2f ms  p99 %.2f ms, \
-       %.0f%% hits)%s\n"
-      label cold_wall hot_wall hot_p50 hot_p99 (100.0 *. hit_rate)
-      (if failover then
-         Printf.sprintf "  failover %.3f s  %d replica hits  %d reroutes"
-           failover_wall (Router.replica_hits router)
-           (Router.reroutes router)
-       else "");
-    let json =
-      Json.Obj
-        [ ("backends", Json.Int n_backends);
-          ("clients", Json.Int clients);
-          ("requests", Json.Int !total);
-          ("cold_wall_s", Json.Float cold_wall);
-          ("hot_wall_s", Json.Float hot_wall);
-          ("hot_p50_ms", Json.Float hot_p50);
-          ("hot_p99_ms", Json.Float hot_p99);
-          ("hit_rate", Json.Float hit_rate);
-          ("failover_wall_s", Json.Float failover_wall);
-          ("router",
-           Json.Obj
-             [ ("requests", Json.Int (Router.requests router));
-               ("completed", Json.Int (Router.completed router));
-               ("reroutes", Json.Int (Router.reroutes router));
-               ("retries", Json.Int (Router.retries_total router));
-               ("donations", Json.Int (Router.donations router));
-               ("replica_offers", Json.Int (Router.replica_offers router));
-               ("replica_hits", Json.Int (Router.replica_hits router)) ]) ]
-    in
-    Router.stop router;
-    Thread.join router_thread;
-    List.iter
-      (fun (_, srv, thread) ->
-        Server.stop srv;
-        (try Thread.join thread with _ -> ()))
-      backends;
-    json
-  in
-  let solo = run_fleet ~label:"1-backend" ~n_backends:1 ~failover:false in
-  let fleet = run_fleet ~label:"3-backend" ~n_backends:3 ~failover:true in
-  let json = Json.Obj [ ("solo", solo); ("fleet", fleet) ] in
-  let oc = open_out "BENCH_CLUSTER.json" in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote BENCH_CLUSTER.json\n\n"
-
-(* ------------------------------------------------------------------ *)
 (* batch: the fused multi-spec synthesis pass *)
 
 let batch_bench () =
@@ -1051,7 +883,6 @@ let () =
   | "overhead" -> overhead ()
   | "micro" -> micro ()
   | "serve" -> serve_bench ()
-  | "cluster" -> cluster_bench ()
   | "batch" -> batch_bench ()
   | "pareto" -> pareto_bench ()
   | "netlist" -> netlist_bench ()
@@ -1071,5 +902,5 @@ let () =
     micro ()
   | other ->
     Printf.eprintf
-      "unknown target %S (use fig1|fig2|fig3|retarget|ablation|extensions|overhead|micro|serve|cluster|batch|pareto|netlist|fast|all)\n" other;
+      "unknown target %S (use fig1|fig2|fig3|retarget|ablation|extensions|overhead|micro|serve|batch|pareto|netlist|fast|all)\n" other;
     exit 1

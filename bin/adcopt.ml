@@ -1373,13 +1373,8 @@ let no_replication_arg =
   let doc = "Do not offer finished results to ring replicas." in
   Arg.(value & flag & info [ "no-replication" ] ~doc)
 
-let no_donation_arg =
-  let doc = "Do not broker peer warm-start donation." in
-  Arg.(value & flag & info [ "no-donation" ] ~doc)
-
 let route backends socket listen vnodes replicas retries connect_timeout_ms
-    probe_period no_replication no_donation metrics_addr log_level log_format
-    node_id =
+    probe_period no_replication metrics_addr log_level log_format node_id =
   let backends =
     String.split_on_char ',' backends
     |> List.map String.trim
@@ -1408,7 +1403,6 @@ let route backends socket listen vnodes replicas retries connect_timeout_ms
       connect_timeout_ms;
       probe_period_s = probe_period;
       replication = not no_replication;
-      donation = not no_donation;
       metrics_addr = Option.map host_port_of_string metrics_addr;
       obs;
       log;
@@ -1455,14 +1449,13 @@ let route_cmd =
      consistent-hashed onto the backend that caches their key; $(b,batch) \
      and $(b,pareto) fan out per owner and reassemble byte-identically; a \
      dead backend's keys re-route to its ring successor; finished results \
-     replicate to ring replicas and converged synthesis lineages are \
-     donated peer-to-peer for warm starts."
+     replicate to ring replicas."
   in
   Cmd.v (Cmd.info "route" ~doc)
     Term.(const route $ backends_arg $ route_socket_arg $ listen_arg
           $ vnodes_arg $ replicas_arg $ retries_arg $ connect_timeout_arg
-          $ probe_period_arg $ no_replication_arg $ no_donation_arg
-          $ metrics_addr_arg $ log_level_arg $ log_format_arg $ node_id_arg)
+          $ probe_period_arg $ no_replication_arg $ metrics_addr_arg
+          $ log_level_arg $ log_format_arg $ node_id_arg)
 
 (* ------------------------------------------------------------------ *)
 (* extract: reach into a JSON document on stdin *)

@@ -184,7 +184,7 @@ let req_id =
 
 let store_key =
   { ty = Opt_string; key = "key"; flags = []; docv = "KEY";
-    doc = "Cluster data-plane verbs: the store entry or job key the \
+    doc = "Cluster data-plane verbs: the store entry the \
            request addresses.";
     default = None }
 

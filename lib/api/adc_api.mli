@@ -110,9 +110,8 @@ val req_id : string option param
     request's [serve.request] span and log lines. *)
 
 val store_key : string option param
-(** Wire-only ([key]): the store entry or {!Job_key} text a cluster
-    data-plane verb ([store-put]/[store-get]/[job-put]/[job-get])
-    addresses. *)
+(** Wire-only ([key]): the store entry a cluster data-plane verb
+    ([store-put]/[store-get]) addresses. *)
 
 val digest : string option param
 (** Wire-only: md5 hex of the canonical payload bytes a [store-put]

@@ -18,7 +18,7 @@ let connect ?(timeout_ms = 1000) addr =
    answered immediately by the backend, so the reply read is bounded by
    the same budget as the connect: a peer that accepts the connection
    but never answers (e.g. killed mid-drain) is a failure, not a
-   hang — the prober and the async replication/donation threads must
+   hang — the prober and the async replication threads must
    never wedge on a silent socket. *)
 let oneshot ?(timeout_ms = 1000) addr request =
   match connect ~timeout_ms addr with
@@ -67,21 +67,4 @@ let store_put ?timeout_ms addr ~key ~digest ~payload =
   in
   match Option.bind (oneshot ?timeout_ms addr request) ok_result with
   | Some result -> Json.member "stored" result = Some (Json.Bool true)
-  | None -> false
-
-let job_get ?timeout_ms addr ~key =
-  let request = Json.Obj (base "job-get" @ [ ("key", Json.String key) ]) in
-  match Option.bind (oneshot ?timeout_ms addr request) ok_result with
-  | Some result
-    when Json.member "found" result = Some (Json.Bool true) ->
-    Json.member "outcome" result
-  | Some _ | None -> None
-
-let job_put ?timeout_ms addr ~key ~outcome =
-  let request =
-    Json.Obj
-      (base "job-put" @ [ ("key", Json.String key); ("payload", outcome) ])
-  in
-  match Option.bind (oneshot ?timeout_ms addr request) ok_result with
-  | Some result -> Json.member "imported" result = Some (Json.Bool true)
   | None -> false

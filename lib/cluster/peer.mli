@@ -8,10 +8,9 @@
     backend needs no reconnect logic and a dead one costs exactly one
     timeout.
 
-    The data-plane helpers ({!store_put}, {!job_get}, {!job_put})
-    translate failures into their neutral value ([false] / [None])
-    rather than raising — replication and donation are best-effort by
-    design and must never take a client request down with them. The
+    The data-plane helper {!store_put} translates failures into
+    [false] rather than raising — replication is best-effort by design
+    and must never take a client request down with it. The
     forwarding path uses {!connect} directly and handles its own
     exceptions, because {e there} a failure must trigger a re-route. *)
 
@@ -37,13 +36,3 @@ val store_put :
 (** Offer one store entry to a replica. [true] iff the backend answered
     [stored:true] — [false] covers store-less backends, digest
     rejection and transport failure alike. *)
-
-val job_get : ?timeout_ms:int -> string -> key:string -> Adc_json.Json.t option
-(** Fetch one settled job outcome (the [outcome] member) from a peer's
-    synthesis cache; [None] when absent, unsettled or unreachable. *)
-
-val job_put :
-  ?timeout_ms:int -> string -> key:string -> outcome:Adc_json.Json.t -> bool
-(** Donate one outcome into a peer's cache. [true] iff the peer
-    imported it (first writer wins — an already-known key answers
-    [false], which is fine). *)

@@ -8,7 +8,6 @@ module Spec = Adc_pipeline.Spec
 module Optimize = Adc_pipeline.Optimize
 module Front = Adc_pipeline.Front
 module Fom = Adc_pipeline.Fom
-module Job_key = Adc_pipeline.Job_key
 module Obs = Adc_obs
 module Metrics = Adc_obs.Metrics
 module Log = Adc_obs.Log
@@ -23,7 +22,6 @@ type config = {
   connect_timeout_ms : int;
   probe_period_s : float;
   replication : bool;
-  donation : bool;
   metrics_addr : (string * int) option;
   obs : Obs.t;
   log : Log.t;
@@ -41,7 +39,6 @@ let default_config =
     connect_timeout_ms = 1000;
     probe_period_s = 2.0;
     replication = true;
-    donation = true;
     metrics_addr = None;
     obs = Obs.null;
     log = Log.null;
@@ -52,8 +49,8 @@ type t = {
   cfg : config;
   ring : Ring.t;
   health : Health.t;
-  donors : Donor.t;   (* Job_key digest -> holders (warm-start donation) *)
-  origins : Donor.t;  (* store-key digest -> holders (replica-hit class.) *)
+  origins : (string, string) Hashtbl.t;
+      (* store-key digest -> first backend recorded for it; under [smutex] *)
   tr : Transport.t;
   rr : int Atomic.t;  (* ping round-robin cursor *)
   started_at : float;
@@ -64,7 +61,6 @@ type t = {
   mutable n_inflight : int;
   mutable n_reroutes : int;
   mutable n_retries : int;
-  mutable n_donations : int;
   mutable n_replica_offers : int;
   mutable n_replica_hits : int;
 }
@@ -117,7 +113,6 @@ let preregister_metrics t =
         "route.failed_total";
         "route.reroutes_total";
         "route.retries_total";
-        "route.donations_total";
         "route.replica_offers_total";
         "route.replica_hits_total";
       ];
@@ -132,7 +127,7 @@ let preregister_metrics t =
 (* ------------------------------------------------------------------ *)
 (* placement *)
 
-(* the parsed card for local spec construction (donation planning);
+(* the parsed card for local spec construction (fan-out planning);
    falls back to the built-in card on a malformed one — the backend
    owns the typed rejection, the router only plans around it *)
 let process_value_of (req : Protocol.request) =
@@ -206,8 +201,7 @@ let attempt_forward ?read_timeout_ms t backend json =
    client never sees half a stream from a backend that died mid-burst.
    Backoff and the retry attempts themselves are paid out of the
    request's remaining [deadline_ms]. *)
-let forward_ordered t ~candidates ~owner ~deadline_ms ~started ~json ~emit
-    ?(before = fun (_ : string) -> ()) () =
+let forward_ordered t ~candidates ~owner ~deadline_ms ~started ~json ~emit =
   let total = List.length candidates in
   let budget_left () =
     match deadline_ms with
@@ -248,7 +242,6 @@ let forward_ordered t ~candidates ~owner ~deadline_ms ~started ~json ~emit
           | Some r -> (with_deadline json (Stdlib.max 1 r), Some (r + 500))
           | None -> (json, None)
         in
-        before backend;
         (match attempt_forward ?read_timeout_ms t backend json with
         | Delivered (lines, final) ->
           Health.mark t.health backend true;
@@ -281,18 +274,28 @@ let candidates_for t order =
   List.filter (fun b -> Health.is_up t.health b) order
   @ List.filter (fun b -> not (Health.is_up t.health b)) order
 
-let forward_routed t ~key ~deadline_ms ~started ~json ~emit ?before () =
+let forward_routed t ~key ~deadline_ms ~started ~json ~emit =
   match Ring.successors t.ring key with
   | [] -> Error (Protocol.Backend_unavailable, "no backends configured")
   | owner :: _ as order ->
     forward_ordered t
       ~candidates:(candidates_for t order)
-      ~owner ~deadline_ms ~started ~json ~emit ?before ()
+      ~owner ~deadline_ms ~started ~json ~emit
 
 (* ------------------------------------------------------------------ *)
-(* the data plane: replication offers and warm-start donation *)
+(* the data plane: replication offers *)
 
 let md5_hex s = Digest.to_hex (Digest.string s)
+
+(* the first backend recorded for a store key wins: a later cache hit
+   answered elsewhere is a cross-node (replica) hit *)
+let record_origin t ~key ~backend =
+  let digest = md5_hex key in
+  locked t (fun t ->
+      if not (Hashtbl.mem t.origins digest) then
+        Hashtbl.replace t.origins digest backend)
+
+let origin t ~key = locked t (fun t -> Hashtbl.find_opt t.origins (md5_hex key))
 
 (* asynchronously offer a finished entry to the key's other ring
    replicas; failures are logged and forgotten — replication is an
@@ -317,7 +320,7 @@ let replicate t ~backend ~key ~payload =
                    locked t (fun t ->
                        t.n_replica_offers <- t.n_replica_offers + 1);
                    metric_inc t "route.replica_offers_total";
-                   Donor.record t.origins ~digest:(md5_hex key) ~backend:b;
+                   record_origin t ~key ~backend:b;
                    Log.debug t.cfg.log
                      ~fields:[ ("backend", Obs.Sink.String b) ]
                      "replicated store entry"
@@ -326,109 +329,32 @@ let replicate t ~backend ~key ~payload =
            ())
   end
 
-(* the per-spec synthesis lineage of an optimize-family request; [] in
-   equation mode and whenever planning itself cannot run *)
-let plan_digests (req : Protocol.request) spec =
-  match req.Protocol.mode with
-  | `Equation -> []
-  | (`Hybrid | `Hybrid_verified) as mode -> (
-    match
-      Optimize.plan_job_keys ~mode ~seed:req.Protocol.seed
-        ~attempts:req.Protocol.attempts ?budget:req.Protocol.budget spec
-    with
-    | keys -> List.map (fun k -> (k, Job_key.digest k)) keys
-    | exception _ -> [])
-
-(* before forwarding a spec to [target], broker donations: any lineage
-   some other node holds is fetched ([job-get]) and pushed ([job-put])
-   so the target synthesizes warm instead of cold *)
-let donate t ~target keys =
-  if t.cfg.donation then
-    List.iter
-      (fun (jk, digest) ->
-        let holders = Donor.holders t.donors ~digest in
-        if holders <> [] && not (List.mem target holders) then begin
-          let key = Job_key.to_string jk in
-          let rec try_holders = function
-            | [] -> ()
-            | h :: rest -> (
-              match
-                Peer.job_get ~timeout_ms:t.cfg.connect_timeout_ms h ~key
-              with
-              | Some outcome ->
-                if
-                  Peer.job_put ~timeout_ms:t.cfg.connect_timeout_ms target
-                    ~key ~outcome
-                then begin
-                  locked t (fun t -> t.n_donations <- t.n_donations + 1);
-                  metric_inc t "route.donations_total";
-                  Donor.record t.donors ~digest ~backend:target;
-                  Log.debug t.cfg.log
-                    ~fields:
-                      [
-                        ("from", Obs.Sink.String h);
-                        ("to", Obs.Sink.String target);
-                      ]
-                    "donated warm-start lineage"
-                end
-              | None -> try_holders rest)
-          in
-          try_holders holders
-        end)
-      keys
-
-(* after a backend answered an optimize-family request: classify
-   replica hits, index fresh lineages, and fan replication offers.
-   [store] is the key the backend cached the forwarded request under. *)
-let settle t ~backend ~store ~(req : Protocol.request) ~specs ~final =
-  match Json.member "ok" final with
-  | Some (Json.Bool true) ->
-    let cached = Json.member "cached" final = Some (Json.Bool true) in
-    let record_origin key =
-      Donor.record t.origins ~digest:(md5_hex key) ~backend
-    in
-    if cached then
-      Option.iter
-        (fun key ->
-          (match Donor.origin t.origins ~digest:(md5_hex key) with
-          | Some origin when origin <> backend ->
-            locked t (fun t -> t.n_replica_hits <- t.n_replica_hits + 1);
-            metric_inc t "route.replica_hits_total"
-          | Some _ | None -> ());
-          record_origin key)
-        store
+(* after a backend answered a cacheable request: classify replica hits
+   and fan replication offers. [store] is the key the backend cached the
+   forwarded request under. *)
+let settle t ~backend ~store ~final =
+  match (Json.member "ok" final, store) with
+  | Some (Json.Bool true), Some key ->
+    if Json.member "cached" final = Some (Json.Bool true) then begin
+      (match origin t ~key with
+      | Some origin when origin <> backend ->
+        locked t (fun t -> t.n_replica_hits <- t.n_replica_hits + 1);
+        metric_inc t "route.replica_hits_total"
+      | Some _ | None -> ());
+      record_origin t ~key ~backend
+    end
     else begin
-      List.iter
-        (fun spec ->
-          List.iter
-            (fun (_, digest) -> Donor.record t.donors ~digest ~backend)
-            (plan_digests req spec))
-        specs;
-      Option.iter
-        (fun key ->
-          record_origin key;
-          match Json.member "result" final with
-          | Some result
-            when Json.member "truncated" result <> Some (Json.Bool true) ->
-            replicate t ~backend ~key ~payload:result
-          | _ -> ())
-        store
+      record_origin t ~key ~backend;
+      match Json.member "result" final with
+      | Some result
+        when Json.member "truncated" result <> Some (Json.Bool true) ->
+        replicate t ~backend ~key ~payload:result
+      | _ -> ()
     end
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* single-request forwarding *)
-
-let specs_of (req : Protocol.request) =
-  match req.Protocol.verb with
-  | Protocol.Optimize -> (
-    match
-      Spec.make ~process:(process_value_of req) ~k:req.Protocol.k
-        ~fs:(req.Protocol.fs_mhz *. 1e6) ()
-    with
-    | spec -> [ spec ]
-    | exception _ -> [])
-  | _ -> []
 
 let single_forward t conn (req : Protocol.request) ~started =
   let id = req.Protocol.id and wire_rid = req.Protocol.req_id in
@@ -439,18 +365,13 @@ let single_forward t conn (req : Protocol.request) ~started =
       (Protocol.error_response ~id ?req_id:wire_rid ~kind:Protocol.Bad_request
          ~message:"router: verb requires a routing key" ())
   | Some key -> (
-    let specs = specs_of req in
-    let before target =
-      List.iter (fun spec -> donate t ~target (plan_digests req spec)) specs
-    in
     match
       forward_routed t ~key ~deadline_ms:req.Protocol.deadline_ms ~started
         ~json:req.Protocol.json
         ~emit:(fun line -> Transport.send conn line)
-        ~before ()
     with
     | Ok (backend, final) ->
-      settle t ~backend ~store:keys.Protocol.store ~req ~specs ~final;
+      settle t ~backend ~store:keys.Protocol.store ~final;
       Transport.send conn final;
       locked t (fun t -> t.n_completed <- t.n_completed + 1);
       metric_inc t "route.completed_total"
@@ -560,33 +481,21 @@ let fan_batch t (req : Protocol.request) ~started =
   let outcomes =
     parallel_map_array (Array.length arr) (fun i ->
         let _, ks = arr.(i) in
-        let specs = try specs_of_ks ks with _ -> [] in
-        let before target =
-          List.iter
-            (fun spec -> donate t ~target (plan_digests req spec))
-            specs
-        in
         forward_routed t
           ~key:(cell_key (List.hd ks))
           ~deadline_ms:req.Protocol.deadline_ms ~started ~json:(sub_json ks)
-          ~emit:(fun _ -> ())
-          ~before ())
+          ~emit:(fun _ -> ()))
   in
-  (* surface failures: typed backend errors verbatim, exhaustion typed *)
-  Array.iteri
-    (fun i outcome ->
-      let _, ks = arr.(i) in
-      match outcome with
+  (* surface failures: typed backend errors verbatim, exhaustion typed.
+     A sub-batch is neither settled nor offered to replicas: its payload
+     is not what the placement key of any of its cells names. *)
+  Array.iter
+    (function
       | Error (kind, message) -> raise (Fan_failed (kind, message))
-      | Ok (backend, final) -> (
+      | Ok (_, final) -> (
         match sub_error final with
         | Some (kind, message) -> raise (Fan_failed (kind, message))
-        | None ->
-          (* a sub-batch is not offered to replicas: its payload is not
-             what the placement key of any of its cells names *)
-          settle t ~backend ~store:None ~req
-            ~specs:(try specs_of_ks ks with _ -> [])
-            ~final))
+        | None -> ()))
     outcomes;
   (* stitch: runs back into the original ks order *)
   let runs_by_k = Hashtbl.create 16 in
@@ -685,18 +594,9 @@ let fan_pareto t (req : Protocol.request) ~started ~emit =
   let outcomes =
     parallel_map_array (Array.length arr) (fun i ->
         let k, f = arr.(i) in
-        let spec =
-          try Some (Spec.make ~process ~k ~fs:(f *. 1e6) ()) with _ -> None
-        in
-        let before target =
-          Option.iter
-            (fun spec -> donate t ~target (plan_digests req spec))
-            spec
-        in
         forward_routed t ~key:(place_of (cell_keys req ~k ~fs_mhz:f))
           ~deadline_ms:req.Protocol.deadline_ms ~started ~json:(sub_json i arr.(i))
-          ~emit:(fun _ -> ())
-          ~before ())
+          ~emit:(fun _ -> ()))
   in
   let results =
     Array.mapi
@@ -709,12 +609,7 @@ let fan_pareto t (req : Protocol.request) ~started ~emit =
           | Some (kind, message) -> raise (Fan_failed (kind, message))
           | None -> (
             settle t ~backend
-              ~store:(cell_keys req ~k ~fs_mhz:f).Protocol.store ~req
-              ~specs:
-                (match Spec.make ~process ~k ~fs:(f *. 1e6) () with
-                | spec -> [ spec ]
-                | exception _ -> [])
-              ~final;
+              ~store:(cell_keys req ~k ~fs_mhz:f).Protocol.store ~final;
             match Json.member "result" final with
             | Some result -> (result, bool_member "cached" final)
             | None ->
@@ -873,7 +768,6 @@ let stats_json t =
   and inflight = t.n_inflight
   and reroutes = t.n_reroutes
   and retries = t.n_retries
-  and donations = t.n_donations
   and replica_offers = t.n_replica_offers
   and replica_hits = t.n_replica_hits in
   Mutex.unlock t.smutex;
@@ -905,10 +799,8 @@ let stats_json t =
             ("inflight", Json.Int inflight);
             ("reroutes", Json.Int reroutes);
             ("retries", Json.Int retries);
-            ("donations", Json.Int donations);
             ("replica_offers", Json.Int replica_offers);
             ("replica_hits", Json.Int replica_hits);
-            ("donor_index", Json.Int (Donor.size t.donors));
             ("health_transitions", Json.Int (Health.transitions t.health));
             ("backends_up", Json.Int (Health.up_count t.health));
             ("uptime_s", Json.Float (Unix.gettimeofday () -. t.started_at));
@@ -942,7 +834,6 @@ let route_ping t conn (req : Protocol.request) ~started =
       forward_ordered t ~candidates ~owner:(List.hd rotated)
         ~deadline_ms:req.Protocol.deadline_ms ~started ~json:req.Protocol.json
         ~emit:(fun _ -> ())
-        ()
     with
     | Ok (_, final) ->
       Transport.send conn final;
@@ -1046,7 +937,7 @@ let handle_request t conn (req : Protocol.request) ~started =
       single_forward t conn req ~started)
   | Protocol.Enumerate | Protocol.Optimize | Protocol.Sweep | Protocol.Synth
   | Protocol.Netlist_emit | Protocol.Montecarlo | Protocol.Store_put
-  | Protocol.Store_get | Protocol.Job_put | Protocol.Job_get ->
+  | Protocol.Store_get ->
     single_forward t conn req ~started
 
 let handle_line t conn line =
@@ -1117,8 +1008,7 @@ let create cfg =
       cfg;
       ring = Ring.create ~vnodes:cfg.vnodes cfg.backends;
       health = Health.create cfg.backends;
-      donors = Donor.create ();
-      origins = Donor.create ();
+      origins = Hashtbl.create 64;
       tr =
         Transport.create ?socket_path:cfg.socket_path ?tcp:cfg.tcp
           ?ops:cfg.metrics_addr ();
@@ -1131,7 +1021,6 @@ let create cfg =
       n_inflight = 0;
       n_reroutes = 0;
       n_retries = 0;
-      n_donations = 0;
       n_replica_offers = 0;
       n_replica_hits = 0;
     }
@@ -1179,6 +1068,5 @@ let requests t = locked t (fun t -> t.n_requests)
 let completed t = locked t (fun t -> t.n_completed)
 let reroutes t = locked t (fun t -> t.n_reroutes)
 let retries_total t = locked t (fun t -> t.n_retries)
-let donations t = locked t (fun t -> t.n_donations)
 let replica_offers t = locked t (fun t -> t.n_replica_offers)
 let replica_hits t = locked t (fun t -> t.n_replica_hits)

@@ -23,10 +23,8 @@
       being down.
     - {b Data plane}: a freshly computed cacheable result is
       asynchronously offered ([store-put], digest-signed) to the key's
-      ring replicas, and converged {!Adc_pipeline.Job_key} lineages are
-      donated peer-to-peer ([job-get] → [job-put], brokered by the
-      {!Donor} index) so a dependent job starts warm on whichever node
-      owns it.
+      ring replicas, so a failover or a repeat served by a replica is
+      still a cache hit.
 
     Byte identity end to end: a routed cache hit, a replica-served hit
     and a local cold compute all produce identical payload bytes —
@@ -47,7 +45,6 @@ type config = {
   probe_period_s : float;       (** background ping-probe cadence;
                                     [<= 0.] disables the prober *)
   replication : bool;           (** offer finished entries to replicas *)
-  donation : bool;              (** broker peer warm-start donation *)
   metrics_addr : (string * int) option;
       (** router's own ops plane: /metrics, /healthz, /readyz
           (503 once draining) *)
@@ -61,8 +58,8 @@ type config = {
 
 val default_config : config
 (** No backends, no listeners (callers must set both), 160 vnodes,
-    R = 2, 2 retries, 1000 ms connects, 2 s probes, replication and
-    donation on, no ops plane, {!Adc_obs.null}, null log. *)
+    R = 2, 2 retries, 1000 ms connects, 2 s probes, replication on, no
+    ops plane, {!Adc_obs.null}, null log. *)
 
 type t
 
@@ -97,8 +94,8 @@ val reroutes : t -> int
 (** Forwards that had to leave the key's owner for a ring successor. *)
 
 val retries_total : t -> int
-val donations : t -> int
 val replica_offers : t -> int
 val replica_hits : t -> int
-(** Cached answers served by a backend other than the one that first
-    computed the key — the cross-node cache wins the bench reports. *)
+(** Cached answers served by a backend other than the first one
+    recorded for the key — the cross-node cache wins replication
+    exists for. *)

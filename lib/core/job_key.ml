@@ -5,7 +5,6 @@ type t = string
 let compare = String.compare
 let equal = String.equal
 let to_string k = k
-let of_string s = s
 let digest k = Digest.to_hex (Digest.string k)
 
 let budget_part = function

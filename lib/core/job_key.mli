@@ -35,13 +35,6 @@ val to_string : t -> string
 val digest : t -> string
 (** md5 hex of the key — the form embedded in dependent keys. *)
 
-val of_string : string -> t
-(** Re-admit a key previously exported with {!to_string} — e.g. one
-    that travelled over the wire between cluster nodes. The string is
-    trusted to be a canonical key text; no validation is performed
-    beyond what downstream lookups do naturally (an unknown key simply
-    never matches). *)
-
 val make :
   Spec.t ->
   job:Spec.job ->

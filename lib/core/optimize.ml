@@ -688,21 +688,7 @@ let run_batch ?(mode = `Hybrid) ?(seed = 11) ?(attempts = 3) ?budget
 
 let optimum_config r = r.optimum.config
 
-(* ---- cluster-facing planning and donation surface ------------------- *)
-
-(* The router plans without computing: given only the wire parameters of
-   a request it derives exactly the job keys the backend will schedule,
-   which is what lets it ship donor outcomes ahead of the work. Pure —
-   same derivation as [run]'s own scheduling. *)
-let plan_job_keys ?(mode = `Hybrid) ?(seed = 11) ?(attempts = 3) ?budget
-    ?candidates (spec : Spec.t) =
-  match mode with
-  | `Equation -> []
-  | (`Hybrid | `Hybrid_verified) as mode ->
-    let _, distinct_jobs = plan_of_spec spec ?candidates () in
-    keyed_schedule spec ~mode_name:(mode_name_of mode) ~seed ~attempts ~budget
-      distinct_jobs
-    |> List.map (fun kj -> kj.kj_key)
+(* ---- router planning ---------------------------------------------- *)
 
 (* The batch counters as a pure plan function: [job_occurrences] and
    [distinct_syntheses] depend only on the specs' keyed schedules, never
@@ -733,31 +719,3 @@ let batch_plan_counts ?(mode = `Hybrid) ?(seed = 11) ?(attempts = 3) ?budget
              | c -> c)
     in
     (job_occurrences, List.length union)
-
-(* Donation: only settled, complete outcomes travel between nodes. A
-   pending future is skipped (the peer will compute or receive it
-   later); a truncated or solution-less outcome is never donated — the
-   receiver would cache an outcome the key contract says must be
-   recomputed. *)
-let export_job sh key =
-  match Memo.find sh.sh_memo key with
-  | None -> None
-  | Some fut -> (
-    match Future.peek fut with
-    | Some o when (not o.job_truncated) && o.solution <> None -> Some o
-    | Some _ | None -> None)
-
-(* Install a donated outcome under its key, exactly as if a local
-   computation had produced it — equal keys guarantee the donated bytes
-   are the ones a local cold compute would publish, so every later
-   lookup (and the payload it assembles) is unchanged. The install
-   counts as one memo miss; subsequent lookups hit. First writer wins:
-   an already-present entry (computed or in flight) is never displaced. *)
-let import_job sh key (o : job_outcome) =
-  if o.job_truncated || o.solution = None then false
-  else
-    match Memo.find sh.sh_memo key with
-    | Some _ -> false
-    | None ->
-      ignore (Memo.find_or_run sh.sh_memo sh.sh_pool key (fun _ -> o));
-      true

@@ -276,39 +276,6 @@ val better :
     total violation among infeasible. Exposed for callers running their
     own restart loops (e.g. the CLI's [synth --attempts]). *)
 
-(** {1 Cluster planning and donation}
-
-    The pure planning functions let a router reason about a request's
-    synthesis work — which {!Job_key}s it will schedule, what the batch
-    counters will be — {e without} computing anything, from exactly the
-    wire parameters a backend would receive. [export_job]/[import_job]
-    move settled job outcomes between nodes' shared caches: because a
-    key pins the physics, search identity and warm-start lineage, a
-    donated outcome is bit-identical to what the receiver would have
-    computed, so donation changes wall-clock cost only. *)
-
-type job_outcome = {
-  solution : Adc_synth.Synthesizer.solution option;
-      (** [None] = every synthesis attempt failed *)
-  evaluations : int;  (** evaluator calls the computation consumed *)
-  warm : bool;        (** a warm-start donor was available *)
-  job_truncated : bool;  (** a deadline cut restarts short *)
-}
-(** One cached synthesis outcome — the unit of cross-node donation. *)
-
-val plan_job_keys :
-  ?mode:mode ->
-  ?seed:int ->
-  ?attempts:int ->
-  ?budget:Adc_synth.Synthesizer.budget ->
-  ?candidates:Config.t list ->
-  Spec.t ->
-  Job_key.t list
-(** The keys of the spec's deduplicated synthesis work list, in
-    schedule (hardest-first) order — exactly the keys {!run} with the
-    same parameters would request from its shared cache. [[]] in
-    [`Equation] mode. Pure; defaults mirror {!run}'s. *)
-
 val batch_plan_counts :
   ?mode:mode ->
   ?seed:int ->
@@ -320,15 +287,3 @@ val batch_plan_counts :
     over the same specs would report: summed per-spec work-list lengths,
     and the size of their key-deduplicated union. Pure; [(0, 0)] in
     [`Equation] mode. *)
-
-val export_job : shared -> Job_key.t -> job_outcome option
-(** The settled, complete outcome cached under the key, if any. Never
-    blocks: a pending computation, a truncated outcome or a failed
-    synthesis ([solution = None]) all export as [None]. *)
-
-val import_job : shared -> Job_key.t -> job_outcome -> bool
-(** Install a donated outcome under its key. Returns [false] — and
-    installs nothing — when the outcome is truncated or solution-less,
-    or when the cache already holds the key (first writer wins; an
-    in-flight local computation is never displaced). The install counts
-    as one memo miss, mirroring the local computation it replaces. *)

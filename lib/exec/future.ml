@@ -40,12 +40,6 @@ let await t =
   in
   wait ()
 
-let peek t =
-  Mutex.lock t.mutex;
-  let r = match t.state with Done v -> Some v | Pending | Failed _ -> None in
-  Mutex.unlock t.mutex;
-  r
-
 let is_resolved t =
   Mutex.lock t.mutex;
   let r = match t.state with Pending -> false | Done _ | Failed _ -> true in

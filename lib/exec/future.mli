@@ -33,9 +33,5 @@ val await : 'a t -> 'a
     its value, or re-raises the exception [t] failed with. Safe to call
     from any domain, any number of times. *)
 
-val peek : 'a t -> 'a option
-(** [peek t] is [Some v] if [t] is already resolved with [v], and [None]
-    while [t] is pending or failed. Never blocks. *)
-
 val is_resolved : 'a t -> bool
 (** [is_resolved t] is [true] once [t] is resolved or failed. *)

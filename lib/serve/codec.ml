@@ -245,163 +245,6 @@ let enumerate_payload (spec : Spec.t) =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* the cluster job-outcome codec
-
-   Peer warm-start donation ships one settled {!Optimize.job_outcome}
-   between nodes' shared caches. Only the portable subset travels: the
-   sizing (the warm-start seed and the physical design), the scalar
-   figures the payload builders and the [better] order read (power,
-   feasible, violation, evaluations, metrics) and the outcome counters.
-   [performance] and [settling] hold analysis structures (transfer
-   functions) no payload serializes — they import as [None], which is
-   invisible to every serve-side consumer, so a donated outcome still
-   assembles byte-identical payloads. *)
-
-module Ota = Adc_mdac.Ota
-
-exception Decode_error of string
-
-let fail fmt = Printf.ksprintf (fun s -> raise (Decode_error s)) fmt
-
-(* the canonical serializer prints integral floats as integers, so a
-   round-tripped float field may come back as [Int] *)
-let as_float name = function
-  | Json.Float f -> f
-  | Json.Int n -> float_of_int n
-  | _ -> fail "field %S must be a number" name
-
-let dec_float name obj =
-  match Json.member name obj with
-  | Some v -> as_float name v
-  | None -> fail "missing field %S" name
-
-let dec_int name obj =
-  match Json.member name obj with
-  | Some (Json.Int n) -> n
-  | _ -> fail "field %S must be an integer" name
-
-let dec_bool name obj =
-  match Json.member name obj with
-  | Some (Json.Bool b) -> b
-  | _ -> fail "field %S must be a boolean" name
-
-let topology_name = function
-  | Ota.Miller_simple -> "miller_simple"
-  | Ota.Miller_cascode -> "miller_cascode"
-
-let topology_of_name = function
-  | "miller_simple" -> Ota.Miller_simple
-  | "miller_cascode" -> Ota.Miller_cascode
-  | s -> fail "unknown topology %S" s
-
-let sizing_json (s : Ota.sizing) =
-  Json.Obj
-    [
-      ("topology", Json.String (topology_name s.Ota.topology));
-      ("w_pair", Json.Float s.Ota.w_pair);
-      ("l_pair", Json.Float s.Ota.l_pair);
-      ("w_mirror", Json.Float s.Ota.w_mirror);
-      ("l_mirror", Json.Float s.Ota.l_mirror);
-      ("w_tail", Json.Float s.Ota.w_tail);
-      ("l_tail", Json.Float s.Ota.l_tail);
-      ("w_cs", Json.Float s.Ota.w_cs);
-      ("l_cs", Json.Float s.Ota.l_cs);
-      ("w_sink", Json.Float s.Ota.w_sink);
-      ("l_sink", Json.Float s.Ota.l_sink);
-      ("i_bias", Json.Float s.Ota.i_bias);
-      ("c_comp", Json.Float s.Ota.c_comp);
-      ("r_zero", Json.Float s.Ota.r_zero);
-      ("v_casc", Json.Float s.Ota.v_casc);
-      ("v_cascp", Json.Float s.Ota.v_cascp);
-    ]
-
-let sizing_of_json obj =
-  let topology =
-    match Json.member "topology" obj with
-    | Some (Json.String s) -> topology_of_name s
-    | _ -> fail "field \"topology\" must be a string"
-  in
-  {
-    Ota.topology;
-    w_pair = dec_float "w_pair" obj;
-    l_pair = dec_float "l_pair" obj;
-    w_mirror = dec_float "w_mirror" obj;
-    l_mirror = dec_float "l_mirror" obj;
-    w_tail = dec_float "w_tail" obj;
-    l_tail = dec_float "l_tail" obj;
-    w_cs = dec_float "w_cs" obj;
-    l_cs = dec_float "l_cs" obj;
-    w_sink = dec_float "w_sink" obj;
-    l_sink = dec_float "l_sink" obj;
-    i_bias = dec_float "i_bias" obj;
-    c_comp = dec_float "c_comp" obj;
-    r_zero = dec_float "r_zero" obj;
-    v_casc = dec_float "v_casc" obj;
-    v_cascp = dec_float "v_cascp" obj;
-  }
-
-let job_outcome_json (o : Optimize.job_outcome) =
-  Json.Obj
-    [
-      ( "solution",
-        match o.Optimize.solution with
-        | None -> Json.Null
-        | Some s ->
-          Json.Obj
-            [
-              ("sizing", sizing_json s.Synthesizer.sizing);
-              ("power", Json.Float s.Synthesizer.power);
-              ("feasible", Json.Bool s.Synthesizer.feasible);
-              ("violation", Json.Float s.Synthesizer.violation);
-              ("evaluations", Json.Int s.Synthesizer.evaluations);
-              ( "metrics",
-                Json.Obj
-                  (List.map
-                     (fun (k, v) -> (k, Json.Float v))
-                     s.Synthesizer.metrics) );
-            ] );
-      ("evaluations", Json.Int o.Optimize.evaluations);
-      ("warm", Json.Bool o.Optimize.warm);
-      ("truncated", Json.Bool o.Optimize.job_truncated);
-    ]
-
-let job_outcome_of_json obj =
-  let solution =
-    match Json.member "solution" obj with
-    | None | Some Json.Null -> None
-    | Some (Json.Obj _ as s) ->
-      let sizing =
-        match Json.member "sizing" s with
-        | Some (Json.Obj _ as sz) -> sizing_of_json sz
-        | _ -> fail "field \"sizing\" must be an object"
-      in
-      let metrics =
-        match Json.member "metrics" s with
-        | Some (Json.Obj fields) ->
-          List.map (fun (k, v) -> (k, as_float k v)) fields
-        | _ -> fail "field \"metrics\" must be an object"
-      in
-      Some
-        {
-          Synthesizer.sizing;
-          performance = None;
-          power = dec_float "power" s;
-          feasible = dec_bool "feasible" s;
-          violation = dec_float "violation" s;
-          evaluations = dec_int "evaluations" s;
-          settling = None;
-          metrics;
-        }
-    | Some _ -> fail "field \"solution\" must be an object or null"
-  in
-  {
-    Optimize.solution;
-    evaluations = dec_int "evaluations" obj;
-    warm = dec_bool "warm" obj;
-    job_truncated = dec_bool "truncated" obj;
-  }
-
-(* ------------------------------------------------------------------ *)
 (* store keys
 
    Built only from explicit request fields (never from Marshal of an

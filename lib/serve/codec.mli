@@ -66,30 +66,6 @@ val batch_payload : Adc_pipeline.Optimize.batch -> Adc_json.Json.t
 val enumerate_payload : Adc_pipeline.Spec.t -> Adc_json.Json.t
 (** Candidate configurations and the de-duplicated MDAC job list. *)
 
-(** {1 The cluster job-outcome codec}
-
-    Peer warm-start donation ([job-put]/[job-get]) ships one settled
-    {!Adc_pipeline.Optimize.job_outcome} between nodes. Only the
-    portable subset travels: the full sizing vector, the scalar
-    solution figures every payload builder reads, and the outcome
-    counters. The analysis structures ([performance], [settling])
-    import as [None] — no serve-side consumer serializes them, so a
-    donated outcome assembles byte-identical payloads. *)
-
-exception Decode_error of string
-(** Raised by the [*_of_json] decoders on a malformed object; the
-    daemon maps it to a [bad_request] error response. *)
-
-val sizing_json : Adc_mdac.Ota.sizing -> Adc_json.Json.t
-val sizing_of_json : Adc_json.Json.t -> Adc_mdac.Ota.sizing
-(** Full-fidelity OTA sizing round-trip (topology as
-    ["miller_simple"]/["miller_cascode"], every float at [%.17g]). *)
-
-val job_outcome_json : Adc_pipeline.Optimize.job_outcome -> Adc_json.Json.t
-val job_outcome_of_json : Adc_json.Json.t -> Adc_pipeline.Optimize.job_outcome
-(** One donated outcome. Decoders accept integers where the canonical
-    serializer collapsed integral floats. *)
-
 (** {1 Store keys}
 
     Canonical strings built from explicit request fields only (never

@@ -18,8 +18,6 @@ type verb =
   | Netlist_emit
   | Store_put
   | Store_get
-  | Job_put
-  | Job_get
 
 let verb_name = function
   | Ping -> "ping"
@@ -36,8 +34,6 @@ let verb_name = function
   | Netlist_emit -> "netlist-emit"
   | Store_put -> "store-put"
   | Store_get -> "store-get"
-  | Job_put -> "job-put"
-  | Job_get -> "job-get"
 
 let verb_of_name = function
   | "ping" -> Some Ping
@@ -54,8 +50,6 @@ let verb_of_name = function
   | "netlist-emit" -> Some Netlist_emit
   | "store-put" -> Some Store_put
   | "store-get" -> Some Store_get
-  | "job-put" -> Some Job_put
-  | "job-get" -> Some Job_get
   | _ -> None
 
 type request = {
@@ -242,7 +236,7 @@ let key_of_request req =
           (Printf.sprintf "enumerate|k=%d|fs=%.17g%s" req.k req.fs_mhz
              (match process with None -> "" | Some d -> "|process=" ^ d));
     }
-  | Store_put | Store_get | Job_put | Job_get -> { store = None; place = req.skey }
+  | Store_put | Store_get -> { store = None; place = req.skey }
   | Ping | Stats | Shutdown | Dump_trace -> { store = None; place = None }
 
 (* [req_id] is echoed only when the client supplied one: an absent field

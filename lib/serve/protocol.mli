@@ -69,13 +69,6 @@ type verb =
   | Store_get   (** cluster data plane: read a store entry by [key];
                     replies [{"found":bool, ...}] with the entry's
                     digest and payload when found *)
-  | Job_put     (** cluster data plane: donate one settled {!Job_key}
-                    outcome into the shared synthesis cache; replies
-                    [{"imported":bool}] — [false] when the key is
-                    already present (first writer wins) or the outcome
-                    is incomplete *)
-  | Job_get     (** cluster data plane: export one settled job outcome
-                    by key; replies [{"found":bool, ...}] *)
 
 val verb_name : verb -> string
 val verb_of_name : string -> verb option
@@ -203,6 +196,6 @@ val key_of_request : request -> keys
     - [enumerate] is cheap and never stored, yet deterministic per
       cell: a synthetic [place] ([enumerate|k=..|fs=..], plus the card
       digest) and no [store];
-    - [store-put], [store-get], [job-put] and [job-get] are placed by
-      the [key] field they address, with no [store];
+    - [store-put] and [store-get] are placed by the [key] field they
+      address, with no [store];
     - [ping], [stats], [shutdown] and [dump-trace] have neither. *)

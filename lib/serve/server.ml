@@ -394,39 +394,6 @@ let compute t (req : Protocol.request) ~cancel ~emit : Json.t * bool =
             ("payload", Json.parse payload);
           ]),
       false )
-  | Protocol.Job_put ->
-    (* peer warm-start donation: install one settled outcome under its
-       Job_key. [import_job] rejects truncated or solution-less
-       outcomes and never displaces an existing entry, so a donation
-       can only ever substitute for the identical local computation. *)
-    let key = require_skey req ~verb:"job-put" in
-    let payload =
-      match req.Protocol.payload with
-      | Some p -> p
-      | None -> raise (Bad_request "job-put: missing \"payload\"")
-    in
-    let outcome =
-      try Codec.job_outcome_of_json payload
-      with Codec.Decode_error msg ->
-        raise (Bad_request (Printf.sprintf "job-put: %s" msg))
-    in
-    let imported =
-      Optimize.import_job t.shared (Job_key.of_string key) outcome
-    in
-    (Json.Obj [ ("imported", Json.Bool imported) ], false)
-  | Protocol.Job_get ->
-    let key = require_skey req ~verb:"job-get" in
-    ( (match Optimize.export_job t.shared (Job_key.of_string key) with
-      | None ->
-        Json.Obj [ ("found", Json.Bool false); ("key", Json.String key) ]
-      | Some o ->
-        Json.Obj
-          [
-            ("found", Json.Bool true);
-            ("key", Json.String key);
-            ("outcome", Codec.job_outcome_json o);
-          ]),
-      false )
   | Protocol.Stats | Protocol.Shutdown | Protocol.Dump_trace ->
     (* Inline-only verbs: the reader answers these at admission and
        never enqueues them. Should one reach a worker anyway (an
@@ -448,7 +415,6 @@ let dispatch_queued t (req : Protocol.request) ~cancel ~emit :
   match compute t req ~cancel ~emit with
   | payload -> Ok payload
   | exception Bad_request msg -> Error (Protocol.Bad_request, msg)
-  | exception Codec.Decode_error msg -> Error (Protocol.Bad_request, msg)
   | exception Internal_error msg -> Error (Protocol.Internal, msg)
   | exception e -> Error (Protocol.Internal, Printexc.to_string e)
 
@@ -886,8 +852,6 @@ let preregister_metrics m =
         Protocol.Netlist_emit;
         Protocol.Store_put;
         Protocol.Store_get;
-        Protocol.Job_put;
-        Protocol.Job_get;
       ]
   end
 

@@ -3,8 +3,8 @@
    distribution bounds — the QCheck properties), the health registry,
    and the router end to end over in-process fleets (routed answers
    byte-identical to a single daemon, kill-one-backend re-route mid
-   batch, cross-node store replication, peer warm-start donation, and
-   cluster-wide stats aggregation). *)
+   batch, cross-node store replication, and cluster-wide stats
+   aggregation). *)
 
 module Json = Adc_json.Json
 module Protocol = Adc_serve.Protocol
@@ -12,13 +12,9 @@ module Server = Adc_serve.Server
 module Client = Adc_serve.Client
 module Ring = Adc_cluster.Ring
 module Health = Adc_cluster.Health
-module Donor = Adc_cluster.Donor
 module Router = Adc_cluster.Router
 module Transport = Adc_serve.Transport
 module Http = Adc_serve.Http
-module Optimize = Adc_pipeline.Optimize
-module Spec = Adc_pipeline.Spec
-module Job_key = Adc_pipeline.Job_key
 
 let tmp_dir prefix =
   let dir =
@@ -144,17 +140,6 @@ let test_health () =
     [ ("a", true); ("b", true) ]
     (Health.snapshot h)
 
-let test_donor () =
-  let d = Donor.create () in
-  Donor.record d ~digest:"d1" ~backend:"a";
-  Donor.record d ~digest:"d1" ~backend:"b";
-  Donor.record d ~digest:"d1" ~backend:"b";
-  Alcotest.(check (list string)) "holders, most recent first" [ "b"; "a" ]
-    (Donor.holders d ~digest:"d1");
-  Alcotest.(check (option string)) "first writer is the origin" (Some "a")
-    (Donor.origin d ~digest:"d1");
-  Alcotest.(check int) "size" 1 (Donor.size d)
-
 (* ------------------------------------------------------------------ *)
 (* keys: one derivation for the daemon's store and the router's ring *)
 
@@ -196,8 +181,6 @@ let key_rows =
     ("netlist-emit", {|"verb":"netlist-emit","m":2,"bits":6,"attempts":1|});
     ("store-put", {|"verb":"store-put","key":"entry-1","digest":"00","payload":{}|});
     ("store-get", {|"verb":"store-get","key":"entry-2"|});
-    ("job-put", {|"verb":"job-put","key":"job-1","payload":{}|});
-    ("job-get", {|"verb":"job-get","key":"job-2"|});
   ]
 
 (* Every verb x {no card, c018, malformed card}, both keys. The golden
@@ -275,7 +258,7 @@ type fleet = {
 }
 
 let start_fleet ?(n = 3) ?(replicas = 2) ?(replication = true)
-    ?(donation = true) ?(route = Fun.id) () =
+    ?(route = Fun.id) () =
   let dir = tmp_dir "adcopt-cluster" in
   let backends =
     List.init n (fun i ->
@@ -305,7 +288,6 @@ let start_fleet ?(n = 3) ?(replicas = 2) ?(replication = true)
            socket_path = Some front;
            replicas;
            replication;
-           donation;
            probe_period_s = 0.0;
            node_id = Some "router";
          })
@@ -328,8 +310,8 @@ let stop_fleet fleet =
       Thread.join thread)
     fleet.fl_backends
 
-let with_fleet ?n ?replicas ?replication ?donation ?route f =
-  let fleet = start_fleet ?n ?replicas ?replication ?donation ?route () in
+let with_fleet ?n ?replicas ?replication ?route f =
+  let fleet = start_fleet ?n ?replicas ?replication ?route () in
   Fun.protect ~finally:(fun () -> stop_fleet fleet) (fun () -> f fleet)
 
 (* run one request through a fresh connection *)
@@ -360,7 +342,19 @@ let test_cluster_ping_and_single_verbs () =
         (member_exn "id" resp = Json.Int 1);
       let resp = call fleet.fl_front {|{"verb":"enumerate","k":10}|} in
       Alcotest.(check bool) "enumerate routed" true
-        (member_exn "ok" resp = Json.Bool true))
+        (member_exn "ok" resp = Json.Bool true);
+      (* the retired warm-start donation verbs get the daemon's typed
+         answer: unparseable, never forwarded *)
+      List.iter
+        (fun line ->
+          let resp = call fleet.fl_front line in
+          Alcotest.(check bool) (line ^ " is bad_request") true
+            (member_exn "ok" resp = Json.Bool false
+            && member_exn "error" resp = Json.String "bad_request"))
+        [
+          {|{"verb":"job-put","key":"job-1","payload":{}}|};
+          {|{"verb":"job-get","key":"job-2"}|};
+        ])
 
 (* routed answers must be byte-identical to a single daemon's: cold
    compute through the router, warm hit through the router, and a solo
@@ -497,21 +491,50 @@ let test_cluster_replication_failover () =
           [ 10; 11; 12; 13 ]
       in
       let cold = List.map (fun r -> call fleet.fl_front r) reqs in
-      (* let the async store-put offers land *)
+      (* with R = n = 3 each key goes to both of its non-owners: wait,
+         bounded, until every one of those offers has landed *)
+      let expected = 2 * List.length reqs in
       let rec settle tries =
-        if tries > 0 && Router.replica_offers fleet.fl_router < 4 then begin
+        if tries > 0 && Router.replica_offers fleet.fl_router < expected then begin
           Thread.delay 0.05;
           settle (tries - 1)
         end
       in
-      settle 100;
+      settle 400;
       Alcotest.(check bool) "replication offered entries" true
         (Router.replica_offers fleet.fl_router > 0);
-      (* kill every backend but the first: survivors must answer every
-         key from replicated stores, byte-identically *)
-      List.iteri
-        (fun i (_, srv, thread) ->
-          if i > 0 then begin
+      Alcotest.(check int) "every replica offer landed" expected
+        (Router.replica_offers fleet.fl_router);
+      (* the survivor must not own every key, or it would answer only
+         its own computations: pick one that is a non-owner of at least
+         one key, by the router's placement (its ring over the backend
+         sockets) *)
+      let sockets = List.map (fun (s, _, _) -> s) fleet.fl_backends in
+      let ring =
+        Ring.create ~vnodes:Router.default_config.Router.vnodes sockets
+      in
+      let owners =
+        List.map
+          (fun r ->
+            Option.bind
+              (Protocol.key_of_request (parse_exn r)).Protocol.place
+              (Ring.lookup ring))
+          reqs
+      in
+      let survivor =
+        match
+          List.find_opt
+            (fun s -> List.exists (fun o -> o <> Some s) owners)
+            sockets
+        with
+        | Some s -> s
+        | None -> Alcotest.fail "every backend owns every key"
+      in
+      (* kill every backend but the survivor: it must answer every key
+         from replicated stores, byte-identically *)
+      List.iter
+        (fun (sock, srv, thread) ->
+          if sock <> survivor then begin
             Server.stop srv;
             Thread.join thread
           end)
@@ -527,67 +550,6 @@ let test_cluster_replication_failover () =
         reqs cold;
       Alcotest.(check bool) "cross-node hits counted" true
         (Router.replica_hits fleet.fl_router > 0))
-
-(* donation: a hybrid spec's synthesis lineages computed on one backend
-   warm-start a dependent spec owned by another. Few (k, fs) pairs share
-   a lineage, and the ring hashes backend paths under a fresh temp dir,
-   so the pair is picked through the router's own placement (the ring
-   over the backend sockets, keyed by Protocol.key_of_request) to land
-   on two different owners. *)
-let test_cluster_donation () =
-  with_fleet ~n:3 (fun fleet ->
-      let budget =
-        { Adc_synth.Synthesizer.sa_iterations = 10; pattern_evals = 5; space_factor = 0.05 }
-      in
-      let opt (k, fs) =
-        Printf.sprintf
-          {|{"verb":"optimize","k":%d,"fs_mhz":%g,"mode":"hybrid","attempts":1,"budget":{"sa_iterations":10,"pattern_evals":5,"space_factor":0.05}}|}
-          k fs
-      in
-      let ring =
-        Ring.create ~vnodes:Router.default_config.Router.vnodes
-          (List.map (fun (s, _, _) -> s) fleet.fl_backends)
-      in
-      let owner cell =
-        Option.bind (Protocol.key_of_request (parse_exn (opt cell))).Protocol.place
-          (Ring.lookup ring)
-      in
-      let lineage (k, fs) =
-        List.map Job_key.digest
-          (Optimize.plan_job_keys ~mode:`Hybrid ~seed:11 ~attempts:1 ~budget
-             (Spec.make ~k ~fs:(fs *. 1e6) ()))
-      in
-      let cells =
-        List.concat_map
-          (fun fs -> List.map (fun k -> (k, fs)) [ 9; 10; 11; 12 ])
-          [ 200.0; 150.0; 250.0; 100.0; 300.0 ]
-      in
-      let dependent (ka, fa) (kb, fb) =
-        ka < kb && fa = fb
-        && List.exists (fun d -> List.mem d (lineage (kb, fb))) (lineage (ka, fa))
-      in
-      match
-        List.find_map
-          (fun a ->
-            List.find_map
-              (fun b -> if dependent a b && owner a <> owner b then Some (a, b) else None)
-              cells)
-          cells
-      with
-      | None -> Alcotest.fail "no lineage-sharing pair spans two owners"
-      | Some (a, b) ->
-        Alcotest.(check bool) "precondition: the pair has two distinct owners" true
-          (owner a <> None && owner b <> None && owner a <> owner b);
-        List.iter
-          (fun ((k, fs) as cell) ->
-            let resp = call fleet.fl_front (opt cell) in
-            Alcotest.(check bool)
-              (Printf.sprintf "hybrid optimize k=%d fs=%g ok" k fs)
-              true
-              (member_exn "ok" resp = Json.Bool true))
-          [ a; b ];
-        Alcotest.(check bool) "donations brokered" true
-          (Router.donations fleet.fl_router > 0))
 
 (* a fanned batch's sub-results are never replicated under a cell's solo
    optimize key, where a replica would answer an optimize with a batch
@@ -820,7 +782,6 @@ let test_listen_errors () =
 (* ------------------------------------------------------------------ *)
 
 let quick name f = Alcotest.test_case name `Quick f
-let slow name f = Alcotest.test_case name `Slow f
 let prop p = QCheck_alcotest.to_alcotest p
 
 let () =
@@ -838,8 +799,7 @@ let () =
           prop prop_distribution;
         ] );
       ( "registry",
-        [ quick "health marks and transitions" test_health;
-          quick "donor index" test_donor ] );
+        [ quick "health marks and transitions" test_health ] );
       ( "keys",
         [ quick "verb x card key table" test_key_table;
           prop prop_place_is_store ] );
@@ -852,7 +812,6 @@ let () =
           quick "kill 1 of 3 re-routes mid-batch" test_cluster_kill_backend_reroutes;
           quick "whole ring down is typed" test_cluster_whole_ring_down;
           quick "replication serves cross-node hits" test_cluster_replication_failover;
-          slow "donation warm-starts dependent jobs" test_cluster_donation;
           quick "stats aggregate across the fleet" test_cluster_stats_aggregation;
           quick "shutdown propagates the drain" test_cluster_shutdown_propagates;
           quick "ops plane: healthz, readyz flips, metrics" test_router_ops_plane;

@@ -21,7 +21,6 @@ let parallel_size = Stdlib.max 4 (Pool.recommended_size ())
 let test_future_resolve () =
   let fut = Future.create () in
   Alcotest.(check bool) "pending" false (Future.is_resolved fut);
-  Alcotest.(check bool) "peek empty" true (Future.peek fut = None);
   Future.resolve fut 42;
   Alcotest.(check bool) "settled" true (Future.is_resolved fut);
   Alcotest.(check int) "await" 42 (Future.await fut);
@@ -39,8 +38,7 @@ let test_future_fail () =
     (try
        ignore (Future.await fut);
        false
-     with Exit -> true);
-  Alcotest.(check bool) "failed future peeks None" true (Future.peek fut = None)
+     with Exit -> true)
 
 let test_future_cross_domain () =
   let fut = Future.create () in
@@ -291,7 +289,7 @@ let () =
     [
       ( "future",
         [
-          quick "resolve/await/peek" test_future_resolve;
+          quick "resolve/await" test_future_resolve;
           quick "failure propagation" test_future_fail;
           quick "cross-domain handoff" test_future_cross_domain;
         ] );

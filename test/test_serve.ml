@@ -74,7 +74,16 @@ let test_request_rejects () =
   Alcotest.(check bool) "malformed json" true (bad "{nope");
   Alcotest.(check bool) "not an object" true (bad "[1,2]");
   Alcotest.(check bool) "missing verb" true (bad {|{"k":12}|});
-  Alcotest.(check bool) "unknown verb" true (bad {|{"verb":"frobnicate"}|});
+  (* job-put/job-get were the retired warm-start donation verbs *)
+  List.iter
+    (fun verb ->
+      Alcotest.(check bool) ("unknown verb " ^ verb) true
+        (match
+           Protocol.parse_request_line (Printf.sprintf {|{"verb":%S}|} verb)
+         with
+        | Error (Protocol.Bad_request, _, _) -> true
+        | Error _ | Ok _ -> false))
+    [ "frobnicate"; "job-put"; "job-get" ];
   Alcotest.(check bool) "bad field type" true
     (bad {|{"verb":"optimize","k":"thirteen"}|});
   Alcotest.(check bool) "bad mode" true
@@ -867,11 +876,23 @@ let test_server_pareto_bad_axes () =
       Client.close c)
 
 let test_server_bad_requests () =
-  with_server (fun _srv socket ->
+  with_server ~workers:1 (fun _srv socket ->
       let c = Client.connect_unix socket in
-      let resp = Client.request c (Json.parse {|{"verb":"warp"}|}) in
-      Alcotest.(check bool) "bad verb refused" true
-        (member_exn "error" resp = Json.String "bad_request");
+      Client.set_read_timeout_ms c 30_000;
+      List.iter
+        (fun line ->
+          let resp = Client.request c (Json.parse line) in
+          Alcotest.(check bool) (line ^ ": bad verb refused") true
+            (member_exn "error" resp = Json.String "bad_request"))
+        [
+          {|{"verb":"warp"}|};
+          {|{"verb":"job-put","key":"job-1","payload":{}}|};
+          {|{"verb":"job-get","key":"job-2"}|};
+        ];
+      (* the one worker survived: a queued verb is still answered *)
+      let resp = Client.request c (Json.parse {|{"verb":"enumerate","k":10}|}) in
+      Alcotest.(check bool) "worker still serves" true
+        (member_exn "ok" resp = Json.Bool true);
       let resp2 =
         Client.request c
           (Json.parse {|{"id":5,"verb":"montecarlo","k":10,"trials":2,"config":"9-9"}|})
