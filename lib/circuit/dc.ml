@@ -18,9 +18,9 @@ let g_newton = Atomic.make 0
 let totals () =
   { total_solves = Atomic.get g_solves; total_newton_iterations = Atomic.get g_newton }
 
-let residual_norm nl ~x ~time ~source_scale ~gmin ~cap_policy =
-  let res = Vec.create (Netlist.unknown_count nl) in
-  Mna.residual_into nl ~x ~time ~source_scale ~gmin ~cap_policy res;
+let residual_norm ctx ~x ~time ~source_scale ~gmin ~cap_policy =
+  let res = Vec.create (Array.length x) in
+  Mna.residual_into ctx ~x ~time ~source_scale ~gmin ~cap_policy res;
   Vec.norm_inf res
 
 (* Convergence: accept once the previous damped update was tiny AND the
@@ -28,9 +28,9 @@ let residual_norm nl ~x ~time ~source_scale ~gmin ~cap_policy =
    used to read the pre-update residual, declaring convergence one
    iteration stale; iterating assembly-first makes the criterion exact at
    the returned point for free (each loop entry assembles at current x). *)
-let converged ~prev_dx ~res_norm = prev_dx < 1e-10 && res_norm < 1e-9
+let[@inline] converged ~prev_dx ~res_norm = prev_dx < 1e-10 && res_norm < 1e-9
 
-let damp_and_update ~vstep_limit ~nv x dx =
+let[@inline] damp_and_update ~vstep_limit ~nv (x : float array) (dx : float array) =
   let max_v_step = ref 0.0 in
   for i = 0 to nv - 1 do
     max_v_step := Float.max !max_v_step (Float.abs dx.(i))
@@ -43,8 +43,20 @@ let damp_and_update ~vstep_limit ~nv x dx =
   done;
   damp *. !max_v_step
 
-(* The one damped-Newton kernel. It reports the iterations spent on
-   failure too, so the DC totals count every iteration a solve performs. *)
+(* [Vec.norm_inf], written out: its float result would be boxed *)
+let[@inline] norm_inf (a : float array) =
+  let m = ref 0.0 in
+  for i = 0 to Array.length a - 1 do
+    m := Float.max !m (Float.abs a.(i))
+  done;
+  !m
+
+type outcome = Running | Converged | Max_iter | Singular
+
+(* The one damped-Newton kernel. Its iterations allocate nothing beyond
+   what [Mna.assemble_into] does: the loop state is unboxed locals. It
+   reports the iterations spent on failure too, so the DC totals count
+   every iteration a solve performs. *)
 let newton_counted ?(max_iter = 120) ?(vstep_limit = 0.4) ?ctx ~x0 ~time
     ~source_scale ~gmin ~cap_policy nl =
   let ctx = match ctx with Some c -> c | None -> Mna.context nl in
@@ -52,25 +64,34 @@ let newton_counted ?(max_iter = 120) ?(vstep_limit = 0.4) ?ctx ~x0 ~time
   let n = Netlist.unknown_count nl in
   let x = Vec.copy x0 in
   let rhs = Vec.create n and dx = Vec.create n in
-  let rec iterate k prev_dx =
+  let res = Mna.ctx_residual ctx in
+  let k = ref 0 and prev_dx = ref Float.infinity and outcome = ref Running in
+  while !outcome = Running do
     Mna.assemble_into ctx ~x ~time ~source_scale ~gmin ~cap_policy;
-    let res = Mna.ctx_residual ctx in
-    let res_norm = Vec.norm_inf res in
-    if converged ~prev_dx ~res_norm then Ok (x, k)
-    else if k >= max_iter then
-      Error (Printf.sprintf "Newton: no convergence in %d iterations" max_iter, k)
+    let res_norm = norm_inf res in
+    if converged ~prev_dx:!prev_dx ~res_norm then outcome := Converged
+    else if !k >= max_iter then outcome := Max_iter
     else begin
       for i = 0 to n - 1 do
         rhs.(i) <- -.res.(i)
       done;
-      match Mna.factor_and_solve ctx ~rhs ~dx with
-      | exception Sparse.Singular -> Error ("Newton: singular Jacobian", k)
-      | () ->
-        let dx_norm = damp_and_update ~vstep_limit ~nv x dx in
-        iterate (k + 1) dx_norm
+      let solved =
+        match Mna.factor_and_solve ctx ~rhs ~dx with
+        | exception Sparse.Singular -> false
+        | () -> true
+      in
+      if solved then begin
+        prev_dx := damp_and_update ~vstep_limit ~nv x dx;
+        incr k
+      end
+      else outcome := Singular
     end
-  in
-  iterate 0 Float.infinity
+  done;
+  match !outcome with
+  | Converged -> Ok (x, !k)
+  | Singular -> Error ("Newton: singular Jacobian", !k)
+  | Running | Max_iter ->
+    Error (Printf.sprintf "Newton: no convergence in %d iterations" max_iter, !k)
 
 let newton ?max_iter ?vstep_limit ?ctx ~x0 ~time ~source_scale ~gmin
     ~cap_policy nl =
@@ -107,7 +128,7 @@ let solve ?x0 ?(time = 0.0) ?(max_iter = 120) ?ctx nl =
   in
   let finish ~x ~iterations ~strategy =
     let residual =
-      residual_norm nl ~x ~time ~source_scale:1.0 ~gmin:0.0 ~cap_policy:Mna.Cap_open
+      residual_norm ctx ~x ~time ~source_scale:1.0 ~gmin:0.0 ~cap_policy:Mna.Cap_open
     in
     Ok { x; iterations; strategy; residual }
   in

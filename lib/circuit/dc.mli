@@ -6,8 +6,9 @@
 
     The linear solves run on an [Mna.ctx], which carries the
     preallocated sparse matrix buffers and the (shared) symbolic
-    factorization, so each Newton iteration costs one allocation-free
-    assembly plus one numeric refactorization.
+    factorization, so each Newton iteration costs one assembly plus one
+    numeric refactorization, and allocates nothing at DC with constant
+    sources.
 
     Convergence accepts when the previous damped voltage update is below
     1e-10 {e and} the residual assembled at the {e updated} point is
@@ -26,7 +27,9 @@ val solve :
   ?ctx:Mna.ctx -> Netlist.t -> (result, string) Stdlib.result
 (** Find the operating point. [time] fixes source values and switch
     states (default 0). [ctx] reuses a caller-held context; when
-    omitted one is created internally.
+    omitted one is created internally. The netlist is validated first
+    ([Netlist.validate], whose verdict is kept until the netlist grows);
+    a bad netlist raises [Invalid_argument "Dc.solve: bad netlist: ..."].
 
     Caller invariants, checked at entry with [Invalid_argument]: a [ctx]
     must have been built by [Mna.context] for this very [nl] (physical
@@ -59,4 +62,6 @@ val newton :
   cap_policy:Mna.cap_policy -> Netlist.t ->
   (float array * int, string) Stdlib.result
 (** The raw damped-Newton kernel (shared with the transient engine).
-    Returns the solution and the number of damped updates performed. *)
+    Returns the solution and the number of damped updates performed.
+    Its minor-heap allocation does not depend on the number of
+    iterations beyond what {!Mna.assemble_into} allocates. *)

@@ -8,27 +8,30 @@ type cap_policy =
   | Cap_open
   | Cap_companion of (cap_index:int -> np:int -> nn:int -> farads:float -> cap_companion)
 
-let node_voltage_of (x : Vec.t) n = if n = 0 then 0.0 else x.(n - 1)
+let[@inline] node_voltage_of (x : float array) n = if n = 0 then 0.0 else x.(n - 1)
 
 let cap_count nl =
-  List.fold_left
+  Array.fold_left
     (fun acc d -> match d with Netlist.Capacitor _ -> acc + 1 | _ -> acc)
-    0 (Netlist.devices nl)
+    0 (Netlist.device_array nl)
 
-(* Single generic traversal behind every assembler. [jadd r c v] receives
-   matrix coordinates (node rows already shifted by -1, branch rows
-   absolute); [fadd i v] accumulates the residual. The *sequence* of jadd
-   calls depends only on the device list and the Cap_open/Cap_companion
+(* constructor-registered branches: a miss is a corrupted netlist *)
+let branch nl name =
+  match Netlist.branch_index nl name with
+  | Some bi -> bi
+  | None -> invalid_arg (Printf.sprintf "Mna.assemble: no branch %S" name)
+
+(* The reference stamping traversal. [jadd r c v] receives matrix
+   coordinates (node rows already shifted by -1, branch rows absolute);
+   [fadd i v] accumulates the residual. The *sequence* of jadd calls
+   depends only on the device list and the Cap_open/Cap_companion
    distinction — never on [x], [time] or element values — which is what
-   lets the sparse assembler replay a pre-recorded slot program. *)
+   lets a topology's slot programs be recorded once. It has two jobs:
+   that recording, and the dense oracle. Production contexts run the
+   compiled loop below, which does its float ops in its order. *)
 let assemble_core nl ~x ~time ~source_scale ~gmin ~cap_policy ~jadd ~fadd =
   let nv = Netlist.node_count nl - 1 in
-  (* constructor-registered branches: a miss is a corrupted netlist *)
-  let branch name =
-    match Netlist.branch_index nl name with
-    | Some bi -> bi
-    | None -> invalid_arg (Printf.sprintf "Mna.assemble: no branch %S" name)
-  in
+  let branch = branch nl in
   let v node = node_voltage_of x node in
   let row node = node - 1 in
   (* stamp a current i leaving [node] with given partials *)
@@ -111,7 +114,7 @@ let assemble_core nl ~x ~time ~source_scale ~gmin ~cap_policy ~jadd ~fadd =
       stamp_j s b (-.gmb);
       stamp_j s s (gm +. gds +. gmb)
   in
-  List.iter stamp_device (Netlist.devices nl);
+  Array.iter stamp_device (Netlist.device_array nl);
   (* gmin from every node to ground stabilizes floating subcircuits and
      enables gmin stepping. Stamped unconditionally (possibly with 0.0)
      so the call sequence is gmin-independent. *)
@@ -129,14 +132,9 @@ let assemble nl ~x ~time ~source_scale ~gmin ~cap_policy =
     ~fadd:(fun i v -> res.(i) <- res.(i) +. v);
   (jac, res)
 
-let residual_into nl ~x ~time ~source_scale ~gmin ~cap_policy res =
-  Array.fill res 0 (Array.length res) 0.0;
-  assemble_core nl ~x ~time ~source_scale ~gmin ~cap_policy
-    ~jadd:(fun _ _ _ -> ())
-    ~fadd:(fun i v -> res.(i) <- res.(i) +. v)
 
 (* ------------------------------------------------------------------ *)
-(* Sparse contexts and the per-topology symbolic cache                 *)
+(* The per-topology caches                                             *)
 (* ------------------------------------------------------------------ *)
 
 type cache_entry = { mutable sym : Sparse.symbolic option }
@@ -144,14 +142,68 @@ type cache_entry = { mutable sym : Sparse.symbolic option }
 (* Symbolic factorizations keyed by structural pattern. Annealing
    evaluates thousands of candidate sizings over a handful of circuit
    topologies; candidates with equal patterns share one read-only
-   symbolic. The mutex only guards the table — analysis itself runs
-   outside the lock. *)
+   symbolic. The mutex guards this table and the topology table below;
+   analysis and compilation run outside it. *)
 let cache : (int, (Sparse.pattern * cache_entry) list ref) Hashtbl.t =
   Hashtbl.create 16
 
 let cache_mutex = Mutex.create ()
 let cache_analyses = ref 0
 let max_cached_topologies = 64
+
+(* What a topology compiles to: its pattern and symbolic entry, the slot
+   of every [jadd] call [assemble_core] makes under each capacitor policy,
+   and the MNA row of each device's branch current (-1 for none). *)
+type topology = {
+  n_nodes : int;
+  n_devices : int;
+  pat : Sparse.pattern;
+  prog_open : int array;
+  prog_companion : int array;
+  branch_row : int array;
+  entry : cache_entry;
+}
+
+(* The structure a topology is keyed by, values left out: the node
+   count, then per device its kind, its nodes and its branch index. *)
+let topology_key nl =
+  let devs = Netlist.device_array nl in
+  let words = function
+    | Netlist.Resistor _ | Netlist.Capacitor _ | Netlist.Isource _ | Netlist.Switch _ -> 3
+    | Netlist.Vsource _ -> 4
+    | Netlist.Mos _ -> 5
+    | Netlist.Vcvs _ -> 6
+  in
+  let key = Array.make (Array.fold_left (fun n d -> n + words d) 1 devs) 0 in
+  key.(0) <- Netlist.node_count nl;
+  let pos = ref 1 in
+  let put v =
+    key.(!pos) <- v;
+    incr pos
+  in
+  Array.iter
+    (fun d ->
+      match d with
+      | Netlist.Resistor { np; nn; _ } -> put 0; put np; put nn
+      | Netlist.Capacitor { np; nn; _ } -> put 1; put np; put nn
+      | Netlist.Isource { np; nn; _ } -> put 2; put np; put nn
+      | Netlist.Switch { np; nn; _ } -> put 3; put np; put nn
+      | Netlist.Vsource { v_name; np; nn; _ } ->
+        put 4; put np; put nn; put (branch nl v_name)
+      | Netlist.Mos { d; g; s; b; _ } -> put 5; put d; put g; put s; put b
+      | Netlist.Vcvs { e_name; p; n; cp; cn; _ } ->
+        put 6; put p; put n; put cp; put cn; put (branch nl e_name))
+    devs;
+  key
+
+module Topologies = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) b = a = b
+  let hash (k : t) = Array.fold_left (fun h v -> (h * 65599) + v) 0 k land max_int
+end)
+
+let topologies : topology Topologies.t = Topologies.create 16
 
 let intern_pattern pat =
   Mutex.lock cache_mutex;
@@ -169,7 +221,12 @@ let intern_pattern pat =
         e
     end
     | None ->
-      if Hashtbl.length cache >= max_cached_topologies then Hashtbl.reset cache;
+      if Hashtbl.length cache >= max_cached_topologies then begin
+        (* a compiled topology holds its entry: drop those too, so every
+           context built from here on starts from a fresh symbolic *)
+        Hashtbl.reset cache;
+        Topologies.reset topologies
+      end;
       let e = { sym = None } in
       Hashtbl.replace cache key (ref [ (pat, e) ]);
       e
@@ -177,40 +234,17 @@ let intern_pattern pat =
   Mutex.unlock cache_mutex;
   entry
 
-(* The sparse state behind a production context. *)
-type sparse_lu = {
-  mat : Sparse.t;
-  prog_open : int array;  (* slot per jadd call under Cap_open *)
-  prog_companion : int array;  (* slot per jadd call under Cap_companion *)
-  entry : cache_entry;
-  mutable numeric : Sparse.numeric option;
-}
-
-type solver =
-  | Sparse_lu of sparse_lu
-  | Dense_lu of { mutable jac : Mat.t }
-      (* the oracle: the last [assemble]d Jacobian, solved by [Mat.solve] *)
-
-type ctx = { nl : Netlist.t; res : Vec.t; solver : solver }
-
-module Oracle = struct
-  let dense = Domain.DLS.new_key (fun () -> false)
-
-  let with_dense f =
-    let prev = Domain.DLS.get dense in
-    Domain.DLS.set dense true;
-    Fun.protect ~finally:(fun () -> Domain.DLS.set dense prev) f
-end
-
-let sparse_lu nl =
+(* Two recording passes of [assemble_core], once per topology; the
+   companion pass (a superset of the open one) also yields the pattern
+   entries. *)
+let compile nl =
   let n = Netlist.unknown_count nl in
+  let nv = Netlist.node_count nl - 1 in
   let x0 = Vec.create n in
   let dummy_companion =
     Cap_companion
       (fun ~cap_index:_ ~np:_ ~nn:_ ~farads:_ -> { geq = 1.0; ieq = 0.0 })
   in
-  (* one recording pass per policy; the companion pass (a superset of the
-     open one) also yields the pattern entries *)
   let record policy =
     let calls = ref [] in
     assemble_core nl ~x:x0 ~time:0.0 ~source_scale:1.0 ~gmin:1.0
@@ -225,19 +259,211 @@ let sparse_lu nl =
   let to_prog calls =
     Array.map (fun (r, c) -> Sparse.slot pat ~row:r ~col:c) calls
   in
+  let devs = Netlist.device_array nl in
   {
-    mat = Sparse.create pat;
+    n_nodes = nv + 1;
+    n_devices = Array.length devs;
+    pat;
     prog_open = to_prog calls_open;
     prog_companion = to_prog calls_companion;
+    branch_row =
+      Array.map
+        (function
+          | Netlist.Vsource { v_name = name; _ } | Netlist.Vcvs { e_name = name; _ } ->
+            nv + branch nl name
+          | _ -> -1)
+        devs;
     entry = intern_pattern pat;
-    numeric = None;
   }
+
+(* Compiled once per topology and shared read-only by every domain. When
+   two domains compile the same key, the first to publish wins (the two
+   are equal, and intern the same symbolic entry). *)
+let topology nl =
+  let key = topology_key nl in
+  match Mutex.protect cache_mutex (fun () -> Topologies.find_opt topologies key) with
+  | Some t -> t
+  | None ->
+    let t = compile nl in
+    Mutex.protect cache_mutex (fun () ->
+        match Topologies.find_opt topologies key with
+        | Some first -> first
+        | None ->
+          if Topologies.length topologies >= max_cached_topologies then
+            Topologies.reset topologies;
+          Topologies.replace topologies key t;
+          t)
+
+(* ------------------------------------------------------------------ *)
+(* The compiled stamping loop                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* [assemble_core]'s float ops, in its order, as one loop over the
+   netlist's device array: slots come from the topology's program, rows
+   from the nodes, values from the devices. Nothing in it allocates
+   under [Cap_open] with constant sources. Dune's dev profile compiles
+   [-opaque], so a float passed to or returned from another module's
+   function is boxed: the loop adds into the matrix's value buffer
+   itself, reads [Dc] waveforms in place instead of calling
+   [Stimulus.value], and hands the MOS model its voltages in an array
+   ([Mosfet.eval_into]). The helpers are inlined, so their floats stay
+   unboxed; each returns the advanced program cursor. *)
+
+(* [stamp_f] *)
+let[@inline] add_f (res : float array) node i =
+  if node <> 0 then res.(node - 1) <- res.(node - 1) +. i
+
+(* one [jadd] call: the program's next slot *)
+let[@inline] add_slot (vals : Sparse.fbuf) (prog : int array) jac cur g =
+  if jac then begin
+    let s = prog.(cur) in
+    Bigarray.Array1.unsafe_set vals s (Bigarray.Array1.unsafe_get vals s +. g)
+  end;
+  cur + 1
+
+(* [stamp_j] *)
+let[@inline] add_j vals prog jac cur r c g =
+  if r <> 0 && c <> 0 then add_slot vals prog jac cur g else cur
+
+(* [stamp_conductance] *)
+let[@inline] add_conductance vals prog jac cur a b g =
+  let cur = add_j vals prog jac cur a a g in
+  let cur = add_j vals prog jac cur b b g in
+  let cur = add_j vals prog jac cur a b (-.g) in
+  add_j vals prog jac cur b a (-.g)
+
+(* [stamp_resistor_like] *)
+let[@inline] add_resistor_like vals prog jac res x cur np nn ohms =
+  let g = 1.0 /. ohms in
+  let i = g *. (node_voltage_of x np -. node_voltage_of x nn) in
+  add_f res np i;
+  add_f res nn (-.i);
+  add_conductance vals prog jac cur np nn g
+
+(* [Stimulus.value], with the constant case read in place *)
+let[@inline] wave_value wave time =
+  match wave with Stimulus.Dc v -> v | w -> Stimulus.value w time
+
+(* The [+-1] entries a voltage source or VCVS puts in its branch column
+   (at rows [p], [n]) and, in the same order, in its branch row. *)
+let[@inline] add_branch_pair vals prog jac cur p n =
+  let cur = if p <> 0 then add_slot vals prog jac cur 1.0 else cur in
+  if n <> 0 then add_slot vals prog jac cur (-1.0) else cur
+
+(* The branch current's KCL terms and its column entries; the branch
+   equation's own terms follow (see [assemble_core]). *)
+let[@inline] add_branch_kcl vals prog jac res x cur bi p n =
+  let ib = x.(bi) in
+  add_f res p ib;
+  add_f res n (-.ib);
+  add_branch_pair vals prog jac cur p n
+
+let stamp topo (io : float array) (vals : Sparse.fbuf) nl ~(x : float array) ~time
+    ~source_scale ~gmin ~cap_policy ~jac (res : float array) =
+  let devs = Netlist.device_array nl in
+  if Array.length devs <> topo.n_devices || Netlist.node_count nl <> topo.n_nodes then
+    invalid_arg "Mna: the netlist has changed structure since its context was built";
+  let prog =
+    match cap_policy with
+    | Cap_open -> topo.prog_open
+    | Cap_companion _ -> topo.prog_companion
+  in
+  let proc = Netlist.process nl in
+  let cur = ref 0 and cap_idx = ref 0 in
+  for k = 0 to Array.length devs - 1 do
+    match devs.(k) with
+    | Netlist.Resistor { np; nn; ohms; _ } ->
+      cur := add_resistor_like vals prog jac res x !cur np nn ohms
+    | Netlist.Switch { np; nn; r_on; r_off; closed_at; _ } ->
+      cur :=
+        add_resistor_like vals prog jac res x !cur np nn
+          (if closed_at time then r_on else r_off)
+    | Netlist.Capacitor { np; nn; farads; _ } -> begin
+      let ci = !cap_idx in
+      incr cap_idx;
+      match cap_policy with
+      | Cap_open -> ()
+      | Cap_companion f ->
+        let { geq; ieq } = f ~cap_index:ci ~np ~nn ~farads in
+        let i = (geq *. (node_voltage_of x np -. node_voltage_of x nn)) +. ieq in
+        add_f res np i;
+        add_f res nn (-.i);
+        cur := add_conductance vals prog jac !cur np nn geq
+    end
+    | Netlist.Isource { np; nn; wave; _ } ->
+      let i = source_scale *. wave_value wave time in
+      add_f res np i;
+      add_f res nn (-.i)
+    | Netlist.Vsource { np; nn; wave; _ } ->
+      let bi = topo.branch_row.(k) in
+      cur := add_branch_kcl vals prog jac res x !cur bi np nn;
+      let vval = source_scale *. wave_value wave time in
+      res.(bi) <- res.(bi) +. (node_voltage_of x np -. node_voltage_of x nn -. vval);
+      cur := add_branch_pair vals prog jac !cur np nn
+    | Netlist.Vcvs { p; n; cp; cn; gain; _ } ->
+      let bi = topo.branch_row.(k) in
+      cur := add_branch_kcl vals prog jac res x !cur bi p n;
+      let vc = node_voltage_of x cp -. node_voltage_of x cn in
+      res.(bi) <- res.(bi) +. (node_voltage_of x p -. node_voltage_of x n -. (gain *. vc));
+      cur := add_branch_pair vals prog jac !cur p n;
+      if cp <> 0 then cur := add_slot vals prog jac !cur (-.gain);
+      if cn <> 0 then cur := add_slot vals prog jac !cur gain
+    | Netlist.Mos { d; g; s; b; polarity; w; l; mult; _ } ->
+      let params = Process.mos proc polarity in
+      io.(0) <- node_voltage_of x g -. node_voltage_of x s;
+      io.(1) <- node_voltage_of x d -. node_voltage_of x s;
+      io.(2) <- node_voltage_of x b -. node_voltage_of x s;
+      ignore (Mosfet.eval_into params polarity ~w ~l io : Mosfet.region);
+      let ids = mult *. io.(3) in
+      let gm = mult *. io.(4) and gds = mult *. io.(5) and gmb = mult *. io.(6) in
+      add_f res d ids;
+      add_f res s (-.ids);
+      let c = !cur in
+      let c = add_j vals prog jac c d g gm in
+      let c = add_j vals prog jac c d d gds in
+      let c = add_j vals prog jac c d b gmb in
+      let c = add_j vals prog jac c d s (-.(gm +. gds +. gmb)) in
+      let c = add_j vals prog jac c s g (-.gm) in
+      let c = add_j vals prog jac c s d (-.gds) in
+      let c = add_j vals prog jac c s b (-.gmb) in
+      cur := add_j vals prog jac c s s (gm +. gds +. gmb)
+  done;
+  (* gmin *)
+  for nd = 1 to topo.n_nodes - 1 do
+    cur := add_slot vals prog jac !cur gmin;
+    res.(nd - 1) <- res.(nd - 1) +. (gmin *. x.(nd - 1))
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Contexts                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The sparse state behind a production context: the shared topology,
+   and this context's own value buffers. *)
+type sparse_lu = {
+  topo : topology;
+  mat : Sparse.t;
+  io : float array;  (* [Mosfet.eval_into]'s voltages and results *)
+  mutable numeric : Sparse.numeric option;
+}
+
+type solver =
+  | Sparse_lu of sparse_lu
+  | Dense_lu of { mutable jac : Mat.t }
+      (* the oracle: the last [assemble]d Jacobian, solved by [Mat.solve] *)
+
+type ctx = { nl : Netlist.t; res : Vec.t; solver : solver }
+
+(* set by [Oracle.with_dense] on the calling domain *)
+let dense = Domain.DLS.new_key (fun () -> false)
 
 let context nl =
   let n = Netlist.unknown_count nl in
   let solver =
-    if Domain.DLS.get Oracle.dense then Dense_lu { jac = Mat.create n n }
-    else Sparse_lu (sparse_lu nl)
+    if Domain.DLS.get dense then Dense_lu { jac = Mat.create n n }
+    else
+      let topo = topology nl in
+      Sparse_lu { topo; mat = Sparse.create topo.pat; io = Array.make 7 0.0; numeric = None }
   in
   { nl; res = Vec.create n; solver }
 
@@ -249,29 +475,32 @@ let assemble_into ctx ~x ~time ~source_scale ~gmin ~cap_policy =
   | Sparse_lu lu ->
     Sparse.clear lu.mat;
     Array.fill ctx.res 0 (Array.length ctx.res) 0.0;
-    let prog =
-      match cap_policy with
-      | Cap_open -> lu.prog_open
-      | Cap_companion _ -> lu.prog_companion
-    in
-    let cur = ref 0 in
-    assemble_core ctx.nl ~x ~time ~source_scale ~gmin ~cap_policy
-      ~jadd:(fun _ _ v ->
-        Sparse.add lu.mat (Array.unsafe_get prog !cur) v;
-        incr cur)
-      ~fadd:(fun i v -> ctx.res.(i) <- ctx.res.(i) +. v)
+    stamp lu.topo lu.io (Sparse.values lu.mat) ctx.nl ~x ~time ~source_scale ~gmin
+      ~cap_policy ~jac:true ctx.res
   | Dense_lu d ->
     let jac, res = assemble ctx.nl ~x ~time ~source_scale ~gmin ~cap_policy in
     d.jac <- jac;
     Array.blit res 0 ctx.res 0 (Array.length res)
 
+let residual_into ctx ~x ~time ~source_scale ~gmin ~cap_policy res =
+  Array.fill res 0 (Array.length res) 0.0;
+  match ctx.solver with
+  | Sparse_lu lu ->
+    stamp lu.topo lu.io (Sparse.values lu.mat) ctx.nl ~x ~time ~source_scale ~gmin
+      ~cap_policy ~jac:false res
+  | Dense_lu _ ->
+    assemble_core ctx.nl ~x ~time ~source_scale ~gmin ~cap_policy
+      ~jadd:(fun _ _ _ -> ())
+      ~fadd:(fun i v -> res.(i) <- res.(i) +. v)
+
 let ensure_numeric lu =
   match lu.numeric with
   | Some num -> num
   | None ->
+    let entry = lu.topo.entry in
     let sym =
       Mutex.lock cache_mutex;
-      let cached = lu.entry.sym in
+      let cached = entry.sym in
       Mutex.unlock cache_mutex;
       match cached with
       | Some s -> s
@@ -281,10 +510,10 @@ let ensure_numeric lu =
         let s = Sparse.analyze lu.mat in
         Mutex.lock cache_mutex;
         let s =
-          match lu.entry.sym with
+          match entry.sym with
           | Some existing -> existing
           | None ->
-            lu.entry.sym <- Some s;
+            entry.sym <- Some s;
             incr cache_analyses;
             s
         in
@@ -313,3 +542,17 @@ let ctx_stats ctx =
     { Sparse.analyses = 0; refactorizations = 0; solves = 0 }
 
 let shared_analyses () = !cache_analyses
+
+module Oracle = struct
+  let with_dense f =
+    let prev = Domain.DLS.get dense in
+    Domain.DLS.set dense true;
+    Fun.protect ~finally:(fun () -> Domain.DLS.set dense prev) f
+
+  let assemble = assemble
+
+  let jacobian ctx =
+    match ctx.solver with
+    | Sparse_lu lu -> Sparse.to_dense lu.mat
+    | Dense_lu d -> Mat.copy d.jac
+end

@@ -8,15 +8,16 @@
     node (or the branch voltage equation), so a solution satisfies
     [f = 0] and Newton solves [J dx = -f].
 
-    One stamping traversal serves both solvers behind a {!ctx}. The
-    production solver writes into an unboxed sparse matrix over a
-    sparsity pattern recorded once per netlist, stamped by replaying a
-    slot program with no per-iteration allocation. Symbolic LU
-    factorizations are cached per {e topology} (structural pattern
-    equality), so annealing candidates that only change element values
-    reuse the same pivot order and fill schedule and pay numeric
-    refactorization only. The dense LU oracle, an independent
-    cross-check for the tests, is reached only through
+    A netlist's stamps are compiled once per {e topology} (node count,
+    device kinds, nodes and branch order; no values) into a process-wide
+    cache: the sparsity pattern, the matrix slot of every stamp, and the
+    shared symbolic LU factorization. A production {!ctx} only allocates
+    value buffers, and each Newton iteration stamps the Jacobian and
+    residual in one loop over the devices that allocates nothing under
+    [Cap_open] with constant sources. Annealing candidates that only
+    change element values reuse the same pivot order and fill schedule
+    and pay numeric refactorization only. The dense LU oracle, an
+    independent cross-check for the tests, is reached only through
     {!Oracle.with_dense}. *)
 
 type cap_companion = {
@@ -33,18 +34,6 @@ type cap_policy =
 val node_voltage_of : float array -> int -> float
 (** Voltage of a node index given the unknown vector (0 for ground). *)
 
-val residual_into :
-  Netlist.t ->
-  x:float array ->
-  time:float ->
-  source_scale:float ->
-  gmin:float ->
-  cap_policy:cap_policy ->
-  float array ->
-  unit
-(** Evaluate only the residual into a caller-provided buffer — no matrix
-    work, no allocation; used for final residual reporting. *)
-
 val cap_count : Netlist.t -> int
 (** Number of capacitors (companion-model history slots). *)
 
@@ -52,18 +41,22 @@ val cap_count : Netlist.t -> int
 
 type ctx
 (** Preallocated assembly state bound to one netlist. A production
-    context holds the recorded sparsity pattern, slot programs for both
-    capacitor policies, the unboxed matrix/residual buffers, and
-    (lazily) a numeric factorization workspace; the symbolic
-    factorization behind it is shared read-only across all contexts with
-    the same topology. A context built inside {!Oracle.with_dense}
-    instead assembles a dense matrix and solves it by dense LU. Not
-    thread-safe; create one per domain. *)
+    context holds its topology's compiled stamps (pattern, slot programs
+    for both capacitor policies, branch rows), shared read-only with
+    every context of the same topology, plus its own unboxed
+    matrix/residual buffers and (lazily) a numeric factorization
+    workspace over the shared symbolic factorization. A context built
+    inside {!Oracle.with_dense} instead assembles a dense matrix and
+    solves it by dense LU. Not thread-safe; create one per domain. *)
 
 val context : Netlist.t -> ctx
-(** Record the pattern and slot programs for a netlist (two stamping
-    traversals, no factorization yet), or, inside {!Oracle.with_dense},
-    a dense context. *)
+(** A context for the netlist: the topology's compiled stamps (two
+    recording traversals the first time the topology is seen, a cache
+    probe after that) and fresh value buffers; no factorization yet.
+    Inside {!Oracle.with_dense}, a dense context. A context stays valid
+    across {!Netlist.set_wave}; adding a device or node to its netlist
+    afterwards makes {!assemble_into} and {!residual_into} raise
+    [Invalid_argument]. *)
 
 val assemble_into :
   ctx ->
@@ -73,9 +66,26 @@ val assemble_into :
   gmin:float ->
   cap_policy:cap_policy ->
   unit
-(** Stamp the Jacobian and residual at [x] into the context's buffers,
-    replaying the recorded slot program (allocation-free on a production
-    context). *)
+(** Stamp the Jacobian and residual at [x] into the context's buffers.
+    On a production context this is the compiled loop, which allocates
+    nothing under [Cap_open] while every source is [Stimulus.Dc]; a
+    [Cap_companion] callback's record, a non-constant waveform's value
+    and a switch's [closed_at] are allocated by the callee. *)
+
+val residual_into :
+  ctx ->
+  x:float array ->
+  time:float ->
+  source_scale:float ->
+  gmin:float ->
+  cap_policy:cap_policy ->
+  float array ->
+  unit
+(** Evaluate only the residual into a caller-provided buffer, leaving the
+    context's matrix and residual untouched; used for final residual
+    reporting. The same float ops as {!assemble_into}'s residual, under
+    the same allocation terms. A dense context runs the reference
+    traversal. *)
 
 val factor_and_solve : ctx -> rhs:float array -> dx:float array -> unit
 (** Factor the last assembled Jacobian (numeric refactorization over the
@@ -105,4 +115,21 @@ module Oracle : sig
       [f] runs on the original [Adc_numerics.Mat] LU path, float op for
       float op. The previous state is restored when [f] returns or
       raises. *)
+
+  val assemble :
+    Netlist.t ->
+    x:float array ->
+    time:float ->
+    source_scale:float ->
+    gmin:float ->
+    cap_policy:cap_policy ->
+    Adc_numerics.Mat.t * float array
+  (** The reference stamping traversal into a fresh dense Jacobian and
+      residual: the dense oracle's assembly, and the float ops the
+      compiled loop of a production context must reproduce bit for
+      bit. *)
+
+  val jacobian : ctx -> Adc_numerics.Mat.t
+  (** The Jacobian the last {!assemble_into} stamped into [ctx], as a
+      fresh dense matrix (zero off the sparsity pattern). *)
 end

@@ -26,6 +26,16 @@ val eval :
   eval
 (** Evaluate the device at the given terminal-difference voltages. *)
 
+val eval_into :
+  Process.mos_params -> Process.polarity -> w:float -> l:float -> float array -> region
+(** [eval_into p polarity ~w ~l io] is {!eval}, float op for float op,
+    over an array: it reads [vgs], [vds], [vbs] from [io.(0..2)], writes
+    [ids], [gm], [gds], [gmb] to [io.(3..6)] and returns the region. It
+    allocates nothing, where {!eval}'s record and its float arguments
+    are boxed (dune's dev profile compiles [-opaque], so a float passed
+    across a module boundary is boxed). {!eval} wraps it: the model has
+    one copy. *)
+
 val threshold : Process.mos_params -> Process.polarity -> vbs:float -> float
 (** Body-effect-adjusted threshold voltage (signed: negative for PMOS). *)
 

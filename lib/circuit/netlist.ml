@@ -28,12 +28,18 @@ type device =
       closed_at : float -> bool;
     }
 
+(* The devices in insertion order, built on first use after a change. *)
+type ordered = { arr : device array; lst : device list }
+
 type t = {
   proc : Process.t;
   names : (string, node) Hashtbl.t;
-  mutable node_names : string list; (* reversed *)
+  mutable node_names : string array; (* by node; grown by doubling *)
   mutable next : int;
   mutable devs : device list; (* reversed *)
+  mutable ordered : ordered option; (* [None] after [add] or [set_wave] *)
+  mutable verdict : (unit, string) result option;
+      (* [validate]'s answer; [None] after a new node or device *)
   mutable n_branches : int;
   branches : (string, int) Hashtbl.t;
   dev_names : (string, unit) Hashtbl.t;
@@ -48,9 +54,11 @@ let create proc =
   {
     proc;
     names;
-    node_names = [ "gnd" ];
+    node_names = Array.make 16 "gnd";
     next = 1;
     devs = [];
+    ordered = None;
+    verdict = None;
     n_branches = 0;
     branches = Hashtbl.create 8;
     dev_names = Hashtbl.create 32;
@@ -65,14 +73,18 @@ let node t name =
     let n = t.next in
     t.next <- n + 1;
     Hashtbl.replace t.names name n;
-    t.node_names <- name :: t.node_names;
+    if n = Array.length t.node_names then begin
+      let grown = Array.make (2 * n) "" in
+      Array.blit t.node_names 0 grown 0 n;
+      t.node_names <- grown
+    end;
+    t.node_names.(n) <- name;
+    t.verdict <- None;
     n
 
 let find_node t name = Hashtbl.find_opt t.names name
 
-let node_name t n =
-  let all = Array.of_list (List.rev t.node_names) in
-  if n >= 0 && n < Array.length all then all.(n) else Printf.sprintf "#%d" n
+let node_name t n = if n >= 0 && n < t.next then t.node_names.(n) else Printf.sprintf "#%d" n
 
 let node_index (n : node) : int = n
 let node_count t = t.next
@@ -82,7 +94,10 @@ let register_name t name =
     invalid_arg (Printf.sprintf "Netlist: duplicate device name %S" name);
   Hashtbl.replace t.dev_names name ()
 
-let add t d = t.devs <- d :: t.devs
+let add t d =
+  t.devs <- d :: t.devs;
+  t.ordered <- None;
+  t.verdict <- None
 
 let resistor t name np nn ohms =
   if ohms <= 0.0 then invalid_arg "Netlist.resistor: non-positive resistance";
@@ -140,9 +155,20 @@ let set_wave t name wave =
   in
   if not !found then
     invalid_arg (Printf.sprintf "Netlist.set_wave: no independent source %S" name);
-  t.devs <- devs
+  t.devs <- devs;
+  t.ordered <- None
 
-let devices t = List.rev t.devs
+let ordered t =
+  match t.ordered with
+  | Some o -> o
+  | None ->
+    let lst = List.rev t.devs in
+    let o = { arr = Array.of_list lst; lst } in
+    t.ordered <- Some o;
+    o
+
+let devices t = (ordered t).lst
+let device_array t = (ordered t).arr
 
 let mos_devices t =
   List.filter_map (function Mos m -> Some m | _ -> None) (devices t)
@@ -151,7 +177,7 @@ let branch_count t = t.n_branches
 let unknown_count t = t.next - 1 + t.n_branches
 let branch_index t name = Hashtbl.find_opt t.branches name
 
-let validate t =
+let check t =
   (* every non-ground node must connect to at least two device terminals,
      and the graph of all devices must connect every node to ground *)
   let n = node_count t in
@@ -208,3 +234,13 @@ let validate t =
   match !problems with
   | [] -> Ok ()
   | ps -> Error (String.concat "; " ps)
+
+(* Validity depends on nodes and connectivity only, which [set_wave]
+   leaves alone: the verdict is kept until a node or a device is added. *)
+let validate t =
+  match t.verdict with
+  | Some v -> v
+  | None ->
+    let v = check t in
+    t.verdict <- Some v;
+    v

@@ -78,7 +78,13 @@ val set_wave : t -> string -> Stimulus.t -> unit
     [Invalid_argument] when [name] is not an independent source. *)
 
 val devices : t -> device list
-(** Devices in insertion order. *)
+(** Devices in insertion order. Built once after a change and then
+    shared, like {!device_array}. *)
+
+val device_array : t -> device array
+(** The same devices as an array, in insertion order, for loops that
+    index them. The array is shared until the next device is added or
+    {!set_wave} runs: read it, do not write it. *)
 
 val mos_devices : t -> mos list
 
@@ -95,4 +101,6 @@ val branch_index : t -> string -> int option
 
 val validate : t -> (unit, string) result
 (** Structural checks: every node reachable from ground through a DC path,
-    no duplicate device names, positive element values. *)
+    no duplicate device names, positive element values. The verdict is
+    computed once and kept until a node or a device is added ({!set_wave}
+    does not change connectivity). *)

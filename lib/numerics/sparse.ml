@@ -71,8 +71,11 @@ let create pat = { pat; vals = fbuf_create (nnz pat) }
 let pattern m = m.pat
 let clear m = FB.fill m.vals 0.0
 
-let add m s v = FB.unsafe_set m.vals s (FB.unsafe_get m.vals s +. v)
-let add_at m ~row ~col v = add m (slot m.pat ~row ~col) v
+let values m = m.vals
+
+let add_at m ~row ~col v =
+  let s = slot m.pat ~row ~col in
+  FB.unsafe_set m.vals s (FB.unsafe_get m.vals s +. v)
 
 let get_at m ~row ~col =
   match slot m.pat ~row ~col with
@@ -357,7 +360,9 @@ let replay num (m : t) =
   done
 
 let refactorize num (m : t) =
-  if not (pattern_equal num.npat m.pat) then
+  (* contexts of one topology share their pattern physically, so the
+     structural walk is only the fallback *)
+  if not (num.npat == m.pat || pattern_equal num.npat m.pat) then
     invalid_arg "Sparse.refactorize: pattern mismatch";
   num.n_refactorizations <- num.n_refactorizations + 1;
   Atomic.incr g_refactorizations;

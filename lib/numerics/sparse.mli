@@ -49,6 +49,9 @@ val mem : pattern -> row:int -> col:int -> bool
 
 (** {1 Matrices} *)
 
+type fbuf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** An unboxed float64 value buffer. *)
+
 type t
 (** A matrix: a shared {!pattern} plus this instance's own unboxed
     float64 value buffer. *)
@@ -63,13 +66,14 @@ val create : pattern -> t
 val pattern : t -> pattern
 val clear : t -> unit
 
-val add : t -> int -> float -> unit
-(** [add m slot v] adds [v] into the entry at [slot] (from {!slot}) —
-    the hot-path stamping primitive; performs no bounds or allocation
-    work beyond the Bigarray store. *)
+val values : t -> fbuf
+(** The matrix's value buffer, indexed by {!slot}. Stamping loops in
+    other modules add into it in place: a float passed to another
+    module's function would be boxed. *)
 
 val add_at : t -> row:int -> col:int -> float -> unit
-(** Convenience slot lookup + {!add}; raises [Not_found] off-pattern. *)
+(** [add_at m ~row ~col v] adds [v] into the entry at ([row], [col]);
+    raises [Not_found] off-pattern. *)
 
 val get_at : t -> row:int -> col:int -> float
 (** Entry value, 0 for positions outside the pattern. *)

@@ -348,7 +348,7 @@ type result = { prog : program; vals : float array }
    order in which [compile] defines the variables): one pass over the
    devices. *)
 let build nl (ss : Smallsig.t) =
-  let devices = Array.of_list (Netlist.devices nl) in
+  let devices = Netlist.device_array nl in
   (* at most 8 values per device (a MOS: gm, gds, gmb and five caps) *)
   let vals = Array.make (8 * Array.length devices) 0.0 in
   let pos = ref 0 in

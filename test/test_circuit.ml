@@ -207,6 +207,34 @@ let test_dc_rejects_floating_node () =
        false
      with Invalid_argument _ -> true)
 
+(* The validation verdict is kept per netlist, so a netlist that grows
+   after its first solve must be judged again: a dangling node added
+   later is refused with the same message, a valid extension is solved
+   with its new device, and a context built before the extension
+   refuses to assemble the grown netlist. *)
+let test_dc_revalidates_extended_netlist () =
+  let nl = Netlist.create proc in
+  let vin = Netlist.node nl "in" and mid = Netlist.node nl "mid" in
+  Netlist.vsource nl "vs" vin Netlist.ground (Stimulus.Dc 3.0);
+  Netlist.resistor nl "r1" vin mid 1000.0;
+  Netlist.resistor nl "r2" mid Netlist.ground 2000.0;
+  let ctx = Mna.context nl in
+  check_close "divider" 2.0 (Dc.node_voltage (solve_dc nl) mid);
+  Netlist.resistor nl "r3" mid Netlist.ground 2000.0;
+  check_close "extended divider" 1.5 (Dc.node_voltage (solve_dc nl) mid);
+  Alcotest.(check bool) "a stale ctx refuses the grown netlist" true
+    (try
+       ignore (Dc.solve ~ctx nl);
+       false
+     with Invalid_argument _ -> true);
+  let dangling = Netlist.node nl "dangling" in
+  Netlist.resistor nl "r4" mid dangling 1000.0;
+  match Dc.solve nl with
+  | _ -> Alcotest.fail "a dangling node was accepted"
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "message"
+      "Dc.solve: bad netlist: node \"dangling\" has fewer than two connections" msg
+
 let prop_dc_resistor_ladder_kcl =
   QCheck2.Test.make ~name:"dc resistor ladder satisfies KCL and bounds" ~count:60
     QCheck2.Gen.(int_range 0 1000000)
@@ -599,7 +627,8 @@ let test_newton_residual_is_fresh () =
           let nl = build () in
           let r = solve_dc_backend name backend nl in
           let f = Array.make (Netlist.unknown_count nl) 0.0 in
-          Mna.residual_into nl ~x:r.Dc.x ~time:0.0 ~source_scale:1.0 ~gmin:1e-12
+          let ctx = Fixtures.on_solver backend (fun () -> Mna.context nl) in
+          Mna.residual_into ctx ~x:r.Dc.x ~time:0.0 ~source_scale:1.0 ~gmin:1e-12
             ~cap_policy:Mna.Cap_open f;
           let n = Vec.norm_inf f in
           if n > 1e-8 then
@@ -658,6 +687,144 @@ let prop_random_netlist_backends_agree =
       (* replaying the recorded factorization is bit-deterministic *)
       let x2' = solve `Sparse (build (seed + 2)) in
       agree && shared && Vec.max_abs_diff x2 x2' = 0.0)
+
+(* The stamping oracle: on random netlists of every device kind (MOS of
+   both polarities driven into reverse, cutoff, triode and saturation by
+   random unknowns; VCVS, switches, time-varying sources, capacitors), a
+   production context's compiled loop must reproduce the reference
+   traversal's matrix and residual bit for bit, under both capacitor
+   policies, and so must [residual_into]. *)
+let random_stamp_netlist rng =
+  let n = 2 + Rng.int_below rng 6 in
+  let nl = Netlist.create proc in
+  let nodes =
+    Array.init (n + 1) (fun i ->
+        if i = 0 then Netlist.ground else Netlist.node nl (Printf.sprintf "n%d" i))
+  in
+  let pick () = nodes.(Rng.int_below rng (n + 1)) in
+  let value lo hi = Rng.uniform_in rng lo hi in
+  let wave () =
+    if Rng.uniform rng < 0.7 then Stimulus.Dc (value (-2.0) 3.0)
+    else
+      Stimulus.Sine
+        { offset = value 0.0 1.0; amplitude = value 0.1 1.0; freq = value 1e5 1e7; phase = 0.0 }
+  in
+  for k = 0 to 2 + Rng.int_below rng 12 do
+    let name prefix = Printf.sprintf "%s%d" prefix k in
+    match Rng.int_below rng 7 with
+    | 0 -> Netlist.resistor nl (name "r") (pick ()) (pick ()) (value 10.0 1e5)
+    | 1 -> Netlist.capacitor nl (name "c") (pick ()) (pick ()) (value 1e-14 1e-11)
+    | 2 -> Netlist.vsource nl (name "v") (pick ()) (pick ()) (wave ())
+    | 3 -> Netlist.isource nl (name "i") (pick ()) (pick ()) (wave ())
+    | 4 ->
+      Netlist.vcvs nl (name "e") ~p:(pick ()) ~n:(pick ()) ~cp:(pick ()) ~cn:(pick ())
+        ~gain:(value (-10.0) 10.0)
+    | 5 ->
+      let t_on = value 0.0 1e-6 in
+      Netlist.switch nl (name "s") (pick ()) (pick ()) ~r_on:(value 1.0 100.0)
+        ~r_off:(value 1e6 1e9) ~closed_at:(fun t -> t >= t_on)
+    | _ ->
+      let polarity = if Rng.uniform rng < 0.5 then Process.Nmos else Process.Pmos in
+      Netlist.mosfet nl (name "m") ~d:(pick ()) ~g:(pick ()) ~s:(pick ()) ~b:(pick ())
+        polarity ~w:(value 1e-6 50e-6) ~l:(value 0.25e-6 2e-6) ~mult:(value 1.0 4.0) ()
+  done;
+  nl
+
+let prop_compiled_stamps_match_reference =
+  QCheck2.Test.make ~name:"random netlist: compiled stamps = reference, bit for bit"
+    ~count:300
+    QCheck2.Gen.(int_range 0 1000000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let nl = random_stamp_netlist rng in
+      let x = Array.init (Netlist.unknown_count nl) (fun _ -> Rng.uniform_in rng (-3.3) 3.3) in
+      let time = Rng.uniform_in rng 0.0 1e-6 and source_scale = Rng.uniform_in rng 0.1 1.0 in
+      let gmin = [| 0.0; 1e-12; 1e-3 |].(Rng.int_below rng 3) in
+      let companion =
+        Mna.Cap_companion
+          (fun ~cap_index ~np:_ ~nn:_ ~farads ->
+            { Mna.geq = farads *. 1e9; ieq = float_of_int cap_index *. 1e-6 })
+      in
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      let same_vec a b = Array.for_all2 same a b in
+      (* the second context of a topology comes from the cache *)
+      ignore (Mna.context nl);
+      let ctx = Mna.context nl in
+      List.for_all
+        (fun cap_policy ->
+          let jac_ref, res_ref = Mna.Oracle.assemble nl ~x ~time ~source_scale ~gmin ~cap_policy in
+          Mna.assemble_into ctx ~x ~time ~source_scale ~gmin ~cap_policy;
+          let jac = Mna.Oracle.jacobian ctx in
+          let res = Array.make (Array.length x) nan in
+          Mna.residual_into ctx ~x ~time ~source_scale ~gmin ~cap_policy res;
+          let n = Array.length x in
+          let jac_same = ref true in
+          for r = 0 to n - 1 do
+            for c = 0 to n - 1 do
+              if not (same (Adc_numerics.Mat.get jac_ref r c) (Adc_numerics.Mat.get jac r c)) then
+                jac_same := false
+            done
+          done;
+          !jac_same && same_vec res_ref (Mna.ctx_residual ctx) && same_vec res_ref res)
+        [ Mna.Cap_open; companion ])
+
+(* The allocation contract of the production path, on a netlist with
+   every device kind a DC solve stamps under [Cap_open]. *)
+let allocation_netlist () =
+  let nl = Netlist.create proc in
+  let vdd = Netlist.node nl "vdd" and inp = Netlist.node nl "in" in
+  let out = Netlist.node nl "out" and pb = Netlist.node nl "pb" in
+  let gnd = Netlist.ground in
+  Netlist.vsource nl "vdd" vdd gnd (Stimulus.Dc 3.3);
+  Netlist.vsource nl "vin" inp gnd (Stimulus.Dc 1.2);
+  Netlist.vcvs nl "ebias" ~p:pb ~n:gnd ~cp:vdd ~cn:gnd ~gain:0.7;
+  Netlist.mosfet nl "mn" ~d:out ~g:inp ~s:gnd ~b:gnd Process.Nmos ~w:10e-6 ~l:1e-6 ();
+  Netlist.mosfet nl "mp" ~d:out ~g:pb ~s:vdd ~b:vdd Process.Pmos ~w:20e-6 ~l:1e-6 ();
+  Netlist.isource nl "ib" vdd out (Stimulus.Dc 1e-6);
+  Netlist.resistor nl "rl" out gnd 1e6;
+  Netlist.capacitor nl "cl" out gnd 1e-12;
+  nl
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_compiled_stamps_allocation_free () =
+  let nl = allocation_netlist () in
+  let ctx = Mna.context nl in
+  let n = Netlist.unknown_count nl in
+  let x = Array.init n (fun i -> 0.4 *. float_of_int (i + 1)) in
+  let res = Array.make n 0.0 in
+  let assemble () =
+    Mna.assemble_into ctx ~x ~time:0.0 ~source_scale:1.0 ~gmin:1e-12 ~cap_policy:Mna.Cap_open
+  in
+  let residual () =
+    Mna.residual_into ctx ~x ~time:0.0 ~source_scale:1.0 ~gmin:1e-12 ~cap_policy:Mna.Cap_open
+      res
+  in
+  assemble ();
+  residual ();
+  Alcotest.(check (float 0.0)) "assemble_into" 0.0 (minor_words assemble);
+  Alcotest.(check (float 0.0)) "residual_into" 0.0 (minor_words residual)
+
+(* A step limit far below the distance to the solution keeps Newton from
+   converging, so both runs stop at [max_iter]. *)
+let test_newton_allocation_independent_of_iterations () =
+  let nl = allocation_netlist () in
+  let ctx = Mna.context nl in
+  let x0 = Array.make (Netlist.unknown_count nl) 0.0 in
+  let run max_iter () =
+    match
+      Dc.newton ~max_iter ~vstep_limit:1e-3 ~ctx ~x0 ~time:0.0 ~source_scale:1.0 ~gmin:1e-12
+        ~cap_policy:Mna.Cap_open nl
+    with
+    | Ok _ -> Alcotest.failf "converged within %d iterations" max_iter
+    | Error _ -> ()
+  in
+  run 1 ();
+  let w5 = minor_words (run 5) and w60 = minor_words (run 60) in
+  Alcotest.(check (float 0.0)) "minor words independent of max_iter" w5 w60
 
 let test_lte_matches_fixed_rc () =
   (* linear RC charging: the adaptive controller must reproduce the
@@ -790,6 +957,7 @@ let () =
           quick "common source bias" test_dc_common_source_bias;
           quick "floating node rejected" test_dc_rejects_floating_node;
           quick "argument guards" test_dc_argument_guards;
+          quick "extended netlist revalidated" test_dc_revalidates_extended_netlist;
           QCheck_alcotest.to_alcotest prop_dc_resistor_ladder_kcl;
         ] );
       ( "ac",
@@ -823,6 +991,10 @@ let () =
           quick "transient backends agree" test_transient_backends_agree;
           quick "newton residual is fresh" test_newton_residual_is_fresh;
           QCheck_alcotest.to_alcotest prop_random_netlist_backends_agree;
+          QCheck_alcotest.to_alcotest prop_compiled_stamps_match_reference;
+          quick "compiled stamps allocate nothing" test_compiled_stamps_allocation_free;
+          quick "newton words independent of iterations"
+            test_newton_allocation_independent_of_iterations;
           quick "lte matches fixed rc" test_lte_matches_fixed_rc;
           quick "oracle hook is scoped" test_oracle_hook_is_scoped;
         ] );

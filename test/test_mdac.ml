@@ -546,6 +546,25 @@ let test_set_wave_rejects_non_sources () =
       | exception Invalid_argument _ -> ())
     [ "no_such_source"; "m1"; "cl" ]
 
+(* The evaluator's allocation budget: over 60 seeded cascode m3@10b
+   candidates, an [Ota.evaluate] averages under 100 k minor words (the
+   parent of the compiled MNA stamps allocated ~150 k). The first call
+   compiles the topologies and is left out. *)
+let test_evaluate_word_budget () =
+  let spec = Spec.paper_case ~k:10 in
+  let proc = spec.Spec.process in
+  let req = Spec.stage_requirements spec { Spec.m = 3; input_bits = 10 } in
+  let load_cap = req.Mdac_stage.c_load_eff in
+  let z0 = Synthesizer.initial_sizing proc req in
+  let candidates = Fixtures.candidates ~rng:(Random.State.make [| 19; 0xa110c |]) ~n:60 z0 in
+  ignore (Ota.evaluate ~load_cap proc z0);
+  let before = Gc.minor_words () in
+  List.iter (fun z -> ignore (Ota.evaluate ~load_cap proc z)) candidates;
+  let per_call = (Gc.minor_words () -. before) /. 60.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per cascode evaluate, under 100 k" per_call)
+    true (per_call < 100_000.0)
+
 (* The large-swing settling leg of a 13-bit converter's m = 3 stage at
    11 input bits, DC operating point plus adaptive transient, lands on
    the same final value on the sparse solver and on the dense oracle. *)
@@ -665,5 +684,6 @@ let () =
           quick "falls back on a failed replay probe" test_servo_falls_back_on_failed_replay;
           quick "set_wave keeps a ctx valid" test_set_wave_keeps_ctx_valid;
           quick "set_wave rejects non-sources" test_set_wave_rejects_non_sources;
+          quick "evaluate word budget" test_evaluate_word_budget;
         ] );
     ]
