@@ -1059,8 +1059,9 @@ let flight_dump_arg =
 let store_max_entries_arg =
   let doc =
     "Cap the $(b,--store) directory at $(docv) entries with an \
-     LRU-by-mtime sweep (at startup and after each write), so \
-     cluster-replicated hot cells cannot grow the store without bound."
+     LRU-by-mtime sweep (at startup and after each write), so a \
+     long-lived daemon answering many distinct cells cannot grow the \
+     store without bound."
   in
   Arg.(value & opt (some int) None
        & info [ "store-max-entries" ] ~docv:"N" ~doc)
@@ -1341,22 +1342,6 @@ let vnodes_arg =
   in
   Arg.(value & opt int 160 & info [ "vnodes" ] ~docv:"N" ~doc)
 
-let replicas_arg =
-  let doc =
-    "Replica set size R: a freshly computed result is asynchronously \
-     offered to the key's R-1 ring successors ($(b,store-put), \
-     digest-verified). 1 disables replication."
-  in
-  Arg.(value & opt int 2 & info [ "replicas" ] ~docv:"R" ~doc)
-
-let retries_arg =
-  let doc =
-    "Extra backends tried per forward after the key's owner, walking the \
-     ring successors with exponential backoff deducted from the \
-     request's remaining $(b,deadline_ms)."
-  in
-  Arg.(value & opt int 2 & info [ "retries" ] ~docv:"N" ~doc)
-
 let connect_timeout_arg =
   let doc = "Per-attempt backend connect budget in milliseconds." in
   Arg.(value & opt int 1000 & info [ "connect-timeout-ms" ] ~docv:"MS" ~doc)
@@ -1369,12 +1354,8 @@ let probe_period_arg =
   in
   Arg.(value & opt float 2.0 & info [ "probe-period" ] ~docv:"SECONDS" ~doc)
 
-let no_replication_arg =
-  let doc = "Do not offer finished results to ring replicas." in
-  Arg.(value & flag & info [ "no-replication" ] ~doc)
-
-let route backends socket listen vnodes replicas retries connect_timeout_ms
-    probe_period no_replication metrics_addr log_level log_format node_id =
+let route backends socket listen vnodes connect_timeout_ms probe_period
+    metrics_addr log_level log_format node_id =
   let backends =
     String.split_on_char ',' backends
     |> List.map String.trim
@@ -1398,11 +1379,8 @@ let route backends socket listen vnodes replicas retries connect_timeout_ms
       socket_path = Some socket;
       tcp = Option.map host_port_of_string listen;
       vnodes;
-      replicas;
-      retries;
       connect_timeout_ms;
       probe_period_s = probe_period;
-      replication = not no_replication;
       metrics_addr = Option.map host_port_of_string metrics_addr;
       obs;
       log;
@@ -1425,7 +1403,6 @@ let route backends socket listen vnodes replicas retries connect_timeout_ms
          ("socket", Adc_obs.Sink.String socket);
          ("backends", Adc_obs.Sink.Int (List.length backends));
          ("vnodes", Adc_obs.Sink.Int vnodes);
-         ("replicas", Adc_obs.Sink.Int replicas);
        ]
       @ (match (cfg.Router.tcp, Router.tcp_port router) with
         | Some (h, _), Some p ->
@@ -1448,14 +1425,13 @@ let route_cmd =
      the same newline-JSON protocol (see docs/CLUSTER.md). Requests are \
      consistent-hashed onto the backend that caches their key; $(b,batch) \
      and $(b,pareto) fan out per owner and reassemble byte-identically; a \
-     dead backend's keys re-route to its ring successor; finished results \
-     replicate to ring replicas."
+     dead backend's keys re-route to its ring successors, which recompute \
+     the same bytes."
   in
   Cmd.v (Cmd.info "route" ~doc)
     Term.(const route $ backends_arg $ route_socket_arg $ listen_arg
-          $ vnodes_arg $ replicas_arg $ retries_arg $ connect_timeout_arg
-          $ probe_period_arg $ no_replication_arg $ metrics_addr_arg
-          $ log_level_arg $ log_format_arg $ node_id_arg)
+          $ vnodes_arg $ connect_timeout_arg $ probe_period_arg
+          $ metrics_addr_arg $ log_level_arg $ log_format_arg $ node_id_arg)
 
 (* ------------------------------------------------------------------ *)
 (* extract: reach into a JSON document on stdin *)

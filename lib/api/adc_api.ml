@@ -182,18 +182,6 @@ let req_id =
            and stamped on the request's span and log lines.";
     default = None }
 
-let store_key =
-  { ty = Opt_string; key = "key"; flags = []; docv = "KEY";
-    doc = "Cluster data-plane verbs: the store entry the \
-           request addresses.";
-    default = None }
-
-let digest =
-  { ty = Opt_string; key = "digest"; flags = []; docv = "MD5HEX";
-    doc = "store-put: md5 hex of the canonical payload bytes, verified \
-           before the entry is accepted.";
-    default = None }
-
 (* ------------------------------------------------------------------ *)
 (* wire decoding *)
 

@@ -109,16 +109,6 @@ val req_id : string option param
     daemon always stamps one (client-supplied or generated) on the
     request's [serve.request] span and log lines. *)
 
-val store_key : string option param
-(** Wire-only ([key]): the store entry a cluster data-plane verb
-    ([store-put]/[store-get]) addresses. *)
-
-val digest : string option param
-(** Wire-only: md5 hex of the canonical payload bytes a [store-put]
-    carries — the receiving daemon recomputes and compares before
-    accepting, the same corruption rejection the store applies on
-    read. *)
-
 (** {1 Wire decoding} *)
 
 exception Bad_field of string

@@ -18,8 +18,8 @@ let connect ?(timeout_ms = 1000) addr =
    answered immediately by the backend, so the reply read is bounded by
    the same budget as the connect: a peer that accepts the connection
    but never answers (e.g. killed mid-drain) is a failure, not a
-   hang — the prober and the async replication threads must
-   never wedge on a silent socket. *)
+   hang — the prober and the control fan-outs must never wedge on a
+   silent socket. *)
 let oneshot ?(timeout_ms = 1000) addr request =
   match connect ~timeout_ms addr with
   | exception _ -> None
@@ -53,18 +53,4 @@ let stats ?timeout_ms addr =
 let shutdown ?timeout_ms addr =
   match oneshot ?timeout_ms addr (Json.Obj (base "shutdown")) with
   | Some response -> ok_result response <> None
-  | None -> false
-
-let store_put ?timeout_ms addr ~key ~digest ~payload =
-  let request =
-    Json.Obj
-      (base "store-put"
-      @ [
-          ("key", Json.String key);
-          ("digest", Json.String digest);
-          ("payload", payload);
-        ])
-  in
-  match Option.bind (oneshot ?timeout_ms addr request) ok_result with
-  | Some result -> Json.member "stored" result = Some (Json.Bool true)
   | None -> false

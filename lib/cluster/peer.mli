@@ -8,11 +8,11 @@
     backend needs no reconnect logic and a dead one costs exactly one
     timeout.
 
-    The data-plane helper {!store_put} translates failures into
-    [false] rather than raising — replication is best-effort by design
-    and must never take a client request down with it. The
-    forwarding path uses {!connect} directly and handles its own
-    exceptions, because {e there} a failure must trigger a re-route. *)
+    The control helpers translate failures into [None]/[false] rather
+    than raising — a probe or a stats fan-out must never take a client
+    request down with it. The forwarding path uses {!connect} directly
+    and handles its own exceptions, because {e there} a failure must
+    trigger a re-route. *)
 
 val connect : ?timeout_ms:int -> string -> Adc_serve.Client.t
 (** Connect to a backend address (default timeout 1000 ms). Raises
@@ -29,10 +29,3 @@ val stats : ?timeout_ms:int -> string -> Adc_json.Json.t option
 
 val shutdown : ?timeout_ms:int -> string -> bool
 (** Ask the backend to begin its graceful drain. *)
-
-val store_put :
-  ?timeout_ms:int -> string -> key:string -> digest:string ->
-  payload:Adc_json.Json.t -> bool
-(** Offer one store entry to a replica. [true] iff the backend answered
-    [stored:true] — [false] covers store-less backends, digest
-    rejection and transport failure alike. *)

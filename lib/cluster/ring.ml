@@ -67,14 +67,6 @@ let lookup t key =
   if Array.length t.points = 0 then None
   else Some (snd t.points.(start_index t (point_of key)))
 
-let replicas t ~n key =
-  let rec take n = function
-    | [] -> []
-    | _ when n <= 0 -> []
-    | x :: rest -> x :: take (n - 1) rest
-  in
-  take n (successors t key)
-
 let occupancy t =
   let n = Array.length t.points in
   if n = 0 then []

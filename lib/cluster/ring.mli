@@ -34,18 +34,13 @@ val vnodes : t -> int
 
 val successors : t -> string -> string list
 (** The distinct backends in ring order starting at the key's point:
-    the head is the key's owner, the tail the re-route/replication
-    fallback order. Every backend appears exactly once; empty iff the
+    the head is the key's owner, the tail the order a forward re-routes
+    in when the owner is down. Every backend appears exactly once; empty iff the
     ring is empty. *)
 
 val lookup : t -> string -> string option
 (** The key's owner — [List.nth_opt (successors t key) 0], but O(log
     points) instead of a full ring walk. *)
-
-val replicas : t -> n:int -> string -> string list
-(** The key's replica set: the first [min n (backends)] entries of
-    {!successors} — owner first, then the distinct ring successors that
-    hold copies. *)
 
 val occupancy : t -> (string * float) list
 (** Each backend's share of the 64-bit keyspace (arcs owned, summed),

@@ -17,11 +17,8 @@ type config = {
   socket_path : string option;
   tcp : (string * int) option;
   vnodes : int;
-  replicas : int;
-  retries : int;
   connect_timeout_ms : int;
   probe_period_s : float;
-  replication : bool;
   metrics_addr : (string * int) option;
   obs : Obs.t;
   log : Log.t;
@@ -34,11 +31,8 @@ let default_config =
     socket_path = None;
     tcp = None;
     vnodes = 160;
-    replicas = 2;
-    retries = 2;
     connect_timeout_ms = 1000;
     probe_period_s = 2.0;
-    replication = true;
     metrics_addr = None;
     obs = Obs.null;
     log = Log.null;
@@ -49,8 +43,6 @@ type t = {
   cfg : config;
   ring : Ring.t;
   health : Health.t;
-  origins : (string, string) Hashtbl.t;
-      (* store-key digest -> first backend recorded for it; under [smutex] *)
   tr : Transport.t;
   rr : int Atomic.t;  (* ping round-robin cursor *)
   started_at : float;
@@ -61,8 +53,6 @@ type t = {
   mutable n_inflight : int;
   mutable n_reroutes : int;
   mutable n_retries : int;
-  mutable n_replica_offers : int;
-  mutable n_replica_hits : int;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -113,8 +103,6 @@ let preregister_metrics t =
         "route.failed_total";
         "route.reroutes_total";
         "route.retries_total";
-        "route.replica_offers_total";
-        "route.replica_hits_total";
       ];
     List.iter
       (fun id ->
@@ -252,7 +240,7 @@ let forward_ordered t ~candidates ~owner ~deadline_ms ~started ~json ~emit =
             metric_inc t "route.reroutes_total"
           end;
           List.iter emit lines;
-          Ok (backend, final)
+          Ok final
         | Undelivered msg ->
           Health.mark t.health backend false;
           count_failure t backend;
@@ -283,83 +271,11 @@ let forward_routed t ~key ~deadline_ms ~started ~json ~emit =
       ~owner ~deadline_ms ~started ~json ~emit
 
 (* ------------------------------------------------------------------ *)
-(* the data plane: replication offers *)
-
-let md5_hex s = Digest.to_hex (Digest.string s)
-
-(* the first backend recorded for a store key wins: a later cache hit
-   answered elsewhere is a cross-node (replica) hit *)
-let record_origin t ~key ~backend =
-  let digest = md5_hex key in
-  locked t (fun t ->
-      if not (Hashtbl.mem t.origins digest) then
-        Hashtbl.replace t.origins digest backend)
-
-let origin t ~key = locked t (fun t -> Hashtbl.find_opt t.origins (md5_hex key))
-
-(* asynchronously offer a finished entry to the key's other ring
-   replicas; failures are logged and forgotten — replication is an
-   optimization, never a liveness dependency *)
-let replicate t ~backend ~key ~payload =
-  if t.cfg.replication && t.cfg.replicas > 1 then begin
-    let digest = md5_hex (Json.to_string payload) in
-    let targets =
-      Ring.replicas t.ring ~n:t.cfg.replicas key
-      |> List.filter (fun b -> b <> backend && Health.is_up t.health b)
-    in
-    if targets <> [] then
-      ignore
-        (Thread.create
-           (fun () ->
-             List.iter
-               (fun b ->
-                 if
-                   Peer.store_put ~timeout_ms:t.cfg.connect_timeout_ms b ~key
-                     ~digest ~payload
-                 then begin
-                   locked t (fun t ->
-                       t.n_replica_offers <- t.n_replica_offers + 1);
-                   metric_inc t "route.replica_offers_total";
-                   record_origin t ~key ~backend:b;
-                   Log.debug t.cfg.log
-                     ~fields:[ ("backend", Obs.Sink.String b) ]
-                     "replicated store entry"
-                 end)
-               targets)
-           ())
-  end
-
-(* after a backend answered a cacheable request: classify replica hits
-   and fan replication offers. [store] is the key the backend cached the
-   forwarded request under. *)
-let settle t ~backend ~store ~final =
-  match (Json.member "ok" final, store) with
-  | Some (Json.Bool true), Some key ->
-    if Json.member "cached" final = Some (Json.Bool true) then begin
-      (match origin t ~key with
-      | Some origin when origin <> backend ->
-        locked t (fun t -> t.n_replica_hits <- t.n_replica_hits + 1);
-        metric_inc t "route.replica_hits_total"
-      | Some _ | None -> ());
-      record_origin t ~key ~backend
-    end
-    else begin
-      record_origin t ~key ~backend;
-      match Json.member "result" final with
-      | Some result
-        when Json.member "truncated" result <> Some (Json.Bool true) ->
-        replicate t ~backend ~key ~payload:result
-      | _ -> ()
-    end
-  | _ -> ()
-
-(* ------------------------------------------------------------------ *)
 (* single-request forwarding *)
 
 let single_forward t conn (req : Protocol.request) ~started =
   let id = req.Protocol.id and wire_rid = req.Protocol.req_id in
-  let keys = Protocol.key_of_request req in
-  match keys.Protocol.place with
+  match (Protocol.key_of_request req).Protocol.place with
   | None ->
     Transport.send conn
       (Protocol.error_response ~id ?req_id:wire_rid ~kind:Protocol.Bad_request
@@ -370,8 +286,7 @@ let single_forward t conn (req : Protocol.request) ~started =
         ~json:req.Protocol.json
         ~emit:(fun line -> Transport.send conn line)
     with
-    | Ok (backend, final) ->
-      settle t ~backend ~store:keys.Protocol.store ~final;
+    | Ok final ->
       Transport.send conn final;
       locked t (fun t -> t.n_completed <- t.n_completed + 1);
       metric_inc t "route.completed_total"
@@ -384,15 +299,6 @@ let single_forward t conn (req : Protocol.request) ~started =
 (* ------------------------------------------------------------------ *)
 (* fan-out verbs *)
 
-let kind_of_name = function
-  | "bad_request" -> Protocol.Bad_request
-  | "unsupported_version" -> Protocol.Unsupported_version
-  | "overloaded" -> Protocol.Overloaded
-  | "deadline_exceeded" -> Protocol.Deadline_exceeded
-  | "shutting_down" -> Protocol.Shutting_down
-  | "backend_unavailable" -> Protocol.Backend_unavailable
-  | _ -> Protocol.Internal
-
 (* a sub-response that came back [ok:false]: surface its typed error as
    the whole request's answer *)
 let sub_error final =
@@ -401,7 +307,7 @@ let sub_error final =
   | _ ->
     let kind =
       match Json.member "error" final with
-      | Some (Json.String name) -> kind_of_name name
+      | Some (Json.String name) -> Protocol.error_kind_of_name name
       | _ -> Protocol.Internal
     in
     let message =
@@ -419,12 +325,22 @@ let to_float = function
 let bool_member name json =
   Json.member name json = Some (Json.Bool true)
 
-(* run [f i] for each index on its own thread, join all, collect *)
+let fan_width = 8
+
+(* run [f i] for each index on at most [fan_width] threads, each pulling
+   the next index from a shared counter; results come back by index *)
 let parallel_map_array n f =
   let results = Array.make n None in
+  let next = Atomic.make 0 in
+  let rec work () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      results.(i) <- Some (f i);
+      work ()
+    end
+  in
   let threads =
-    List.init n (fun i ->
-        Thread.create (fun () -> results.(i) <- Some (f i)) ())
+    List.init (Stdlib.min fan_width n) (fun _ -> Thread.create work ())
   in
   List.iter Thread.join threads;
   Array.map
@@ -486,13 +402,11 @@ let fan_batch t (req : Protocol.request) ~started =
           ~deadline_ms:req.Protocol.deadline_ms ~started ~json:(sub_json ks)
           ~emit:(fun _ -> ()))
   in
-  (* surface failures: typed backend errors verbatim, exhaustion typed.
-     A sub-batch is neither settled nor offered to replicas: its payload
-     is not what the placement key of any of its cells names. *)
+  (* surface failures: typed backend errors verbatim, exhaustion typed *)
   Array.iter
     (function
       | Error (kind, message) -> raise (Fan_failed (kind, message))
-      | Ok (_, final) -> (
+      | Ok final -> (
         match sub_error final with
         | Some (kind, message) -> raise (Fan_failed (kind, message))
         | None -> ()))
@@ -506,7 +420,7 @@ let fan_batch t (req : Protocol.request) ~started =
       let _, ks = arr.(i) in
       match outcome with
       | Error _ -> ()
-      | Ok (_, final) -> (
+      | Ok final -> (
         if not (bool_member "cached" final) then all_cached := false;
         match Json.member "result" final with
         | Some result -> (
@@ -599,17 +513,13 @@ let fan_pareto t (req : Protocol.request) ~started ~emit =
           ~emit:(fun _ -> ()))
   in
   let results =
-    Array.mapi
-      (fun i outcome ->
-        let k, f = arr.(i) in
-        match outcome with
+    Array.map
+      (function
         | Error (kind, message) -> raise (Fan_failed (kind, message))
-        | Ok (backend, final) -> (
+        | Ok final -> (
           match sub_error final with
           | Some (kind, message) -> raise (Fan_failed (kind, message))
           | None -> (
-            settle t ~backend
-              ~store:(cell_keys req ~k ~fs_mhz:f).Protocol.store ~final;
             match Json.member "result" final with
             | Some result -> (result, bool_member "cached" final)
             | None ->
@@ -767,9 +677,7 @@ let stats_json t =
   and failed = t.n_failed
   and inflight = t.n_inflight
   and reroutes = t.n_reroutes
-  and retries = t.n_retries
-  and replica_offers = t.n_replica_offers
-  and replica_hits = t.n_replica_hits in
+  and retries = t.n_retries in
   Mutex.unlock t.smutex;
   Json.Obj
     [
@@ -799,8 +707,6 @@ let stats_json t =
             ("inflight", Json.Int inflight);
             ("reroutes", Json.Int reroutes);
             ("retries", Json.Int retries);
-            ("replica_offers", Json.Int replica_offers);
-            ("replica_hits", Json.Int replica_hits);
             ("health_transitions", Json.Int (Health.transitions t.health));
             ("backends_up", Json.Int (Health.up_count t.health));
             ("uptime_s", Json.Float (Unix.gettimeofday () -. t.started_at));
@@ -835,7 +741,7 @@ let route_ping t conn (req : Protocol.request) ~started =
         ~deadline_ms:req.Protocol.deadline_ms ~started ~json:req.Protocol.json
         ~emit:(fun _ -> ())
     with
-    | Ok (_, final) ->
+    | Ok final ->
       Transport.send conn final;
       locked t (fun t -> t.n_completed <- t.n_completed + 1);
       metric_inc t "route.completed_total"
@@ -936,8 +842,7 @@ let handle_request t conn (req : Protocol.request) ~started =
          same code path a single daemon would use *)
       single_forward t conn req ~started)
   | Protocol.Enumerate | Protocol.Optimize | Protocol.Sweep | Protocol.Synth
-  | Protocol.Netlist_emit | Protocol.Montecarlo | Protocol.Store_put
-  | Protocol.Store_get ->
+  | Protocol.Netlist_emit | Protocol.Montecarlo ->
     single_forward t conn req ~started
 
 let handle_line t conn line =
@@ -1008,7 +913,6 @@ let create cfg =
       cfg;
       ring = Ring.create ~vnodes:cfg.vnodes cfg.backends;
       health = Health.create cfg.backends;
-      origins = Hashtbl.create 64;
       tr =
         Transport.create ?socket_path:cfg.socket_path ?tcp:cfg.tcp
           ?ops:cfg.metrics_addr ();
@@ -1021,8 +925,6 @@ let create cfg =
       n_inflight = 0;
       n_reroutes = 0;
       n_retries = 0;
-      n_replica_offers = 0;
-      n_replica_hits = 0;
     }
   in
   preregister_metrics t;
@@ -1038,7 +940,6 @@ let run t =
       [
         ("backends", Obs.Sink.Int (List.length t.cfg.backends));
         ("vnodes", Obs.Sink.Int t.cfg.vnodes);
-        ("replicas", Obs.Sink.Int t.cfg.replicas);
       ]
     "router starting";
   let prober_thread =
@@ -1068,5 +969,3 @@ let requests t = locked t (fun t -> t.n_requests)
 let completed t = locked t (fun t -> t.n_completed)
 let reroutes t = locked t (fun t -> t.n_reroutes)
 let retries_total t = locked t (fun t -> t.n_retries)
-let replica_offers t = locked t (fun t -> t.n_replica_offers)
-let replica_hits t = locked t (fun t -> t.n_replica_hits)

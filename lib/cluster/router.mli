@@ -20,16 +20,14 @@
       re-routes the work to the key's ring successor, with exponential
       backoff deducted from the request's remaining [deadline_ms]. The
       typed [backend_unavailable] error is reserved for the whole ring
-      being down.
-    - {b Data plane}: a freshly computed cacheable result is
-      asynchronously offered ([store-put], digest-signed) to the key's
-      ring replicas, so a failover or a repeat served by a replica is
-      still a cache hit.
+      being down. The successor recomputes the answer rather than
+      finding a copy: synthesis is deterministic per key, so the bytes
+      are the owner's.
 
-    Byte identity end to end: a routed cache hit, a replica-served hit
+    Byte identity end to end: a routed cache hit, a failover recompute
     and a local cold compute all produce identical payload bytes —
-    that's the backends' store contract plus the canonical serializer,
-    and CI [cmp]s it through the router. *)
+    that's the backends' store contract, deterministic synthesis and
+    the canonical serializer, and CI [cmp]s it through the router. *)
 
 type config = {
   backends : string list;
@@ -37,14 +35,9 @@ type config = {
   socket_path : string option;  (** front Unix socket *)
   tcp : (string * int) option;  (** optional front TCP (port 0 = ephemeral) *)
   vnodes : int;                 (** ring points per backend (default 160) *)
-  replicas : int;               (** replica set size R: owner + R-1 async
-                                    copies (default 2; 1 disables) *)
-  retries : int;                (** extra backends tried per forward after
-                                    the owner (default 2) *)
   connect_timeout_ms : int;     (** per-attempt backend connect budget *)
   probe_period_s : float;       (** background ping-probe cadence;
                                     [<= 0.] disables the prober *)
-  replication : bool;           (** offer finished entries to replicas *)
   metrics_addr : (string * int) option;
       (** router's own ops plane: /metrics, /healthz, /readyz
           (503 once draining) *)
@@ -58,8 +51,9 @@ type config = {
 
 val default_config : config
 (** No backends, no listeners (callers must set both), 160 vnodes,
-    R = 2, 2 retries, 1000 ms connects, 2 s probes, replication on, no
-    ops plane, {!Adc_obs.null}, null log. *)
+    1000 ms connects, 2 s probes, no ops plane, {!Adc_obs.null}, null
+    log. A forward tries every backend in ring order before it answers
+    [backend_unavailable]. *)
 
 type t
 
@@ -94,8 +88,14 @@ val reroutes : t -> int
 (** Forwards that had to leave the key's owner for a ring successor. *)
 
 val retries_total : t -> int
-val replica_offers : t -> int
-val replica_hits : t -> int
-(** Cached answers served by a backend other than the first one
-    recorded for the key — the cross-node cache wins replication
-    exists for. *)
+
+(** {1 Fan-out} *)
+
+val fan_width : int
+(** The most forwards one [batch], [pareto] or control fan-out keeps in
+    flight at once, whatever its grid size. *)
+
+val parallel_map_array : int -> (int -> 'a) -> 'a array
+(** [parallel_map_array n f] is [Array.init n f], computed on at most
+    {!fan_width} threads that pull indices from a shared counter; the
+    results come back in index order. *)

@@ -82,7 +82,7 @@ val enumerate_payload : Adc_pipeline.Spec.t -> Adc_json.Json.t
     the card differs from the built-in one (i.e.
     [Adc_spice.nondefault_digest]), so default-card keys are unchanged
     while every foreign card namespaces its results apart — the
-    per-process cache/store/replication isolation. *)
+    per-process cache, store and placement isolation. *)
 
 val key_optimize :
   ?budget:Adc_synth.Synthesizer.budget -> ?process:string -> k:int ->

@@ -16,8 +16,6 @@ type verb =
   | Batch
   | Pareto
   | Netlist_emit
-  | Store_put
-  | Store_get
 
 let verb_name = function
   | Ping -> "ping"
@@ -32,8 +30,6 @@ let verb_name = function
   | Batch -> "batch"
   | Pareto -> "pareto"
   | Netlist_emit -> "netlist-emit"
-  | Store_put -> "store-put"
-  | Store_get -> "store-get"
 
 let verb_of_name = function
   | "ping" -> Some Ping
@@ -48,8 +44,6 @@ let verb_of_name = function
   | "batch" -> Some Batch
   | "pareto" -> Some Pareto
   | "netlist-emit" -> Some Netlist_emit
-  | "store-put" -> Some Store_put
-  | "store-get" -> Some Store_get
   | _ -> None
 
 type request = {
@@ -73,9 +67,6 @@ type request = {
   deadline_ms : int option;
   delay_ms : int;
   req_id : string option;
-  skey : string option;
-  digest : string option;
-  payload : Json.t option;
   json : Json.t;
 }
 
@@ -96,6 +87,21 @@ let error_name = function
   | Shutting_down -> "shutting_down"
   | Backend_unavailable -> "backend_unavailable"
   | Internal -> "internal"
+
+let error_kinds =
+  [
+    Bad_request;
+    Unsupported_version;
+    Overloaded;
+    Deadline_exceeded;
+    Shutting_down;
+    Backend_unavailable;
+    Internal;
+  ]
+
+let error_kind_of_name name =
+  Option.value ~default:Internal
+    (List.find_opt (fun kind -> error_name kind = name) error_kinds)
 
 (* Every parameter decodes through its [Adc_api] descriptor — the same
    record the CLI derives its flags from — so a request naming only its
@@ -152,15 +158,6 @@ let parse_request json =
             deadline_ms = Api.of_json json Api.deadline_ms;
             delay_ms = Api.of_json json Api.delay_ms;
             req_id = Api.of_json json Api.req_id;
-            skey = Api.of_json json Api.store_key;
-            digest = Api.of_json json Api.digest;
-            payload =
-              (* the raw payload object of the cluster data-plane verbs;
-                 carried verbatim (not an [Adc_api] scalar) because its
-                 bytes are the thing the digest signs *)
-              (match Json.member "payload" json with
-              | None | Some Json.Null -> None
-              | Some p -> Some p);
             json;
           }
       with Api.Bad_field msg -> fail Bad_request msg))
@@ -236,7 +233,6 @@ let key_of_request req =
           (Printf.sprintf "enumerate|k=%d|fs=%.17g%s" req.k req.fs_mhz
              (match process with None -> "" | Some d -> "|process=" ^ d));
     }
-  | Store_put | Store_get -> { store = None; place = req.skey }
   | Ping | Stats | Shutdown | Dump_trace -> { store = None; place = None }
 
 (* [req_id] is echoed only when the client supplied one: an absent field

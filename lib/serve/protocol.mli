@@ -59,16 +59,6 @@ type verb =
                 (** synthesize one MDAC cell and export its
                     switched-capacitor bench as a canonical SPICE deck
                     ([{"deck": "..."}]) — [adcopt netlist emit] *)
-  | Store_put   (** cluster data plane: offer a response-store entry
-                    ([key] + [digest] + [payload]); the daemon verifies
-                    the digest against the canonical payload bytes
-                    before writing, the same corruption rejection the
-                    store applies on read. Replies [{"stored":bool}] —
-                    [false] (not an error) when the daemon runs without
-                    a store. *)
-  | Store_get   (** cluster data plane: read a store entry by [key];
-                    replies [{"found":bool, ...}] with the entry's
-                    digest and payload when found *)
 
 val verb_name : verb -> string
 val verb_of_name : string -> verb option
@@ -98,13 +88,6 @@ type request = {
   delay_ms : int;              (** ping busy-hold *)
   req_id : string option;      (** client-chosen request id; echoed in
                                    every response line when present *)
-  skey : string option;        (** cluster verbs: the addressed store
-                                   entry or job key ([key] on the wire) *)
-  digest : string option;      (** store-put: md5 hex of the canonical
-                                   payload bytes *)
-  payload : Json.t option;     (** cluster verbs: the carried object,
-                                   verbatim — its canonical bytes are
-                                   what the digest signs *)
   json : Json.t;               (** the whole request object as decoded;
                                    what a router forwards *)
 }
@@ -124,6 +107,11 @@ type error_kind =
   | Internal             (** computation raised; message carries it *)
 
 val error_name : error_kind -> string
+
+val error_kind_of_name : string -> error_kind
+(** The inverse of {!error_name}: [error_kind_of_name (error_name k) =
+    k] for every kind. A name no kind carries reads as [Internal] — how
+    a router classifies an error a backend named. *)
 
 val parse_request : Json.t -> (request, error_kind * string * Json.t) result
 val parse_request_line :
@@ -196,6 +184,4 @@ val key_of_request : request -> keys
     - [enumerate] is cheap and never stored, yet deterministic per
       cell: a synthetic [place] ([enumerate|k=..|fs=..], plus the card
       digest) and no [store];
-    - [store-put] and [store-get] are placed by the [key] field they
-      address, with no [store];
     - [ping], [stats], [shutdown] and [dump-trace] have neither. *)

@@ -183,11 +183,6 @@ let spec_of (req : Protocol.request) =
   Spec.make ~process:(process_of req) ~k:req.Protocol.k
     ~fs:(req.Protocol.fs_mhz *. 1e6) ()
 
-let require_skey (req : Protocol.request) ~verb =
-  match req.Protocol.skey with
-  | Some k -> k
-  | None -> raise (Bad_request (Printf.sprintf "%s: missing \"key\"" verb))
-
 (* Returns the result payload and whether a deadline cut it short
    (truncated results are served but never stored). [emit] publishes
    one non-final result line of a streaming verb; single-line verbs
@@ -345,54 +340,6 @@ let compute t (req : Protocol.request) ~cancel ~emit : Json.t * bool =
     ( Codec.montecarlo_payload ~k:req.Protocol.k ~fs_mhz:req.Protocol.fs_mhz
         ~config ~trials:req.Protocol.trials ~seed:req.Protocol.seed ~budget
         sweep,
-      false )
-  | Protocol.Store_put ->
-    (* the cluster replication verb: a peer (or the router on its
-       behalf) offers a finished entry. The digest is verified against
-       the canonical payload bytes before anything touches disk — the
-       same corruption rejection [Store.find] applies on read, applied
-       at the door. A daemon without a store answers [stored:false]
-       rather than an error, so routers can offer unconditionally. *)
-    let key = require_skey req ~verb:"store-put" in
-    let payload =
-      match req.Protocol.payload with
-      | Some p -> p
-      | None -> raise (Bad_request "store-put: missing \"payload\"")
-    in
-    let digest =
-      match req.Protocol.digest with
-      | Some d -> d
-      | None -> raise (Bad_request "store-put: missing \"digest\"")
-    in
-    let bytes = Json.to_string payload in
-    if Digest.to_hex (Digest.string bytes) <> String.lowercase_ascii digest
-    then
-      raise
-        (Bad_request "store-put: digest does not match the payload bytes");
-    (match t.store with
-    | None -> (Json.Obj [ ("stored", Json.Bool false) ], false)
-    | Some store ->
-      Store.add store ~key ~payload:bytes;
-      (Json.Obj [ ("stored", Json.Bool true) ], false))
-  | Protocol.Store_get ->
-    let key = require_skey req ~verb:"store-get" in
-    let found =
-      match t.store with
-      | None -> None
-      | Some store -> Store.find store ~key
-    in
-    ( (match found with
-      | None ->
-        Json.Obj [ ("found", Json.Bool false); ("key", Json.String key) ]
-      | Some payload ->
-        Json.Obj
-          [
-            ("found", Json.Bool true);
-            ("key", Json.String key);
-            ( "digest",
-              Json.String (Digest.to_hex (Digest.string payload)) );
-            ("payload", Json.parse payload);
-          ]),
       false )
   | Protocol.Stats | Protocol.Shutdown | Protocol.Dump_trace ->
     (* Inline-only verbs: the reader answers these at admission and
@@ -850,8 +797,6 @@ let preregister_metrics m =
         Protocol.Batch;
         Protocol.Pareto;
         Protocol.Netlist_emit;
-        Protocol.Store_put;
-        Protocol.Store_get;
       ]
   end
 

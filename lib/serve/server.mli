@@ -41,8 +41,9 @@ type config = {
   store_dir : string option;     (** persistent design store directory *)
   store_max_entries : int option;
       (** LRU-by-mtime cap on the store directory (swept at open and
-          after every write); [None] = unbounded. Keeps replicated hot
-          cells from growing a node's store without bound. *)
+          after every write); [None] = unbounded. Keeps a long-lived
+          daemon that answers many distinct cells from growing its
+          store without bound. *)
   default_deadline_s : float option;
       (** deadline applied to requests that carry none *)
   obs : Adc_obs.t;               (** tracing/metrics context; the serve

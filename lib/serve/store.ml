@@ -32,8 +32,8 @@ let locked t f =
    [max_entries] entry files, remove the oldest beyond the cap ((mtime,
    name) order makes ties deterministic). Runs at open (a restarted
    daemon inherits a possibly-overfull directory) and after every
-   write, so replicated hot cells cannot grow a node's store without
-   bound. In-flight [.tmp.*] files are never candidates; a racing
+   write, so a long-lived daemon answering many distinct cells cannot
+   grow its store without bound. In-flight [.tmp.*] files are never candidates; a racing
    reader of a just-evicted entry sees an ordinary miss. Caller holds
    the mutex (or is single-threaded at open). *)
 let sweep_unlocked t =
@@ -158,9 +158,8 @@ let add t ~key ~payload =
   (* Temp-then-rename keeps concurrent readers and a mid-write crash
      from ever observing a torn entry. The sequence number makes the
      temp name unique per call, not just per process: two worker
-     threads (or a replication offer racing a local compute) writing
-     the same key must not share a temp file, or the loser's rename
-     fails on a path the winner already moved. *)
+     threads writing the same key must not share a temp file, or the
+     loser's rename fails on a path the winner already moved. *)
   let tmp =
     Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
       (Atomic.fetch_and_add tmp_seq 1)

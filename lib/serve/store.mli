@@ -30,8 +30,8 @@ val open_dir : ?max_entries:int -> string -> t
     [max_entries] (default unbounded) caps the directory at that many
     entry files with an LRU-by-mtime sweep — run once at open (a
     restarted daemon inherits a possibly-overfull directory) and after
-    every {!add} — so replicated hot cells cannot grow a node's store
-    without bound. Eviction removes the oldest files beyond the cap
+    every {!add} — so a long-lived daemon answering many distinct cells
+    cannot grow its store without bound. Eviction removes the oldest files beyond the cap
     ((mtime, name) order, so ties are deterministic); an evicted entry
     simply reads as a miss. Temp+rename write semantics are
     untouched. *)

@@ -3,8 +3,8 @@
    distribution bounds — the QCheck properties), the health registry,
    and the router end to end over in-process fleets (routed answers
    byte-identical to a single daemon, kill-one-backend re-route mid
-   batch, cross-node store replication, and cluster-wide stats
-   aggregation). *)
+   batch, failover recompute on the ring successors, the bounded
+   fan-out, and cluster-wide stats aggregation). *)
 
 module Json = Adc_json.Json
 module Protocol = Adc_serve.Protocol
@@ -13,6 +13,7 @@ module Client = Adc_serve.Client
 module Ring = Adc_cluster.Ring
 module Health = Adc_cluster.Health
 module Router = Adc_cluster.Router
+module Store = Adc_serve.Store
 module Transport = Adc_serve.Transport
 module Http = Adc_serve.Http
 
@@ -58,12 +59,7 @@ let test_ring_successors () =
   Alcotest.(check bool) "successors are distinct" true
     (List.length (List.sort_uniq compare succ) = 4);
   Alcotest.(check (option string)) "lookup = first successor"
-    (Some (List.hd succ)) (Ring.lookup r "some-key");
-  Alcotest.(check (list string)) "replicas = prefix of successors"
-    [ List.nth succ 0; List.nth succ 1 ]
-    (Ring.replicas r ~n:2 "some-key");
-  Alcotest.(check (list string)) "replicas clamp at ring size" succ
-    (Ring.replicas r ~n:99 "some-key")
+    (Some (List.hd succ)) (Ring.lookup r "some-key")
 
 (* deterministic placement: equal ring configurations place every key
    identically — the property that lets any router instance (or a
@@ -179,8 +175,6 @@ let key_rows =
     ("batch", {|"verb":"batch","ks":[10,11,12],"fs_mhz":40|});
     ("pareto", {|"verb":"pareto","ks":[10,12],"fs_list":[40,80]|});
     ("netlist-emit", {|"verb":"netlist-emit","m":2,"bits":6,"attempts":1|});
-    ("store-put", {|"verb":"store-put","key":"entry-1","digest":"00","payload":{}|});
-    ("store-get", {|"verb":"store-get","key":"entry-2"|});
   ]
 
 (* Every verb x {no card, c018, malformed card}, both keys. The golden
@@ -257,8 +251,7 @@ type fleet = {
   fl_dir : string;
 }
 
-let start_fleet ?(n = 3) ?(replicas = 2) ?(replication = true)
-    ?(route = Fun.id) () =
+let start_fleet ?(n = 3) ?(route = Fun.id) () =
   let dir = tmp_dir "adcopt-cluster" in
   let backends =
     List.init n (fun i ->
@@ -286,8 +279,6 @@ let start_fleet ?(n = 3) ?(replicas = 2) ?(replication = true)
            Router.default_config with
            Router.backends = List.map (fun (s, _, _) -> s) backends;
            socket_path = Some front;
-           replicas;
-           replication;
            probe_period_s = 0.0;
            node_id = Some "router";
          })
@@ -310,8 +301,8 @@ let stop_fleet fleet =
       Thread.join thread)
     fleet.fl_backends
 
-let with_fleet ?n ?replicas ?replication ?route f =
-  let fleet = start_fleet ?n ?replicas ?replication ?route () in
+let with_fleet ?n ?route f =
+  let fleet = start_fleet ?n ?route () in
   Fun.protect ~finally:(fun () -> stop_fleet fleet) (fun () -> f fleet)
 
 (* run one request through a fresh connection *)
@@ -343,17 +334,22 @@ let test_cluster_ping_and_single_verbs () =
       let resp = call fleet.fl_front {|{"verb":"enumerate","k":10}|} in
       Alcotest.(check bool) "enumerate routed" true
         (member_exn "ok" resp = Json.Bool true);
-      (* the retired warm-start donation verbs get the daemon's typed
-         answer: unparseable, never forwarded *)
+      (* the retired warm-start donation and store replication verbs get
+         the daemon's typed answer: unparseable, never forwarded *)
       List.iter
         (fun line ->
           let resp = call fleet.fl_front line in
           Alcotest.(check bool) (line ^ " is bad_request") true
             (member_exn "ok" resp = Json.Bool false
-            && member_exn "error" resp = Json.String "bad_request"))
+            && member_exn "error" resp = Json.String "bad_request");
+          match member_exn "message" resp with
+          | Json.String m when String.starts_with ~prefix:"unknown verb" m -> ()
+          | m -> Alcotest.failf "%s: message %s" line (Json.to_string m))
         [
           {|{"verb":"job-put","key":"job-1","payload":{}}|};
           {|{"verb":"job-get","key":"job-2"}|};
+          {|{"verb":"store-put","key":"entry-1","digest":"00","payload":{}}|};
+          {|{"verb":"store-get","key":"entry-2"}|};
         ])
 
 (* routed answers must be byte-identical to a single daemon's: cold
@@ -479,113 +475,129 @@ let test_cluster_whole_ring_down () =
       Alcotest.(check bool) "backend_unavailable" true
         (member_exn "error" resp = Json.String "backend_unavailable"))
 
-(* replication: a key computed on its owner is offered to ring replicas;
-   when the owner dies, the successor answers the same bytes from its
-   store — a cross-node cache hit *)
-let test_cluster_replication_failover () =
-  with_fleet ~n:3 ~replicas:3 (fun fleet ->
+(* the router's placement: its ring over the fleet's backend sockets *)
+let fleet_ring fleet =
+  Ring.create ~vnodes:Router.default_config.Router.vnodes
+    (List.map (fun (s, _, _) -> s) fleet.fl_backends)
+
+let place_of_line line =
+  match (Protocol.key_of_request (parse_exn line)).Protocol.place with
+  | Some key -> key
+  | None -> Alcotest.failf "no placement key: %s" line
+
+let kill_backends fleet ~keep =
+  List.iter
+    (fun (sock, srv, thread) ->
+      if not (keep sock) then begin
+        Server.stop srv;
+        Thread.join thread
+      end)
+    fleet.fl_backends
+
+(* failover recomputes: once every backend but one is dead, the survivor
+   answers the keys it never owned by computing them afresh, with the
+   bytes their dead owners answered cold *)
+let test_cluster_failover_recomputes () =
+  with_fleet ~n:3 (fun fleet ->
+      let ring = fleet_ring fleet in
+      let survivor, _, _ = List.hd fleet.fl_backends in
       let reqs =
-        List.map
-          (Printf.sprintf
-             {|{"verb":"optimize","k":%d,"fs_mhz":80}|})
-          [ 10; 11; 12; 13 ]
+        List.init 9 (fun i ->
+            Printf.sprintf {|{"verb":"optimize","k":%d,"fs_mhz":80}|} (8 + i))
+        |> List.filter (fun r ->
+               Ring.lookup ring (place_of_line r) <> Some survivor)
       in
+      Alcotest.(check bool) "some keys are owned elsewhere" true (reqs <> []);
       let cold = List.map (fun r -> call fleet.fl_front r) reqs in
-      (* with R = n = 3 each key goes to both of its non-owners: wait,
-         bounded, until every one of those offers has landed *)
-      let expected = 2 * List.length reqs in
-      let rec settle tries =
-        if tries > 0 && Router.replica_offers fleet.fl_router < expected then begin
-          Thread.delay 0.05;
-          settle (tries - 1)
-        end
-      in
-      settle 400;
-      Alcotest.(check bool) "replication offered entries" true
-        (Router.replica_offers fleet.fl_router > 0);
-      Alcotest.(check int) "every replica offer landed" expected
-        (Router.replica_offers fleet.fl_router);
-      (* the survivor must not own every key, or it would answer only
-         its own computations: pick one that is a non-owner of at least
-         one key, by the router's placement (its ring over the backend
-         sockets) *)
-      let sockets = List.map (fun (s, _, _) -> s) fleet.fl_backends in
-      let ring =
-        Ring.create ~vnodes:Router.default_config.Router.vnodes sockets
-      in
-      let owners =
-        List.map
-          (fun r ->
-            Option.bind
-              (Protocol.key_of_request (parse_exn r)).Protocol.place
-              (Ring.lookup ring))
-          reqs
-      in
-      let survivor =
-        match
-          List.find_opt
-            (fun s -> List.exists (fun o -> o <> Some s) owners)
-            sockets
-        with
-        | Some s -> s
-        | None -> Alcotest.fail "every backend owns every key"
-      in
-      (* kill every backend but the survivor: it must answer every key
-         from replicated stores, byte-identically *)
-      List.iter
-        (fun (sock, srv, thread) ->
-          if sock <> survivor then begin
-            Server.stop srv;
-            Thread.join thread
-          end)
-        fleet.fl_backends;
+      kill_backends fleet ~keep:(fun sock -> sock = survivor);
       List.iter2
         (fun req cold_resp ->
           let resp = call fleet.fl_front req in
           Alcotest.(check bool) "survivor answers" true
             (member_exn "ok" resp = Json.Bool true);
-          Alcotest.(check string) "replica-served bytes unchanged"
+          Alcotest.(check bool) "recomputed, not a copy" true
+            (member_exn "cached" resp = Json.Bool false);
+          Alcotest.(check string) "recomputed bytes == cold bytes"
             (Json.to_string (member_exn "result" cold_resp))
             (Json.to_string (member_exn "result" resp)))
         reqs cold;
-      Alcotest.(check bool) "cross-node hits counted" true
-        (Router.replica_hits fleet.fl_router > 0))
+      Alcotest.(check bool) "re-routes counted" true
+        (Router.reroutes fleet.fl_router > 0))
 
-(* a fanned batch's sub-results are never replicated under a cell's solo
-   optimize key, where a replica would answer an optimize with a batch
-   payload after failover *)
-let test_cluster_batch_not_replicated_as_optimize () =
-  with_fleet ~n:3 ~replicas:3 (fun fleet ->
+(* a forward walks the whole ring: with a key's owner and its first two
+   successors dead, the fourth backend still answers *)
+let test_cluster_forward_walks_whole_ring () =
+  with_fleet ~n:4 (fun fleet ->
+      let req = {|{"verb":"optimize","k":10,"fs_mhz":80}|} in
+      let order = Ring.successors (fleet_ring fleet) (place_of_line req) in
+      let last = List.nth order 3 in
+      kill_backends fleet ~keep:(fun sock -> sock = last);
+      let resp = call fleet.fl_front req in
+      Alcotest.(check bool) "fourth backend answers" true
+        (member_exn "ok" resp = Json.Bool true);
+      Alcotest.(check bool) "re-routes counted" true
+        (Router.reroutes fleet.fl_router > 0);
+      Alcotest.(check int) "three failed attempts before it" 3
+        (Router.retries_total fleet.fl_router))
+
+(* a fanned batch's sub-results are never stored under a cell's solo
+   optimize key, where a failover would answer an optimize with a batch
+   payload *)
+let test_cluster_batch_not_stored_as_optimize () =
+  with_fleet ~n:3 (fun fleet ->
       let ks = [ 10; 11; 12; 13 ] in
       let resp = call fleet.fl_front {|{"verb":"batch","ks":[10,11,12,13],"fs_mhz":80}|} in
       Alcotest.(check bool) "batch ok" true (member_exn "ok" resp = Json.Bool true);
-      (* let any asynchronous replication offers land *)
-      Thread.delay 0.3;
       List.iter
         (fun k ->
           let key =
             Adc_serve.Codec.key_optimize ~k ~fs_mhz:80.0 ~mode:`Equation ~seed:11
               ~attempts:3 ()
           in
-          List.iter
-            (fun (sock, _, _) ->
-              let found =
-                call sock
-                  (Json.to_string
-                     (Json.Obj
-                        [ ("verb", Json.String "store-get"); ("key", Json.String key) ]))
+          List.iteri
+            (fun i _ ->
+              let store =
+                Store.open_dir
+                  (Filename.concat fleet.fl_dir (Printf.sprintf "store%d" i))
               in
-              match Json.member_path "result.payload" found with
+              match Store.find store ~key with
               | None -> ()
               | Some payload ->
+                let payload = Json.parse payload in
                 Alcotest.(check bool)
-                  (Printf.sprintf "%s holds an optimize payload for k=%d"
-                     (Filename.basename sock) k)
+                  (Printf.sprintf "store%d holds an optimize payload for k=%d" i k)
                   true
                   (Json.member "k" payload = Some (Json.Int k)
                   && Json.member "runs" payload = None))
             fleet.fl_backends)
         ks)
+
+(* the fan-out helper keeps at most [fan_width] calls in flight and
+   returns results by index *)
+let test_fan_out_bounded () =
+  let n = 64 in
+  let inflight = Atomic.make 0 and peak = Atomic.make 0 in
+  let rec raise_peak v =
+    let p = Atomic.get peak in
+    if v > p && not (Atomic.compare_and_set peak p v) then raise_peak v
+  in
+  let results =
+    Router.parallel_map_array n (fun i ->
+        raise_peak (Atomic.fetch_and_add inflight 1 + 1);
+        Thread.delay 0.002;
+        Atomic.decr inflight;
+        i * i)
+  in
+  Alcotest.(check bool) "width is at least 8" true (Router.fan_width >= 8);
+  Alcotest.(check bool)
+    (Printf.sprintf "peak %d within the width" (Atomic.get peak))
+    true
+    (Atomic.get peak >= 1 && Atomic.get peak <= Router.fan_width);
+  Alcotest.(check (array int)) "results in index order"
+    (Array.init n (fun i -> i * i))
+    results;
+  Alcotest.(check (array int)) "empty input" [||]
+    (Router.parallel_map_array 0 (fun i -> i))
 
 let test_cluster_stats_aggregation () =
   with_fleet ~n:3 (fun fleet ->
@@ -793,7 +805,7 @@ let () =
       ( "ring",
         [
           quick "create, dedup, occupancy" test_ring_basic;
-          quick "successors and replicas" test_ring_successors;
+          quick "successors in ring order" test_ring_successors;
           prop prop_deterministic;
           prop prop_monotone;
           prop prop_distribution;
@@ -811,11 +823,13 @@ let () =
           quick "pareto fans per cell (bytes)" test_cluster_pareto_fan;
           quick "kill 1 of 3 re-routes mid-batch" test_cluster_kill_backend_reroutes;
           quick "whole ring down is typed" test_cluster_whole_ring_down;
-          quick "replication serves cross-node hits" test_cluster_replication_failover;
+          quick "failover recomputes on the survivor" test_cluster_failover_recomputes;
+          quick "a forward walks the whole ring" test_cluster_forward_walks_whole_ring;
+          quick "fan-out width is bounded" test_fan_out_bounded;
           quick "stats aggregate across the fleet" test_cluster_stats_aggregation;
           quick "shutdown propagates the drain" test_cluster_shutdown_propagates;
           quick "ops plane: healthz, readyz flips, metrics" test_router_ops_plane;
-          quick "no batch payload under a cell's optimize key" test_cluster_batch_not_replicated_as_optimize;
+          quick "no batch payload under a cell's optimize key" test_cluster_batch_not_stored_as_optimize;
         ] );
       ("listeners", [ quick "bad address is typed, nothing left bound" test_listen_errors ]);
     ]

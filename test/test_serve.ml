@@ -74,7 +74,8 @@ let test_request_rejects () =
   Alcotest.(check bool) "malformed json" true (bad "{nope");
   Alcotest.(check bool) "not an object" true (bad "[1,2]");
   Alcotest.(check bool) "missing verb" true (bad {|{"k":12}|});
-  (* job-put/job-get were the retired warm-start donation verbs *)
+  (* job-put/job-get were the retired warm-start donation verbs,
+     store-put/store-get the retired store replication verbs *)
   List.iter
     (fun verb ->
       Alcotest.(check bool) ("unknown verb " ^ verb) true
@@ -83,7 +84,7 @@ let test_request_rejects () =
          with
         | Error (Protocol.Bad_request, _, _) -> true
         | Error _ | Ok _ -> false))
-    [ "frobnicate"; "job-put"; "job-get" ];
+    [ "frobnicate"; "job-put"; "job-get"; "store-put"; "store-get" ];
   Alcotest.(check bool) "bad field type" true
     (bad {|{"verb":"optimize","k":"thirteen"}|});
   Alcotest.(check bool) "bad mode" true
@@ -147,6 +148,21 @@ let test_verb_names_roundtrip () =
       Protocol.Optimize; Protocol.Sweep; Protocol.Synth; Protocol.Montecarlo;
       Protocol.Batch; Protocol.Pareto;
     ]
+
+(* a router reads a backend's typed error back through this inverse *)
+let test_error_names_roundtrip () =
+  List.iter
+    (fun kind ->
+      let name = Protocol.error_name kind in
+      Alcotest.(check bool) name true
+        (Protocol.error_kind_of_name name = kind))
+    [
+      Protocol.Bad_request; Protocol.Unsupported_version; Protocol.Overloaded;
+      Protocol.Deadline_exceeded; Protocol.Shutting_down;
+      Protocol.Backend_unavailable; Protocol.Internal;
+    ];
+  Alcotest.(check bool) "an unknown name reads as internal" true
+    (Protocol.error_kind_of_name "frobnicated" = Protocol.Internal)
 
 let test_parse_int_grid () =
   let ok s =
@@ -888,6 +904,8 @@ let test_server_bad_requests () =
           {|{"verb":"warp"}|};
           {|{"verb":"job-put","key":"job-1","payload":{}}|};
           {|{"verb":"job-get","key":"job-2"}|};
+          {|{"verb":"store-put","key":"entry-1","digest":"00","payload":{}}|};
+          {|{"verb":"store-get","key":"entry-2"}|};
         ];
       (* the one worker survived: a queued verb is still answered *)
       let resp = Client.request c (Json.parse {|{"verb":"enumerate","k":10}|}) in
@@ -1152,6 +1170,7 @@ let () =
           quick "budget override decoding" test_request_budget;
           quick "dotted member_path descent" test_member_path;
           quick "verb names round-trip" test_verb_names_roundtrip;
+          quick "error names round-trip" test_error_names_roundtrip;
           quick "response shapes" test_response_shapes;
           quick "grid syntax" test_parse_int_grid;
           quick "streaming envelope" test_streaming_envelope;
