@@ -602,36 +602,13 @@ let synth m bits fs seed attempts process jobs timeout trace metrics progress =
      the same for every --jobs value *)
   let t0 = Unix.gettimeofday () in
   let cancel = cancel_of_timeout timeout in
-  let restarts =
+  let r =
     Pool.with_pool ~obs ~size:jobs (fun pool ->
-        Pool.map_ordered pool
-          (fun a ->
-            if Cancel.cancelled cancel then None
-            else
-              Some
-                (Synthesizer.synthesize ~seed:(Adc_numerics.Rng.mix seed a)
-                   ~obs spec.Spec.process req))
-          (List.init (Stdlib.max 1 attempts) Fun.id))
+        Optimize.best_of_restarts ~pool ~obs ~cancel ~seed ~attempts
+          spec.Spec.process req)
   in
   let elapsed = Unix.gettimeofday () -. t0 in
-  let truncated = List.exists Option.is_none restarts in
-  let evaluations =
-    List.fold_left
-      (fun acc -> function
-        | Some (Ok s) -> acc + s.Synthesizer.evaluations
-        | Some (Error _) | None -> acc)
-      0 restarts
-  in
-  let best =
-    List.fold_left
-      (fun acc r ->
-        match (acc, r) with
-        | None, Some (Ok s) -> Some s
-        | Some b, Some (Ok s) -> Some (Optimize.better b s)
-        | _, (Some (Error _) | None) -> acc)
-      None restarts
-  in
-  (match best with
+  (match r.Optimize.best with
   | None -> Printf.eprintf "synthesis failed on all %d attempts\n" attempts
   | Some sol ->
     Printf.printf
@@ -639,10 +616,10 @@ let synth m bits fs seed attempts process jobs timeout trace metrics progress =
       (Units.format_power sol.Synthesizer.power)
       (if sol.Synthesizer.feasible then "all specs met"
        else Printf.sprintf "violation %.3f" sol.Synthesizer.violation)
-      attempts evaluations elapsed;
+      attempts r.Optimize.evaluations elapsed;
     List.iter (fun (k, v) -> Printf.printf "  %-10s %.4g\n" k v) sol.Synthesizer.metrics);
   finish_obs ctx;
-  if truncated then finish_truncated "synthesis"
+  if r.Optimize.truncated then finish_truncated "synthesis"
 
 let m_arg = term_of Api.m
 let bits_arg = term_of Api.bits

@@ -2,18 +2,15 @@
    a canonical SPICE deck.
 
    This is the one implementation behind [adcopt netlist emit] and the
-   serve daemon's [netlist-emit] verb: both run the same best-of-N
-   restart search the [synth] verb runs (identical per-attempt seeds,
-   so the winning sizing is the [synth] winner), then export the
+   serve daemon's [netlist-emit] verb: both run the best-of-N restart
+   search the [synth] verb runs ([Optimize.best_of_restarts], so the
+   winning sizing is the [synth] winner), then export the
    winner's bench netlist through {!Adc_spice.emit}. The bench is
    instantiated at the neutral operating point — zero differential
    input, middle comparator code — so the deck is a pure function of
    (spec, m, bits, seed, attempts, budget) and two exports of the same
    request are byte-identical. *)
 
-module Pool = Adc_exec.Pool
-module Cancel = Adc_exec.Cancel
-module Rng = Adc_numerics.Rng
 module Synthesizer = Adc_synth.Synthesizer
 module Sc_mdac = Adc_mdac.Sc_mdac
 
@@ -24,43 +21,16 @@ type export = {
 }
 
 let export ?budget ?obs ?cancel ~pool ~m ~bits ~seed ~attempts spec =
-  let attempts = Stdlib.max 1 attempts in
-  let job = { Spec.m; input_bits = bits } in
-  let requirements = Spec.stage_requirements spec job in
-  let cancelled () =
-    match cancel with Some c -> Cancel.cancelled c | None -> false
+  let requirements = Spec.stage_requirements spec { Spec.m; input_bits = bits } in
+  let r =
+    Optimize.best_of_restarts ~pool ?budget ?obs ?cancel ~seed ~attempts
+      spec.Spec.process requirements
   in
-  let restarts =
-    Pool.map_ordered pool
-      (fun a ->
-        if cancelled () then None
-        else
-          Some
-            (Synthesizer.synthesize ~seed:(Rng.mix seed a) ?budget ?obs
-               spec.Spec.process requirements))
-      (List.init attempts Fun.id)
-  in
-  let truncated = List.exists Option.is_none restarts in
-  let evaluations =
-    List.fold_left
-      (fun acc -> function
-        | Some (Ok s) -> acc + s.Synthesizer.evaluations
-        | Some (Error _) | None -> acc)
-      0 restarts
-  in
-  let best =
-    List.fold_left
-      (fun acc r ->
-        match (acc, r) with
-        | None, Some (Ok s) -> Some s
-        | Some b, Some (Ok s) -> Some (Optimize.better b s)
-        | _, (Some (Error _) | None) -> acc)
-      None restarts
-  in
-  match best with
+  match r.Optimize.best with
   | None ->
     Error
-      (if truncated then "netlist export cancelled before any restart finished"
+      (if r.Optimize.truncated then
+         "netlist export cancelled before any restart finished"
        else "synthesis failed on every restart")
   | Some sol -> (
     match
@@ -68,4 +38,8 @@ let export ?budget ?obs ?cancel ~pool ~m ~bits ~seed ~attempts spec =
         ~code:1 ~vref_pp:spec.Spec.vref_pp ~fs:spec.Spec.fs
     with
     | Error e -> Error ("bench netlist: " ^ e)
-    | Ok nl -> Ok { deck = Adc_spice.emit nl; evaluations; truncated })
+    | Ok nl ->
+      Ok
+        { deck = Adc_spice.emit nl;
+          evaluations = r.Optimize.evaluations;
+          truncated = r.Optimize.truncated })

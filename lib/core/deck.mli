@@ -2,7 +2,7 @@
 
     The shared implementation of [adcopt netlist emit] and the serve
     daemon's [netlist-emit] verb: run the [synth] verb's best-of-N
-    restart search (same per-attempt seed mixing, so the winner is the
+    restart search ({!Optimize.best_of_restarts}, so the winner is the
     [synth] winner), then render the winning sizing's switched-capacitor
     bench — OTA core, sampling network, phase switches and sources at
     the servo'd operating point — through {!Adc_spice.emit}. *)

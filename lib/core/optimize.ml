@@ -719,3 +719,42 @@ let batch_plan_counts ?(mode = `Hybrid) ?(seed = 11) ?(attempts = 3) ?budget
              | c -> c)
     in
     (job_occurrences, List.length union)
+
+(* ------------------------------------------------------------------ *)
+(* best-of-N restart search of one cell (the [synth] and [netlist-emit]
+   verbs); last in the file so its record labels shadow nothing above *)
+
+type restarts = {
+  best : Synthesizer.solution option;
+  evaluations : int;
+  truncated : bool;
+}
+
+(* restart [a] draws seed [Rng.mix seed a] whatever domain runs it, and
+   the fold is in attempt order, so the winner is pool-size independent *)
+let best_of_restarts ~pool ?budget ?obs ?cancel ~seed ~attempts process
+    requirements =
+  let cancelled () =
+    match cancel with Some c -> Cancel.cancelled c | None -> false
+  in
+  let restarts =
+    Pool.map_ordered pool
+      (fun a ->
+        if cancelled () then None
+        else
+          Some
+            (Synthesizer.synthesize ~seed:(Rng.mix seed a) ?budget ?obs process
+               requirements))
+      (List.init (Stdlib.max 1 attempts) Fun.id)
+  in
+  List.fold_left
+    (fun acc -> function
+      | None -> { acc with truncated = true }
+      | Some (Error _) -> acc
+      | Some (Ok s) ->
+        { acc with
+          best =
+            (match acc.best with None -> Some s | Some b -> Some (better b s));
+          evaluations = acc.evaluations + s.Synthesizer.evaluations })
+    { best = None; evaluations = 0; truncated = false }
+    restarts

@@ -267,14 +267,31 @@ val run_batch :
 val optimum_config : run -> Config.t
 (** [optimum_config r] is [r.optimum.config]. *)
 
-val better :
-  Adc_synth.Synthesizer.solution ->
-  Adc_synth.Synthesizer.solution ->
-  Adc_synth.Synthesizer.solution
-(** The solution order used to keep the best of several attempts:
-    feasible beats infeasible, then lower power among feasible, lower
-    total violation among infeasible. Exposed for callers running their
-    own restart loops (e.g. the CLI's [synth --attempts]). *)
+type restarts = {
+  best : Adc_synth.Synthesizer.solution option;
+      (** the winner: feasible beats infeasible, then lower power among
+          feasible, lower total violation among infeasible, then the
+          earlier attempt; [None] if every restart failed or none ran *)
+  evaluations : int;  (** evaluator calls summed over the finished restarts *)
+  truncated : bool;   (** [cancel] tripped before every restart started *)
+}
+
+val best_of_restarts :
+  pool:Adc_exec.Pool.t ->
+  ?budget:Adc_synth.Synthesizer.budget ->
+  ?obs:Adc_obs.t ->
+  ?cancel:Adc_exec.Cancel.t ->
+  seed:int ->
+  attempts:int ->
+  Adc_circuit.Process.t ->
+  Adc_mdac.Mdac_stage.requirements ->
+  restarts
+(** The best-of-N restart search of one MDAC cell behind the [synth]
+    and [netlist-emit] verbs and the CLI's [synth --attempts]: [attempts]
+    (at least 1) independent {!Adc_synth.Synthesizer.synthesize} runs
+    fanned out over [pool], restart [a] seeded with
+    [Rng.mix seed a]. The result does not depend on the pool's size. A
+    restart that finds [cancel] tripped when it would start is skipped. *)
 
 val batch_plan_counts :
   ?mode:mode ->

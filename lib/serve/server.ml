@@ -7,8 +7,6 @@ module Rules = Adc_pipeline.Rules
 module Front = Adc_pipeline.Front
 module Montecarlo = Adc_pipeline.Montecarlo
 module Deck = Adc_pipeline.Deck
-module Synthesizer = Adc_synth.Synthesizer
-module Rng = Adc_numerics.Rng
 module Pool = Adc_exec.Pool
 module Cancel = Adc_exec.Cancel
 module Obs = Adc_obs
@@ -261,44 +259,19 @@ let compute t (req : Protocol.request) ~cancel ~emit : Json.t * bool =
   | Protocol.Synth ->
     let spec = spec_of { req with Protocol.k = 13 } in
     let job = { Spec.m = req.Protocol.m; input_bits = req.Protocol.bits } in
-    let requirements = Spec.stage_requirements spec job in
     let attempts = Stdlib.max 1 req.Protocol.attempts in
     (* best-of-N fan-out over the shared pool, per-attempt seeds as in
        the CLI; a tripped deadline skips the attempts not yet started *)
-    let restarts =
-      Pool.map_ordered
-        (Optimize.shared_pool t.shared)
-        (fun a ->
-          if Cancel.cancelled cancel then None
-          else
-            Some
-              (Synthesizer.synthesize
-                 ~seed:(Rng.mix req.Protocol.seed a)
-                 ?budget:req.Protocol.budget ~obs spec.Spec.process
-                 requirements))
-        (List.init attempts Fun.id)
-    in
-    let truncated = List.exists Option.is_none restarts in
-    let evaluations =
-      List.fold_left
-        (fun acc -> function
-          | Some (Ok s) -> acc + s.Synthesizer.evaluations
-          | Some (Error _) | None -> acc)
-        0 restarts
-    in
-    let best =
-      List.fold_left
-        (fun acc r ->
-          match (acc, r) with
-          | None, Some (Ok s) -> Some s
-          | Some b, Some (Ok s) -> Some (Optimize.better b s)
-          | _, (Some (Error _) | None) -> acc)
-        None restarts
+    let r =
+      Optimize.best_of_restarts ~pool:(Optimize.shared_pool t.shared)
+        ?budget:req.Protocol.budget ~obs ~cancel ~seed:req.Protocol.seed
+        ~attempts spec.Spec.process (Spec.stage_requirements spec job)
     in
     ( Codec.synth_payload ~m:req.Protocol.m ~bits:req.Protocol.bits
         ~fs_mhz:req.Protocol.fs_mhz ~seed:req.Protocol.seed ~attempts
-        ~evaluations ~truncated best,
-      truncated )
+        ~evaluations:r.Optimize.evaluations ~truncated:r.Optimize.truncated
+        r.Optimize.best,
+      r.Optimize.truncated )
   | Protocol.Netlist_emit -> (
     (* the [synth] verb's best-of-N identity, rendered as a canonical
        SPICE deck; the shared implementation ({!Adc_pipeline.Deck}) is

@@ -439,42 +439,6 @@ let test_cluster_pareto_fan () =
             (Json.to_string (member_exn "result" solo_final))
             (Json.to_string (member_exn "result" routed_final))))
 
-(* kill 1 of 3 backends, then run a batch touching every backend's keys:
-   the stream must complete via re-route, byte-identically *)
-let test_cluster_kill_backend_reroutes () =
-  with_fleet ~n:3 (fun fleet ->
-      let req = {|{"verb":"batch","ks":[10,11,12,13],"fs_mhz":80}|} in
-      let before = call fleet.fl_front req in
-      (* stop a backend the hard way: no drain announcement reaches the
-         router, so the failure is discovered at forward time *)
-      let _, victim, vthread = List.nth fleet.fl_backends 2 in
-      Server.stop victim;
-      Thread.join vthread;
-      let after = call fleet.fl_front req in
-      Alcotest.(check bool) "batch survives the kill" true
-        (member_exn "ok" after = Json.Bool true);
-      Alcotest.(check string) "re-routed bytes unchanged"
-        (Json.to_string (member_exn "result" before))
-        (Json.to_string (member_exn "result" after));
-      Alcotest.(check bool) "re-routes counted" true
-        (Router.reroutes fleet.fl_router >= 0))
-
-let test_cluster_whole_ring_down () =
-  with_fleet ~n:2 (fun fleet ->
-      List.iter
-        (fun (_, srv, thread) ->
-          Server.stop srv;
-          Thread.join thread)
-        fleet.fl_backends;
-      let resp =
-        call fleet.fl_front
-          {|{"verb":"optimize","k":10,"fs_mhz":80,"deadline_ms":3000}|}
-      in
-      Alcotest.(check bool) "whole ring down is typed" true
-        (member_exn "ok" resp = Json.Bool false);
-      Alcotest.(check bool) "backend_unavailable" true
-        (member_exn "error" resp = Json.String "backend_unavailable"))
-
 (* the router's placement: its ring over the fleet's backend sockets *)
 let fleet_ring fleet =
   Ring.create ~vnodes:Router.default_config.Router.vnodes
@@ -493,6 +457,52 @@ let kill_backends fleet ~keep =
         Thread.join thread
       end)
     fleet.fl_backends
+
+(* kill 1 of 3 backends, the owner of one of a batch's cells, then run
+   the batch: it must complete via re-route, byte-identically. Socket
+   paths, hence placement, differ from run to run, so the victim is
+   picked on the ring rather than by index *)
+let test_cluster_kill_backend_reroutes () =
+  with_fleet ~n:3 (fun fleet ->
+      let req = {|{"verb":"batch","ks":[10,11,12,13],"fs_mhz":80}|} in
+      let victim_sock =
+        Ring.lookup (fleet_ring fleet)
+          (place_of_line {|{"verb":"optimize","k":10,"fs_mhz":80}|})
+      in
+      let before = call fleet.fl_front req in
+      (* stop the victim the hard way: no drain announcement reaches the
+         router, so the failure is discovered at forward time *)
+      let victim, vthread =
+        match List.find_opt (fun (s, _, _) -> Some s = victim_sock) fleet.fl_backends with
+        | Some (_, srv, thread) -> (srv, thread)
+        | None -> Alcotest.fail "precondition: a backend owns the k=10 cell"
+      in
+      Server.stop victim;
+      Thread.join vthread;
+      let after = call fleet.fl_front req in
+      Alcotest.(check bool) "batch survives the kill" true
+        (member_exn "ok" after = Json.Bool true);
+      Alcotest.(check string) "re-routed bytes unchanged"
+        (Json.to_string (member_exn "result" before))
+        (Json.to_string (member_exn "result" after));
+      Alcotest.(check bool) "re-routes counted" true
+        (Router.reroutes fleet.fl_router > 0))
+
+let test_cluster_whole_ring_down () =
+  with_fleet ~n:2 (fun fleet ->
+      List.iter
+        (fun (_, srv, thread) ->
+          Server.stop srv;
+          Thread.join thread)
+        fleet.fl_backends;
+      let resp =
+        call fleet.fl_front
+          {|{"verb":"optimize","k":10,"fs_mhz":80,"deadline_ms":3000}|}
+      in
+      Alcotest.(check bool) "whole ring down is typed" true
+        (member_exn "ok" resp = Json.Bool false);
+      Alcotest.(check bool) "backend_unavailable" true
+        (member_exn "error" resp = Json.String "backend_unavailable"))
 
 (* failover recomputes: once every backend but one is dead, the survivor
    answers the keys it never owned by computing them afresh, with the

@@ -269,6 +269,36 @@ let test_batch_deterministic_any_jobs () =
         (run_fingerprint b_par = run_fingerprint b_seq))
     specs
 
+(* the best-of-N restart search behind synth and netlist-emit: the
+   winner, the evaluation total and the truncation flag are the same on
+   any pool, and a cancel tripped up front runs no restart at all *)
+let test_restart_search () =
+  let spec = Spec.paper_case ~k:10 in
+  let req = Spec.stage_requirements spec { Spec.m = 3; input_bits = 8 } in
+  let go ?cancel size =
+    Pool.with_pool ~size (fun pool ->
+        Optimize.best_of_restarts ~pool ~budget:tiny_budget ?cancel ~seed:7
+          ~attempts:3 spec.Spec.process req)
+  in
+  let summary (r : Optimize.restarts) =
+    ( Option.map
+        (fun (s : Synthesizer.solution) ->
+          (s.Synthesizer.sizing, s.Synthesizer.power, s.Synthesizer.violation))
+        r.Optimize.best,
+      r.Optimize.evaluations,
+      r.Optimize.truncated )
+  in
+  let one = go 1 and two = go 2 in
+  Alcotest.(check bool) "a restart succeeded" true (one.Optimize.best <> None);
+  Alcotest.(check bool) "not truncated" false one.Optimize.truncated;
+  Alcotest.(check bool) "pool of 2 == pool of 1" true (summary one = summary two);
+  let cancel = Adc_exec.Cancel.create () in
+  Adc_exec.Cancel.cancel cancel;
+  let cut = go ~cancel 2 in
+  Alcotest.(check bool) "pre-tripped cancel: truncated" true cut.Optimize.truncated;
+  Alcotest.(check bool) "pre-tripped cancel: no winner" true (cut.Optimize.best = None);
+  Alcotest.(check int) "pre-tripped cancel: no evaluations" 0 cut.Optimize.evaluations
+
 let test_seed_changes_results () =
   (* guards against the per-job seeding degenerating into a constant;
      needs attempts >= 2 because attempt 0 is deliberately seed-free
@@ -306,6 +336,7 @@ let () =
           quick "failures cached" test_memo_caches_failures;
         ] );
       ("rng", [ quick "mix is a proper derivation" test_rng_mix_deterministic_and_spread ]);
+      ("restarts", [ quick "best-of-N: any pool, cancel truncates" test_restart_search ]);
       ( "optimize-parallel",
         [
           slow "jobs=N == jobs=1 (k=10,11)" test_parallel_matches_sequential_10_11;

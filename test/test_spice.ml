@@ -3,7 +3,8 @@
    and golden-deck), the process cards under share/processes/ (the c025
    card must reproduce the built-in process bit for bit), the typed
    line-numbered error table for malformed decks, and the per-process
-   isolation of synthesis fingerprints and store keys. *)
+   isolation of synthesis fingerprints, store keys and optimize
+   payloads. *)
 
 module Spice = Adc_spice
 module Netlist = Adc_circuit.Netlist
@@ -213,6 +214,32 @@ let test_error_table () =
           Alcotest.failf "error %S does not mention %S" (Spice.error_to_string e) frag)
     cases
 
+(* a ~1000-device mixed deck (250 RC rungs, one mosfet and one switch
+   each, one sine source) is an emit/parse/emit fixpoint: the scale
+   check beside the small property decks *)
+let test_large_deck_fixpoint () =
+  let sections = 250 in
+  let nl = Netlist.create Process.c025 in
+  let nodes =
+    Array.init (sections + 1) (fun i -> Netlist.node nl (Printf.sprintf "n%d" i))
+  in
+  for i = 0 to sections - 1 do
+    Netlist.resistor nl (Printf.sprintf "r%d" i) nodes.(i) nodes.(i + 1) 100.0;
+    Netlist.capacitor nl (Printf.sprintf "c%d" i) nodes.(i + 1) Netlist.ground 1e-12;
+    Netlist.mosfet nl (Printf.sprintf "m%d" i) ~d:nodes.(i + 1) ~g:nodes.(i)
+      ~s:Netlist.ground ~b:Netlist.ground Process.Nmos ~w:2e-6 ~l:5e-7 ();
+    let on = i mod 2 = 0 in
+    Netlist.switch nl (Printf.sprintf "s%d" i) nodes.(i) Netlist.ground
+      ~r_on:50.0 ~r_off:1e9 ~closed_at:(fun _ -> on)
+  done;
+  Netlist.vsource nl "vin" nodes.(0) Netlist.ground
+    (Stimulus.Sine { offset = 0.0; amplitude = 1.0; freq = 1e6; phase = 0.0 });
+  Alcotest.(check bool) "at least 1000 devices" true
+    (List.length (Netlist.devices nl) >= 1000);
+  let deck = Spice.emit nl in
+  let reparsed, _ = parse_exn deck in
+  Alcotest.(check string) "emit o parse o emit = emit" deck (Spice.emit reparsed)
+
 (* a parse error never escapes as an exception *)
 let error_totality_prop =
   QCheck.Test.make ~count:300 ~name:"parse is total on arbitrary text"
@@ -239,6 +266,23 @@ let test_cross_process_fingerprints () =
   Alcotest.(check string) "default-process spec fingerprint is stable"
     (Spec.stage_fingerprint spec25 job)
     (Spec.stage_fingerprint (Spec.make ~process:Process.c025 ~k:10 ~fs:40e6 ()) job)
+
+(* a card swap is a real input: the same equation-mode optimize under
+   the 0.18 um card answers different payload bytes than under the
+   built-in card *)
+let test_process_swap_changes_payload () =
+  let c018 =
+    match Spice.load_process_file (share "c018.sp") with
+    | Ok p -> p
+    | Error msg -> Alcotest.fail msg
+  in
+  let payload spec =
+    Adc_json.Json.to_string
+      (Codec.optimize_payload (Adc_pipeline.Optimize.run ~mode:`Equation spec))
+  in
+  Alcotest.(check bool) "payloads differ" true
+    (payload (Spec.make ~k:12 ~fs:40e6 ())
+    <> payload (Spec.make ~process:c018 ~k:12 ~fs:40e6 ()))
 
 let test_store_key_isolation () =
   let base ?process () =
@@ -268,6 +312,8 @@ let () =
             test_normalize_then_fixpoint;
           Alcotest.test_case "letter-prefix renaming" `Quick
             test_letter_prefix_normalization;
+          Alcotest.test_case "1000-device deck fixpoint" `Quick
+            test_large_deck_fixpoint;
         ] );
       ( "process-cards",
         [
@@ -286,6 +332,8 @@ let () =
         [
           Alcotest.test_case "stage fingerprints differ per process" `Quick
             test_cross_process_fingerprints;
+          Alcotest.test_case "process swap changes the optimize payload" `Quick
+            test_process_swap_changes_payload;
           Alcotest.test_case "store keys namespace per process" `Quick
             test_store_key_isolation;
         ] );
