@@ -445,27 +445,22 @@ let fs_list_arg = term_of Api.fs_list
 
 (* warm-hit human summary, reconstructed from the stored grid *)
 let print_stored_pareto_human payload =
-  let cells =
-    match Json.member "grid" payload with Some (Json.List cs) -> cs | _ -> []
-  in
+  let cells = Codec.pareto_grid payload in
   let num cell name =
     match Json.member name cell with
     | Some (Json.Float f) -> f
     | Some (Json.Int n) -> float_of_int n
     | _ -> Float.nan
   in
-  let on_front cell =
-    Json.member "on_front" cell = Some (Json.Bool true)
-  in
   Printf.printf
     "Pareto front (replayed from the design store): %d cells, %d on the front\n"
     (List.length cells)
-    (List.length (List.filter on_front cells));
+    (List.length (List.filter fst cells));
   List.iter
-    (fun cell ->
+    (fun (on_front, cell) ->
       let fom = Option.value (Json.member "fom" cell) ~default:Json.Null in
       Printf.printf "%s K=%-3.0f fs=%-9.6g MHz  %s  %.1f fJ/step, %.1f dB\n"
-        (if on_front cell then "*" else " ")
+        (if on_front then "*" else " ")
         (num cell "k") (num cell "fs_mhz")
         (match Json.member_path "optimize.optimum" cell with
         | Some (Json.String s) -> s
@@ -488,19 +483,11 @@ let pareto ks fs_list mode seed attempts process jobs timeout store json trace
   | Some payload ->
     let parsed = Json.parse payload in
     if json then begin
-      (* replay the NDJSON stream a cold run printed: front point lines
-         from the stored grid (canonical serializer: the re-serialized
-         cells are the very bytes the cold run emitted), then the
-         stored summary verbatim *)
-      (match Json.member "grid" parsed with
-      | Some (Json.List cells) ->
-        List.iter
-          (fun cell ->
-            match Json.member "on_front" cell with
-            | Some (Json.Bool true) -> print_endline (Json.to_string cell)
-            | _ -> ())
-          cells
-      | _ -> ());
+      (* replay the NDJSON stream a cold run printed: the front point
+         lines, then the stored summary verbatim *)
+      List.iter
+        (fun cell -> print_endline (Json.to_string cell))
+        (Codec.pareto_front_points parsed);
       print_endline payload
     end
     else print_stored_pareto_human parsed
@@ -1401,7 +1388,8 @@ let route_cmd =
     "Front a fleet of $(b,adcopt serve) backends with one socket speaking \
      the same newline-JSON protocol (see docs/CLUSTER.md). Requests are \
      consistent-hashed onto the backend that caches their key; $(b,batch) \
-     and $(b,pareto) fan out per owner and reassemble byte-identically; a \
+     and $(b,pareto) fan out one $(b,optimize) per cell and reassemble \
+     byte-identically; a \
      dead backend's keys re-route to its ring successors, which recompute \
      the same bytes."
   in

@@ -113,26 +113,6 @@ let preregister_metrics t =
   end
 
 (* ------------------------------------------------------------------ *)
-(* placement *)
-
-(* the parsed card for local spec construction (fan-out planning);
-   falls back to the built-in card on a malformed one — the backend
-   owns the typed rejection, the router only plans around it *)
-let process_value_of (req : Protocol.request) =
-  match Adc_spice.resolve_card req.Protocol.process with
-  | Ok p -> p
-  | Error _ -> Adc_circuit.Process.c025
-
-(* the keys of one (k, fs) cell of a fanned request: those of the solo
-   optimize a backend would cache that cell under *)
-let cell_keys (req : Protocol.request) ~k ~fs_mhz =
-  Protocol.key_of_request
-    { req with Protocol.verb = Protocol.Optimize; k; fs_mhz }
-
-let place_of (keys : Protocol.keys) =
-  match keys.Protocol.place with Some key -> key | None -> raise Exit
-
-(* ------------------------------------------------------------------ *)
 (* forwarding with re-route, retry and deadline accounting *)
 
 let elapsed_ms started =
@@ -297,7 +277,16 @@ let single_forward t conn (req : Protocol.request) ~started =
       metric_inc t "route.failed_total")
 
 (* ------------------------------------------------------------------ *)
-(* fan-out verbs *)
+(* fan-out verbs
+
+   [batch] and [pareto] are both a set of independent (k, fs) cells, so
+   the router forwards one solo [optimize] per distinct cell to the
+   cell's ring owner — which caches it under the very key a later
+   routed [optimize] of that cell looks up — and reassembles the
+   summary through the daemon's own {!Codec} builders. A cell's payload
+   is byte-identical to the run a single daemon's fused batch computes
+   for it (the run_batch contract), and the fusion counters are a pure
+   plan function, so the reassembled bytes are the single daemon's. *)
 
 (* a sub-response that came back [ok:false]: surface its typed error as
    the whole request's answer *)
@@ -316,14 +305,6 @@ let sub_error final =
       | _ -> "backend answered an error"
     in
     Some (kind, message)
-
-let to_float = function
-  | Json.Int n -> Some (float_of_int n)
-  | Json.Float f -> Some f
-  | _ -> None
-
-let bool_member name json =
-  Json.member name json = Some (Json.Bool true)
 
 let fan_width = 8
 
@@ -348,270 +329,125 @@ let parallel_map_array n f =
 
 exception Fan_failed of Protocol.error_kind * string
 
-(* --- batch: one sub-batch per owning backend ---------------------- *)
+(* The solo optimize of one cell, carrying the client's search identity
+   (mode, seed, attempts, budget, card), version and req_id. The budget
+   and the card ride along as the client sent them; [forward_ordered]
+   appends the remaining [deadline_ms]. *)
+let cell_request (req : Protocol.request) ~k ~fs_mhz =
+  let optional name = Option.fold ~none:[] ~some:(fun v -> [ (name, v) ]) in
+  let string = Option.map (fun s -> Json.String s) in
+  Json.Obj
+    ([
+       ("id", req.Protocol.id);
+       ("verb", Json.String "optimize");
+       ("k", Json.Int k);
+       ("fs_mhz", Json.Float fs_mhz);
+       ("mode", Json.String (Codec.mode_name req.Protocol.mode));
+       ("seed", Json.Int req.Protocol.seed);
+       ("attempts", Json.Int req.Protocol.attempts);
+       ("version", Json.Int Api.protocol_version);
+     ]
+    @ optional "budget" (Json.member "budget" req.Protocol.json)
+    @ optional "process" (string req.Protocol.process)
+    @ optional "req_id" (string req.Protocol.req_id))
 
-(* Group the requested resolutions by the backend owning each one's
-   per-cell optimize key. Relative order inside a group is preserved,
-   so each sub-batch's [runs] come back in the order its ks were named
-   — and the run for a given spec is byte-identical to a solo optimize
-   (the run_batch contract), which is what lets the router stitch the
-   groups back into the exact single-daemon payload. *)
-let fan_batch t (req : Protocol.request) ~started =
-  let cell_key k = place_of (cell_keys req ~k ~fs_mhz:req.Protocol.fs_mhz) in
-  if req.Protocol.ks = [] then raise Exit (* backend owns the typed error *);
-  let owner_of k =
-    match Ring.lookup t.ring (cell_key k) with
-    | Some b -> b
-    | None -> raise Exit
-  in
-  let groups : (string * int list ref) list ref = ref [] in
-  List.iter
-    (fun k ->
-      let owner = owner_of k in
-      match List.assoc_opt owner !groups with
-      | Some ks -> ks := k :: !ks
-      | None -> groups := !groups @ [ (owner, ref [ k ]) ])
-    req.Protocol.ks;
-  let groups =
-    List.map (fun (owner, ks) -> (owner, List.rev !ks)) !groups
-  in
-  let specs_of_ks ks =
-    let process = process_value_of req in
-    List.map
-      (fun k -> Spec.make ~process ~k ~fs:(req.Protocol.fs_mhz *. 1e6) ())
-      ks
-  in
-  let sub_json ks =
-    match req.Protocol.json with
-    | Json.Obj fields ->
-      Json.Obj
-        (List.map
-           (fun (name, v) ->
-             if name = "ks" then
-               (name, Json.List (List.map (fun k -> Json.Int k) ks))
-             else (name, v))
-           fields)
-    | other -> other
-  in
-  let arr = Array.of_list groups in
+(* Forward [cell_request] for each (k, fs_mhz) cell, at most [fan_width]
+   at a time, each to the owner of the cell's solo optimize key with the
+   usual re-route. Returns the cells' optimize payloads in order and
+   whether every one was a store hit; the first failing cell's typed
+   error fails the request. *)
+let fan_cells t (req : Protocol.request) ~started cells =
+  let cells = Array.of_list cells in
   let outcomes =
-    parallel_map_array (Array.length arr) (fun i ->
-        let _, ks = arr.(i) in
-        forward_routed t
-          ~key:(cell_key (List.hd ks))
-          ~deadline_ms:req.Protocol.deadline_ms ~started ~json:(sub_json ks)
-          ~emit:(fun _ -> ()))
+    parallel_map_array (Array.length cells) (fun i ->
+        let k, fs_mhz = cells.(i) in
+        let keys =
+          Protocol.key_of_request
+            { req with Protocol.verb = Protocol.Optimize; k; fs_mhz }
+        in
+        forward_routed t ~key:(Option.get keys.Protocol.place)
+          ~deadline_ms:req.Protocol.deadline_ms ~started
+          ~json:(cell_request req ~k ~fs_mhz) ~emit:ignore)
   in
-  (* surface failures: typed backend errors verbatim, exhaustion typed *)
-  Array.iter
-    (function
-      | Error (kind, message) -> raise (Fan_failed (kind, message))
-      | Ok final -> (
-        match sub_error final with
-        | Some (kind, message) -> raise (Fan_failed (kind, message))
-        | None -> ()))
-    outcomes;
-  (* stitch: runs back into the original ks order *)
-  let runs_by_k = Hashtbl.create 16 in
-  let truncated = ref false in
-  let all_cached = ref true in
-  Array.iteri
-    (fun i outcome ->
-      let _, ks = arr.(i) in
-      match outcome with
-      | Error _ -> ()
-      | Ok final -> (
-        if not (bool_member "cached" final) then all_cached := false;
-        match Json.member "result" final with
-        | Some result -> (
-          if bool_member "truncated" result then truncated := true;
-          match Json.member "runs" result with
-          | Some (Json.List runs) when List.length runs = List.length ks ->
-            List.iter2 (fun k run -> Hashtbl.replace runs_by_k k run) ks runs
-          | _ ->
-            raise
-              (Fan_failed
-                 (Protocol.Internal, "sub-batch result shape mismatch")))
-        | None ->
-          raise (Fan_failed (Protocol.Internal, "sub-batch carried no result"))))
-    outcomes;
-  let runs =
-    List.map
-      (fun k ->
-        match Hashtbl.find_opt runs_by_k k with
-        | Some run -> run
-        | None ->
-          raise (Fan_failed (Protocol.Internal, "sub-batch lost a resolution")))
-      req.Protocol.ks
-  in
-  let job_occurrences, distinct_syntheses =
-    Optimize.batch_plan_counts ~mode:req.Protocol.mode ~seed:req.Protocol.seed
-      ~attempts:req.Protocol.attempts ?budget:req.Protocol.budget
-      (specs_of_ks req.Protocol.ks)
-  in
-  let payload =
-    Json.Obj
-      [
-        ("ks", Json.List (List.map (fun k -> Json.Int k) req.Protocol.ks));
-        ("runs", Json.List runs);
-        ("job_occurrences", Json.Int job_occurrences);
-        ("distinct_syntheses", Json.Int distinct_syntheses);
-        ("truncated", Json.Bool !truncated);
-      ]
-  in
-  (payload, !all_cached)
-
-(* --- pareto: per-cell optimize forwards --------------------------- *)
-
-(* Fan the (k, fs) grid into one optimize forward per cell — trading a
-   single node's intra-batch job fusion for per-cell placement (each
-   cell lands on, and is cached by, its owning node) — then rerun the
-   pure dominance pass over the returned powers. The per-cell payloads
-   are byte-identical to solo optimize runs, and dominance is a pure
-   function of (k, fs, p_total), so the reassembled summary matches the
-   single-daemon bytes. *)
-let fan_pareto t (req : Protocol.request) ~started ~emit =
-  let _, _, cells =
-    Front.grid ~ks:req.Protocol.ks ~fs_mhz:req.Protocol.fs_list
-  in
-  let process = process_value_of req in
-  let budget_json = match req.Protocol.json with
-    | Json.Obj fields -> List.assoc_opt "budget" fields
-    | _ -> None
-  in
-  let sub_json i (k, f) =
-    Json.Obj
-      ([
-         ("id", Json.Int i);
-         ("verb", Json.String "optimize");
-         ("k", Json.Int k);
-         ("fs_mhz", Json.Float f);
-         ("mode", Json.String (Codec.mode_name req.Protocol.mode));
-         ("seed", Json.Int req.Protocol.seed);
-         ("attempts", Json.Int req.Protocol.attempts);
-       ]
-      @ (match budget_json with
-        | Some b -> [ ("budget", b) ]
-        | None -> [])
-      (* the sub-request is built field-by-field, so the card must be
-         forwarded explicitly — dropping it here would silently compute
-         every cell on the default process *)
-      @ (match req.Protocol.process with
-        | Some card -> [ ("process", Json.String card) ]
-        | None -> [])
-      @ (match req.Protocol.deadline_ms with
-        | Some d -> [ ("deadline_ms", Json.Int d) ]
-        | None -> [])
-      @ [ ("version", Json.Int Api.protocol_version) ])
-  in
-  let arr = Array.of_list cells in
-  let outcomes =
-    parallel_map_array (Array.length arr) (fun i ->
-        let k, f = arr.(i) in
-        forward_routed t ~key:(place_of (cell_keys req ~k ~fs_mhz:f))
-          ~deadline_ms:req.Protocol.deadline_ms ~started ~json:(sub_json i arr.(i))
-          ~emit:(fun _ -> ()))
-  in
-  let results =
+  let replies =
     Array.map
       (function
         | Error (kind, message) -> raise (Fan_failed (kind, message))
         | Ok final -> (
-          match sub_error final with
-          | Some (kind, message) -> raise (Fan_failed (kind, message))
-          | None -> (
-            match Json.member "result" final with
-            | Some result -> (result, bool_member "cached" final)
-            | None ->
-              raise
-                (Fan_failed (Protocol.Internal, "sub-optimize carried no result")))))
+          match (sub_error final, Json.member "result" final) with
+          | Some (kind, message), _ -> raise (Fan_failed (kind, message))
+          | None, Some payload ->
+            (payload, Json.member "cached" final = Some (Json.Bool true))
+          | None, None ->
+            raise
+              (Fan_failed (Protocol.Internal, "sub-optimize carried no result"))))
       outcomes
   in
-  (* the pure dominance pass, over exactly the figures the single
-     daemon's Front.search uses *)
-  let coords =
-    Array.to_list
-      (Array.mapi
-         (fun i (result, _) ->
-           let k, f = arr.(i) in
-           let p_total =
-             match Option.bind (Json.member "p_total" result) to_float with
-             | Some p -> p
-             | None ->
-               raise
-                 (Fan_failed (Protocol.Internal, "sub-optimize lost p_total"))
-           in
-           let spec = Spec.make ~process ~k ~fs:(f *. 1e6) () in
-           { Front.c_k = k; c_fs = spec.Spec.fs; c_p = p_total })
-         results)
-  in
-  let flags = Front.front_flags coords in
-  let point_payloads =
-    List.mapi
-      (fun i on_front ->
-        let k, f = arr.(i) in
-        let result, _ = results.(i) in
-        let coord = List.nth coords i in
-        let fom =
-          Fom.make ~p_total:coord.Front.c_p ~k ~fs:coord.Front.c_fs
-        in
-        Json.Obj
-          [
-            ("k", Json.Int k);
-            ("fs_mhz", Json.Float f);
-            ("on_front", Json.Bool on_front);
-            ("fom", Codec.fom_json fom);
-            ("optimize", result);
-          ])
-      flags
-  in
-  (* stream the front points in traversal order — membership was final
-     in this order on the single daemon too *)
-  List.iteri
-    (fun i payload -> if List.nth flags i then emit payload)
-    point_payloads;
-  let truncated =
-    Array.exists (fun (result, _) -> bool_member "truncated" result) results
-  in
-  let all_cached = Array.for_all (fun (_, cached) -> cached) results in
-  let front_refs =
-    List.filteri (fun i _ -> List.nth flags i) (Array.to_list arr)
-    |> List.map (fun (k, f) ->
-           Json.Obj [ ("k", Json.Int k); ("fs_mhz", Json.Float f) ])
+  (Array.to_list (Array.map fst replies), Array.for_all snd replies)
+
+(* The fusion counters a single daemon's run_batch reports for [cells].
+   Building the specs first sends an invalid resolution to the
+   whole-request fallback before any cell is forwarded; a malformed card
+   plans as the built-in one, and each backend refuses it typed. *)
+let plan_counts (req : Protocol.request) cells =
+  let process =
+    Result.value (Adc_spice.resolve_card req.Protocol.process)
+      ~default:Adc_circuit.Process.c025
   in
   let specs =
-    List.map
-      (fun (k, f) -> Spec.make ~process ~k ~fs:(f *. 1e6) ())
-      (Array.to_list arr)
+    List.map (fun (k, f) -> Spec.make ~process ~k ~fs:(f *. 1e6) ()) cells
   in
-  let job_occurrences, distinct_syntheses =
+  ( specs,
     Optimize.batch_plan_counts ~mode:req.Protocol.mode ~seed:req.Protocol.seed
-      ~attempts:req.Protocol.attempts ?budget:req.Protocol.budget specs
+      ~attempts:req.Protocol.attempts ?budget:req.Protocol.budget specs )
+
+(* batch: each distinct k is one cell at the request's rate; the runs
+   map back to the requested order, a repeated k repeating its run *)
+let assemble_batch t (req : Protocol.request) ~started =
+  if req.Protocol.ks = [] then raise Exit (* backend owns the typed error *);
+  let cell k = (k, req.Protocol.fs_mhz) in
+  let _, (job_occurrences, distinct_syntheses) =
+    plan_counts req (List.map cell req.Protocol.ks)
   in
-  let sorted_axis to_json values =
-    values |> List.sort_uniq compare |> List.map to_json
+  let ks = List.sort_uniq Int.compare req.Protocol.ks in
+  let payloads, cached = fan_cells t req ~started (List.map cell ks) in
+  let run_of = List.combine ks payloads in
+  let runs = List.map (fun k -> List.assoc k run_of) req.Protocol.ks in
+  ( Codec.batch_json ~ks:req.Protocol.ks ~runs ~job_occurrences
+      ~distinct_syntheses,
+    cached )
+
+(* pareto: the deduplicated grid's cells, then the pure dominance pass
+   over exactly the figures the single daemon's Front.search uses *)
+let assemble_pareto t (req : Protocol.request) ~started =
+  let _, _, cells =
+    Front.grid ~ks:req.Protocol.ks ~fs_mhz:req.Protocol.fs_list
   in
-  let payload =
-    Json.Obj
-      [
-        ( "ks",
-          Json.List
-            (sorted_axis
-               (fun k -> Json.Int k)
-               (List.map fst (Array.to_list arr))) );
-        ( "fs_mhz",
-          Json.List
-            (sorted_axis
-               (fun f -> Json.Float f)
-               (List.map snd (Array.to_list arr))) );
-        ("grid", Json.List point_payloads);
-        ("front", Json.List front_refs);
-        ("job_occurrences", Json.Int job_occurrences);
-        ("distinct_syntheses", Json.Int distinct_syntheses);
-        ("truncated", Json.Bool truncated);
-      ]
+  let specs, (job_occurrences, distinct_syntheses) = plan_counts req cells in
+  let payloads, cached = fan_cells t req ~started cells in
+  let coords =
+    List.map2
+      (fun (spec : Spec.t) payload ->
+        match Codec.optimize_p_total payload with
+        | Some p -> { Front.c_k = spec.Spec.k; c_fs = spec.Spec.fs; c_p = p }
+        | None ->
+          raise (Fan_failed (Protocol.Internal, "sub-optimize lost p_total")))
+      specs payloads
   in
-  (payload, all_cached)
+  let grid =
+    List.map2
+      (fun ((k, fs_mhz), (c : Front.coord)) (on_front, payload) ->
+        {
+          Codec.cell_k = k;
+          cell_fs_mhz = fs_mhz;
+          cell_on_front = on_front;
+          cell_fom = Fom.make ~p_total:c.Front.c_p ~k ~fs:c.Front.c_fs;
+          cell_optimize = payload;
+        })
+      (List.combine cells coords)
+      (List.combine (Front.front_flags coords) payloads)
+  in
+  (Codec.pareto_json grid ~job_occurrences ~distinct_syntheses, cached)
 
 (* ------------------------------------------------------------------ *)
 (* control verbs *)
@@ -811,24 +647,27 @@ let handle_request t conn (req : Protocol.request) ~started =
   | Protocol.Dump_trace -> route_dump_trace t conn req
   | Protocol.Ping -> route_ping t conn req ~started
   | Protocol.Batch | Protocol.Pareto -> (
-    let streaming = req.Protocol.verb = Protocol.Pareto in
-    let emit payload =
-      Transport.send conn
-        (Protocol.stream_point_response ~id ?req_id:wire_rid
-           ~verb:req.Protocol.verb payload)
-    in
+    let verb = req.Protocol.verb in
     match
-      if streaming then fan_pareto t req ~started ~emit
-      else fan_batch t req ~started
+      if verb = Protocol.Pareto then assemble_pareto t req ~started
+      else assemble_batch t req ~started
     with
     | payload, cached ->
-      Transport.send conn
-        (if streaming then
-           Protocol.stream_end_response ~id ?req_id:wire_rid
-             ~verb:req.Protocol.verb ~cached payload
-         else
-           Protocol.ok_response ~id ?req_id:wire_rid ~verb:req.Protocol.verb
-             ~cached payload);
+      (* a pareto streams its front points in traversal order, then the
+         summary: the lines a single daemon's warm replay sends *)
+      if verb = Protocol.Pareto then begin
+        List.iter
+          (fun point ->
+            Transport.send conn
+              (Protocol.stream_point_response ~id ?req_id:wire_rid ~verb point))
+          (Codec.pareto_front_points payload);
+        Transport.send conn
+          (Protocol.stream_end_response ~id ?req_id:wire_rid ~verb ~cached
+             payload)
+      end
+      else
+        Transport.send conn
+          (Protocol.ok_response ~id ?req_id:wire_rid ~verb ~cached payload);
       locked t (fun t -> t.n_completed <- t.n_completed + 1);
       metric_inc t "route.completed_total"
     | exception Fan_failed (kind, message) ->

@@ -10,11 +10,12 @@
       ({!Adc_serve.Protocol.key_of_request}, the same derivation that
       gives the backends their store keys) hashes onto a {!Ring} of
       backends, so repeated requests for one cell land on the node that
-      already holds the answer. [batch] fans into one sub-batch per
-      owning backend and [pareto] into per-cell [optimize] forwards —
+      already holds the answer. [batch] and [pareto] fan out the same
+      way, into one [optimize] forward per distinct (k, fs) cell —
       trading a single node's intra-batch fusion for cluster-wide
-      cache reuse — and both reassemble to the exact single-daemon
-      payload bytes.
+      cache reuse, since each cell is stored under its solo key — and
+      both reassemble through {!Adc_serve.Codec} to the exact
+      single-daemon payload bytes.
     - {b Degradation}: a failed connect, mid-stream EOF or
       [shutting_down] answer marks the backend down ({!Health}) and
       re-routes the work to the key's ring successor, with exponential

@@ -154,22 +154,36 @@ let montecarlo_payload ~k ~fs_mhz ~config ~trials ~seed ~budget sweep =
       ("sweep", Json.List (List.map point_json sweep));
     ]
 
-let batch_payload (b : Optimize.batch) =
+(* The batch and pareto summaries are built at the JSON level, over
+   already-encoded optimize payloads, so the daemon (which encodes its
+   own runs) and the cluster router (which reassembles the payloads its
+   backends answered) write the same bytes through one encoder. A
+   summary is truncated iff one of its runs is, as in run_batch. *)
+
+let payload_truncated payload =
+  Json.member "truncated" payload = Some (Json.Bool true)
+
+let batch_json ~ks ~runs ~job_occurrences ~distinct_syntheses =
   Json.Obj
     [
-      ( "ks",
-        Json.List
-          (List.map
-             (fun (r : Optimize.run) -> Json.Int r.Optimize.spec.Spec.k)
-             b.Optimize.batch_runs) );
-      ( "runs",
-        (* full per-spec optimize payloads: runs[i] is byte-identical to
-           the one-shot optimize result for that spec (CI cmp's them) *)
-        Json.List (List.map optimize_payload b.Optimize.batch_runs) );
-      ("job_occurrences", Json.Int b.Optimize.job_occurrences);
-      ("distinct_syntheses", Json.Int b.Optimize.distinct_syntheses);
-      ("truncated", Json.Bool b.Optimize.batch_truncated);
+      ("ks", Json.List (List.map (fun k -> Json.Int k) ks));
+      (* full per-spec optimize payloads: runs[i] is byte-identical to
+         the one-shot optimize result for that spec (CI cmp's them) *)
+      ("runs", Json.List runs);
+      ("job_occurrences", Json.Int job_occurrences);
+      ("distinct_syntheses", Json.Int distinct_syntheses);
+      ("truncated", Json.Bool (List.exists payload_truncated runs));
     ]
+
+let batch_payload (b : Optimize.batch) =
+  batch_json
+    ~ks:
+      (List.map
+         (fun (r : Optimize.run) -> r.Optimize.spec.Spec.k)
+         b.Optimize.batch_runs)
+    ~runs:(List.map optimize_payload b.Optimize.batch_runs)
+    ~job_occurrences:b.Optimize.job_occurrences
+    ~distinct_syntheses:b.Optimize.distinct_syntheses
 
 let fom_json (f : Adc_pipeline.Fom.t) =
   let module Fom = Adc_pipeline.Fom in
@@ -181,51 +195,99 @@ let fom_json (f : Adc_pipeline.Fom.t) =
       ("schreier_db", Json.Float f.Fom.schreier_db);
     ]
 
+type pareto_cell = {
+  cell_k : int;
+  cell_fs_mhz : float;
+  cell_on_front : bool;
+  cell_fom : Adc_pipeline.Fom.t;
+  cell_optimize : Json.t;
+}
+
 (* One grid cell. The embedded [optimize] object is the full
    {!optimize_payload} of the cell's run — byte-identical to the
    one-shot [adcopt optimize] result at the same (k, fs), which is the
    anchor CI cmp's front points against. *)
-let pareto_point_payload (pt : Adc_pipeline.Front.point) =
-  let module Front = Adc_pipeline.Front in
+let pareto_point_json c =
   Json.Obj
     [
-      ("k", Json.Int pt.Front.pt_k);
-      ("fs_mhz", Json.Float pt.Front.pt_fs_mhz);
-      ("on_front", Json.Bool pt.Front.pt_on_front);
-      ("fom", fom_json pt.Front.pt_fom);
-      ("optimize", optimize_payload pt.Front.pt_run);
+      ("k", Json.Int c.cell_k);
+      ("fs_mhz", Json.Float c.cell_fs_mhz);
+      ("on_front", Json.Bool c.cell_on_front);
+      ("fom", fom_json c.cell_fom);
+      ("optimize", c.cell_optimize);
     ]
+
+let cell_of_point (pt : Adc_pipeline.Front.point) =
+  let module Front = Adc_pipeline.Front in
+  {
+    cell_k = pt.Front.pt_k;
+    cell_fs_mhz = pt.Front.pt_fs_mhz;
+    cell_on_front = pt.Front.pt_on_front;
+    cell_fom = pt.Front.pt_fom;
+    cell_optimize = optimize_payload pt.Front.pt_run;
+  }
+
+let pareto_point_payload pt = pareto_point_json (cell_of_point pt)
 
 (* The final summary. [grid] carries every cell's full point payload —
    including the non-front ones, so a store-warm replay can re-emit the
    exact point lines a cold run streamed — and [front] lists (k, fs)
    references into it rather than duplicating the payloads. *)
-let pareto_payload (fr : Adc_pipeline.Front.front_result) =
-  let module Front = Adc_pipeline.Front in
-  let cell_ref (pt : Front.point) =
-    Json.Obj
-      [ ("k", Json.Int pt.Front.pt_k); ("fs_mhz", Json.Float pt.Front.pt_fs_mhz) ]
+let pareto_json cells ~job_occurrences ~distinct_syntheses =
+  let axis to_json values =
+    Json.List (values |> List.sort_uniq compare |> List.map to_json)
+  in
+  let cell_ref c =
+    Json.Obj [ ("k", Json.Int c.cell_k); ("fs_mhz", Json.Float c.cell_fs_mhz) ]
   in
   Json.Obj
     [
-      ( "ks",
-        Json.List
-          (fr.Front.points
-          |> List.map (fun (pt : Front.point) -> pt.Front.pt_k)
-          |> List.sort_uniq compare
-          |> List.map (fun k -> Json.Int k)) );
+      ("ks", axis (fun k -> Json.Int k) (List.map (fun c -> c.cell_k) cells));
       ( "fs_mhz",
+        axis (fun f -> Json.Float f) (List.map (fun c -> c.cell_fs_mhz) cells)
+      );
+      ("grid", Json.List (List.map pareto_point_json cells));
+      ( "front",
         Json.List
-          (fr.Front.points
-          |> List.map (fun (pt : Front.point) -> pt.Front.pt_fs_mhz)
-          |> List.sort_uniq compare
-          |> List.map (fun f -> Json.Float f)) );
-      ("grid", Json.List (List.map pareto_point_payload fr.Front.points));
-      ("front", Json.List (List.map cell_ref fr.Front.front));
-      ("job_occurrences", Json.Int fr.Front.job_occurrences);
-      ("distinct_syntheses", Json.Int fr.Front.distinct_syntheses);
-      ("truncated", Json.Bool fr.Front.front_truncated);
+          (List.filter_map
+             (fun c -> if c.cell_on_front then Some (cell_ref c) else None)
+             cells) );
+      ("job_occurrences", Json.Int job_occurrences);
+      ("distinct_syntheses", Json.Int distinct_syntheses);
+      ( "truncated",
+        Json.Bool
+          (List.exists (fun c -> payload_truncated c.cell_optimize) cells) );
     ]
+
+let pareto_payload (fr : Adc_pipeline.Front.front_result) =
+  let module Front = Adc_pipeline.Front in
+  pareto_json
+    (List.map cell_of_point fr.Front.points)
+    ~job_occurrences:fr.Front.job_occurrences
+    ~distinct_syntheses:fr.Front.distinct_syntheses
+
+(* every grid cell of an encoded pareto summary with its front flag, in
+   traversal order *)
+let pareto_grid summary =
+  match Json.member "grid" summary with
+  | Some (Json.List cells) ->
+    List.map
+      (fun cell -> (Json.member "on_front" cell = Some (Json.Bool true), cell))
+      cells
+  | _ -> []
+
+(* the point lines a cold pareto streamed: canonical serialization makes
+   the re-serialized cells the very bytes it emitted *)
+let pareto_front_points summary =
+  List.filter_map
+    (fun (on_front, cell) -> if on_front then Some cell else None)
+    (pareto_grid summary)
+
+let optimize_p_total payload =
+  match Json.member "p_total" payload with
+  | Some (Json.Float p) -> Some p
+  | Some (Json.Int n) -> Some (float_of_int n)
+  | _ -> None
 
 let enumerate_payload (spec : Spec.t) =
   let cands =

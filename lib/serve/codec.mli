@@ -28,9 +28,6 @@ val chart_payload : truncated:bool -> Adc_pipeline.Rules.chart -> Adc_json.Json.
     the separate [monotone_non_increasing] and [all_valid] booleans),
     and a [truncated] flag for sweeps cut short by a deadline. *)
 
-val fom_json : Adc_pipeline.Fom.t -> Adc_json.Json.t
-(** Walden/Schreier figures of merit of one design point. *)
-
 val pareto_point_payload : Adc_pipeline.Front.point -> Adc_json.Json.t
 (** One (k, fs) grid cell: its FoM, its front membership, and — under
     [optimize] — the cell's {e full} {!optimize_payload}, byte-identical
@@ -62,6 +59,46 @@ val batch_payload : Adc_pipeline.Optimize.batch -> Adc_json.Json.t
     payload for that spec — CI [cmp]s them) plus the fused-schedule
     counters: [job_occurrences] over all specs vs [distinct_syntheses]
     actually performed. *)
+
+(** {2 Summaries over encoded optimize payloads}
+
+    The builders behind {!batch_payload}, {!pareto_point_payload} and
+    {!pareto_payload}, taking each cell's already-encoded
+    {!optimize_payload}: a cluster router reassembling the payloads its
+    backends answered writes the single daemon's bytes through them. *)
+
+val batch_json :
+  ks:int list -> runs:Adc_json.Json.t list -> job_occurrences:int ->
+  distinct_syntheses:int -> Adc_json.Json.t
+(** [runs] in [ks] order, one encoded optimize payload per entry; the
+    summary is [truncated] iff one of them is. *)
+
+type pareto_cell = {
+  cell_k : int;
+  cell_fs_mhz : float;         (** the caller's MHz figure *)
+  cell_on_front : bool;
+  cell_fom : Adc_pipeline.Fom.t;
+  cell_optimize : Adc_json.Json.t;  (** the encoded optimize payload *)
+}
+
+val pareto_json :
+  pareto_cell list -> job_occurrences:int -> distinct_syntheses:int ->
+  Adc_json.Json.t
+(** The summary over the grid cells in traversal order; [truncated] iff
+    one cell's optimize payload is. *)
+
+(** {2 Reading encoded payloads back} *)
+
+val pareto_grid : Adc_json.Json.t -> (bool * Adc_json.Json.t) list
+(** A pareto summary's grid cells with their front flags, in traversal
+    order ([[]] for a payload without a grid). *)
+
+val pareto_front_points : Adc_json.Json.t -> Adc_json.Json.t list
+(** The front cells of a pareto summary, in traversal order: the point
+    lines its cold run streamed, which a store-warm replay re-emits. *)
+
+val optimize_p_total : Adc_json.Json.t -> float option
+(** An optimize payload's optimum total power, W. *)
 
 val enumerate_payload : Adc_pipeline.Spec.t -> Adc_json.Json.t
 (** Candidate configurations and the de-duplicated MDAC job list. *)

@@ -494,20 +494,6 @@ let process t (item : item) =
              payload
          else Protocol.ok_response ~id ?req_id:wire_rid ~verb ~cached payload)
     in
-    (* a warm streaming hit replays the point lines a cold run streamed:
-       the stored summary's [grid] carries every cell, front-flagged *)
-    let replay_stream payload =
-      if streaming then
-        match Json.member "grid" payload with
-        | Some (Json.List cells) ->
-          List.iter
-            (fun cell ->
-              match Json.member "on_front" cell with
-              | Some (Json.Bool true) -> emit cell
-              | _ -> ())
-            cells
-        | _ -> ()
-    in
     let key = (Protocol.key_of_request req).Protocol.store in
     let stored =
       match (t.store, key) with
@@ -522,7 +508,8 @@ let process t (item : item) =
       locked t (fun t -> t.n_completed <- t.n_completed + 1);
       finish ~ok:true ~cached:true ~truncated:false;
       let payload = Json.parse payload in
-      replay_stream payload;
+      (* a warm streaming hit replays the point lines a cold run streamed *)
+      if streaming then List.iter emit (Codec.pareto_front_points payload);
       send_final ~cached:true payload
     | None -> (
       match dispatch_queued t req ~cancel:item.cancel ~emit with

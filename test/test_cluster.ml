@@ -324,6 +324,20 @@ let call_stream sock json =
       in
       (List.rev !lines, final))
 
+(* a standalone daemon, the byte reference for routed answers *)
+let with_solo f =
+  let dir = tmp_dir "adcopt-cluster-solo" in
+  let sock = Filename.concat dir "solo.sock" in
+  let srv =
+    Server.create { Server.default_config with Server.socket_path = Some sock }
+  in
+  let thread = Thread.create Server.run srv in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop srv;
+      Thread.join thread)
+    (fun () -> f sock)
+
 let test_cluster_ping_and_single_verbs () =
   with_fleet ~n:3 (fun fleet ->
       let resp = call fleet.fl_front {|{"id":1,"verb":"ping"}|} in
@@ -368,64 +382,42 @@ let test_cluster_byte_identity () =
         (Json.to_string (member_exn "result" cold))
         (Json.to_string (member_exn "result" warm));
       (* against a standalone daemon *)
-      let dir = tmp_dir "adcopt-cluster-solo" in
-      let sock = Filename.concat dir "solo.sock" in
-      let srv =
-        Server.create
-          { Server.default_config with Server.socket_path = Some sock }
-      in
-      let thread = Thread.create Server.run srv in
-      Fun.protect
-        ~finally:(fun () ->
-          Server.stop srv;
-          Thread.join thread)
-        (fun () ->
+      with_solo (fun sock ->
           let solo = call sock req in
           Alcotest.(check string) "routed bytes == solo daemon bytes"
             (Json.to_string (member_exn "result" solo))
             (Json.to_string (member_exn "result" cold))))
 
+(* a routed batch equals the solo daemon's, also when it names a
+   resolution twice: one cell per distinct k, its run repeated *)
 let test_cluster_batch_fan () =
   with_fleet ~n:3 (fun fleet ->
-      let req = {|{"verb":"batch","ks":[10,11,12,13],"fs_mhz":80}|} in
-      let routed = call fleet.fl_front req in
-      Alcotest.(check bool) "batch ok" true
-        (member_exn "ok" routed = Json.Bool true);
-      let dir = tmp_dir "adcopt-cluster-solo" in
-      let sock = Filename.concat dir "solo.sock" in
-      let srv =
-        Server.create
-          { Server.default_config with Server.socket_path = Some sock }
-      in
-      let thread = Thread.create Server.run srv in
-      Fun.protect
-        ~finally:(fun () ->
-          Server.stop srv;
-          Thread.join thread)
-        (fun () ->
-          let solo = call sock req in
-          Alcotest.(check string) "fanned batch bytes == solo daemon bytes"
-            (Json.to_string (member_exn "result" solo))
-            (Json.to_string (member_exn "result" routed))))
+      with_solo (fun sock ->
+          List.iter
+            (fun req ->
+              let routed = call fleet.fl_front req in
+              Alcotest.(check bool) "batch ok" true
+                (member_exn "ok" routed = Json.Bool true);
+              let solo = call sock req in
+              Alcotest.(check string) (req ^ ": routed bytes == solo bytes")
+                (Json.to_string (member_exn "result" solo))
+                (Json.to_string (member_exn "result" routed)))
+            [
+              {|{"verb":"batch","ks":[10,11,12,13],"fs_mhz":80}|};
+              {|{"verb":"batch","ks":[10,12,10],"fs_mhz":80}|};
+            ]))
 
 let test_cluster_pareto_fan () =
   with_fleet ~n:3 (fun fleet ->
-      let req = {|{"verb":"pareto","ks":[10,12],"fs_mhz_list":[40,80]}|} in
+      let req = {|{"verb":"pareto","ks":[10,12],"fs_list":[40,80]}|} in
       let routed_lines, routed_final = call_stream fleet.fl_front req in
       Alcotest.(check bool) "pareto ok" true
         (member_exn "ok" routed_final = Json.Bool true);
-      let dir = tmp_dir "adcopt-cluster-solo" in
-      let sock = Filename.concat dir "solo.sock" in
-      let srv =
-        Server.create
-          { Server.default_config with Server.socket_path = Some sock }
-      in
-      let thread = Thread.create Server.run srv in
-      Fun.protect
-        ~finally:(fun () ->
-          Server.stop srv;
-          Thread.join thread)
-        (fun () ->
+      (match Json.member_path "result.grid" routed_final with
+      | Some (Json.List cells) ->
+        Alcotest.(check int) "2 x 2 grid" 4 (List.length cells)
+      | _ -> Alcotest.fail "summary lacks its grid");
+      with_solo (fun sock ->
           let solo_lines, solo_final = call_stream sock req in
           Alcotest.(check int) "same stream shape"
             (List.length solo_lines) (List.length routed_lines);
@@ -550,37 +542,94 @@ let test_cluster_forward_walks_whole_ring () =
       Alcotest.(check int) "three failed attempts before it" 3
         (Router.retries_total fleet.fl_router))
 
-(* a fanned batch's sub-results are never stored under a cell's solo
-   optimize key, where a failover would answer an optimize with a batch
-   payload *)
-let test_cluster_batch_not_stored_as_optimize () =
+(* the store keys a backend's directory holds, read from each entry's
+   header line *)
+let stored_keys dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun name -> Filename.check_suffix name ".json")
+  |> List.filter_map (fun name ->
+         let header =
+           In_channel.with_open_bin (Filename.concat dir name)
+             In_channel.input_line
+         in
+         match Option.map Json.parse header with
+         | Some header -> (
+           match Json.member "key" header with
+           | Some (Json.String key) -> Some key
+           | _ -> None)
+         | None -> None)
+
+(* a routed batch stores each cell under its solo optimize key, on the
+   cell's ring owner, and no batch-keyed entry anywhere; a routed
+   optimize of each cell is then a store hit with the batch's bytes *)
+let test_cluster_batch_cells_stored_as_optimize () =
   with_fleet ~n:3 (fun fleet ->
       let ks = [ 10; 11; 12; 13 ] in
-      let resp = call fleet.fl_front {|{"verb":"batch","ks":[10,11,12,13],"fs_mhz":80}|} in
-      Alcotest.(check bool) "batch ok" true (member_exn "ok" resp = Json.Bool true);
+      let optimize_req k =
+        Printf.sprintf {|{"verb":"optimize","k":%d,"fs_mhz":80}|} k
+      in
+      let batch =
+        call fleet.fl_front {|{"verb":"batch","ks":[10,11,12,13],"fs_mhz":80}|}
+      in
+      let runs =
+        match Json.member_path "result.runs" batch with
+        | Some (Json.List runs) -> runs
+        | _ -> Alcotest.failf "batch failed: %s" (Json.to_string batch)
+      in
+      let ring = fleet_ring fleet in
+      let store_dir sock =
+        match
+          List.find_index (fun (s, _, _) -> s = sock) fleet.fl_backends
+        with
+        | Some i -> Filename.concat fleet.fl_dir (Printf.sprintf "store%d" i)
+        | None -> Alcotest.failf "no backend %s" sock
+      in
       List.iter
         (fun k ->
+          let line = optimize_req k in
           let key =
-            Adc_serve.Codec.key_optimize ~k ~fs_mhz:80.0 ~mode:`Equation ~seed:11
-              ~attempts:3 ()
+            match (Protocol.key_of_request (parse_exn line)).Protocol.store with
+            | Some key -> key
+            | None -> Alcotest.failf "no store key: %s" line
           in
-          List.iteri
-            (fun i _ ->
-              let store =
-                Store.open_dir
-                  (Filename.concat fleet.fl_dir (Printf.sprintf "store%d" i))
-              in
-              match Store.find store ~key with
-              | None -> ()
-              | Some payload ->
-                let payload = Json.parse payload in
-                Alcotest.(check bool)
-                  (Printf.sprintf "store%d holds an optimize payload for k=%d" i k)
-                  true
-                  (Json.member "k" payload = Some (Json.Int k)
-                  && Json.member "runs" payload = None))
-            fleet.fl_backends)
-        ks)
+          let owner =
+            match Ring.lookup ring (place_of_line line) with
+            | Some owner -> owner
+            | None -> Alcotest.fail "empty ring"
+          in
+          match Store.find (Store.open_dir (store_dir owner)) ~key with
+          | None -> Alcotest.failf "k=%d: its owner stores no optimize entry" k
+          | Some payload ->
+            let payload = Json.parse payload in
+            Alcotest.(check bool)
+              (Printf.sprintf "k=%d: an optimize payload" k)
+              true
+              (Json.member "k" payload = Some (Json.Int k)
+              && Json.member "runs" payload = None))
+        ks;
+      let keys =
+        List.concat_map
+          (fun (sock, _, _) -> stored_keys (store_dir sock))
+          fleet.fl_backends
+      in
+      Alcotest.(check int) "one entry per cell" 4 (List.length keys);
+      List.iter
+        (fun key ->
+          Alcotest.(check bool) (key ^ " is optimize-keyed") true
+            (List.nth_opt (String.split_on_char '|' key) 1 = Some "optimize"))
+        keys;
+      List.iter2
+        (fun k run ->
+          let resp = call fleet.fl_front (optimize_req k) in
+          Alcotest.(check bool)
+            (Printf.sprintf "k=%d cached" k)
+            true
+            (member_exn "cached" resp = Json.Bool true);
+          Alcotest.(check string)
+            (Printf.sprintf "k=%d bytes == the batch's run" k)
+            (Json.to_string run)
+            (Json.to_string (member_exn "result" resp)))
+        ks runs)
 
 (* the fan-out helper keeps at most [fan_width] calls in flight and
    returns results by index *)
@@ -829,7 +878,7 @@ let () =
         [
           quick "ping and single-verb routing" test_cluster_ping_and_single_verbs;
           quick "routed == solo daemon (bytes)" test_cluster_byte_identity;
-          quick "batch fans per owner (bytes)" test_cluster_batch_fan;
+          quick "batch fans per cell (bytes)" test_cluster_batch_fan;
           quick "pareto fans per cell (bytes)" test_cluster_pareto_fan;
           quick "kill 1 of 3 re-routes mid-batch" test_cluster_kill_backend_reroutes;
           quick "whole ring down is typed" test_cluster_whole_ring_down;
@@ -839,7 +888,7 @@ let () =
           quick "stats aggregate across the fleet" test_cluster_stats_aggregation;
           quick "shutdown propagates the drain" test_cluster_shutdown_propagates;
           quick "ops plane: healthz, readyz flips, metrics" test_router_ops_plane;
-          quick "no batch payload under a cell's optimize key" test_cluster_batch_not_stored_as_optimize;
+          quick "batch cells stored under optimize keys" test_cluster_batch_cells_stored_as_optimize;
         ] );
       ("listeners", [ quick "bad address is typed, nothing left bound" test_listen_errors ]);
     ]
