@@ -14,6 +14,7 @@ module Front = Adc_pipeline.Front
 module Report = Adc_pipeline.Report
 module Behavioral = Adc_pipeline.Behavioral
 module Metrics = Adc_pipeline.Metrics
+module Montecarlo = Adc_pipeline.Montecarlo
 module Deck = Adc_pipeline.Deck
 module Synthesizer = Adc_synth.Synthesizer
 module Spice = Adc_spice
@@ -175,6 +176,28 @@ let resolve_jobs n = if n <= 0 then Pool.recommended_size () else n
 
 let spec_of ?process k fs = Spec.make ?process ~k ~fs:(fs *. 1e6) ()
 
+(* the specs of a multi-spec verb; a resolution [Spec.make] refuses
+   ends the command with a usage-style message *)
+let specs_of verb ~process cells =
+  List.map
+    (fun (k, fs) ->
+      try spec_of ~process k fs
+      with Invalid_argument msg -> die "adcopt %s: %s" verb msg)
+    cells
+
+(* progress denominator: the summed per-spec work lists; a batch
+   synthesizes each shared job once, so the bar can finish early, never
+   late *)
+let progress_total specs =
+  List.fold_left
+    (fun acc (spec : Spec.t) ->
+      acc
+      + List.length
+          (Spec.distinct_jobs spec
+             (Config.enumerate_leading ~k:spec.Spec.k
+                ~backend_bits:(Spec.backend_bits spec))))
+    0 specs
+
 (* --process FILE: load and parse the card once per invocation. Returns
    the parsed process (the built-in card when the flag is absent) and
    the non-default store-key digest — [None] for a card byte-equivalent
@@ -264,11 +287,7 @@ let optimize k fs mode seed attempts process jobs timeout store json trace
     else print_stored_human (Json.parse payload)
   | None ->
     let jobs = resolve_jobs jobs in
-    let total =
-      List.length
-        (Spec.distinct_jobs spec
-           (Config.enumerate_leading ~k ~backend_bits:(Spec.backend_bits spec)))
-    in
+    let total = progress_total [ spec ] in
     let ((obs, _) as ctx) = obs_of ~progress ~total ~domains:jobs trace metrics in
     let cancel = cancel_of_timeout timeout in
     let run = Optimize.run ~mode ~seed ~attempts ~jobs ~obs ~cancel spec in
@@ -312,32 +331,22 @@ let optimize_cmd =
 let sweep k_lo k_hi fs mode seed attempts process jobs timeout trace metrics
     progress =
   let proc, _ = resolve_process process in
-  let spec_of k fs = spec_of ~process:proc k fs in
   let jobs = resolve_jobs jobs in
-  let ks = List.init (k_hi - k_lo + 1) (fun i -> k_lo + i) in
-  (* each resolution is optimized twice — once for the Fig. 2 table and
-     once inside the rule derivation — so the progress denominator
-     counts every distinct MDAC job twice *)
-  let total =
-    2
-    * List.fold_left
-        (fun acc k ->
-          let spec = spec_of k fs in
-          acc
-          + List.length
-              (Spec.distinct_jobs spec
-                 (Config.enumerate_leading ~k
-                    ~backend_bits:(Spec.backend_bits spec))))
-        0 ks
+  let specs =
+    specs_of "sweep" ~process:proc
+      (List.init (k_hi - k_lo + 1) (fun i -> (k_lo + i, fs)))
   in
-  let ((obs, _) as ctx) = obs_of ~progress ~total ~domains:jobs trace metrics in
+  let ((obs, _) as ctx) =
+    obs_of ~progress ~total:(progress_total specs) ~domains:jobs trace metrics
+  in
   let cancel = cancel_of_timeout timeout in
+  (* one batch feeds both figures: Fig. 2 tabulates its runs, Fig. 3 is
+     the chart [Rules.sweep] derives from the same runs *)
   let runs =
-    List.filter_map
-      (fun k ->
-        if Cancel.cancelled cancel then None
-        else Some (Optimize.run ~mode ~seed ~attempts ~jobs ~obs ~cancel (spec_of k fs)))
-      ks
+    if specs = [] then []
+    else
+      (Optimize.run_batch ~mode ~seed ~attempts ~jobs ~obs ~cancel specs)
+        .Optimize.batch_runs
   in
   print_string (Report.fig2_table runs);
   (match mode with
@@ -346,14 +355,11 @@ let sweep k_lo k_hi fs mode seed attempts process jobs timeout trace metrics
     List.iter
       (fun (r : Optimize.run) ->
         Printf.printf
-          "  %2d-bit synthesis: %d evaluator calls, %.1f s on %d domain(s)\n"
+          "  %2d-bit synthesis: %d evaluator calls, done %.1f s into the batch on %d domain(s)\n"
           r.Optimize.spec.Spec.k r.Optimize.synthesis_evaluations
           r.Optimize.wall_time_s r.Optimize.domains)
       runs);
-  let chart =
-    Rules.sweep ~mode ~seed ~jobs ~obs ~cancel ~k_values:ks (fun ~k -> spec_of k fs)
-  in
-  print_string (Rules.render chart);
+  print_string (Rules.render (Rules.of_runs runs));
   finish_obs ctx;
   if Cancel.cancelled cancel then finish_truncated "sweep"
 
@@ -375,26 +381,10 @@ let batch ks fs mode seed attempts process jobs timeout json trace metrics
   if ks = [] then die "adcopt batch: need at least one resolution";
   let proc, _ = resolve_process process in
   let jobs = resolve_jobs jobs in
-  let specs =
-    List.map
-      (fun k ->
-        try spec_of ~process:proc k fs
-        with Invalid_argument msg -> die "adcopt batch: %s" msg)
-      ks
+  let specs = specs_of "batch" ~process:proc (List.map (fun k -> (k, fs)) ks) in
+  let ((obs, _) as ctx) =
+    obs_of ~progress ~total:(progress_total specs) ~domains:jobs trace metrics
   in
-  (* progress denominator: the per-spec work lists; global dedup means
-     the bar can finish early, never late *)
-  let total =
-    List.fold_left
-      (fun acc spec ->
-        acc
-        + List.length
-            (Spec.distinct_jobs spec
-               (Config.enumerate_leading ~k:spec.Spec.k
-                  ~backend_bits:(Spec.backend_bits spec))))
-      0 specs
-  in
-  let ((obs, _) as ctx) = obs_of ~progress ~total ~domains:jobs trace metrics in
   let cancel = cancel_of_timeout timeout in
   let b = Optimize.run_batch ~mode ~seed ~attempts ~jobs ~obs ~cancel specs in
   if json then
@@ -474,7 +464,6 @@ let pareto ks fs_list mode seed attempts process jobs timeout store json trace
   if ks = [] then die "adcopt pareto: need at least one resolution";
   if fs_list = [] then die "adcopt pareto: need at least one sampling rate";
   let proc, pdigest = resolve_process process in
-  let spec_of k fs = spec_of ~process:proc k fs in
   let store = Option.map Store.open_dir store in
   let key =
     Codec.key_pareto ?process:pdigest ~ks ~fs_list ~mode ~seed ~attempts ()
@@ -494,28 +483,17 @@ let pareto ks fs_list mode seed attempts process jobs timeout store json trace
   | None ->
     let jobs = resolve_jobs jobs in
     (* the deduplicated grid, for the progress denominator only (the
-       search re-derives it); global dedup means the bar can finish
-       early, never late *)
-    let grid_ks = List.sort_uniq (fun a b -> compare b a) ks in
-    let grid_fs = List.sort_uniq (fun a b -> compare b a) fs_list in
-    let total =
-      List.fold_left
-        (fun acc k ->
-          List.fold_left
-            (fun acc f ->
-              let spec =
-                try spec_of k f
-                with Invalid_argument msg -> die "adcopt pareto: %s" msg
-              in
-              acc
-              + List.length
-                  (Spec.distinct_jobs spec
-                     (Config.enumerate_leading ~k
-                        ~backend_bits:(Spec.backend_bits spec))))
-            acc grid_fs)
-        0 grid_ks
+       search re-derives it) *)
+    let descending l = List.sort_uniq (fun a b -> compare b a) l in
+    let grid =
+      specs_of "pareto" ~process:proc
+        (List.concat_map
+           (fun k -> List.map (fun f -> (k, f)) (descending fs_list))
+           (descending ks))
     in
-    let ((obs, _) as ctx) = obs_of ~progress ~total ~domains:jobs trace metrics in
+    let ((obs, _) as ctx) =
+      obs_of ~progress ~total:(progress_total grid) ~domains:jobs trace metrics
+    in
     let cancel = cancel_of_timeout timeout in
     let on_point pt =
       (* NDJSON: one front point per line, as soon as its membership is
@@ -625,7 +603,9 @@ let behavioral k fs config_str =
   let spec = spec_of k fs in
   let config =
     match config_str with
-    | Some s -> Config.of_string s
+    | Some s -> (
+      try Config.of_string s
+      with Invalid_argument msg -> die "adcopt behavioral: %s" msg)
     | None -> Optimize.optimum_config (Optimize.run ~mode:`Equation spec)
   in
   let adc = Behavioral.ideal spec config in
@@ -674,37 +654,30 @@ let corners_cmd =
 let montecarlo k fs config_str trials seed process trace metrics progress =
   let proc, _ = resolve_process process in
   let spec = spec_of ~process:proc k fs in
-  let config =
-    match config_str with
-    | Some s -> Config.of_string s
-    | None -> Optimize.optimum_config (Optimize.run ~mode:`Equation spec)
+  let plan =
+    match Montecarlo.offset_plan spec config_str with
+    | Ok plan -> plan
+    | Error msg -> die "adcopt montecarlo: %s" msg
   in
-  let n_sigmas = 5 in
+  let config = plan.Montecarlo.stage_config in
   let ((obs, _) as ctx) =
-    obs_of ~progress ~total:(trials * n_sigmas) trace metrics
-  in
-  (* the redundancy budget is set by the front stage actually being
-     swept, not a fixed 3-bit assumption *)
-  let m_front =
-    match config with m :: _ -> m | [] -> invalid_arg "empty configuration"
-  in
-  let budget =
-    Adc_mdac.Comparator.offset_budget ~vref_pp:spec.Spec.vref_pp ~m:m_front
+    obs_of ~progress
+      ~total:(trials * List.length plan.Montecarlo.sigmas)
+      trace metrics
   in
   Printf.printf
     "Monte-Carlo yield of the %d-bit %s pipeline vs comparator offsets\n\
      (redundancy budget %.0f mV; %d trials per point)\n"
-    k (Config.to_string config) (budget *. 1e3) trials;
+    k (Config.to_string config) (plan.Montecarlo.budget *. 1e3) trials;
   let sweep =
-    Adc_pipeline.Montecarlo.offset_sweep ~trials ~obs ~seed spec config
-      ~sigmas:[ budget /. 8.0; budget /. 4.0; budget /. 2.0; budget; budget *. 1.5 ]
+    Montecarlo.offset_sweep ~trials ~obs ~seed spec config
+      ~sigmas:plan.Montecarlo.sigmas
   in
   List.iter
-    (fun (sigma, (r : Adc_pipeline.Montecarlo.report)) ->
+    (fun (sigma, (r : Montecarlo.report)) ->
       Printf.printf "  sigma %6.1f mV: yield %5.1f%%  mean ENOB %.2f  p05 %.2f\n"
-        (sigma *. 1e3)
-        (100.0 *. r.Adc_pipeline.Montecarlo.yield)
-        r.Adc_pipeline.Montecarlo.enob_mean r.Adc_pipeline.Montecarlo.enob_p05)
+        (sigma *. 1e3) (100.0 *. r.Montecarlo.yield) r.Montecarlo.enob_mean
+        r.Montecarlo.enob_p05)
     sweep;
   finish_obs ctx
 

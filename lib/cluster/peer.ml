@@ -14,9 +14,11 @@ let connect ?(timeout_ms = 1000) addr =
     Client.connect_tcp ~timeout_ms host port
   | None -> Client.connect_unix ~timeout_ms addr
 
-(* One request, one response line, close regardless. Control verbs are
-   answered immediately by the backend, so the reply read is bounded by
-   the same budget as the connect: a peer that accepts the connection
+(* One request, one response line, close regardless. The control verbs
+   sent here (a ping without [delay_ms], stats, shutdown) are answered
+   at admission by the backend, never queued behind its work, so the
+   reply read is bounded by the same budget as the connect even on a
+   busy backend: a peer that accepts the connection
    but never answers (e.g. killed mid-drain) is a failure, not a
    hang — the prober and the control fan-outs must never wedge on a
    silent socket. *)

@@ -117,3 +117,21 @@ let offset_sweep ?(trials = 60) ?obs ~seed spec stage_config ~sigmas =
       let config = { (default_trials spec stage_config) with offset_sigma = sigma } in
       (sigma, run ~trials ~config ?obs ~seed spec stage_config))
     sigmas
+
+type offset_plan = { stage_config : Config.t; budget : float; sigmas : float list }
+
+let offset_plan (spec : Spec.t) config_text =
+  match Option.map Config.of_string config_text with
+  | exception Invalid_argument msg -> Error msg
+  | named -> (
+    let stage_config =
+      match named with
+      | Some c -> c
+      | None -> Optimize.optimum_config (Optimize.run ~mode:`Equation spec)
+    in
+    match stage_config with
+    | [] -> Error "montecarlo: empty configuration"
+    | m_front :: _ ->
+      let budget = Comparator.offset_budget ~vref_pp:spec.Spec.vref_pp ~m:m_front in
+      let sigmas = List.map (( *. ) budget) [ 0.125; 0.25; 0.5; 1.0; 1.5 ] in
+      Ok { stage_config; budget; sigmas })

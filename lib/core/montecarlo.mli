@@ -55,3 +55,17 @@ val offset_sweep :
   (float * report) list
 (** Yield as a function of comparator-offset sigma: the redundancy
     budget shows up as the knee of this curve. *)
+
+type offset_plan = {
+  stage_config : Config.t;
+  budget : float;          (** the front stage's comparator-offset budget, V *)
+  sigmas : float list;     (** 1/8, 1/4, 1/2, 1 and 1.5 times [budget] *)
+}
+
+val offset_plan : Spec.t -> string option -> (offset_plan, string) result
+(** The [montecarlo] verb's sweep, shared by [adcopt montecarlo] and the
+    daemon: the configuration parsed from the given text, or the
+    equation-mode optimum ({!Optimize.run}) when there is none, and the
+    offset-sigma ladder around its front stage's redundancy budget.
+    [Error] carries the parser's message for a text that is not a
+    configuration. *)

@@ -252,66 +252,52 @@ let keyed_schedule (spec : Spec.t) ~mode_name ~seed ~attempts ~budget jobs =
       { kj_job = job; kj_key = key; kj_donors = donors })
     (donor_preferences jobs)
 
-(* Submit a keyed work list in its given (hardest-first) order: every
-   donor of a job precedes it in the FIFO queue, so a blocked worker
-   always has a strictly-earlier task to wait on and the pool cannot
-   deadlock. Returns the submissions in schedule order, each paired
-   with its future. *)
-let submit_keyed (spec : Spec.t) ~mode ~seed ~attempts ~budget ~cancel ~pool
-    ~memo ~obs ~span_parent keyed =
+(* Submit one keyed job: its future is the memo's, so a job already
+   cached (or in flight) under the same key is not synthesized again.
+   Callers submit in hardest-first order: every donor of a job precedes
+   it in the FIFO queue, so a blocked worker always has a
+   strictly-earlier task to wait on and the pool cannot deadlock. *)
+let submit_job (spec : Spec.t) ~mode ~seed ~attempts ~budget ~cancel ~pool
+    ~memo ~obs ~span_parent kj =
   let kind =
     match mode with
     | `Equation -> Synthesizer.Equation_only
     | `Hybrid -> Synthesizer.Hybrid
     | `Hybrid_verified -> Synthesizer.Hybrid_verified
   in
-  List.map
-    (fun kj ->
-      let donor_futures = List.filter_map (Memo.find memo) kj.kj_donors in
-      let job = kj.kj_job in
-      let fut =
-        Memo.find_or_run memo pool kj.kj_key (fun _ ->
-            (* the span covers donor-await time too: blocking on a
-               warm-start donor is part of the job's critical path *)
-            let span =
-              Obs.span obs ~parent:span_parent ~name:"optimize.job" ()
-            in
-            if Cancel.cancelled cancel then begin
-              (* deadline tripped before this job started: publish an
-                 empty outcome immediately so every future settles, the
-                 queue drains, and the pool stays reusable; the caller
-                 falls back to the equation model for this stage *)
-              let outcome =
-                { solution = None; evaluations = 0; warm = false;
-                  job_truncated = true }
-              in
-              finish_job_span span job ~attempts ~outcome;
-              outcome
-            end
-            else begin
-              let donor =
-                List.find_map
-                  (fun f ->
-                    match (Future.await f).solution with
-                    | Some sol -> Some sol
-                    | None -> None)
-                  donor_futures
-              in
-              let warm_start = Option.map (fun s -> s.Synthesizer.sizing) donor in
-              let solution, evaluations, job_truncated =
-                synthesize_one spec ~kind ~seed ~attempts ~budget ~warm_start
-                  ~cancel ~obs ~job_span:span job
-              in
-              let outcome =
-                { solution; evaluations; warm = warm_start <> None;
-                  job_truncated }
-              in
-              finish_job_span span job ~attempts ~outcome;
-              outcome
-            end)
-      in
-      (kj, fut))
-    keyed
+  let donor_futures = List.filter_map (Memo.find memo) kj.kj_donors in
+  let job = kj.kj_job in
+  Memo.find_or_run memo pool kj.kj_key (fun _ ->
+      (* the span covers donor-await time too: blocking on a warm-start
+         donor is part of the job's critical path *)
+      let span = Obs.span obs ~parent:span_parent ~name:"optimize.job" () in
+      if Cancel.cancelled cancel then begin
+        (* deadline tripped before this job started: publish an empty
+           outcome immediately so every future settles, the queue
+           drains, and the pool stays reusable; the caller falls back
+           to the equation model for this stage *)
+        let outcome =
+          { solution = None; evaluations = 0; warm = false;
+            job_truncated = true }
+        in
+        finish_job_span span job ~attempts ~outcome;
+        outcome
+      end
+      else begin
+        let donor =
+          List.find_map (fun f -> (Future.await f).solution) donor_futures
+        in
+        let warm_start = Option.map (fun s -> s.Synthesizer.sizing) donor in
+        let solution, evaluations, job_truncated =
+          synthesize_one spec ~kind ~seed ~attempts ~budget ~warm_start
+            ~cancel ~obs ~job_span:span job
+        in
+        let outcome =
+          { solution; evaluations; warm = warm_start <> None; job_truncated }
+        in
+        finish_job_span span job ~attempts ~outcome;
+        outcome
+      end)
 
 (* deterministic assembly: await and aggregate in schedule order. Also
    counts cached outcomes — a run that warm-hits a job still reports
@@ -373,18 +359,99 @@ let equation_phase ~obs ~cancel ~span_parent distinct_jobs =
   ((Hashtbl.create 1 : (Spec.job, Synthesizer.solution) Hashtbl.t),
    0, 0, 0, Cancel.cancelled cancel)
 
+(* one spec's share of a plan: the candidates' job lists (the work
+   list and the per-candidate assembly derive from the same
+   translation, or the two phases could disagree), the distinct jobs
+   hardest-first, and their keyed schedule ([] in equation mode, which
+   synthesizes nothing) *)
+type spec_plan = {
+  sp_spec : Spec.t;
+  sp_candidate_jobs : (Config.t * Spec.job list) list;
+  sp_distinct_jobs : Spec.job list;
+  sp_keyed : keyed_job list;
+}
+
+type plan = {
+  per_spec : spec_plan list;
+  union : (Spec.t * keyed_job) list;
+      (* the fused work list: key-deduplicated, hardest-first *)
+  job_occurrences : int;
+}
+
+let mode_name_of = function
+  | `Equation -> "equation"
+  | `Hybrid -> "hybrid"
+  | `Hybrid_verified -> "hybrid_verified"
+
+(* The one planner behind [run], [run_batch] and [batch_plan_counts].
+   Per-spec planning is a pure function of each spec alone — a spec's
+   keyed schedule (and therefore its result) cannot depend on what else
+   is in the batch. The work lists are then fused: deduplicated by
+   Job_key (equal keys mean bit-identical outcomes, so either spec's
+   closure may compute the shared entry) and ordered hardest-first. A
+   donor always has strictly more input bits than its dependent, so
+   every donor sorts — and is submitted — before any job that awaits
+   it, batch-wide. *)
+let plan ~mode ~seed ~attempts ~budget specs =
+  let mode_name = mode_name_of mode in
+  let per_spec =
+    List.map
+      (fun (spec : Spec.t) ->
+        let candidate_jobs =
+          Config.enumerate_leading ~k:spec.Spec.k
+            ~backend_bits:(Spec.backend_bits spec)
+          |> List.map (fun c -> (c, Spec.jobs_of_config spec c))
+        in
+        let distinct_jobs =
+          candidate_jobs |> List.concat_map snd
+          |> List.sort_uniq Spec.compare_job
+        in
+        let keyed =
+          if mode = `Equation then []
+          else
+            keyed_schedule spec ~mode_name ~seed ~attempts ~budget
+              distinct_jobs
+        in
+        { sp_spec = spec; sp_candidate_jobs = candidate_jobs;
+          sp_distinct_jobs = distinct_jobs; sp_keyed = keyed })
+      specs
+  in
+  let union =
+    per_spec
+    |> List.concat_map (fun sp ->
+           List.map (fun kj -> (sp.sp_spec, kj)) sp.sp_keyed)
+    |> List.sort_uniq (fun (_, a) (_, b) ->
+           match Spec.compare_job a.kj_job b.kj_job with
+           | 0 -> Job_key.compare a.kj_key b.kj_key
+           | c -> c)
+  in
+  let job_occurrences =
+    List.fold_left (fun n sp -> n + List.length sp.sp_keyed) 0 per_spec
+  in
+  { per_spec; union; job_occurrences }
+
 (* the per-spec assembly: stage tables, candidate totals, ranking, the
-   summary span. Shared between [run] (span name [optimize.run]) and
-   [run_batch] (span name [batch.spec]) — the phase upstream differs,
-   the assembly must not. *)
-let assemble (spec : Spec.t) ~mode ~mode_name ~obs ~run_span ~domains ~t_start
-    ~candidate_jobs ~distinct_jobs
-    ~(cache : (Spec.job, Synthesizer.solution) Hashtbl.t)
-    ~synthesis_evaluations ~cold_jobs ~warm_jobs ~truncated =
+   summary span ([optimize.run] or [batch.spec]) *)
+let assemble sp ~mode ~obs ~run_span ~domains ~t_start
+    ((cache : (Spec.job, Synthesizer.solution) Hashtbl.t),
+     synthesis_evaluations, cold_jobs, warm_jobs, truncated) =
+  let spec = sp.sp_spec and distinct_jobs = sp.sp_distinct_jobs in
   let stage_result index (job : Spec.job) =
     let p_comparator = Spec.comparator_power spec ~m:job.Spec.m in
-    match mode with
-    | `Equation ->
+    match Hashtbl.find_opt cache job with
+    | Some sol ->
+      let p_mdac = sol.Synthesizer.power in
+      {
+        index;
+        job;
+        p_mdac;
+        p_comparator;
+        p_stage = p_mdac +. p_comparator +. Spec.stage_fixed_power spec;
+        solution = Some sol;
+      }
+    | None ->
+      (* equation mode (its cache is empty), or synthesis failed: the
+         equation model keeps the candidate comparison total *)
       let s = Power_model.stage spec ~index job in
       {
         index;
@@ -394,31 +461,6 @@ let assemble (spec : Spec.t) ~mode ~mode_name ~obs ~run_span ~domains ~t_start
         p_stage = s.Power_model.p_stage;
         solution = None;
       }
-    | `Hybrid | `Hybrid_verified -> begin
-      match Hashtbl.find_opt cache job with
-      | Some sol ->
-        let p_mdac = sol.Synthesizer.power in
-        {
-          index;
-          job;
-          p_mdac;
-          p_comparator;
-          p_stage = p_mdac +. p_comparator +. Spec.stage_fixed_power spec;
-          solution = Some sol;
-        }
-      | None ->
-        (* synthesis failed: fall back to the equation model so the
-           candidate comparison stays total *)
-        let s = Power_model.stage spec ~index job in
-        {
-          index;
-          job;
-          p_mdac = s.Power_model.p_mdac;
-          p_comparator;
-          p_stage = s.Power_model.p_stage;
-          solution = None;
-        }
-    end
   in
   let eval_config (c, c_jobs) =
     let span = Obs.span obs ~parent:run_span ~name:"optimize.candidate" () in
@@ -443,7 +485,7 @@ let assemble (spec : Spec.t) ~mode ~mode_name ~obs ~run_span ~domains ~t_start
     { config = c; stages; p_total; all_feasible }
   in
   let results =
-    candidate_jobs |> List.map eval_config
+    sp.sp_candidate_jobs |> List.map eval_config
     |> List.sort (fun a b -> compare a.p_total b.p_total)
   in
   let optimum = List.hd results in
@@ -452,7 +494,7 @@ let assemble (spec : Spec.t) ~mode ~mode_name ~obs ~run_span ~domains ~t_start
     ~attrs:
       [
         ("k", Obs.Sink.Int spec.Spec.k);
-        ("mode", Obs.Sink.String mode_name);
+        ("mode", Obs.Sink.String (mode_name_of mode));
         ("domains", Obs.Sink.Int domains);
         ("candidates", Obs.Sink.Int (List.length results));
         ("distinct_jobs", Obs.Sink.Int (List.length distinct_jobs));
@@ -478,74 +520,64 @@ let assemble (spec : Spec.t) ~mode ~mode_name ~obs ~run_span ~domains ~t_start
     truncated;
   }
 
-let mode_name_of = function
-  | `Equation -> "equation"
-  | `Hybrid -> "hybrid"
-  | `Hybrid_verified -> "hybrid_verified"
-
-(* hoist the per-candidate job lists: the synthesis work list and the
-   per-candidate assembly must derive from the same translation, or the
-   two phases could disagree *)
-let plan_of_spec (spec : Spec.t) ?candidates () =
-  let candidates =
-    match candidates with
-    | Some cs -> cs
-    | None ->
-      Config.enumerate_leading ~k:spec.Spec.k
-        ~backend_bits:(Spec.backend_bits spec)
-  in
-  let candidate_jobs =
-    List.map (fun c -> (c, Spec.jobs_of_config spec c)) candidates
-  in
-  let distinct_jobs =
-    candidate_jobs |> List.concat_map snd |> List.sort_uniq Spec.compare_job
-  in
-  (candidate_jobs, distinct_jobs)
-
-let run ?(mode = `Hybrid) ?(seed = 11) ?(attempts = 3) ?budget ?candidates
-    ?(jobs = 1) ?(obs = Obs.null) ?(cancel = Cancel.never) ?shared
-    (spec : Spec.t) =
+(* The one executor. The union is submitted in its hardest-first order
+   on one pool and memo, then each spec collects exactly its own
+   schedule and is assembled, in input order — the collection a solo
+   run over the same spec performs, so every run is byte-identical to
+   it. [job_parent] parents the job spans; [spec_span ()] opens the span
+   a spec's summary lands on. Equation mode has no synthesis phase:
+   each spec traces its (zero-cost) jobs under its own span. *)
+let execute ~mode ~seed ~attempts ~budget ~jobs ~obs ~cancel ~shared ~on_run
+    ~job_parent ~spec_span plan =
   let t_start = Unix.gettimeofday () in
-  (match candidates with
-  | Some [] -> invalid_arg "Optimize.run: no candidates"
-  | _ -> ());
-  let mode_name = mode_name_of mode in
+  let finish sp ~span ~domains collected =
+    let r = assemble sp ~mode ~obs ~run_span:span ~domains ~t_start collected in
+    on_run r;
+    r
+  in
+  match mode with
+  | `Equation ->
+    List.map
+      (fun sp ->
+        let span = spec_span () in
+        equation_phase ~obs ~cancel ~span_parent:span sp.sp_distinct_jobs
+        |> finish sp ~span ~domains:1)
+      plan.per_spec
+  | `Hybrid | `Hybrid_verified -> (
+    let execute_on pool memo =
+      let futures : (Job_key.t, _) Hashtbl.t = Hashtbl.create 16 in
+      List.iter
+        (fun (spec, kj) ->
+          Hashtbl.replace futures kj.kj_key
+            (submit_job spec ~mode ~seed ~attempts ~budget ~cancel ~pool
+               ~memo ~obs ~span_parent:job_parent kj))
+        plan.union;
+      List.map
+        (fun sp ->
+          let span = spec_span () in
+          List.map (fun kj -> (kj, Hashtbl.find futures kj.kj_key)) sp.sp_keyed
+          |> collect_outcomes ~memo ~obs
+          |> finish sp ~span ~domains:(Pool.size pool))
+        plan.per_spec
+    in
+    match shared with
+    (* long-lived runtime: the pool and memo outlive this call, so any
+       later request deriving the same job keys — same physics, search
+       identity and warm-start lineage, whatever its k or candidate
+       set — warm-hits those jobs *)
+    | Some sh -> execute_on sh.sh_pool sh.sh_memo
+    | None ->
+      Pool.with_pool ~obs ~size:(Stdlib.max 1 jobs) (fun pool ->
+          execute_on pool (Memo.create ~obs ())))
+
+(* a one-spec batch whose summary span is the [optimize.run] root *)
+let run ?(mode = `Hybrid) ?(seed = 11) ?(attempts = 3) ?budget ?(jobs = 1)
+    ?(obs = Obs.null) ?(cancel = Cancel.never) ?shared (spec : Spec.t) =
   let run_span = Obs.span obs ~name:"optimize.run" () in
-  let candidate_jobs, distinct_jobs = plan_of_spec spec ?candidates () in
-  let domains =
-    if mode = `Equation then 1
-    else
-      match shared with
-      | Some sh -> Pool.size sh.sh_pool
-      | None -> Stdlib.max 1 jobs
-  in
-  let cache, synthesis_evaluations, cold_jobs, warm_jobs, truncated =
-    match mode with
-    | `Equation ->
-      equation_phase ~obs ~cancel ~span_parent:run_span distinct_jobs
-    | `Hybrid | `Hybrid_verified -> (
-      let keyed =
-        keyed_schedule spec ~mode_name ~seed ~attempts ~budget distinct_jobs
-      in
-      match shared with
-      | Some sh ->
-        (* long-lived runtime: the pool and memo outlive this run, so
-           any later request deriving the same job keys — same physics,
-           search identity and warm-start lineage, whatever its k or
-           candidate set — warm-hits those jobs *)
-        submit_keyed spec ~mode ~seed ~attempts ~budget ~cancel
-          ~pool:sh.sh_pool ~memo:sh.sh_memo ~obs ~span_parent:run_span keyed
-        |> collect_outcomes ~memo:sh.sh_memo ~obs
-      | None ->
-        Pool.with_pool ~obs ~size:domains (fun pool ->
-            let memo = Memo.create ~obs () in
-            submit_keyed spec ~mode ~seed ~attempts ~budget ~cancel ~pool
-              ~memo ~obs ~span_parent:run_span keyed
-            |> collect_outcomes ~memo ~obs))
-  in
-  assemble spec ~mode ~mode_name ~obs ~run_span ~domains ~t_start
-    ~candidate_jobs ~distinct_jobs ~cache ~synthesis_evaluations ~cold_jobs
-    ~warm_jobs ~truncated
+  plan ~mode ~seed ~attempts ~budget [ spec ]
+  |> execute ~mode ~seed ~attempts ~budget ~jobs ~obs ~cancel ~shared
+       ~on_run:ignore ~job_parent:run_span ~spec_span:(fun () -> run_span)
+  |> List.hd
 
 type batch = {
   batch_runs : run list;
@@ -558,167 +590,54 @@ type batch = {
 
 let run_batch ?(mode = `Hybrid) ?(seed = 11) ?(attempts = 3) ?budget
     ?(jobs = 1) ?(obs = Obs.null) ?(cancel = Cancel.never) ?shared
-    ?(on_run = fun (_ : run) -> ()) specs =
+    ?(on_run = ignore) specs =
   if specs = [] then invalid_arg "Optimize.run_batch: no specs";
   let t_start = Unix.gettimeofday () in
-  match mode with
-  | `Equation ->
-    (* no synthesis phase, hence nothing to fuse: each spec is its own
-       (microsecond) run, complete with its [optimize.run] span *)
-    let runs =
-      List.map
-        (fun spec ->
-          let r = run ~mode ~seed ~attempts ~obs ~cancel spec in
-          on_run r;
-          r)
-        specs
-    in
-    {
-      batch_runs = runs;
-      job_occurrences = 0;
-      distinct_syntheses = 0;
-      batch_domains = 1;
-      batch_wall_s = Unix.gettimeofday () -. t_start;
-      batch_truncated = List.exists (fun r -> r.truncated) runs;
-    }
-  | (`Hybrid | `Hybrid_verified) as mode ->
-    let mode_name = mode_name_of mode in
-    let batch_span = Obs.span obs ~name:"optimize.batch" () in
-    (* Per-spec planning is a pure function of each spec alone — a
-       spec's keyed schedule (and therefore its result) cannot depend
-       on what else is in the batch. *)
-    let plans =
-      List.map
-        (fun spec ->
-          let candidate_jobs, distinct_jobs = plan_of_spec spec () in
-          let keyed =
-            keyed_schedule spec ~mode_name ~seed ~attempts ~budget
-              distinct_jobs
-          in
-          (spec, candidate_jobs, distinct_jobs, keyed))
-        specs
-    in
-    (* Fuse the work lists: dedup globally by Job_key (equal keys mean
-       bit-identical outcomes, so either spec's closure may compute the
-       shared entry) and schedule the union hardest-first. A donor
-       always has strictly more input bits than its dependent, so every
-       donor sorts — and is submitted — before any job that awaits it,
-       batch-wide. *)
-    let union =
-      plans
-      |> List.concat_map (fun (spec, _, _, keyed) ->
-             List.map (fun kj -> (spec, kj)) keyed)
-      |> List.sort_uniq (fun (_, a) (_, b) ->
-             match Spec.compare_job a.kj_job b.kj_job with
-             | 0 -> Job_key.compare a.kj_key b.kj_key
-             | c -> c)
-    in
-    let job_occurrences =
-      List.fold_left (fun n (_, _, _, keyed) -> n + List.length keyed) 0 plans
-    in
-    let distinct_syntheses = List.length union in
-    let submit_union ~pool ~memo =
-      let futures : (Job_key.t, _) Hashtbl.t =
-        Hashtbl.create (2 * distinct_syntheses)
-      in
-      List.iter
-        (fun (spec, kj) ->
-          let subs =
-            submit_keyed spec ~mode ~seed ~attempts ~budget ~cancel ~pool
-              ~memo ~obs ~span_parent:batch_span [ kj ]
-          in
-          List.iter
-            (fun (kj, fut) -> Hashtbl.replace futures kj.kj_key fut)
-            subs)
-        union;
-      (* per-spec assembly in batch order, each spec awaiting exactly
-         its own schedule — the same collection a sequential run over a
-         shared runtime would perform, so results are byte-identical to
-         N one-at-a-time runs *)
-      List.map
-        (fun (spec, candidate_jobs, distinct_jobs, keyed) ->
-          let spec_span =
-            Obs.span obs ~parent:batch_span ~name:"batch.spec" ()
-          in
-          let submissions =
-            List.map (fun kj -> (kj, Hashtbl.find futures kj.kj_key)) keyed
-          in
-          let cache, synthesis_evaluations, cold_jobs, warm_jobs, truncated =
-            collect_outcomes ~memo ~obs submissions
-          in
-          let r =
-            assemble spec ~mode ~mode_name ~obs ~run_span:spec_span
-              ~domains:(Pool.size pool) ~t_start ~candidate_jobs
-              ~distinct_jobs ~cache ~synthesis_evaluations ~cold_jobs
-              ~warm_jobs ~truncated
-          in
-          on_run r;
-          r)
-        plans
-    in
-    let runs =
-      match shared with
-      | Some sh -> submit_union ~pool:sh.sh_pool ~memo:sh.sh_memo
-      | None ->
-        Pool.with_pool ~obs ~size:(Stdlib.max 1 jobs) (fun pool ->
-            submit_union ~pool ~memo:(Memo.create ~obs ()))
-    in
-    let batch_truncated = List.exists (fun r -> r.truncated) runs in
-    Obs.Span.finish
-      ~attrs:
-        [
-          ("specs", Obs.Sink.Int (List.length specs));
-          ("mode", Obs.Sink.String mode_name);
-          ("job_occurrences", Obs.Sink.Int job_occurrences);
-          ("distinct_syntheses", Obs.Sink.Int distinct_syntheses);
-          ("truncated", Obs.Sink.Bool batch_truncated);
-        ]
-      batch_span;
-    {
-      batch_runs = runs;
-      job_occurrences;
-      distinct_syntheses;
-      batch_domains =
-        (match shared with
-        | Some sh -> Pool.size sh.sh_pool
-        | None -> Stdlib.max 1 jobs);
-      batch_wall_s = Unix.gettimeofday () -. t_start;
-      batch_truncated;
-    }
+  let p = plan ~mode ~seed ~attempts ~budget specs in
+  let distinct_syntheses = List.length p.union in
+  (* a hybrid batch hangs its specs under one [optimize.batch] root; an
+     equation batch has nothing to fuse, so each spec is its own
+     (microsecond) run with its [optimize.run] root *)
+  let batch_span, spec_span =
+    match mode with
+    | `Equation ->
+      (Obs.Span.dummy, fun () -> Obs.span obs ~name:"optimize.run" ())
+    | `Hybrid | `Hybrid_verified ->
+      let root = Obs.span obs ~name:"optimize.batch" () in
+      (root, fun () -> Obs.span obs ~parent:root ~name:"batch.spec" ())
+  in
+  let runs =
+    execute ~mode ~seed ~attempts ~budget ~jobs ~obs ~cancel ~shared ~on_run
+      ~job_parent:batch_span ~spec_span p
+  in
+  let batch_truncated = List.exists (fun r -> r.truncated) runs in
+  Obs.Span.finish
+    ~attrs:
+      [
+        ("specs", Obs.Sink.Int (List.length specs));
+        ("mode", Obs.Sink.String (mode_name_of mode));
+        ("job_occurrences", Obs.Sink.Int p.job_occurrences);
+        ("distinct_syntheses", Obs.Sink.Int distinct_syntheses);
+        ("truncated", Obs.Sink.Bool batch_truncated);
+      ]
+    batch_span;
+  {
+    batch_runs = runs;
+    job_occurrences = p.job_occurrences;
+    distinct_syntheses;
+    batch_domains = (List.hd runs).domains;
+    batch_wall_s = Unix.gettimeofday () -. t_start;
+    batch_truncated;
+  }
 
 let optimum_config r = r.optimum.config
 
-(* ---- router planning ---------------------------------------------- *)
-
-(* The batch counters as a pure plan function: [job_occurrences] and
-   [distinct_syntheses] depend only on the specs' keyed schedules, never
-   on execution, so a router that fans a batch across nodes can report
-   the same figures a fused single-node [run_batch] would. *)
+(* the batch counters are a pure plan function, so a router that fans a
+   batch across nodes reports the figures a fused [run_batch] would *)
 let batch_plan_counts ?(mode = `Hybrid) ?(seed = 11) ?(attempts = 3) ?budget
     specs =
-  match mode with
-  | `Equation -> (0, 0)
-  | (`Hybrid | `Hybrid_verified) as mode ->
-    let mode_name = mode_name_of mode in
-    let plans =
-      List.map
-        (fun spec ->
-          let _, distinct_jobs = plan_of_spec spec () in
-          keyed_schedule spec ~mode_name ~seed ~attempts ~budget distinct_jobs
-          |> List.map (fun kj -> (kj.kj_job, kj.kj_key)))
-        specs
-    in
-    let job_occurrences =
-      List.fold_left (fun n l -> n + List.length l) 0 plans
-    in
-    let union =
-      plans |> List.concat
-      |> List.sort_uniq (fun (j1, k1) (j2, k2) ->
-             match Spec.compare_job j1 j2 with
-             | 0 -> Job_key.compare k1 k2
-             | c -> c)
-    in
-    (job_occurrences, List.length union)
+  let p = plan ~mode ~seed ~attempts ~budget specs in
+  (p.job_occurrences, List.length p.union)
 
 (* ------------------------------------------------------------------ *)
 (* best-of-N restart search of one cell (the [synth] and [netlist-emit]

@@ -93,7 +93,9 @@ type run = {
   cold_jobs : int;  (** jobs synthesized from the analytic seed *)
   warm_jobs : int;  (** jobs warm-started from a donor's sizing *)
   domains : int;    (** pool size the synthesis phase actually used *)
-  wall_time_s : float;  (** wall-clock time of the whole run *)
+  wall_time_s : float;
+      (** wall-clock time of the whole run; in a {!run_batch}, from the
+          batch's start to this spec's assembly *)
   truncated : bool;
       (** a cancellation token tripped before the synthesis phase
           finished: one or more jobs lost restarts (their best-so-far
@@ -147,14 +149,17 @@ val run :
   ?seed:int ->
   ?attempts:int ->
   ?budget:Adc_synth.Synthesizer.budget ->
-  ?candidates:Config.t list ->
   ?jobs:int ->
   ?obs:Adc_obs.t ->
   ?cancel:Adc_exec.Cancel.t ->
   ?shared:shared ->
   Spec.t ->
   run
-(** Optimize one converter spec.
+(** Optimize one converter spec over the paper's candidate enumeration
+    with a 7-bit backend ({!Config.enumerate_leading}). This is the
+    one-spec case of {!run_batch}: the same planner and executor, with
+    the spec's summary on an [optimize.run] root span instead of a
+    [batch.spec] one.
 
     - [mode] (default [`Hybrid]) — see {!section-modes} above.
     - [seed] (default 11) — root of every derived per-job stream.
@@ -166,8 +171,6 @@ val run :
     - [budget] — overrides the per-attempt annealing budget (used by the
       tests to keep hybrid runs fast); attempt 0 always runs the
       deterministic pattern-descent budget instead.
-    - [candidates] — defaults to the paper's enumeration with a 7-bit
-      backend ({!Config.enumerate_leading}).
     - [jobs] (default 1, i.e. sequential) — number of domains for the
       synthesis phase. Results are independent of [jobs]; pass
       {!Adc_exec.Pool.recommended_size}[ ()] to use the hardware. Ignored
@@ -213,7 +216,8 @@ val run :
     bit-identical outcomes, every run in {!batch.batch_runs} is
     byte-identical to the run a sequential [run] over the same spec
     would produce — the batch changes only the wall-clock cost.
-    [adcopt batch] and the serve [batch] verb are thin wrappers. *)
+    [run] is the one-spec case; the [batch] and [sweep] verbs
+    ({!Rules.sweep}) and {!Front.search} are thin wrappers. *)
 
 type batch = {
   batch_runs : run list;  (** one {!run} per input spec, input order *)
@@ -242,8 +246,7 @@ val run_batch :
   Spec.t list ->
   batch
 (** Optimize several converter specs in one fused synthesis pass.
-    Parameters have the same meaning (and defaults) as {!run}; the
-    candidate set is always each spec's paper enumeration. In
+    Parameters have the same meaning (and defaults) as {!run}. In
     [`Equation] mode there is nothing to fuse — the batch degenerates
     to N independent (microsecond) runs and both counters are 0.
     Raises [Invalid_argument] on an empty spec list.

@@ -104,24 +104,22 @@ let derive rows =
     summary;
   }
 
-let sweep ?(mode = `Equation) ?(seed = 11) ?budget ?jobs ?obs ?cancel ?shared
-    ~k_values make_spec =
-  (* a tripped token between resolutions stops cleanly: the chart is
-     derived from the resolutions that completed (callers inspect the
-     token to report the truncation) *)
-  let rows =
-    List.filter_map
-      (fun k ->
-        match cancel with
-        | Some c when Adc_exec.Cancel.cancelled c -> None
-        | _ ->
-          let spec = make_spec ~k in
-          Some
-            (row_of_run
-               (Optimize.run ~mode ~seed ?budget ?jobs ?obs ?cancel ?shared spec)))
-      k_values
-  in
-  derive rows
+(* a deadline-truncated run is a best-so-far guess, not an optimum: the
+   chart keeps only the runs that completed *)
+let of_runs runs =
+  runs
+  |> List.filter (fun (r : Optimize.run) -> not r.Optimize.truncated)
+  |> List.map row_of_run |> derive
+
+let sweep ?(mode = `Equation) ?(seed = 11) ?attempts ?budget ?jobs ?obs ?cancel
+    ?shared ~k_values make_spec =
+  match List.map (fun k -> make_spec ~k) k_values with
+  | [] -> derive []
+  | specs ->
+    of_runs
+      (Optimize.run_batch ~mode ~seed ?attempts ?budget ?jobs ?obs ?cancel
+         ?shared specs)
+        .Optimize.batch_runs
 
 let render chart =
   let buf = Buffer.create 256 in

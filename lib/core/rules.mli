@@ -37,22 +37,28 @@ val derive : optimum_row list -> chart
     empty configurations contribute no first/last-stage observations
     rather than raising. *)
 
+val of_runs : Optimize.run list -> chart
+(** The chart of the given runs, one row per run in list order. Runs a
+    deadline truncated ({!Optimize.run.truncated}) hold best-so-far
+    guesses rather than optima, so they are left out. *)
+
 val sweep :
-  ?mode:Optimize.mode -> ?seed:int -> ?budget:Adc_synth.Synthesizer.budget ->
+  ?mode:Optimize.mode -> ?seed:int -> ?attempts:int ->
+  ?budget:Adc_synth.Synthesizer.budget ->
   ?jobs:int -> ?obs:Adc_obs.t -> ?cancel:Adc_exec.Cancel.t ->
   ?shared:Optimize.shared ->
   k_values:int list -> (k:int -> Spec.t) -> chart
-(** Run the optimizer for each resolution and condense the optima into
-    rules. [jobs] and [obs] are forwarded to {!Optimize.run} (domain
-    count and observability context for the synthesis phase; the derived
-    rules are independent of both). [cancel] is forwarded too, and
-    additionally polled between resolutions: after it trips, remaining
-    resolutions are skipped and the chart is derived from the completed
-    rows only — callers should check the token and flag the chart as
+(** [of_runs] over one {!Optimize.run_batch} of the resolutions' specs
+    (default mode [`Equation]; the other parameters keep
+    {!Optimize.run_batch}'s defaults and meaning). Each row is therefore
+    the optimum a solo {!Optimize.run} at the same parameters finds,
+    and MDAC jobs shared between resolutions are synthesized once.
+    After [cancel] trips, the chart holds the resolutions that completed
+    untruncated — callers should check the token and flag the chart as
     partial (the CLI's [--timeout] prints the note and exits 2).
-    [shared] runs every resolution on a long-lived {!Optimize.shared}
-    runtime (the serve daemon's), so a repeated sweep request replays
-    from the cache. *)
+    [shared] runs the batch on a long-lived {!Optimize.shared} runtime
+    (the serve daemon's), so a repeated sweep replays from the cache.
+    An empty [k_values] gives [derive []]. *)
 
 val render : chart -> string
 (** Multi-line text block (the repo's Fig. 3). *)

@@ -181,6 +181,12 @@ let spec_of (req : Protocol.request) =
   Spec.make ~process:(process_of req) ~k:req.Protocol.k
     ~fs:(req.Protocol.fs_mhz *. 1e6) ()
 
+(* one resolution of a multi-spec verb at the request's rate; a
+   resolution [Spec.make] refuses is the client's fault *)
+let spec_at (req : Protocol.request) ~process k =
+  try Spec.make ~process ~k ~fs:(req.Protocol.fs_mhz *. 1e6) ()
+  with Invalid_argument msg -> raise (Bad_request msg)
+
 (* Returns the result payload and whether a deadline cut it short
    (truncated results are served but never stored). [emit] publishes
    one non-final result line of a streaming verb; single-line verbs
@@ -209,14 +215,7 @@ let compute t (req : Protocol.request) ~cancel ~emit : Json.t * bool =
   | Protocol.Batch ->
     if req.Protocol.ks = [] then
       raise (Bad_request "batch: \"ks\" must name at least one resolution");
-    let process = process_of req in
-    let specs =
-      List.map
-        (fun k ->
-          try Spec.make ~process ~k ~fs:(req.Protocol.fs_mhz *. 1e6) ()
-          with Invalid_argument msg -> raise (Bad_request msg))
-        req.Protocol.ks
-    in
+    let specs = List.map (spec_at req ~process:(process_of req)) req.Protocol.ks in
     let batch =
       Optimize.run_batch ~mode:req.Protocol.mode ~seed:req.Protocol.seed
         ~attempts:req.Protocol.attempts ?budget:req.Protocol.budget ~obs
@@ -251,8 +250,8 @@ let compute t (req : Protocol.request) ~cancel ~emit : Json.t * bool =
     let process = process_of req in
     let chart =
       Rules.sweep ~mode:req.Protocol.mode ~seed:req.Protocol.seed
-        ?budget:req.Protocol.budget ~obs ~cancel ~shared:t.shared ~k_values:ks
-        (fun ~k -> Spec.make ~process ~k ~fs:(req.Protocol.fs_mhz *. 1e6) ())
+        ~attempts:req.Protocol.attempts ?budget:req.Protocol.budget ~obs
+        ~cancel ~shared:t.shared ~k_values:ks (fun ~k -> spec_at req ~process k)
     in
     let truncated = Cancel.cancelled cancel in
     (Codec.chart_payload ~truncated chart, truncated)
@@ -288,31 +287,19 @@ let compute t (req : Protocol.request) ~cancel ~emit : Json.t * bool =
     | Ok e -> (Codec.netlist_payload ~deck:e.Deck.deck, e.Deck.truncated))
   | Protocol.Montecarlo ->
     let spec = spec_of req in
-    let config =
-      match req.Protocol.config with
-      | Some s -> (
-        try Config.of_string s
-        with Invalid_argument msg | Failure msg -> raise (Bad_request msg))
-      | None ->
-        Optimize.optimum_config (Optimize.run ~mode:`Equation spec)
-    in
-    let m_front =
-      match config with
-      | m :: _ -> m
-      | [] -> raise (Bad_request "montecarlo: empty configuration")
-    in
-    let budget =
-      Adc_mdac.Comparator.offset_budget ~vref_pp:spec.Spec.vref_pp ~m:m_front
+    let plan =
+      match Montecarlo.offset_plan spec req.Protocol.config with
+      | Ok plan -> plan
+      | Error msg -> raise (Bad_request msg)
     in
     let sweep =
       Montecarlo.offset_sweep ~trials:req.Protocol.trials ~obs
-        ~seed:req.Protocol.seed spec config
-        ~sigmas:
-          [ budget /. 8.0; budget /. 4.0; budget /. 2.0; budget; budget *. 1.5 ]
+        ~seed:req.Protocol.seed spec plan.Montecarlo.stage_config
+        ~sigmas:plan.Montecarlo.sigmas
     in
     ( Codec.montecarlo_payload ~k:req.Protocol.k ~fs_mhz:req.Protocol.fs_mhz
-        ~config ~trials:req.Protocol.trials ~seed:req.Protocol.seed ~budget
-        sweep,
+        ~config:plan.Montecarlo.stage_config ~trials:req.Protocol.trials
+        ~seed:req.Protocol.seed ~budget:plan.Montecarlo.budget sweep,
       false )
   | Protocol.Stats | Protocol.Shutdown | Protocol.Dump_trace ->
     (* Inline-only verbs: the reader answers these at admission and
@@ -619,6 +606,23 @@ let admit t conn (req : Protocol.request) =
         ]
       "flight recorder dumped";
     locked t (fun t -> t.n_completed <- t.n_completed + 1)
+  | Protocol.Ping
+    when req.Protocol.delay_ms = 0 && not (Transport.stopping t.tr) ->
+    (* a liveness probe answers at admission, as [stats] does: queued
+       behind hybrid work on a busy backend it would outlast the
+       router's probe timeout and read as down. It takes the worker
+       path (span, latency, counters) on this thread. A [delay_ms] ping
+       stays queued (it is how a client occupies a worker), and a
+       draining daemon still refuses one below. *)
+    process t
+      {
+        req;
+        rid;
+        conn;
+        cancel = Cancel.never;
+        queue_span = Span.dummy;
+        admitted_at = Clock.now_ns ();
+      }
   | _ ->
     (* the deadline clock starts at admission: queueing time counts
        against the budget, which is what makes backpressure visible to

@@ -229,6 +229,40 @@ let test_rules_sweep () =
   Alcotest.(check bool) "render mentions the 4-bit rule" true
     (contains rendered "4-bit first stage")
 
+(* regression: [Rules.sweep] had no [?attempts] and ran every resolution
+   at the default of 3, so a sweep answered a different optimum than
+   [optimize] at the attempts it was asked for *)
+let test_rules_sweep_honours_attempts () =
+  let budget =
+    { Adc_synth.Synthesizer.sa_iterations = 12; pattern_evals = 20; space_factor = 0.6 }
+  in
+  let ks = [ 8; 9 ] in
+  let chart_of_solo_runs attempts =
+    Rules.of_runs
+      (List.map
+         (fun k ->
+           Optimize.run ~mode:`Hybrid ~seed:11 ~attempts ~budget (Spec.paper_case ~k))
+         ks)
+  in
+  let rows (c : Rules.chart) =
+    List.map
+      (fun (r : Rules.optimum_row) ->
+        (r.Rules.k, Config.to_string r.Rules.config, r.Rules.p_total))
+      c.Rules.rows
+  in
+  let expected = chart_of_solo_runs 1 in
+  let swept =
+    Rules.sweep ~mode:`Hybrid ~seed:11 ~attempts:1 ~budget ~k_values:ks (fun ~k ->
+        Spec.paper_case ~k)
+  in
+  Alcotest.(check (list (triple int string (float 0.0))))
+    "sweep ~attempts:1 == of_runs over solo attempts:1 runs" (rows expected)
+    (rows swept);
+  Alcotest.(check bool) "the whole chart agrees" true (expected = swept);
+  (* the test can only see the bug if attempts changes the answer here *)
+  Alcotest.(check bool) "attempts 1 and 3 give different charts" false
+    (rows (chart_of_solo_runs 3) = rows swept)
+
 let test_rules_derive_separates_monotonicity_from_validity () =
   (* [5;2] is pairwise non-increasing but violates the m-bounds: the two
      chart booleans must disagree (the old code conflated them by
@@ -658,6 +692,7 @@ let () =
       ( "rules",
         [
           quick "fig3 sweep" test_rules_sweep;
+          quick "sweep honours attempts" test_rules_sweep_honours_attempts;
           quick "monotonicity and validity are separate"
             test_rules_derive_separates_monotonicity_from_validity;
           quick "derive [] is total" test_rules_derive_empty_is_total;

@@ -696,6 +696,50 @@ let test_server_optimize_byte_identical () =
       Alcotest.(check string) "served == one-shot, byte for byte" direct served;
       Client.close c)
 
+(* regression: the served sweep dropped [attempts] (its store key keeps
+   it), so a hybrid sweep at attempts 1 answered the attempts-3 optima *)
+let test_server_sweep_honours_attempts () =
+  with_server (fun _srv socket ->
+      let c = Client.connect_unix socket in
+      let resp =
+        Client.request c
+          (Json.parse
+             {|{"verb":"sweep","from":8,"to":9,"mode":"hybrid","attempts":1,"budget":{"sa_iterations":12,"pattern_evals":20,"space_factor":0.6}}|})
+      in
+      Alcotest.(check bool) "ok" true (member_exn "ok" resp = Json.Bool true);
+      let rows =
+        match Json.member_path "result.rows" resp with
+        | Some (Json.List rows) -> rows
+        | _ -> Alcotest.fail "sweep result has no rows"
+      in
+      let solo k =
+        let r =
+          Optimize.run ~mode:`Hybrid ~seed:11 ~attempts:1 ~budget:tiny_budget
+            (Spec.make ~k ~fs:40e6 ())
+        in
+        ( Json.String (Config.to_string (Optimize.optimum_config r)),
+          Json.Float r.Optimize.optimum.Optimize.p_total )
+      in
+      Alcotest.(check int) "one row per resolution" 2 (List.length rows);
+      List.iter
+        (fun row ->
+          let k =
+            match member_exn "k" row with
+            | Json.Int k -> k
+            | _ -> Alcotest.fail "row k is not an int"
+          in
+          let config, p_total = solo k in
+          Alcotest.(check string)
+            (Printf.sprintf "k=%d config == solo optimize at attempts 1" k)
+            (Json.to_string config)
+            (Json.to_string (member_exn "config" row));
+          Alcotest.(check string)
+            (Printf.sprintf "k=%d p_total == solo optimize at attempts 1" k)
+            (Json.to_string p_total)
+            (Json.to_string (member_exn "p_total" row)))
+        rows;
+      Client.close c)
+
 let test_server_backpressure () =
   (* one worker, queue bound 1: occupy the worker, fill the queue slot,
      then two more must be refused as overloaded — deterministically *)
@@ -726,6 +770,27 @@ let test_server_backpressure () =
       Alcotest.(check int) "exactly two overloaded" 2 (List.length rejected);
       Alcotest.(check int) "server counter agrees" 2 (Server.overloaded srv);
       Client.close c)
+
+(* regression: a ping queued behind the only worker, so a busy backend
+   missed the router's 1000 ms probe timeout and was marked down *)
+let test_server_ping_answers_while_busy () =
+  with_server ~workers:1 (fun _srv socket ->
+      let busy = Client.connect_unix socket in
+      Client.send busy (Json.parse {|{"id":1,"verb":"ping","delay_ms":700}|});
+      Thread.delay 0.1;
+      let c = Client.connect_unix socket in
+      let t0 = Unix.gettimeofday () in
+      let resp = Client.request c (Json.parse {|{"id":2,"verb":"ping"}|}) in
+      let ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
+      Alcotest.(check bool) "plain ping ok" true
+        (member_exn "ok" resp = Json.Bool true);
+      Alcotest.(check bool)
+        (Printf.sprintf "answered within 200 ms of a busy worker (%.0f ms)" ms)
+        true (ms < 200.0);
+      Alcotest.(check bool) "the delayed ping still completes" true
+        (member_exn "ok" (Client.recv busy) = Json.Bool true);
+      Client.close c;
+      Client.close busy)
 
 let test_server_deadline_exceeded () =
   (* the worker is busy and the queued request's budget expires before
@@ -1203,7 +1268,10 @@ let () =
           slow "cross-request job hits stay byte-identical"
             test_server_cross_request_job_hits;
           quick "served == one-shot (bytes)" test_server_optimize_byte_identical;
+          quick "served sweep honours attempts" test_server_sweep_honours_attempts;
           quick "backpressure rejects deterministically" test_server_backpressure;
+          quick "plain ping answers while the worker is busy"
+            test_server_ping_answers_while_busy;
           quick "queued deadline expiry" test_server_deadline_exceeded;
           quick "store-warm restart replays" test_server_store_warm_restart;
           quick "shutdown verb drains" test_server_shutdown_verb_drains;
