@@ -9,7 +9,6 @@ module Config = Adc_pipeline.Config
 module Spec = Adc_pipeline.Spec
 module Optimize = Adc_pipeline.Optimize
 module Rules = Adc_pipeline.Rules
-module Fom = Adc_pipeline.Fom
 module Front = Adc_pipeline.Front
 module Report = Adc_pipeline.Report
 module Behavioral = Adc_pipeline.Behavioral
@@ -24,6 +23,8 @@ module Cancel = Adc_exec.Cancel
 module Json = Adc_json.Json
 module Api = Adc_api
 module Codec = Adc_serve.Codec
+module Protocol = Adc_serve.Protocol
+module Compute = Adc_serve.Compute
 module Store = Adc_serve.Store
 module Server = Adc_serve.Server
 module Client = Adc_serve.Client
@@ -70,16 +71,10 @@ let term_of : type a. a Api.param -> a Term.t =
     Arg.(value & opt grid_conv p.Api.default & ainfo)
   | Api.Float_list -> Arg.(value & opt (list float) p.Api.default & ainfo)
   | Api.Process_file ->
-    (* CLI value is a file path; [resolve_process] reads and parses it
-       (the wire field carries the card text instead — the daemon never
-       needs this binary's filesystem) *)
+    (* CLI value is a file path; [field_of] reads it and sends the card
+       text, which is what the wire field carries — the daemon never
+       needs this binary's filesystem *)
     Arg.(value & opt (some string) p.Api.default & ainfo)
-
-let k_arg = term_of Api.k
-let fs_arg = term_of Api.fs_mhz
-let mode_arg = term_of Api.mode
-let seed_arg = term_of Api.seed
-let attempts_arg = term_of Api.attempts
 
 let jobs_arg =
   let doc =
@@ -123,184 +118,6 @@ let timeout_arg =
   in
   Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS" ~doc)
 
-let cancel_of_timeout = function
-  | None -> Cancel.never
-  | Some after_s -> Cancel.with_deadline ~after_s ()
-
-(* --timeout contract shared by optimize/sweep/synth: note + exit 2 *)
-let finish_truncated what =
-  Printf.eprintf
-    "adcopt: %s timed out; results above are the best found so far\n" what;
-  exit 2
-
-let die fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 1) fmt
-
-let host_port_of_string s =
-  match String.rindex_opt s ':' with
-  | None -> die "adcopt: --listen expects HOST:PORT, got %s" s
-  | Some i ->
-    let host = String.sub s 0 i
-    and port = String.sub s (i + 1) (String.length s - i - 1) in
-    (match int_of_string_opt port with
-    | Some p when p >= 0 -> ((if host = "" then "127.0.0.1" else host), p)
-    | Some _ | None -> die "adcopt: bad port in --listen %s" s)
-
-(* build the observability context for one command invocation; callers
-   must [finish_obs] it so the trace file is flushed, the status line
-   terminated and the metrics table printed. [total]/[domains] feed the
-   progress reporter's ETA when --progress is on. *)
-let obs_of ?(progress = false) ?total ?domains trace metrics =
-  let base =
-    try Adc_obs.create ?trace ~metrics ()
-    with Sys_error msg -> die "adcopt: cannot open trace file: %s" msg
-  in
-  if not progress then (base, None)
-  else begin
-    let p = Progress.create ?total ?domains () in
-    ( { base with Adc_obs.sink = Adc_obs.Sink.tee base.Adc_obs.sink (Progress.sink p) },
-      Some p )
-  end
-
-(* [to_stderr] keeps the metrics table off stdout when stdout carries a
-   machine-readable payload (--json) *)
-let finish_obs ?(to_stderr = false) ((obs : Adc_obs.t), progress) =
-  Option.iter Progress.finish progress;
-  if Adc_obs.Metrics.enabled obs.Adc_obs.metrics then begin
-    let table = Adc_obs.Metrics.render obs.Adc_obs.metrics in
-    if to_stderr then prerr_string table else print_string table
-  end;
-  Adc_obs.close obs
-
-(* 0 = auto-detect; the pool itself clamps to >= 1 *)
-let resolve_jobs n = if n <= 0 then Pool.recommended_size () else n
-
-let spec_of ?process k fs = Spec.make ?process ~k ~fs:(fs *. 1e6) ()
-
-(* the specs of a multi-spec verb; a resolution [Spec.make] refuses
-   ends the command with a usage-style message *)
-let specs_of verb ~process cells =
-  List.map
-    (fun (k, fs) ->
-      try spec_of ~process k fs
-      with Invalid_argument msg -> die "adcopt %s: %s" verb msg)
-    cells
-
-(* progress denominator: the summed per-spec work lists; a batch
-   synthesizes each shared job once, so the bar can finish early, never
-   late *)
-let progress_total specs =
-  List.fold_left
-    (fun acc (spec : Spec.t) ->
-      acc
-      + List.length
-          (Spec.distinct_jobs spec
-             (Config.enumerate_leading ~k:spec.Spec.k
-                ~backend_bits:(Spec.backend_bits spec))))
-    0 specs
-
-(* --process FILE: load and parse the card once per invocation. Returns
-   the parsed process (the built-in card when the flag is absent) and
-   the non-default store-key digest — [None] for a card byte-equivalent
-   to the built-in one, so default-card store keys and warm replays
-   stay byte-identical to a flag-less run. *)
-let resolve_process = function
-  | None -> (Adc_circuit.Process.c025, None)
-  | Some path -> (
-    match Spice.load_process_file path with
-    | Error msg -> die "adcopt: %s" msg
-    | Ok p -> (p, Spice.nondefault_digest p))
-
-let process_arg = term_of Api.process_card
-
-(* ------------------------------------------------------------------ *)
-(* enumerate *)
-
-let enumerate k fs =
-  let spec = spec_of k fs in
-  let cands = Config.enumerate_leading ~k ~backend_bits:(Spec.backend_bits spec) in
-  Printf.printf "%d-bit pipelined ADC: %d candidate configurations (backend %d bits)\n"
-    k (List.length cands) (Spec.backend_bits spec);
-  List.iter (fun c -> Printf.printf "  %s\n" (Config.to_string c)) cands;
-  let jobs = Spec.distinct_jobs spec cands in
-  Printf.printf "%d distinct MDAC jobs to synthesize:\n" (List.length jobs);
-  List.iter (fun j -> Printf.printf "  %s\n" (Spec.job_to_string j)) jobs
-
-let enumerate_cmd =
-  let doc = "Enumerate the stage-resolution candidates (paper Section 2)." in
-  Cmd.v (Cmd.info "enumerate" ~doc) Term.(const enumerate $ k_arg $ fs_arg)
-
-(* ------------------------------------------------------------------ *)
-(* optimize *)
-
-let print_optimize_human spec (run : Optimize.run) =
-  print_string (Report.candidate_summary run);
-  print_string (Report.fig1_table run);
-  (match run.Optimize.mode with
-  | `Equation -> ()
-  | `Hybrid | `Hybrid_verified ->
-    Printf.printf
-      "synthesis: %d evaluator calls, %d cold / %d warm jobs, %.1f s on %d domain(s)\n"
-      run.Optimize.synthesis_evaluations run.Optimize.cold_jobs
-      run.Optimize.warm_jobs run.Optimize.wall_time_s run.Optimize.domains);
-  Printf.printf "optimum: %s at %s\n"
-    (Config.to_string (Optimize.optimum_config run))
-    (Units.format_power run.Optimize.optimum.Optimize.p_total);
-  let full =
-    Adc_pipeline.Power_model.full_converter spec (Optimize.optimum_config run)
-  in
-  Printf.printf
-    "full converter (equation model): %s = S/H %s + front stages + %d-stage backend\n"
-    (Units.format_power full.Adc_pipeline.Power_model.p_full)
-    (Units.format_power full.Adc_pipeline.Power_model.p_sha)
-    (List.length full.Adc_pipeline.Power_model.backend)
-
-(* summary printed for a design-store hit in human mode (the stored
-   payload has no wall-time or domain figures — they are not part of
-   the deterministic result) *)
-let print_stored_human payload =
-  let str name =
-    match Json.member name payload with Some (Json.String s) -> s | _ -> "?"
-  in
-  let num name =
-    match Json.member name payload with
-    | Some (Json.Float f) -> f
-    | Some (Json.Int n) -> float_of_int n
-    | _ -> Float.nan
-  in
-  Printf.printf "optimum: %s at %s (replayed from the design store)\n"
-    (str "optimum")
-    (Units.format_power (num "p_total"))
-
-let optimize k fs mode seed attempts process jobs timeout store json trace
-    metrics progress =
-  let proc, pdigest = resolve_process process in
-  let spec = spec_of ~process:proc k fs in
-  let store = Option.map Store.open_dir store in
-  let key =
-    Codec.key_optimize ?process:pdigest ~k ~fs_mhz:fs ~mode ~seed ~attempts ()
-  in
-  match Option.bind store (fun s -> Store.find s ~key) with
-  | Some payload ->
-    (* stored bytes are the canonical serialization: print them verbatim
-       so a warm CLI run is byte-identical to the cold one *)
-    if json then print_endline payload
-    else print_stored_human (Json.parse payload)
-  | None ->
-    let jobs = resolve_jobs jobs in
-    let total = progress_total [ spec ] in
-    let ((obs, _) as ctx) = obs_of ~progress ~total ~domains:jobs trace metrics in
-    let cancel = cancel_of_timeout timeout in
-    let run = Optimize.run ~mode ~seed ~attempts ~jobs ~obs ~cancel spec in
-    let payload = Codec.optimize_payload run in
-    if json then print_endline (Json.to_string payload)
-    else print_optimize_human spec run;
-    (match store with
-    | Some s when not run.Optimize.truncated ->
-      Store.add s ~key ~payload:(Json.to_string payload)
-    | _ -> ());
-    finish_obs ~to_stderr:json ctx;
-    if run.Optimize.truncated then finish_truncated "optimization"
-
 let store_arg =
   let doc =
     "Persistent design store directory (created if missing): a completed \
@@ -318,294 +135,403 @@ let json_arg =
   in
   Arg.(value & flag & info [ "json" ] ~doc)
 
-let optimize_cmd =
-  let doc = "Run the topology optimization for one converter spec." in
-  Cmd.v (Cmd.info "optimize" ~doc)
-    Term.(const optimize $ k_arg $ fs_arg $ mode_arg $ seed_arg $ attempts_arg
-          $ process_arg $ jobs_arg $ timeout_arg $ store_arg $ json_arg
-          $ trace_arg $ metrics_arg $ progress_arg)
+let die fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 1) fmt
+
+let host_port_of_string s =
+  match String.rindex_opt s ':' with
+  | None -> die "adcopt: --listen expects HOST:PORT, got %s" s
+  | Some i ->
+    let host = String.sub s 0 i
+    and port = String.sub s (i + 1) (String.length s - i - 1) in
+    (match int_of_string_opt port with
+    | Some p when p >= 0 -> ((if host = "" then "127.0.0.1" else host), p)
+    | Some _ | None -> die "adcopt: bad port in --listen %s" s)
+
+(* 0 = auto-detect; the pool itself clamps to >= 1 *)
+let resolve_jobs n = if n <= 0 then Pool.recommended_size () else n
 
 (* ------------------------------------------------------------------ *)
-(* sweep *)
+(* the compute verbs: one request each, run through the daemon's path *)
 
-let sweep k_lo k_hi fs mode seed attempts process jobs timeout trace metrics
-    progress =
-  let proc, _ = resolve_process process in
-  let jobs = resolve_jobs jobs in
-  let specs =
-    specs_of "sweep" ~process:proc
-      (List.init (k_hi - k_lo + 1) (fun i -> (k_lo + i, fs)))
+(* A verb parameter as the wire field it decodes from: a compute verb
+   hands its flags to the daemon's decoder ([Protocol.parse_request]),
+   so the two front ends read one request. [--process FILE] sends the
+   card's text, as a client does. *)
+let field_of : type a. a Api.param -> (string * Json.t) Term.t =
+ fun p ->
+  let opt encode = function None -> Json.Null | Some v -> encode v in
+  let encode : a -> Json.t =
+    match p.Api.ty with
+    | Api.Int -> fun n -> Json.Int n
+    | Api.Float -> fun f -> Json.Float f
+    | Api.Mode -> fun m -> Json.String (Api.mode_name m)
+    | Api.Opt_int -> opt (fun n -> Json.Int n)
+    | Api.Opt_string -> opt (fun s -> Json.String s)
+    | Api.Int_grid -> fun ns -> Json.List (List.map (fun n -> Json.Int n) ns)
+    | Api.Float_list -> fun fs -> Json.List (List.map (fun f -> Json.Float f) fs)
+    | Api.Process_file ->
+      opt (fun path ->
+          match In_channel.with_open_bin path In_channel.input_all with
+          | text -> Json.String text
+          | exception Sys_error msg -> die "adcopt: %s" msg)
   in
-  let ((obs, _) as ctx) =
-    obs_of ~progress ~total:(progress_total specs) ~domains:jobs trace metrics
+  Term.(const (fun v -> (p.Api.key, encode v)) $ term_of p)
+
+(* [adcopt netlist emit] is the wire's [netlist-emit] *)
+let cli_name verb =
+  String.map (fun c -> if c = '-' then ' ' else c) (Protocol.verb_name verb)
+
+(* The exit of a compute verb that did not succeed, one line naming the
+   verb: 1 for a refused request, 2 for a --timeout (the best result
+   found so far, if any, is printed above), 125 for the daemon's own
+   fault, the status of an uncaught exception. *)
+let exit_error verb ((kind : Protocol.error_kind), msg) =
+  let status, what =
+    match kind with
+    | Protocol.Bad_request -> (1, "")
+    | Protocol.Deadline_exceeded -> (2, "")
+    | _ -> (125, "internal error: ")
   in
-  let cancel = cancel_of_timeout timeout in
-  (* one batch feeds both figures: Fig. 2 tabulates its runs, Fig. 3 is
-     the chart [Rules.sweep] derives from the same runs *)
-  let runs =
-    if specs = [] then []
-    else
-      (Optimize.run_batch ~mode ~seed ~attempts ~jobs ~obs ~cancel specs)
-        .Optimize.batch_runs
-  in
-  print_string (Report.fig2_table runs);
-  (match mode with
+  Printf.eprintf "adcopt %s: %s%s\n" (cli_name verb) what msg;
+  exit status
+
+let print_payload payload = print_endline (Json.to_string payload)
+
+let print_optimize_human (run : Optimize.run) =
+  print_string (Report.candidate_summary run);
+  print_string (Report.fig1_table run);
+  (match run.Optimize.mode with
   | `Equation -> ()
   | `Hybrid | `Hybrid_verified ->
-    List.iter
-      (fun (r : Optimize.run) ->
-        Printf.printf
-          "  %2d-bit synthesis: %d evaluator calls, done %.1f s into the batch on %d domain(s)\n"
-          r.Optimize.spec.Spec.k r.Optimize.synthesis_evaluations
-          r.Optimize.wall_time_s r.Optimize.domains)
-      runs);
-  print_string (Rules.render (Rules.of_runs runs));
-  finish_obs ctx;
-  if Cancel.cancelled cancel then finish_truncated "sweep"
-
-let k_lo_arg = term_of Api.k_from
-let k_hi_arg = term_of Api.k_to
-
-let sweep_cmd =
-  let doc = "Sweep resolutions and derive the optimum-candidate rules (Fig. 2/3)." in
-  Cmd.v (Cmd.info "sweep" ~doc)
-    Term.(const sweep $ k_lo_arg $ k_hi_arg $ fs_arg $ mode_arg $ seed_arg
-          $ attempts_arg $ process_arg $ jobs_arg $ timeout_arg $ trace_arg
-          $ metrics_arg $ progress_arg)
-
-(* ------------------------------------------------------------------ *)
-(* batch: many specs, one fused synthesis pass *)
-
-let batch ks fs mode seed attempts process jobs timeout json trace metrics
-    progress =
-  if ks = [] then die "adcopt batch: need at least one resolution";
-  let proc, _ = resolve_process process in
-  let jobs = resolve_jobs jobs in
-  let specs = specs_of "batch" ~process:proc (List.map (fun k -> (k, fs)) ks) in
-  let ((obs, _) as ctx) =
-    obs_of ~progress ~total:(progress_total specs) ~domains:jobs trace metrics
+    Printf.printf
+      "synthesis: %d evaluator calls, %d cold / %d warm jobs, %.1f s on %d domain(s)\n"
+      run.Optimize.synthesis_evaluations run.Optimize.cold_jobs
+      run.Optimize.warm_jobs run.Optimize.wall_time_s run.Optimize.domains);
+  Printf.printf "optimum: %s at %s\n"
+    (Config.to_string (Optimize.optimum_config run))
+    (Units.format_power run.Optimize.optimum.Optimize.p_total);
+  let full =
+    Adc_pipeline.Power_model.full_converter run.Optimize.spec
+      (Optimize.optimum_config run)
   in
-  let cancel = cancel_of_timeout timeout in
-  let b = Optimize.run_batch ~mode ~seed ~attempts ~jobs ~obs ~cancel specs in
-  if json then
-    (* one optimize payload per line, input order: line i is
-       byte-identical to `adcopt optimize -k <ks_i> --json` *)
+  Printf.printf
+    "full converter (equation model): %s = S/H %s + front stages + %d-stage backend\n"
+    (Units.format_power full.Adc_pipeline.Power_model.p_full)
+    (Units.format_power full.Adc_pipeline.Power_model.p_sha)
+    (List.length full.Adc_pipeline.Power_model.backend)
+
+(* The human rendering of a computed value; [elapsed] is this process's
+   wall clock around the computation (payloads carry no wall time). *)
+let print_human ~elapsed = function
+  | Compute.Ping -> print_endline "pong"
+  | Compute.Enumerate spec ->
+    let k = spec.Spec.k in
+    let cands = Config.enumerate_leading ~k ~backend_bits:(Spec.backend_bits spec) in
+    Printf.printf "%d-bit pipelined ADC: %d candidate configurations (backend %d bits)\n"
+      k (List.length cands) (Spec.backend_bits spec);
+    List.iter (fun c -> Printf.printf "  %s\n" (Config.to_string c)) cands;
+    let jobs = Spec.distinct_jobs spec cands in
+    Printf.printf "%d distinct MDAC jobs to synthesize:\n" (List.length jobs);
+    List.iter (fun j -> Printf.printf "  %s\n" (Spec.job_to_string j)) jobs
+  | Compute.Optimize run -> print_optimize_human run
+  | Compute.Batch b ->
     List.iter
-      (fun run -> print_endline (Json.to_string (Codec.optimize_payload run)))
-      b.Optimize.batch_runs
-  else begin
-    List.iter2
-      (fun spec run ->
-        Printf.printf "=== %d-bit converter ===\n" spec.Spec.k;
-        print_optimize_human spec run)
-      specs b.Optimize.batch_runs;
+      (fun (run : Optimize.run) ->
+        Printf.printf "=== %d-bit converter ===\n" run.Optimize.spec.Spec.k;
+        print_optimize_human run)
+      b.Optimize.batch_runs;
     Printf.printf
       "batch: %d specs, %d job occurrences fused into %d distinct syntheses, \
        %.1f s on %d domain(s)\n"
-      (List.length specs) b.Optimize.job_occurrences
+      (List.length b.Optimize.batch_runs) b.Optimize.job_occurrences
       b.Optimize.distinct_syntheses b.Optimize.batch_wall_s
       b.Optimize.batch_domains
-  end;
-  (* the fusion counters always go to stderr so --json stdout stays a
-     clean payload stream for cmp *)
-  Printf.eprintf "adcopt batch: %d specs, %d job occurrences, %d distinct syntheses\n"
-    (List.length specs) b.Optimize.job_occurrences b.Optimize.distinct_syntheses;
-  finish_obs ~to_stderr:json ctx;
-  if b.Optimize.batch_truncated then finish_truncated "batch"
+  | Compute.Sweep { runs; chart } ->
+    print_string (Report.fig2_table runs);
+    List.iter
+      (fun (r : Optimize.run) ->
+        if r.Optimize.mode <> `Equation then
+          Printf.printf
+            "  %2d-bit synthesis: %d evaluator calls, done %.1f s into the batch on %d domain(s)\n"
+            r.Optimize.spec.Spec.k r.Optimize.synthesis_evaluations
+            r.Optimize.wall_time_s r.Optimize.domains)
+      runs;
+    print_string (Rules.render chart)
+  | Compute.Pareto fr -> print_string (Front.render fr)
+  | Compute.Synth { job; requirements = req; attempts; restarts = r } ->
+    let caps = req.Adc_mdac.Mdac_stage.caps in
+    Printf.printf "MDAC job %s block specs:\n" (Spec.job_to_string job);
+    Printf.printf "  interstage gain      %g\n" caps.Adc_mdac.Caps.gain;
+    Printf.printf "  sampling array       %s\n"
+      (Units.format_cap caps.Adc_mdac.Caps.c_total);
+    Printf.printf "  feedback factor      %.3f\n" caps.Adc_mdac.Caps.beta;
+    Printf.printf "  DC gain              >= %.0f\n" req.Adc_mdac.Mdac_stage.a0_min;
+    Printf.printf "  unity-gain bandwidth >= %s\n"
+      (Units.format_freq req.Adc_mdac.Mdac_stage.gbw_min_hz);
+    Printf.printf "  slew rate            >= %.0f V/us\n"
+      (req.Adc_mdac.Mdac_stage.sr_min /. 1e6);
+    (match r.Optimize.best with
+    | None -> Printf.eprintf "synthesis failed on all %d attempts\n" attempts
+    | Some sol ->
+      Printf.printf
+        "synthesized cell: %s, %s, best of %d attempts, %d evaluations, %.1f s\n"
+        (Units.format_power sol.Synthesizer.power)
+        (if sol.Synthesizer.feasible then "all specs met"
+         else Printf.sprintf "violation %.3f" sol.Synthesizer.violation)
+        attempts r.Optimize.evaluations elapsed;
+      List.iter (fun (k, v) -> Printf.printf "  %-10s %.4g\n" k v) sol.Synthesizer.metrics)
+  | Compute.Netlist_emit e -> print_string e.Deck.deck
+  | Compute.Montecarlo { spec; plan; trials; sweep } ->
+    Printf.printf
+      "Monte-Carlo yield of the %d-bit %s pipeline vs comparator offsets\n\
+       (redundancy budget %.0f mV; %d trials per point)\n"
+      spec.Spec.k (Config.to_string plan.Montecarlo.stage_config)
+      (plan.Montecarlo.budget *. 1e3) trials;
+    List.iter
+      (fun (sigma, (r : Montecarlo.report)) ->
+        Printf.printf "  sigma %6.1f mV: yield %5.1f%%  mean ENOB %.2f  p05 %.2f\n"
+          (sigma *. 1e3) (100.0 *. r.Montecarlo.yield) r.Montecarlo.enob_mean
+          r.Montecarlo.enob_p05)
+      sweep
 
-let ks_arg = term_of Api.ks
-
-let batch_cmd =
-  let doc =
-    "Optimize several resolutions as one fused batch: each spec's distinct \
-     MDAC jobs are keyed, deduplicated across the whole batch, and the \
-     union is synthesized once, hardest-first, over a shared domain pool. \
-     Every per-spec result is byte-identical to its own one-shot \
-     $(b,adcopt optimize) run."
-  in
-  Cmd.v (Cmd.info "batch" ~doc)
-    Term.(const batch $ ks_arg $ fs_arg $ mode_arg $ seed_arg $ attempts_arg
-          $ process_arg $ jobs_arg $ timeout_arg $ json_arg $ trace_arg
-          $ metrics_arg $ progress_arg)
-
-(* ------------------------------------------------------------------ *)
-(* pareto: the FoM front over the (k, fs) grid *)
-
-let fs_list_arg = term_of Api.fs_list
-
-(* warm-hit human summary, reconstructed from the stored grid *)
-let print_stored_pareto_human payload =
-  let cells = Codec.pareto_grid payload in
-  let num cell name =
-    match Json.member name cell with
+(* A design-store hit in human mode: the stored payload has no wall-time
+   or domain figures (they are not part of the deterministic result), so
+   it replays as a summary read from the payload. *)
+let print_stored_human verb payload =
+  let num json name =
+    match Json.member name json with
     | Some (Json.Float f) -> f
     | Some (Json.Int n) -> float_of_int n
     | _ -> Float.nan
   in
-  Printf.printf
-    "Pareto front (replayed from the design store): %d cells, %d on the front\n"
-    (List.length cells)
-    (List.length (List.filter fst cells));
-  List.iter
-    (fun (on_front, cell) ->
-      let fom = Option.value (Json.member "fom" cell) ~default:Json.Null in
-      Printf.printf "%s K=%-3.0f fs=%-9.6g MHz  %s  %.1f fJ/step, %.1f dB\n"
-        (if on_front then "*" else " ")
-        (num cell "k") (num cell "fs_mhz")
-        (match Json.member_path "optimize.optimum" cell with
-        | Some (Json.String s) -> s
-        | _ -> "?")
-        (num fom "walden_fj_per_step")
-        (num fom "schreier_db"))
-    cells
-
-let pareto ks fs_list mode seed attempts process jobs timeout store json trace
-    metrics progress =
-  if ks = [] then die "adcopt pareto: need at least one resolution";
-  if fs_list = [] then die "adcopt pareto: need at least one sampling rate";
-  let proc, pdigest = resolve_process process in
-  let store = Option.map Store.open_dir store in
-  let key =
-    Codec.key_pareto ?process:pdigest ~ks ~fs_list ~mode ~seed ~attempts ()
+  let str json path =
+    match Json.member_path path json with Some (Json.String s) -> s | _ -> "?"
   in
-  match Option.bind store (fun s -> Store.find s ~key) with
-  | Some payload ->
-    let parsed = Json.parse payload in
-    if json then begin
-      (* replay the NDJSON stream a cold run printed: the front point
-         lines, then the stored summary verbatim *)
-      List.iter
-        (fun cell -> print_endline (Json.to_string cell))
-        (Codec.pareto_front_points parsed);
-      print_endline payload
-    end
-    else print_stored_pareto_human parsed
-  | None ->
-    let jobs = resolve_jobs jobs in
-    (* the deduplicated grid, for the progress denominator only (the
-       search re-derives it) *)
-    let descending l = List.sort_uniq (fun a b -> compare b a) l in
-    let grid =
-      specs_of "pareto" ~process:proc
-        (List.concat_map
-           (fun k -> List.map (fun f -> (k, f)) (descending fs_list))
-           (descending ks))
-    in
-    let ((obs, _) as ctx) =
-      obs_of ~progress ~total:(progress_total grid) ~domains:jobs trace metrics
-    in
-    let cancel = cancel_of_timeout timeout in
-    let on_point pt =
-      (* NDJSON: one front point per line, as soon as its membership is
-         final — the same payloads the serve verb streams *)
-      if json then print_endline (Json.to_string (Codec.pareto_point_payload pt))
-    in
-    let fr =
-      try
-        Front.search ~process:proc ~mode ~seed ~attempts ~jobs ~obs ~cancel
-          ~on_point ~ks ~fs_mhz:fs_list ()
-      with Invalid_argument msg -> die "adcopt pareto: %s" msg
-    in
-    let payload = Codec.pareto_payload fr in
-    if json then print_endline (Json.to_string payload)
-    else print_string (Front.render fr);
-    (match store with
-    | Some s when not fr.Front.front_truncated ->
-      Store.add s ~key ~payload:(Json.to_string payload)
-    | _ -> ());
-    Printf.eprintf
-      "adcopt pareto: %d cells, %d job occurrences, %d distinct syntheses, \
-       %d on the front\n"
-      (List.length fr.Front.points) fr.Front.job_occurrences
-      fr.Front.distinct_syntheses
-      (List.length fr.Front.front);
-    finish_obs ~to_stderr:json ctx;
-    if fr.Front.front_truncated then finish_truncated "pareto search"
+  match verb with
+  | Protocol.Pareto ->
+    let cells = Codec.pareto_grid payload in
+    Printf.printf
+      "Pareto front (replayed from the design store): %d cells, %d on the front\n"
+      (List.length cells)
+      (List.length (List.filter fst cells));
+    List.iter
+      (fun (on_front, cell) ->
+        let fom = Option.value (Json.member "fom" cell) ~default:Json.Null in
+        Printf.printf "%s K=%-3.0f fs=%-9.6g MHz  %s  %.1f fJ/step, %.1f dB\n"
+          (if on_front then "*" else " ")
+          (num cell "k") (num cell "fs_mhz")
+          (str cell "optimize.optimum")
+          (num fom "walden_fj_per_step")
+          (num fom "schreier_db"))
+      cells
+  | _ ->
+    Printf.printf "optimum: %s at %s (replayed from the design store)\n"
+      (str payload "optimum")
+      (Units.format_power (num payload "p_total"))
+
+(* [--json] prints the payload: a streaming verb's point lines went out
+   through [emit] already, and a batch prints one optimize payload per
+   line, in input order, line i byte-identical to
+   `adcopt optimize -k <ks_i> --json`. The fused-work counters always go
+   to stderr, so --json stdout stays a clean payload stream for cmp. *)
+let print_outcome ~json verb ~elapsed = function
+  | Compute.Stored payload ->
+    if json then print_payload payload else print_stored_human verb payload
+  | Compute.Computed { value; payload; _ } -> (
+    (match value with
+    | Compute.Batch _ when json -> (
+      match Json.member "runs" payload with
+      | Some (Json.List runs) -> List.iter print_payload runs
+      | _ -> ())
+    | _ when json -> print_payload payload
+    | _ -> print_human ~elapsed value);
+    match value with
+    | Compute.Batch b ->
+      Printf.eprintf
+        "adcopt batch: %d specs, %d job occurrences, %d distinct syntheses\n"
+        (List.length b.Optimize.batch_runs) b.Optimize.job_occurrences
+        b.Optimize.distinct_syntheses
+    | Compute.Pareto fr ->
+      Printf.eprintf
+        "adcopt pareto: %d cells, %d job occurrences, %d distinct syntheses, \
+         %d on the front\n"
+        (List.length fr.Front.points) fr.Front.job_occurrences
+        fr.Front.distinct_syntheses
+        (List.length fr.Front.front)
+    | _ -> ())
+
+(* Run one compute verb on a one-shot runtime: decode the flags as a
+   request, refuse it before opening the trace if [Compute] would, run
+   it through [Compute.run] (the daemon's own path, store included),
+   print it, then exit 2 if it was truncated. The runtime's pool is
+   spawned only if the request synthesizes, and is shut down before the
+   metrics table prints. *)
+let compute ~jobs ?timeout ?store ~json ?trace ~metrics ~progress ?print verb
+    fields =
+  let req =
+    match
+      Protocol.parse_request
+        (Json.Obj (("verb", Json.String (Protocol.verb_name verb)) :: fields))
+    with
+    | Ok req -> req
+    | Error (kind, msg, _) -> exit_error verb (kind, msg)
+  in
+  let total =
+    match Compute.validate req with Ok n -> n | Error e -> exit_error verb e
+  in
+  let jobs = resolve_jobs jobs in
+  let obs =
+    try Adc_obs.create ?trace ~metrics ()
+    with Sys_error msg -> die "adcopt: cannot open trace file: %s" msg
+  in
+  let progress =
+    if progress then Some (Progress.create ~total ~domains:jobs ()) else None
+  in
+  let obs =
+    match progress with
+    | None -> obs
+    | Some p ->
+      { obs with Adc_obs.sink = Adc_obs.Sink.tee obs.Adc_obs.sink (Progress.sink p) }
+  in
+  (* flush the trace, end the status line, print the metrics table (on
+     stderr when stdout carries a payload or a deck) *)
+  let finish_obs () =
+    Option.iter Progress.finish progress;
+    if Adc_obs.Metrics.enabled obs.Adc_obs.metrics then
+      (if json || verb = Protocol.Netlist_emit then prerr_string else print_string)
+        (Adc_obs.Metrics.render obs.Adc_obs.metrics);
+    Adc_obs.close obs
+  in
+  let shared = lazy (Optimize.create_shared ~obs ~jobs ()) in
+  let runtime =
+    { Compute.shared = (fun () -> Lazy.force shared); obs;
+      store = Option.map Store.open_dir store }
+  in
+  let emit point = if json then print_payload point in
+  let t0 = Unix.gettimeofday () in
+  let cancel =
+    match timeout with
+    | None -> Cancel.never
+    | Some after_s -> Cancel.with_deadline ~after_s ()
+  in
+  let result = Compute.run runtime req ~cancel ~emit in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  if Lazy.is_val shared then Optimize.shutdown_shared (Lazy.force shared);
+  match result with
+  | Error e ->
+    finish_obs ();
+    exit_error verb e
+  | Ok outcome ->
+    let print = Option.value print ~default:(print_outcome ~json verb) in
+    print ~elapsed outcome;
+    finish_obs ();
+    (match outcome with
+    | Compute.Computed { truncated = true; _ } ->
+      exit_error verb
+        ( Protocol.Deadline_exceeded,
+          "timed out; results above are the best found so far" )
+    | _ -> ())
+
+(* The command of a compute verb. [params] are its request fields;
+   [pool] adds --jobs and --timeout, [observed] --trace, --metrics and
+   --progress, [store] and [json] their flags. A verb without a flag
+   runs at that flag's default. *)
+let compute_cmd ?name ?(pool = true) ?(observed = true) ?(store = false)
+    ?(json = false) ?(print = Term.const None) verb ~doc params =
+  let flag on term off = if on then term else Term.const off in
+  let run fields jobs timeout store json trace metrics progress print =
+    compute ~jobs ?timeout ?store ~json ?trace ~metrics ~progress ?print verb
+      fields
+  in
+  Cmd.v
+    (Cmd.info (Option.value name ~default:(Protocol.verb_name verb)) ~doc)
+    Term.(const run
+          $ List.fold_right
+              (fun t acc -> const List.cons $ t $ acc)
+              params (const [])
+          $ flag pool jobs_arg 1 $ flag pool timeout_arg None
+          $ flag store store_arg None $ flag json json_arg false
+          $ flag observed trace_arg None $ flag observed metrics_arg false
+          $ flag observed progress_arg false $ print)
+
+let spec_fields = [ field_of Api.mode; field_of Api.seed; field_of Api.attempts;
+                    field_of Api.process_card ]
+
+let enumerate_cmd =
+  compute_cmd Protocol.Enumerate ~pool:false ~observed:false
+    ~doc:"Enumerate the stage-resolution candidates (paper Section 2)."
+    [ field_of Api.k; field_of Api.fs_mhz ]
+
+let optimize_cmd =
+  compute_cmd Protocol.Optimize ~store:true ~json:true
+    ~doc:"Run the topology optimization for one converter spec."
+    (field_of Api.k :: field_of Api.fs_mhz :: spec_fields)
+
+let sweep_cmd =
+  compute_cmd Protocol.Sweep
+    ~doc:"Sweep resolutions and derive the optimum-candidate rules (Fig. 2/3)."
+    (field_of Api.k_from :: field_of Api.k_to :: field_of Api.fs_mhz
+    :: spec_fields)
+
+let batch_cmd =
+  compute_cmd Protocol.Batch ~json:true
+    ~doc:
+      "Optimize several resolutions as one fused batch: each spec's distinct \
+       MDAC jobs are keyed, deduplicated across the whole batch, and the \
+       union is synthesized once, hardest-first, over a shared domain pool. \
+       Every per-spec result is byte-identical to its own one-shot \
+       $(b,adcopt optimize) run."
+    (field_of Api.ks :: field_of Api.fs_mhz :: spec_fields)
 
 let pareto_cmd =
-  let doc =
-    "Map the FoM Pareto front over the resolution × sampling-rate grid: \
-     every (k, fs) cell is optimized in one fused batch (MDAC jobs shared \
-     between cells are synthesized once), each optimum gets its \
-     energy-per-conversion-step and Walden/Schreier figures of merit, and \
-     the dominated cells are pruned. With $(b,--json), front points print \
-     as NDJSON lines the moment their membership is final, followed by \
-     one summary line; each point's $(b,optimize) object is byte-identical \
-     to the one-shot $(b,adcopt optimize --json) run at the same \
-     parameters. See docs/PARETO.md."
-  in
-  Cmd.v (Cmd.info "pareto" ~doc)
-    Term.(const pareto $ ks_arg $ fs_list_arg $ mode_arg $ seed_arg
-          $ attempts_arg $ process_arg $ jobs_arg $ timeout_arg $ store_arg
-          $ json_arg
-          $ trace_arg $ metrics_arg $ progress_arg)
+  compute_cmd Protocol.Pareto ~store:true ~json:true
+    ~doc:
+      "Map the FoM Pareto front over the resolution × sampling-rate grid: \
+       every (k, fs) cell is optimized in one fused batch (MDAC jobs shared \
+       between cells are synthesized once), each optimum gets its \
+       energy-per-conversion-step and Walden/Schreier figures of merit, and \
+       the dominated cells are pruned. With $(b,--json), front points print \
+       as NDJSON lines the moment their membership is final, followed by \
+       one summary line; each point's $(b,optimize) object is byte-identical \
+       to the one-shot $(b,adcopt optimize --json) run at the same \
+       parameters. See docs/PARETO.md."
+    (field_of Api.ks :: field_of Api.fs_list :: spec_fields)
 
-(* ------------------------------------------------------------------ *)
-(* synth: one MDAC job *)
-
-let synth m bits fs seed attempts process jobs timeout trace metrics progress =
-  let proc, _ = resolve_process process in
-  let spec = spec_of ~process:proc 13 fs in
-  let jobs = resolve_jobs jobs in
-  let ((obs, _) as ctx) =
-    obs_of ~progress ~total:(Stdlib.max 1 attempts) ~domains:jobs trace metrics
-  in
-  let job = { Spec.m; input_bits = bits } in
-  let req = Spec.stage_requirements spec job in
-  Printf.printf "MDAC job %s block specs:\n" (Spec.job_to_string job);
-  Printf.printf "  interstage gain      %g\n" req.Adc_mdac.Mdac_stage.caps.Adc_mdac.Caps.gain;
-  Printf.printf "  sampling array       %s\n"
-    (Units.format_cap req.Adc_mdac.Mdac_stage.caps.Adc_mdac.Caps.c_total);
-  Printf.printf "  feedback factor      %.3f\n" req.Adc_mdac.Mdac_stage.caps.Adc_mdac.Caps.beta;
-  Printf.printf "  DC gain              >= %.0f\n" req.Adc_mdac.Mdac_stage.a0_min;
-  Printf.printf "  unity-gain bandwidth >= %s\n"
-    (Units.format_freq req.Adc_mdac.Mdac_stage.gbw_min_hz);
-  Printf.printf "  slew rate            >= %.0f V/us\n"
-    (req.Adc_mdac.Mdac_stage.sr_min /. 1e6);
-  (* best-of-N independent restarts, fanned out over the domain pool;
-     per-attempt seeds derive from the attempt index, so the winner is
-     the same for every --jobs value *)
-  let t0 = Unix.gettimeofday () in
-  let cancel = cancel_of_timeout timeout in
-  let r =
-    Pool.with_pool ~obs ~size:jobs (fun pool ->
-        Optimize.best_of_restarts ~pool ~obs ~cancel ~seed ~attempts
-          spec.Spec.process req)
-  in
-  let elapsed = Unix.gettimeofday () -. t0 in
-  (match r.Optimize.best with
-  | None -> Printf.eprintf "synthesis failed on all %d attempts\n" attempts
-  | Some sol ->
-    Printf.printf
-      "synthesized cell: %s, %s, best of %d attempts, %d evaluations, %.1f s\n"
-      (Units.format_power sol.Synthesizer.power)
-      (if sol.Synthesizer.feasible then "all specs met"
-       else Printf.sprintf "violation %.3f" sol.Synthesizer.violation)
-      attempts r.Optimize.evaluations elapsed;
-    List.iter (fun (k, v) -> Printf.printf "  %-10s %.4g\n" k v) sol.Synthesizer.metrics);
-  finish_obs ctx;
-  if r.Optimize.truncated then finish_truncated "synthesis"
-
-let m_arg = term_of Api.m
-let bits_arg = term_of Api.bits
+(* the one MDAC cell of [synth] and [netlist emit] *)
+let cell_fields =
+  [ field_of Api.m; field_of Api.bits; field_of Api.fs_mhz; field_of Api.seed;
+    field_of Api.attempts; field_of Api.process_card ]
 
 let synth_cmd =
-  let doc = "Synthesize one MDAC amplifier with the hybrid flow." in
-  Cmd.v (Cmd.info "synth" ~doc)
-    Term.(const synth $ m_arg $ bits_arg $ fs_arg $ seed_arg $ attempts_arg
-          $ process_arg $ jobs_arg $ timeout_arg $ trace_arg $ metrics_arg
-          $ progress_arg)
+  compute_cmd Protocol.Synth
+    ~doc:"Synthesize one MDAC amplifier with the hybrid flow." cell_fields
+
+let montecarlo_cmd =
+  compute_cmd Protocol.Montecarlo ~pool:false
+    ~doc:"Monte-Carlo yield of a configuration under comparator offsets."
+    [ field_of Api.k; field_of Api.fs_mhz; field_of Api.config;
+      field_of Api.trials; field_of Api.seed; field_of Api.process_card ]
 
 (* ------------------------------------------------------------------ *)
+(* the CLI-only verbs: no request, the same refusals *)
+
+(* a spec or job the library refuses ends the command as [Compute]
+   refuses a request: exit 1 with "adcopt <verb>: <message>" *)
+let checked verb f =
+  try f () with Invalid_argument msg -> die "adcopt %s: %s" verb msg
+
+let spec_of verb k fs = checked verb (fun () -> Spec.make ~k ~fs:(fs *. 1e6) ())
+
+let k_arg = term_of Api.k
+let fs_arg = term_of Api.fs_mhz
+
 (* behavioral *)
 
 let behavioral k fs config_str =
-  let spec = spec_of k fs in
+  let spec = spec_of "behavioral" k fs in
   let config =
     match config_str with
-    | Some s -> (
-      try Config.of_string s
-      with Invalid_argument msg -> die "adcopt behavioral: %s" msg)
+    | Some s -> checked "behavioral" (fun () -> Config.of_string s)
     | None -> Optimize.optimum_config (Optimize.run ~mode:`Equation spec)
   in
   let adc = Behavioral.ideal spec config in
@@ -619,18 +545,15 @@ let behavioral k fs config_str =
   Printf.printf "  SNDR %.1f dB, ENOB %.2f bits, SFDR %.1f dB (bin %d of %d)\n"
     d.Metrics.sndr_db d.Metrics.enob d.Metrics.sfdr_db d.Metrics.signal_bin d.Metrics.n_fft
 
-let config_arg = term_of Api.config
-
 let behavioral_cmd =
   let doc = "Behavioral verification (digital correction, INL/DNL, ENOB)." in
-  Cmd.v (Cmd.info "behavioral" ~doc) Term.(const behavioral $ k_arg $ fs_arg $ config_arg)
+  Cmd.v (Cmd.info "behavioral" ~doc) Term.(const behavioral $ k_arg $ fs_arg $ term_of Api.config)
 
-(* ------------------------------------------------------------------ *)
 (* corners *)
 
 let corners m bits fs seed =
-  let spec = spec_of 13 fs in
-  let job = { Spec.m; input_bits = bits } in
+  let spec = spec_of "corners" 13 fs in
+  let job = checked "corners" (fun () -> Spec.make_job ~m ~input_bits:bits) in
   let req = Spec.stage_requirements spec job in
   match Synthesizer.synthesize ~seed spec.Spec.process req with
   | Error e -> Printf.eprintf "synthesis failed: %s\n" e
@@ -646,54 +569,14 @@ let corners m bits fs seed =
 
 let corners_cmd =
   let doc = "Synthesize one MDAC cell and re-verify it across process corners." in
-  Cmd.v (Cmd.info "corners" ~doc) Term.(const corners $ m_arg $ bits_arg $ fs_arg $ seed_arg)
-
-(* ------------------------------------------------------------------ *)
-(* montecarlo *)
-
-let montecarlo k fs config_str trials seed process trace metrics progress =
-  let proc, _ = resolve_process process in
-  let spec = spec_of ~process:proc k fs in
-  let plan =
-    match Montecarlo.offset_plan spec config_str with
-    | Ok plan -> plan
-    | Error msg -> die "adcopt montecarlo: %s" msg
-  in
-  let config = plan.Montecarlo.stage_config in
-  let ((obs, _) as ctx) =
-    obs_of ~progress
-      ~total:(trials * List.length plan.Montecarlo.sigmas)
-      trace metrics
-  in
-  Printf.printf
-    "Monte-Carlo yield of the %d-bit %s pipeline vs comparator offsets\n\
-     (redundancy budget %.0f mV; %d trials per point)\n"
-    k (Config.to_string config) (plan.Montecarlo.budget *. 1e3) trials;
-  let sweep =
-    Montecarlo.offset_sweep ~trials ~obs ~seed spec config
-      ~sigmas:plan.Montecarlo.sigmas
-  in
-  List.iter
-    (fun (sigma, (r : Montecarlo.report)) ->
-      Printf.printf "  sigma %6.1f mV: yield %5.1f%%  mean ENOB %.2f  p05 %.2f\n"
-        (sigma *. 1e3) (100.0 *. r.Montecarlo.yield) r.Montecarlo.enob_mean
-        r.Montecarlo.enob_p05)
-    sweep;
-  finish_obs ctx
-
-let trials_arg = term_of Api.trials
-
-let montecarlo_cmd =
-  let doc = "Monte-Carlo yield of a configuration under comparator offsets." in
-  Cmd.v (Cmd.info "montecarlo" ~doc)
-    Term.(const montecarlo $ k_arg $ fs_arg $ config_arg $ trials_arg $ seed_arg
-          $ process_arg $ trace_arg $ metrics_arg $ progress_arg)
+  Cmd.v (Cmd.info "corners" ~doc)
+    Term.(const corners $ term_of Api.m $ term_of Api.bits $ fs_arg $ term_of Api.seed)
 
 (* ------------------------------------------------------------------ *)
 (* area *)
 
 let area k fs =
-  let spec = spec_of k fs in
+  let spec = spec_of "area" k fs in
   let cands = Config.enumerate_leading ~k ~backend_bits:(Spec.backend_bits spec) in
   Printf.printf "estimated area of the %d-bit candidates:\n" k;
   List.iter
@@ -714,52 +597,32 @@ let deck_output_arg =
   let doc = "Write the deck to $(docv) instead of stdout." in
   Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
 
-let write_deck output deck =
+let write_output output text =
   match output with
-  | None -> print_string deck
+  | None -> print_string text
   | Some path -> (
-    try
-      let oc = open_out path in
-      output_string oc deck;
-      close_out oc
+    try Out_channel.with_open_text path (fun oc -> output_string oc text)
     with Sys_error msg -> die "adcopt: cannot write %s: %s" path msg)
 
-let netlist_emit m bits fs seed attempts process jobs timeout output trace
-    metrics progress =
-  let proc, _ = resolve_process process in
-  let spec = spec_of ~process:proc 13 fs in
-  let jobs = resolve_jobs jobs in
-  let ((obs, _) as ctx) =
-    obs_of ~progress ~total:(Stdlib.max 1 attempts) ~domains:jobs trace metrics
-  in
-  let cancel = cancel_of_timeout timeout in
-  (* same best-of-N identity as `adcopt synth` (and the serve verb):
-     the deck renders the synth winner's switched-capacitor bench *)
-  let result =
-    Pool.with_pool ~obs ~size:jobs (fun pool ->
-        Deck.export ~obs ~cancel ~pool ~m ~bits ~seed ~attempts spec)
-  in
-  finish_obs ~to_stderr:true ctx;
-  match result with
-  | Error msg -> die "adcopt netlist emit: %s" msg
-  | Ok e ->
-    write_deck output e.Deck.deck;
-    if e.Deck.truncated then finish_truncated "netlist export"
-
 let netlist_emit_cmd =
-  let doc =
-    "Synthesize one MDAC cell (best of N restarts, like $(b,adcopt synth)) \
-     and print its switched-capacitor bench — OTA core, sampling network, \
-     phase switches and sources at the servo'd operating point — as a \
-     canonical SPICE deck. The deck is flat and self-contained (process \
-     $(b,.param)/$(b,.model) cards included) and is an emit→parse→emit \
-     fixpoint: feeding it back through $(b,adcopt netlist parse --emit -) \
-     reproduces it byte for byte."
+  (* the deck renders the synth winner's switched-capacitor bench; it is
+     the same best-of-N identity as `adcopt synth` and the serve verb *)
+  let write output ~elapsed:_ = function
+    | Compute.Computed { value = Compute.Netlist_emit e; _ } ->
+      write_output output e.Deck.deck
+    | _ -> ()
   in
-  Cmd.v (Cmd.info "emit" ~doc)
-    Term.(const netlist_emit $ m_arg $ bits_arg $ fs_arg $ seed_arg
-          $ attempts_arg $ process_arg $ jobs_arg $ timeout_arg
-          $ deck_output_arg $ trace_arg $ metrics_arg $ progress_arg)
+  compute_cmd Protocol.Netlist_emit ~name:"emit"
+    ~print:Term.(const (fun output -> Some (write output)) $ deck_output_arg)
+    ~doc:
+      "Synthesize one MDAC cell (best of N restarts, like $(b,adcopt synth)) \
+       and print its switched-capacitor bench — OTA core, sampling network, \
+       phase switches and sources at the servo'd operating point — as a \
+       canonical SPICE deck. The deck is flat and self-contained (process \
+       $(b,.param)/$(b,.model) cards included) and is an emit→parse→emit \
+       fixpoint: feeding it back through $(b,adcopt netlist parse --emit -) \
+       reproduces it byte for byte."
+    cell_fields
 
 let deck_file_arg =
   let doc = "Deck file to parse, or $(b,-) to read stdin." in
@@ -790,7 +653,7 @@ let netlist_parse file emit_to =
   | Ok (nl, p) -> (
     match emit_to with
     | Some "-" -> print_string (Spice.emit nl)
-    | Some path -> write_deck (Some path) (Spice.emit nl)
+    | Some path -> write_output (Some path) (Spice.emit nl)
     | None ->
       let devices = Adc_circuit.Netlist.devices nl in
       Printf.printf
@@ -896,14 +759,7 @@ let trace_export format output file =
       Trace_export.prometheus
         (Adc_obs.Metrics.snapshot (Trace_export.registry_of_trace events))
   in
-  match output with
-  | None -> print_string payload
-  | Some path ->
-    (try
-       let oc = open_out path in
-       output_string oc payload;
-       close_out oc
-     with Sys_error msg -> die "adcopt: cannot write %s: %s" path msg)
+  write_output output payload
 
 let trace_export_cmd =
   let doc = "Convert a trace to Chrome/Perfetto JSON, folded stacks, or Prometheus text." in
@@ -1012,21 +868,23 @@ let node_id_arg =
   in
   Arg.(value & opt (some string) None & info [ "node-id" ] ~docv:"ID" ~doc)
 
+(* a daemon's cluster identity (default: the socket's basename) and its
+   logger, which stamps that identity on every line *)
+let node_log verb socket node_id log_level log_format =
+  let node_id = Option.value node_id ~default:(Filename.basename socket) in
+  if log_level = "off" then (node_id, Adc_obs.Log.null)
+  else
+    match Adc_obs.Log.level_of_string log_level with
+    | Some level ->
+      (node_id, Adc_obs.Log.create ~level ~format:log_format ~node_id ())
+    | None -> die "adcopt %s: unknown --log-level %S" verb log_level
+
 let serve socket listen queue_depth workers jobs store store_max_entries
     deadline trace metrics metrics_addr log_level log_format slow_ms
     flight_capacity flight_dump node_id =
   let jobs = resolve_jobs jobs in
   let tcp = Option.map host_port_of_string listen in
-  let node_id =
-    match node_id with Some n -> n | None -> Filename.basename socket
-  in
-  let log =
-    if log_level = "off" then Adc_obs.Log.null
-    else
-      match Adc_obs.Log.level_of_string log_level with
-      | Some level -> Adc_obs.Log.create ~level ~format:log_format ~node_id ()
-      | None -> die "adcopt serve: unknown --log-level %S" log_level
-  in
+  let node_id, log = node_log "serve" socket node_id log_level log_format in
   (* the daemon's registry is always live — the ops plane scrapes it;
      --metrics additionally prints the table at exit as before *)
   let obs =
@@ -1299,16 +1157,7 @@ let route backends socket listen vnodes connect_timeout_ms probe_period
     |> List.filter (fun s -> s <> "")
   in
   if backends = [] then die "adcopt route: --backends names no backend";
-  let node_id =
-    match node_id with Some n -> n | None -> Filename.basename socket
-  in
-  let log =
-    if log_level = "off" then Adc_obs.Log.null
-    else
-      match Adc_obs.Log.level_of_string log_level with
-      | Some level -> Adc_obs.Log.create ~level ~format:log_format ~node_id ()
-      | None -> die "adcopt route: unknown --log-level %S" log_level
-  in
+  let node_id, log = node_log "route" socket node_id log_level log_format in
   let obs = Adc_obs.create ~metrics:true () in
   let cfg =
     {

@@ -263,9 +263,10 @@ val run_batch :
     root span (fused-work-list counters), the usual [optimize.job]
     spans for the union, and one [batch.spec] span per input spec
     carrying the same summary attributes an [optimize.run] span would
-    ([adcopt trace summary] reconciliation deliberately skips these:
-    in a batch the per-job spans decompose the {e union}, not any
-    single spec's counters). *)
+    ([adcopt trace summary] reconciles the [optimize.batch] span's
+    [distinct_syntheses] against its job spans and skips these: in a
+    batch the per-job spans decompose the {e union}, not any single
+    spec's counters). *)
 
 val optimum_config : run -> Config.t
 (** [optimum_config r] is [r.optimum.config]. *)

@@ -41,12 +41,18 @@ type t = {
 let make ?(calibration = default_calibration) ?(vref_pp = 2.0)
     ?(process = Process.c025) ~k ~fs () =
   if k < 8 || k > 16 then invalid_arg "Spec.make: k out of the modeled range";
-  if fs <= 0.0 then invalid_arg "Spec.make: fs <= 0";
+  if not (fs > 0.0 && Float.is_finite fs) then
+    invalid_arg "Spec.make: fs must be positive and finite";
   { k; fs; vref_pp; process; calibration }
 
 let paper_case ~k = make ~k ~fs:40e6 ()
 
 type job = { m : int; input_bits : int }
+
+let make_job ~m ~input_bits =
+  if m < 2 then invalid_arg "Spec.make_job: m < 2 (a stage resolves at least 2 bits)";
+  if input_bits < 1 then invalid_arg "Spec.make_job: input_bits < 1";
+  { m; input_bits }
 
 let compare_job a b =
   match compare b.input_bits a.input_bits with

@@ -40,7 +40,8 @@ val make :
     full scale by default. [process] is the pluggable card: every
     derived requirement, sizing and {!stage_fingerprint} (hence
     [Job_key]) observes it, so runs under different cards never share
-    cached synthesis outcomes. *)
+    cached synthesis outcomes. Raises [Invalid_argument] when [k] is
+    outside 8-16 or [fs] is not positive and finite. *)
 
 val paper_case : k:int -> t
 (** The paper's operating point: [k]-bit, 40 MSPS. *)
@@ -50,6 +51,11 @@ type job = { m : int; input_bits : int }
     resolution remaining at its input. Two stages with equal jobs share
     one synthesis (the paper's "11 MDACs for 7 configurations" effect;
     our sharing rule yields 12 — see DESIGN.md). *)
+
+val make_job : m:int -> input_bits:int -> job
+(** A job named from outside (a request's [m] and [bits]). Raises
+    [Invalid_argument] when [m < 2] or [input_bits < 1], the inputs the
+    capacitor sizing behind {!stage_requirements} cannot translate. *)
 
 val compare_job : job -> job -> int
 val job_to_string : job -> string

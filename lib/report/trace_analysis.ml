@@ -191,37 +191,46 @@ type check = { label : string; expected : int; actual : int }
 let check_ok c = c.expected = c.actual
 
 (* compare the per-job span decomposition of each optimize.run against
-   the summary attributes the run recorded about itself; a mismatch
+   the summary attributes the run recorded about itself, and each hybrid
+   optimize.batch's fused work list against its job spans; a mismatch
    means the scheduler lost or duplicated work *)
 let reconcile events =
-  let runs =
-    List.filter (fun (e : Sink.event) -> e.Sink.name = "optimize.run") events
+  let jobs_under (root : Sink.event) =
+    List.filter
+      (fun (e : Sink.event) ->
+        e.Sink.parent = Some root.Sink.id && e.Sink.name = "optimize.job")
+      events
   in
   List.concat_map
-    (fun (run : Sink.event) ->
-      let children =
-        List.filter
-          (fun (e : Sink.event) ->
-            e.Sink.parent = Some run.Sink.id && e.Sink.name = "optimize.job")
-          events
-      in
-      let t = job_totals children in
-      let expect field = Option.value ~default:0 (attr_int field run) in
-      let prefix =
-        Printf.sprintf "run#%d(k=%d)" run.Sink.id
-          (Option.value ~default:0 (attr_int "k" run))
-      in
-      [
-        { label = prefix ^ " distinct_jobs"; expected = expect "distinct_jobs";
-          actual = t.jobs };
-        { label = prefix ^ " synthesis_evaluations";
-          expected = expect "synthesis_evaluations"; actual = t.evaluations };
-        { label = prefix ^ " cold_jobs"; expected = expect "cold_jobs";
-          actual = t.cold };
-        { label = prefix ^ " warm_jobs"; expected = expect "warm_jobs";
-          actual = t.warm };
-      ])
-    runs
+    (fun (root : Sink.event) ->
+      let expect field = Option.value ~default:0 (attr_int field root) in
+      match root.Sink.name with
+      | "optimize.run" ->
+        let t = job_totals (jobs_under root) in
+        let prefix = Printf.sprintf "run#%d(k=%d)" root.Sink.id (expect "k") in
+        [
+          { label = prefix ^ " distinct_jobs"; expected = expect "distinct_jobs";
+            actual = t.jobs };
+          { label = prefix ^ " synthesis_evaluations";
+            expected = expect "synthesis_evaluations"; actual = t.evaluations };
+          { label = prefix ^ " cold_jobs"; expected = expect "cold_jobs";
+            actual = t.cold };
+          { label = prefix ^ " warm_jobs"; expected = expect "warm_jobs";
+            actual = t.warm };
+        ]
+      | "optimize.batch" ->
+        (* the batch's job spans decompose the key-deduplicated union,
+           one span per distinct synthesis on a fresh runtime (a shared
+           runtime's cache hits emit none) *)
+        [
+          { label =
+              Printf.sprintf "batch#%d(specs=%d) distinct_syntheses"
+                root.Sink.id (expect "specs");
+            expected = expect "distinct_syntheses";
+            actual = List.length (jobs_under root) };
+        ]
+      | _ -> [])
+    events
 
 (* ------------------------------------------------------------------ *)
 (* per-domain utilization timeline *)

@@ -1,12 +1,5 @@
 module Json = Adc_json.Json
-module Spec = Adc_pipeline.Spec
-module Config = Adc_pipeline.Config
 module Optimize = Adc_pipeline.Optimize
-module Job_key = Adc_pipeline.Job_key
-module Rules = Adc_pipeline.Rules
-module Front = Adc_pipeline.Front
-module Montecarlo = Adc_pipeline.Montecarlo
-module Deck = Adc_pipeline.Deck
 module Pool = Adc_exec.Pool
 module Cancel = Adc_exec.Cancel
 module Obs = Adc_obs
@@ -82,7 +75,7 @@ type t = {
   qmutex : Mutex.t;
   qcond : Condition.t;
   shared : Optimize.shared;
-  store : Store.t option;
+  rt : Compute.runtime;  (* the request path, on [shared] *)
   started_at : float;
   smutex : Mutex.t;
   mutable n_requests : int;
@@ -160,172 +153,6 @@ let sync_solver_metrics t =
   end
 
 (* ------------------------------------------------------------------ *)
-(* the verbs *)
-
-exception Bad_request of string
-
-(* a queued computation that cannot proceed for reasons that are the
-   daemon's fault, not the client's *)
-exception Internal_error of string
-
-(* The request's technology card, parsed once per use. A malformed card
-   is the client's fault: the typed [bad_request] answer carries the
-   parser's line-numbered message. *)
-let process_of (req : Protocol.request) =
-  match Adc_spice.resolve_card req.Protocol.process with
-  | Ok p -> p
-  | Error e ->
-    raise (Bad_request ("process card: " ^ Adc_spice.error_to_string e))
-
-let spec_of (req : Protocol.request) =
-  Spec.make ~process:(process_of req) ~k:req.Protocol.k
-    ~fs:(req.Protocol.fs_mhz *. 1e6) ()
-
-(* one resolution of a multi-spec verb at the request's rate; a
-   resolution [Spec.make] refuses is the client's fault *)
-let spec_at (req : Protocol.request) ~process k =
-  try Spec.make ~process ~k ~fs:(req.Protocol.fs_mhz *. 1e6) ()
-  with Invalid_argument msg -> raise (Bad_request msg)
-
-(* Returns the result payload and whether a deadline cut it short
-   (truncated results are served but never stored). [emit] publishes
-   one non-final result line of a streaming verb; single-line verbs
-   never call it. *)
-let compute t (req : Protocol.request) ~cancel ~emit : Json.t * bool =
-  let obs = t.cfg.obs in
-  match req.Protocol.verb with
-  | Protocol.Ping ->
-    if req.Protocol.delay_ms > 0 then
-      Thread.delay (float_of_int req.Protocol.delay_ms /. 1000.0);
-    ( Json.Obj
-        [
-          ("pong", Json.Bool true);
-          ("version", Json.Int Protocol.version);
-          ("delay_ms", Json.Int req.Protocol.delay_ms);
-        ],
-      false )
-  | Protocol.Enumerate -> (Codec.enumerate_payload (spec_of req), false)
-  | Protocol.Optimize ->
-    let run =
-      Optimize.run ~mode:req.Protocol.mode ~seed:req.Protocol.seed
-        ~attempts:req.Protocol.attempts ?budget:req.Protocol.budget ~obs
-        ~cancel ~shared:t.shared (spec_of req)
-    in
-    (Codec.optimize_payload run, run.Optimize.truncated)
-  | Protocol.Batch ->
-    if req.Protocol.ks = [] then
-      raise (Bad_request "batch: \"ks\" must name at least one resolution");
-    let specs = List.map (spec_at req ~process:(process_of req)) req.Protocol.ks in
-    let batch =
-      Optimize.run_batch ~mode:req.Protocol.mode ~seed:req.Protocol.seed
-        ~attempts:req.Protocol.attempts ?budget:req.Protocol.budget ~obs
-        ~cancel ~shared:t.shared specs
-    in
-    (Codec.batch_payload batch, batch.Optimize.batch_truncated)
-  | Protocol.Pareto ->
-    if req.Protocol.ks = [] then
-      raise (Bad_request "pareto: \"ks\" must name at least one resolution");
-    if req.Protocol.fs_list = [] then
-      raise (Bad_request "pareto: \"fs\" must name at least one sampling rate");
-    let fr =
-      (* front points stream out as soon as their membership is final
-         (grid order makes it final at assembly; see Front) *)
-      try
-        Front.search ~process:(process_of req) ~mode:req.Protocol.mode
-          ~seed:req.Protocol.seed ~attempts:req.Protocol.attempts
-          ?budget:req.Protocol.budget ~obs ~cancel ~shared:t.shared
-          ~on_point:(fun pt -> emit (Codec.pareto_point_payload pt))
-          ~ks:req.Protocol.ks ~fs_mhz:req.Protocol.fs_list ()
-      with Invalid_argument msg -> raise (Bad_request msg)
-    in
-    (Codec.pareto_payload fr, fr.Front.front_truncated)
-  | Protocol.Sweep ->
-    if req.Protocol.k_to < req.Protocol.k_from then
-      raise (Bad_request "sweep: \"to\" must be >= \"from\"");
-    let ks =
-      List.init
-        (req.Protocol.k_to - req.Protocol.k_from + 1)
-        (fun i -> req.Protocol.k_from + i)
-    in
-    let process = process_of req in
-    let chart =
-      Rules.sweep ~mode:req.Protocol.mode ~seed:req.Protocol.seed
-        ~attempts:req.Protocol.attempts ?budget:req.Protocol.budget ~obs
-        ~cancel ~shared:t.shared ~k_values:ks (fun ~k -> spec_at req ~process k)
-    in
-    let truncated = Cancel.cancelled cancel in
-    (Codec.chart_payload ~truncated chart, truncated)
-  | Protocol.Synth ->
-    let spec = spec_of { req with Protocol.k = 13 } in
-    let job = { Spec.m = req.Protocol.m; input_bits = req.Protocol.bits } in
-    let attempts = Stdlib.max 1 req.Protocol.attempts in
-    (* best-of-N fan-out over the shared pool, per-attempt seeds as in
-       the CLI; a tripped deadline skips the attempts not yet started *)
-    let r =
-      Optimize.best_of_restarts ~pool:(Optimize.shared_pool t.shared)
-        ?budget:req.Protocol.budget ~obs ~cancel ~seed:req.Protocol.seed
-        ~attempts spec.Spec.process (Spec.stage_requirements spec job)
-    in
-    ( Codec.synth_payload ~m:req.Protocol.m ~bits:req.Protocol.bits
-        ~fs_mhz:req.Protocol.fs_mhz ~seed:req.Protocol.seed ~attempts
-        ~evaluations:r.Optimize.evaluations ~truncated:r.Optimize.truncated
-        r.Optimize.best,
-      r.Optimize.truncated )
-  | Protocol.Netlist_emit -> (
-    (* the [synth] verb's best-of-N identity, rendered as a canonical
-       SPICE deck; the shared implementation ({!Adc_pipeline.Deck}) is
-       also what [adcopt netlist emit] runs, so the served deck and the
-       one-shot deck are byte-identical at equal parameters *)
-    let spec = spec_of { req with Protocol.k = 13 } in
-    match
-      Deck.export ?budget:req.Protocol.budget ~obs ~cancel
-        ~pool:(Optimize.shared_pool t.shared)
-        ~m:req.Protocol.m ~bits:req.Protocol.bits ~seed:req.Protocol.seed
-        ~attempts:req.Protocol.attempts spec
-    with
-    | Error msg -> raise (Internal_error ("netlist-emit: " ^ msg))
-    | Ok e -> (Codec.netlist_payload ~deck:e.Deck.deck, e.Deck.truncated))
-  | Protocol.Montecarlo ->
-    let spec = spec_of req in
-    let plan =
-      match Montecarlo.offset_plan spec req.Protocol.config with
-      | Ok plan -> plan
-      | Error msg -> raise (Bad_request msg)
-    in
-    let sweep =
-      Montecarlo.offset_sweep ~trials:req.Protocol.trials ~obs
-        ~seed:req.Protocol.seed spec plan.Montecarlo.stage_config
-        ~sigmas:plan.Montecarlo.sigmas
-    in
-    ( Codec.montecarlo_payload ~k:req.Protocol.k ~fs_mhz:req.Protocol.fs_mhz
-        ~config:plan.Montecarlo.stage_config ~trials:req.Protocol.trials
-        ~seed:req.Protocol.seed ~budget:plan.Montecarlo.budget sweep,
-      false )
-  | Protocol.Stats | Protocol.Shutdown | Protocol.Dump_trace ->
-    (* Inline-only verbs: the reader answers these at admission and
-       never enqueues them. Should one reach a worker anyway (an
-       admission regression), answer with a typed internal error — the
-       [assert false] that used to live here killed the worker thread
-       instead, silently shrinking the pool until the daemon stalled. *)
-    raise
-      (Internal_error
-         (Printf.sprintf
-            "inline-only verb %S misdispatched to the worker queue"
-            (Protocol.verb_name req.Protocol.verb)))
-
-(* The total entry point a worker uses: every queued request yields a
-   typed answer — never an escaped exception, which would kill the
-   worker thread. Exposed so the tests can force the misdispatch path
-   without racing the reader's inline handling. *)
-let dispatch_queued t (req : Protocol.request) ~cancel ~emit :
-    (Json.t * bool, Protocol.error_kind * string) result =
-  match compute t req ~cancel ~emit with
-  | payload -> Ok payload
-  | exception Bad_request msg -> Error (Protocol.Bad_request, msg)
-  | exception Internal_error msg -> Error (Protocol.Internal, msg)
-  | exception e -> Error (Protocol.Internal, Printexc.to_string e)
-
-(* ------------------------------------------------------------------ *)
 (* stats *)
 
 (* per-verb latency percentiles from the live histograms, in verb-name
@@ -387,7 +214,9 @@ let stats_json t =
       ("job_hits", Json.Int job_hits);
       ("job_misses", Json.Int job_misses);
       ( "store",
-        match t.store with None -> Json.Null | Some s -> Store.stats_json s );
+        match t.rt.Compute.store with
+        | None -> Json.Null
+        | Some s -> Store.stats_json s );
       ("latency_ms", latency_json t);
       ( "node_id",
         match t.cfg.node_id with
@@ -481,50 +310,29 @@ let process t (item : item) =
              payload
          else Protocol.ok_response ~id ?req_id:wire_rid ~verb ~cached payload)
     in
-    let key = (Protocol.key_of_request req).Protocol.store in
-    let stored =
-      match (t.store, key) with
-      | Some store, Some key -> Store.find store ~key
-      | _ -> None
-    in
-    match stored with
-    | Some payload ->
-      (* canonical serializer: parse-then-reserialize returns the very
-         bytes that were stored, so a warm hit is byte-identical to the
-         cold computation it replays *)
+    match Compute.run t.rt req ~cancel:item.cancel ~emit with
+    | Ok outcome ->
+      let cached, payload, truncated =
+        match outcome with
+        | Compute.Stored payload -> (true, payload, false)
+        | Compute.Computed { payload; truncated; _ } -> (false, payload, truncated)
+      in
       locked t (fun t -> t.n_completed <- t.n_completed + 1);
-      finish ~ok:true ~cached:true ~truncated:false;
-      let payload = Json.parse payload in
-      (* a warm streaming hit replays the point lines a cold run streamed *)
-      if streaming then List.iter emit (Codec.pareto_front_points payload);
-      send_final ~cached:true payload
-    | None -> (
-      match dispatch_queued t req ~cancel:item.cancel ~emit with
-      | Ok (payload, truncated) ->
-        (match (t.store, key) with
-        | Some store, Some k when not truncated -> (
-          (* the result is already computed and about to be delivered;
-             a failed cache write (disk full, dir removed) must not
-             fail the request or kill the worker *)
-          try Store.add store ~key:k ~payload:(Json.to_string payload)
-          with Sys_error _ | Unix.Unix_error _ -> ())
-        | _ -> ());
-        locked t (fun t -> t.n_completed <- t.n_completed + 1);
-        finish ~ok:true ~cached:false ~truncated;
-        send_final ~cached:false payload
-      | Error (kind, message) ->
-        locked t (fun t -> t.n_failed <- t.n_failed + 1);
-        finish ~ok:false ~cached:false ~truncated:false;
-        Log.error t.cfg.log ~req_id:rid
-          ~fields:
-            [
-              ("verb", Obs.Sink.String (Protocol.verb_name verb));
-              ("error", Obs.Sink.String (Protocol.error_name kind));
-              ("message", Obs.Sink.String message);
-            ]
-          "request failed";
-        Transport.send item.conn
-          (Protocol.error_response ~id ?req_id:wire_rid ~kind ~message ()))
+      finish ~ok:true ~cached ~truncated;
+      send_final ~cached payload
+    | Error (kind, message) ->
+      locked t (fun t -> t.n_failed <- t.n_failed + 1);
+      finish ~ok:false ~cached:false ~truncated:false;
+      Log.error t.cfg.log ~req_id:rid
+        ~fields:
+          [
+            ("verb", Obs.Sink.String (Protocol.verb_name verb));
+            ("error", Obs.Sink.String (Protocol.error_name kind));
+            ("message", Obs.Sink.String message);
+          ]
+        "request failed";
+      Transport.send item.conn
+        (Protocol.error_response ~id ?req_id:wire_rid ~kind ~message ())
   end
 
 let wake_workers t =
@@ -784,6 +592,7 @@ let create cfg =
   let store =
     Option.map (Store.open_dir ?max_entries:cfg.store_max_entries) cfg.store_dir
   in
+  let shared = Optimize.create_shared ~obs:cfg.obs ~jobs:(Stdlib.max 1 cfg.jobs) () in
   let tr =
     Transport.create ?socket_path:cfg.socket_path ?tcp:cfg.tcp
       ?ops:cfg.metrics_addr ()
@@ -796,8 +605,8 @@ let create cfg =
     queue = Queue.create ();
     qmutex = Mutex.create ();
     qcond = Condition.create ();
-    shared = Optimize.create_shared ~obs:cfg.obs ~jobs:(Stdlib.max 1 cfg.jobs) ();
-    store;
+    shared;
+    rt = { Compute.shared = (fun () -> shared); obs = cfg.obs; store };
     started_at = Unix.gettimeofday ();
     smutex = Mutex.create ();
     n_requests = 0;

@@ -1,7 +1,9 @@
 (** The synthesis service: a daemon accepting {!Protocol} requests over
     a Unix-domain socket (and optionally TCP), computing them on a pool
     of worker threads that share one long-lived {!Adc_pipeline.Optimize}
-    runtime, and answering one JSON line per request.
+    runtime, and answering one JSON line per request. A worker computes
+    through {!Compute.run}, the path the CLI's one-shot verbs share;
+    the daemon adds the transport, admission, counters, spans and logs.
 
     {1 Concurrency model}
 
@@ -115,23 +117,6 @@ val stats_json : t -> Adc_json.Json.t
     queue occupancy, current inflight count, per-verb latency
     percentiles ([latency_ms], from the live histograms), shared-cache
     size, store counters, uptime. *)
-
-val dispatch_queued :
-  t ->
-  Protocol.request ->
-  cancel:Adc_exec.Cancel.t ->
-  emit:(Adc_json.Json.t -> unit) ->
-  (Adc_json.Json.t * bool, Protocol.error_kind * string) result
-(** The total computation a worker performs for one queued request:
-    [Ok (payload, truncated)] or a typed error — never an escaped
-    exception (an exception here used to kill the worker thread,
-    silently shrinking the pool). Inline-only verbs ([stats],
-    [shutdown]) yield [Error (Internal, _)]: they are answered at
-    admission and reaching a worker means a dispatch regression — the
-    tests force this path directly. [emit] publishes the non-final
-    lines of a streaming verb (the pareto point lines); single-line
-    verbs never call it. Exposed for the tests; does not touch the
-    store or the daemon's counters. *)
 
 (** Counters (also in {!stats_json}; exposed for the tests). *)
 

@@ -273,6 +273,26 @@ let test_reconcile_live_hybrid () =
     (contains_substring rendered "ok"
     && not (contains_substring rendered "MISMATCH"))
 
+(* a hybrid batch's trace is batch-shaped (no optimize.run root): its
+   optimize.batch span reconciles against the union's job spans *)
+let test_reconcile_hybrid_batch () =
+  let obs = Obs.in_memory () in
+  let b =
+    Optimize.run_batch ~mode:`Hybrid ~seed:7 ~attempts:1 ~budget:tiny_budget
+      ~jobs:2 ~obs
+      [ Spec.paper_case ~k:8; Spec.paper_case ~k:9 ]
+  in
+  let checks = Analysis.reconcile (Sink.drain obs.Obs.sink) in
+  Alcotest.(check int) "one check for the batch" 1 (List.length checks);
+  List.iter
+    (fun (c : Analysis.check) ->
+      Alcotest.(check bool) c.Analysis.label true (Analysis.check_ok c);
+      Alcotest.(check int) "expects the batch record"
+        b.Optimize.distinct_syntheses c.Analysis.expected)
+    checks;
+  Alcotest.(check bool) "the batch synthesized" true
+    (b.Optimize.distinct_syntheses > 0)
+
 let test_summary_through_file () =
   (* the same reconciliation must hold after a JSONL round trip *)
   let _, events = hybrid_run_events () in
@@ -535,6 +555,7 @@ let () =
         [
           slow "live hybrid run reconciles" test_reconcile_live_hybrid;
           slow "reconciles after a JSONL round trip" test_summary_through_file;
+          slow "hybrid batch reconciles" test_reconcile_hybrid_batch;
           slow "montecarlo trial spans" test_montecarlo_trial_spans;
         ] );
       ( "progress",

@@ -9,6 +9,7 @@ module Protocol = Adc_serve.Protocol
 module Codec = Adc_serve.Codec
 module Store = Adc_serve.Store
 module Server = Adc_serve.Server
+module Compute = Adc_serve.Compute
 module Client = Adc_serve.Client
 module Cancel = Adc_exec.Cancel
 module Pool = Adc_exec.Pool
@@ -849,21 +850,29 @@ let test_server_shutdown_verb_drains () =
       Alcotest.(check bool) "connection closed" true closed;
       Client.close c)
 
+(* a fresh in-process runtime for calling [Compute.run] directly *)
+let with_runtime f =
+  let shared = Optimize.create_shared ~jobs:1 () in
+  Fun.protect
+    ~finally:(fun () -> Optimize.shutdown_shared shared)
+    (fun () ->
+      f { Compute.shared = (fun () -> shared); obs = Adc_obs.null; store = None })
+
+let parse_ok line =
+  match Protocol.parse_request_line line with
+  | Ok r -> r
+  | Error (_, m, _) -> Alcotest.failf "parse: %s" m
+
 let test_worker_misdispatch_is_typed_error () =
   (* stats/shutdown are answered inline at admission; if one ever reaches
      the worker queue, the worker's computation must yield a typed
      internal error — the old [assert false] here silently killed the
      worker thread, shrinking the pool *)
-  with_server (fun srv _socket ->
-      let parse line =
-        match Protocol.parse_request_line line with
-        | Ok r -> r
-        | Error (_, m, _) -> Alcotest.failf "parse: %s" m
-      in
+  with_runtime (fun rt ->
       List.iter
         (fun line ->
           match
-            Server.dispatch_queued srv (parse line)
+            Compute.run rt (parse_ok line)
               ~cancel:(Cancel.create ())
               ~emit:(fun _ -> Alcotest.fail "inline verbs must not stream")
           with
@@ -876,6 +885,65 @@ let test_worker_misdispatch_is_typed_error () =
             Alcotest.failf "wrong error kind %s: %s" (Protocol.error_name k) m
           | Ok _ -> Alcotest.fail "inline-only verb computed a payload")
         [ {|{"verb":"stats"}|}; {|{"verb":"shutdown"}|} ])
+
+(* every compute verb refuses a spec outside the modeled range as the
+   client's fault, before any work (hybrid rows would synthesize for
+   minutes if validation came late) *)
+let out_of_range_requests =
+  [
+    {|{"verb":"optimize","k":3}|};
+    {|{"verb":"optimize","k":3,"mode":"hybrid"}|};
+    {|{"verb":"enumerate","k":20}|};
+    {|{"verb":"enumerate","k":3}|};
+    {|{"verb":"enumerate","k":12,"fs_mhz":0}|};
+    {|{"verb":"montecarlo","k":3}|};
+    {|{"verb":"montecarlo","k":10,"trials":0}|};
+    {|{"verb":"synth","m":0}|};
+    {|{"verb":"synth","m":1}|};
+    {|{"verb":"synth","bits":0}|};
+    {|{"verb":"synth","fs_mhz":-5}|};
+    {|{"verb":"netlist-emit","m":0}|};
+    {|{"verb":"netlist-emit","m":1}|};
+    {|{"verb":"batch","ks":[3]}|};
+    {|{"verb":"batch","ks":[10,17],"mode":"hybrid"}|};
+    {|{"verb":"sweep","from":10,"to":8}|};
+    {|{"verb":"sweep","from":10,"to":9}|};
+    {|{"verb":"sweep","from":7,"to":9,"mode":"hybrid"}|};
+    {|{"verb":"pareto","ks":[3],"fs_list":[40]}|};
+    {|{"verb":"pareto","ks":[10],"fs_list":[-1]}|};
+  ]
+
+let test_out_of_range_refused () =
+  with_runtime (fun rt ->
+      List.iter
+        (fun line ->
+          let req = parse_ok line in
+          let refused what = function
+            | Error (Protocol.Bad_request, _) -> ()
+            | Error (k, m) ->
+              Alcotest.failf "%s %s: %s (%s)" what line (Protocol.error_name k) m
+            | Ok _ -> Alcotest.failf "%s %s: not refused" what line
+          in
+          refused "validate" (Compute.validate req);
+          refused "run"
+            (Compute.run rt req ~cancel:(Cancel.create ())
+               ~emit:(fun _ -> Alcotest.failf "%s streamed" line)))
+        out_of_range_requests)
+
+(* a netlist-emit whose deadline stopped every restart has no deck: the
+   answer is the deadline's, not the daemon's fault *)
+let test_netlist_cut_by_deadline () =
+  with_runtime (fun rt ->
+      let cancel = Cancel.create () in
+      Cancel.cancel cancel;
+      match
+        Compute.run rt
+          (parse_ok {|{"verb":"netlist-emit","m":2,"bits":6,"attempts":1}|})
+          ~cancel ~emit:ignore
+      with
+      | Error (Protocol.Deadline_exceeded, _) -> ()
+      | Error (k, m) -> Alcotest.failf "%s: %s" (Protocol.error_name k) m
+      | Ok _ -> Alcotest.fail "a deck without a finished restart")
 
 let test_server_pareto_streams_and_replays () =
   let dir = tmp_dir "adcopt-serve-pareto" in
@@ -982,6 +1050,19 @@ let test_server_bad_requests () =
       in
       Alcotest.(check bool) "bad config refused" true
         (member_exn "ok" resp2 = Json.Bool false);
+      Client.close c)
+
+let test_server_out_of_range_optimize () =
+  with_server (fun _srv socket ->
+      let c = Client.connect_unix socket in
+      let resp = Client.request c (Json.parse {|{"id":3,"verb":"optimize","k":3}|}) in
+      Alcotest.(check bool) "refused" true (member_exn "ok" resp = Json.Bool false);
+      Alcotest.(check bool) "the client's fault" true
+        (member_exn "error" resp = Json.String "bad_request");
+      Alcotest.(check bool) "names the modeled range" true
+        (match member_exn "message" resp with
+        | Json.String m -> contains m "modeled range"
+        | _ -> false);
       Client.close c)
 
 (* ------------------------------------------------------------------ *)
@@ -1278,6 +1359,12 @@ let () =
           quick "bad requests answered" test_server_bad_requests;
           quick "worker misdispatch answers a typed error"
             test_worker_misdispatch_is_typed_error;
+          quick "out-of-range specs refused up front"
+            test_out_of_range_refused;
+          quick "served out-of-range optimize answers bad_request"
+            test_server_out_of_range_optimize;
+          quick "netlist-emit cut by its deadline answers deadline_exceeded"
+            test_netlist_cut_by_deadline;
           quick "pareto streams then replays from the store"
             test_server_pareto_streams_and_replays;
           quick "pareto empty axis refused" test_server_pareto_bad_axes;
