@@ -2,6 +2,7 @@ module Json = Adc_json.Json
 module Api = Adc_api
 module Protocol = Adc_serve.Protocol
 module Codec = Adc_serve.Codec
+module Compute = Adc_serve.Compute
 module Client = Adc_serve.Client
 module Transport = Adc_serve.Transport
 module Spec = Adc_pipeline.Spec
@@ -386,14 +387,10 @@ let fan_cells t (req : Protocol.request) ~started cells =
   (Array.to_list (Array.map fst replies), Array.for_all snd replies)
 
 (* The fusion counters a single daemon's run_batch reports for [cells].
-   Building the specs first sends an invalid resolution to the
-   whole-request fallback before any cell is forwarded; a malformed card
-   plans as the built-in one, and each backend refuses it typed. *)
+   The request has passed [Compute.validate], so its card and its specs
+   build. *)
 let plan_counts (req : Protocol.request) cells =
-  let process =
-    Result.value (Adc_spice.resolve_card req.Protocol.process)
-      ~default:Adc_circuit.Process.c025
-  in
+  let process = Result.get_ok (Adc_spice.resolve_card req.Protocol.process) in
   let specs =
     List.map (fun (k, f) -> Spec.make ~process ~k ~fs:(f *. 1e6) ()) cells
   in
@@ -404,7 +401,6 @@ let plan_counts (req : Protocol.request) cells =
 (* batch: each distinct k is one cell at the request's rate; the runs
    map back to the requested order, a repeated k repeating its run *)
 let assemble_batch t (req : Protocol.request) ~started =
-  if req.Protocol.ks = [] then raise Exit (* backend owns the typed error *);
   let cell k = (k, req.Protocol.fs_mhz) in
   let _, (job_occurrences, distinct_syntheses) =
     plan_counts req (List.map cell req.Protocol.ks)
@@ -649,6 +645,11 @@ let handle_request t conn (req : Protocol.request) ~started =
   | Protocol.Batch | Protocol.Pareto -> (
     let verb = req.Protocol.verb in
     match
+      (* a request a daemon would refuse is refused here, in the daemon's
+         words, before any cell is forwarded *)
+      Result.iter_error
+        (fun (kind, message) -> raise (Fan_failed (kind, message)))
+        (Compute.validate req);
       if verb = Protocol.Pareto then assemble_pareto t req ~started
       else assemble_batch t req ~started
     with
@@ -674,12 +675,7 @@ let handle_request t conn (req : Protocol.request) ~started =
       Transport.send conn
         (Protocol.error_response ~id ?req_id:wire_rid ~kind ~message ());
       locked t (fun t -> t.n_failed <- t.n_failed + 1);
-      metric_inc t "route.failed_total"
-    | exception _ ->
-      (* planning could not even run (bad axes, invalid k): forward the
-         whole request to one backend so the typed error comes from the
-         same code path a single daemon would use *)
-      single_forward t conn req ~started)
+      metric_inc t "route.failed_total")
   | Protocol.Enumerate | Protocol.Optimize | Protocol.Sweep | Protocol.Synth
   | Protocol.Netlist_emit | Protocol.Montecarlo ->
     single_forward t conn req ~started

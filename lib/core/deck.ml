@@ -2,10 +2,10 @@
    a canonical SPICE deck.
 
    This is the one implementation behind [adcopt netlist emit] and the
-   serve daemon's [netlist-emit] verb: both run the best-of-N restart
-   search the [synth] verb runs ([Optimize.best_of_restarts], so the
-   winning sizing is the [synth] winner), then export the
-   winner's bench netlist through {!Adc_spice.emit}. The bench is
+   serve daemon's [netlist-emit] verb: both run the [synth] verb's
+   best-of-N search ([Optimize.synth_restarts] over the one
+   [Optimize.best_of_n], so the winning sizing is the [synth] winner),
+   then export the winner's bench netlist through {!Adc_spice.emit}. The bench is
    instantiated at the neutral operating point — zero differential
    input, middle comparator code — so the deck is a pure function of
    (spec, m, bits, seed, attempts, budget) and two exports of the same
@@ -23,7 +23,7 @@ type export = {
 let export ?budget ?obs ?cancel ~pool ~m ~bits ~seed ~attempts spec =
   let requirements = Spec.stage_requirements spec { Spec.m; input_bits = bits } in
   let r =
-    Optimize.best_of_restarts ~pool ?budget ?obs ?cancel ~seed ~attempts
+    Optimize.synth_restarts ~pool ?budget ?obs ?cancel ~seed ~attempts
       spec.Spec.process requirements
   in
   match r.Optimize.best with

@@ -2,10 +2,11 @@
 
     The shared implementation of [adcopt netlist emit] and the serve
     daemon's [netlist-emit] verb: run the [synth] verb's best-of-N
-    restart search ({!Optimize.best_of_restarts}, so the winner is the
-    [synth] winner), then render the winning sizing's switched-capacitor
-    bench — OTA core, sampling network, phase switches and sources at
-    the servo'd operating point — through {!Adc_spice.emit}. *)
+    search ({!Optimize.synth_restarts}, over the one
+    {!Optimize.best_of_n}, so the winner is the [synth] winner), then
+    render the winning sizing's switched-capacitor bench — OTA core,
+    sampling network, phase switches and sources at the servo'd
+    operating point — through {!Adc_spice.emit}. *)
 
 type export = {
   deck : string;      (** canonical SPICE text — an {!Adc_spice.emit}

@@ -87,96 +87,97 @@ let donor_preferences jobs =
       (job, List.map (fun (_, _, k) -> k) ordered))
     jobs
 
-(* best-of-N searches for one job: attempt 0 is a deterministic pattern
-   descent from the analytic seed (smooth across jobs), later attempts
-   add annealing exploration; candidate margins in the figures are a few
-   percent, so a single stochastic run is too noisy. Returns the best
-   solution (None if every attempt failed) and the evaluator calls
-   consumed. *)
-let synthesize_one (spec : Spec.t) ~kind ~seed ~attempts ~budget ~warm_start
-    ~cancel ~obs ~job_span (job : Spec.job) =
-  let req = Spec.stage_requirements spec job in
-  let job_seed = Rng.mix seed (job_salt job) in
-  let attempts = attempts_for ~attempts job in
-  let skipped = ref 0 in
-  let runs =
-    List.init attempts (fun a ->
-        (* cooperative cancellation, attempt granularity: a tripped
-           deadline skips the remaining restarts and keeps whatever the
-           finished ones found (best-so-far) *)
-        if Cancel.cancelled cancel then begin
-          incr skipped;
-          Error "cancelled"
-        end
-        else
-        let s = Rng.mix job_seed a in
-        let attempt_span =
-          Obs.span obs ~parent:job_span
-            ~name:(if a = 0 then "optimize.attempt.det" else "optimize.attempt.sa")
-            ()
-        in
-        let r =
-          if a = 0 then
-            (* deterministic descent: no annealing, pattern search only.
-               An explicit budget override (tests, CI) caps this attempt
-               too; the default is a deep 500-evaluation descent *)
-            let det_budget =
-              match budget with
-              | Some b -> { b with Synthesizer.sa_iterations = 0 }
-              | None ->
-                { Synthesizer.sa_iterations = 0; pattern_evals = 500;
-                  space_factor = 1.0 }
-            in
-            Synthesizer.synthesize ~kind ~budget:det_budget ~seed:s ~obs
-              ~span_parent:attempt_span spec.Spec.process req
-          else
-            let sa_budget =
-              match budget with
-              | Some b -> b
-              | None ->
-                (* anneal longer on the GHz-class jobs: their good basins
-                   are rare *)
-                let depth = 400 + (250 * Stdlib.max 0 (job.Spec.input_bits - 11)) in
-                { Synthesizer.sa_iterations = depth; pattern_evals = 200;
-                  space_factor = 1.0 }
-            in
-            Synthesizer.synthesize ~kind ~budget:sa_budget ~seed:s ?warm_start
-              ~obs ~span_parent:attempt_span spec.Spec.process req
-        in
-        Obs.Span.finish ~attrs:[ ("attempt", Obs.Sink.Int a) ] attempt_span;
-        r)
-  in
-  let evals = ref 0 in
-  let best =
-    List.fold_left
-      (fun acc r ->
-        match r with
-        | Error _ -> acc
-        | Ok sol ->
-          evals := !evals + sol.Synthesizer.evaluations;
-          (match acc with None -> Some sol | Some b -> Some (better b sol)))
-      None runs
-  in
-  (best, !evals, !skipped > 0)
+(* ------------------------------------------------------------------ *)
+(* the one best-of-N search, behind every optimize job and the [synth]
+   and [netlist-emit] verbs *)
 
-(* one entry per distinct job: solution (None = all attempts failed),
-   evaluator calls, whether a warm-start donor was available, and
-   whether a cancellation cut any of its restarts short *)
-type job_outcome = {
-  solution : Synthesizer.solution option;
+(* a search's outcome: the winner (None if every attempt failed or none
+   ran), the evaluator calls of the attempts that ran, whether a
+   warm-start donor had a solution, and whether a cancellation skipped
+   any attempt *)
+type restarts = {
+  best : Synthesizer.solution option;
   evaluations : int;
   warm : bool;
-  job_truncated : bool;
+  truncated : bool;
 }
 
+type attempt =
+  | Skipped
+  | Ran of (Synthesizer.solution, string) result
+  | Raised of exn
+
+(* One pool task per attempt and no join: the attempt that settles last
+   folds them with [better] in attempt order, so the winner does not
+   depend on which domain ran what (contract in optimize.mli). *)
+let best_of_n ~pool ?(cancel = Cancel.never) ?(donors = []) ?(on_fold = ignore)
+    ~attempts ~into search =
+  let warm_start () =
+    List.find_map
+      (fun d -> Option.map (fun s -> s.Synthesizer.sizing) (Future.await d).best)
+      donors
+  in
+  let slots = Array.make (Stdlib.max 0 attempts) Skipped in
+  let fold () =
+    match
+      let ran = Array.exists (function Ran _ -> true | _ -> false) slots in
+      let r =
+        Array.fold_left
+          (fun acc -> function
+            | Raised e -> raise e
+            | Skipped -> { acc with truncated = true }
+            | Ran (Error _) -> acc
+            | Ran (Ok s) ->
+              { acc with
+                best = Some (match acc.best with None -> s | Some b -> better b s);
+                evaluations = acc.evaluations + s.Synthesizer.evaluations })
+          { best = None; evaluations = 0; warm = ran && warm_start () <> None;
+            truncated = false }
+          slots
+      in
+      on_fold r;
+      r
+    with
+    | r -> Future.resolve into r
+    | exception e -> Future.fail into e
+  in
+  let run a =
+    (* a cancel is polled again after the donors, which may have taken
+       a while *)
+    let warm_start = if a = 0 || Cancel.cancelled cancel then None else warm_start () in
+    if Cancel.cancelled cancel then Skipped else Ran (search a ~warm_start)
+  in
+  (* each task writes its slot before its decrement, and the atomic
+     read-modify-writes order every slot write before the fold *)
+  let pending = Atomic.make (Array.length slots) in
+  if Array.length slots = 0 then fold ()
+  else
+    Array.iteri
+      (fun a _ ->
+        Pool.async pool (fun () ->
+            slots.(a) <- (try run a with e -> Raised e);
+            if Atomic.fetch_and_add pending (-1) = 1 then fold ()))
+      slots
+
+(* the [synth] verb's policy: a uniform budget, attempt [a] seeded
+   [Rng.mix seed a], root [synth.search] spans, at least one attempt *)
+let synth_restarts ~pool ?budget ?obs ?cancel ~seed ~attempts process
+    requirements =
+  let into = Future.create () in
+  best_of_n ~pool ?cancel ~attempts:(Stdlib.max 1 attempts) ~into
+    (fun a ~warm_start:_ ->
+      Synthesizer.synthesize ~seed:(Rng.mix seed a) ?budget ?obs process
+        requirements);
+  Future.await into
+
 (* the trace record of one synthesized job: emitted from whichever
-   worker domain ran it, as a child of the run span. The attributes are
+   worker domain folded it, as a child of the run span. The attributes are
    the same quantities the run's summary counters aggregate, so a trace
    is a per-job decomposition of [synthesis_evaluations] /
    [cold_jobs] / [warm_jobs] — summing the spans must reproduce the
    counters exactly (test_obs checks this), which makes the trace a
    correctness check on the parallel scheduler. *)
-let finish_job_span span (job : Spec.job) ~attempts ~(outcome : job_outcome) =
+let finish_job_span span (job : Spec.job) ~attempts ~(outcome : restarts) =
   if Obs.Span.is_live span then begin
     let open Obs.Sink in
     let base =
@@ -187,12 +188,12 @@ let finish_job_span span (job : Spec.job) ~attempts ~(outcome : job_outcome) =
         ("attempts", Int (attempts_for ~attempts job));
         ("evaluations", Int outcome.evaluations);
         ("warm", Bool outcome.warm);
-        ("solved", Bool (Option.is_some outcome.solution));
-        ("truncated", Bool outcome.job_truncated);
+        ("solved", Bool (Option.is_some outcome.best));
+        ("truncated", Bool outcome.truncated);
       ]
     in
     let attrs =
-      match outcome.solution with
+      match outcome.best with
       | None -> base
       | Some sol ->
         base
@@ -214,7 +215,7 @@ let finish_job_span span (job : Spec.job) ~attempts ~(outcome : job_outcome) =
    MDACs). *)
 type shared = {
   sh_pool : Pool.t;
-  sh_memo : (Job_key.t, job_outcome) Memo.t;
+  sh_memo : (Job_key.t, restarts) Memo.t;
 }
 
 let create_shared ?obs ?jobs () =
@@ -252,52 +253,69 @@ let keyed_schedule (spec : Spec.t) ~mode_name ~seed ~attempts ~budget jobs =
       { kj_job = job; kj_key = key; kj_donors = donors })
     (donor_preferences jobs)
 
-(* Submit one keyed job: its future is the memo's, so a job already
-   cached (or in flight) under the same key is not synthesized again.
-   Callers submit in hardest-first order: every donor of a job precedes
-   it in the FIFO queue, so a blocked worker always has a
-   strictly-earlier task to wait on and the pool cannot deadlock. *)
+(* Submit one keyed job, the job path's policy over [best_of_n]: its
+   future is the memo's, so a job already cached (or in flight) under the
+   same key is not synthesized again. Attempt 0 is a deterministic
+   pattern descent from the analytic seed (smooth across jobs); later
+   attempts anneal, longer on the GHz-class jobs, whose good basins are
+   rare. An explicit budget override (tests, CI) caps every attempt.
+   Callers submit in hardest-first order and pass the futures of the
+   job's [donors], which were submitted earlier: a blocked worker always
+   waits on tasks enqueued before its own, so the pool cannot deadlock
+   (docs/PARALLELISM.md). *)
 let submit_job (spec : Spec.t) ~mode ~seed ~attempts ~budget ~cancel ~pool
-    ~memo ~obs ~span_parent kj =
+    ~memo ~obs ~span_parent ~donors kj =
   let kind =
     match mode with
     | `Equation -> Synthesizer.Equation_only
     | `Hybrid -> Synthesizer.Hybrid
     | `Hybrid_verified -> Synthesizer.Hybrid_verified
   in
-  let donor_futures = List.filter_map (Memo.find memo) kj.kj_donors in
   let job = kj.kj_job in
-  Memo.find_or_run memo pool kj.kj_key (fun _ ->
-      (* the span covers donor-await time too: blocking on a warm-start
-         donor is part of the job's critical path *)
-      let span = Obs.span obs ~parent:span_parent ~name:"optimize.job" () in
-      if Cancel.cancelled cancel then begin
-        (* deadline tripped before this job started: publish an empty
-           outcome immediately so every future settles, the queue
-           drains, and the pool stays reusable; the caller falls back
-           to the equation model for this stage *)
-        let outcome =
-          { solution = None; evaluations = 0; warm = false;
-            job_truncated = true }
-        in
-        finish_job_span span job ~attempts ~outcome;
-        outcome
-      end
-      else begin
-        let donor =
-          List.find_map (fun f -> (Future.await f).solution) donor_futures
-        in
-        let warm_start = Option.map (fun s -> s.Synthesizer.sizing) donor in
-        let solution, evaluations, job_truncated =
-          synthesize_one spec ~kind ~seed ~attempts ~budget ~warm_start
-            ~cancel ~obs ~job_span:span job
-        in
-        let outcome =
-          { solution; evaluations; warm = warm_start <> None; job_truncated }
-        in
-        finish_job_span span job ~attempts ~outcome;
-        outcome
-      end)
+  let req = Spec.stage_requirements spec job in
+  let job_seed = Rng.mix seed (job_salt job) in
+  (* the job span opens when its first attempt runs (or at the fold, if
+     none ran) and closes at the fold; attempts start on several
+     domains, so the first to need it opens it *)
+  let span = ref None and span_mutex = Mutex.create () in
+  let job_span () =
+    Mutex.protect span_mutex (fun () ->
+        match !span with
+        | Some s -> s
+        | None ->
+          let s = Obs.span obs ~parent:span_parent ~name:"optimize.job" () in
+          span := Some s;
+          s)
+  in
+  let search a ~warm_start =
+    let attempt_span =
+      Obs.span obs ~parent:(job_span ())
+        ~name:(if a = 0 then "optimize.attempt.det" else "optimize.attempt.sa")
+        ()
+    in
+    let budget =
+      match (budget, a) with
+      | Some b, 0 -> { b with Synthesizer.sa_iterations = 0 }
+      | Some b, _ -> b
+      | None, 0 ->
+        { Synthesizer.sa_iterations = 0; pattern_evals = 500; space_factor = 1.0 }
+      | None, _ ->
+        let depth = 400 + (250 * Stdlib.max 0 (job.Spec.input_bits - 11)) in
+        { Synthesizer.sa_iterations = depth; pattern_evals = 200;
+          space_factor = 1.0 }
+    in
+    let r =
+      Synthesizer.synthesize ~kind ~budget ~seed:(Rng.mix job_seed a) ?warm_start
+        ~obs ~span_parent:attempt_span spec.Spec.process req
+    in
+    Obs.Span.finish ~attrs:[ ("attempt", Obs.Sink.Int a) ] attempt_span;
+    r
+  in
+  Memo.find_or_run memo pool kj.kj_key (fun into ->
+      best_of_n ~pool ~cancel ~donors ~attempts:(attempts_for ~attempts job)
+        ~into
+        ~on_fold:(fun outcome -> finish_job_span (job_span ()) job ~attempts ~outcome)
+        search)
 
 (* deterministic assembly: await and aggregate in schedule order. Also
    counts cached outcomes — a run that warm-hits a job still reports
@@ -309,10 +327,10 @@ let collect_outcomes ~memo ~obs submissions =
   let truncated = ref false in
   List.iter
     (fun (kj, fut) ->
-      let outcome = Future.await fut in
+      let outcome : restarts = Future.await fut in
       total_evals := !total_evals + outcome.evaluations;
       if outcome.warm then incr warm else incr cold;
-      if outcome.job_truncated then begin
+      if outcome.truncated then begin
         truncated := true;
         (* never let a deadline-truncated outcome persist in a shared
            cache: evict it so the next request with this key recomputes
@@ -320,9 +338,9 @@ let collect_outcomes ~memo ~obs submissions =
            the truncated value — and report [truncated] themselves) *)
         Memo.remove memo kj.kj_key
       end;
-      match outcome.solution with
+      match outcome.best with
       | Some sol -> Hashtbl.replace cache kj.kj_job sol
-      | None when outcome.job_truncated ->
+      | None when outcome.truncated ->
         Logs.warn (fun m ->
             m "synthesis of %s cancelled before any attempt finished"
               (Spec.job_to_string kj.kj_job))
@@ -526,7 +544,8 @@ let assemble sp ~mode ~obs ~run_span ~domains ~t_start
    run over the same spec performs, so every run is byte-identical to
    it. [job_parent] parents the job spans; [spec_span ()] opens the span
    a spec's summary lands on. Equation mode has no synthesis phase:
-   each spec traces its (zero-cost) jobs under its own span. *)
+   each spec traces its (zero-cost) jobs under its own span. Also
+   returns the evaluator calls summed over the union's outcomes. *)
 let execute ~mode ~seed ~attempts ~budget ~jobs ~obs ~cancel ~shared ~on_run
     ~job_parent ~spec_span plan =
   let t_start = Unix.gettimeofday () in
@@ -537,28 +556,34 @@ let execute ~mode ~seed ~attempts ~budget ~jobs ~obs ~cancel ~shared ~on_run
   in
   match mode with
   | `Equation ->
-    List.map
-      (fun sp ->
-        let span = spec_span () in
-        equation_phase ~obs ~cancel ~span_parent:span sp.sp_distinct_jobs
-        |> finish sp ~span ~domains:1)
-      plan.per_spec
-  | `Hybrid | `Hybrid_verified -> (
-    let execute_on pool memo =
-      let futures : (Job_key.t, _) Hashtbl.t = Hashtbl.create 16 in
-      List.iter
-        (fun (spec, kj) ->
-          Hashtbl.replace futures kj.kj_key
-            (submit_job spec ~mode ~seed ~attempts ~budget ~cancel ~pool
-               ~memo ~obs ~span_parent:job_parent kj))
-        plan.union;
-      List.map
+    ( List.map
         (fun sp ->
           let span = spec_span () in
-          List.map (fun kj -> (kj, Hashtbl.find futures kj.kj_key)) sp.sp_keyed
-          |> collect_outcomes ~memo ~obs
-          |> finish sp ~span ~domains:(Pool.size pool))
-        plan.per_spec
+          equation_phase ~obs ~cancel ~span_parent:span sp.sp_distinct_jobs
+          |> finish sp ~span ~domains:1)
+        plan.per_spec,
+      0 )
+  | `Hybrid | `Hybrid_verified -> (
+    let execute_on pool memo =
+      let futures : (Job_key.t, restarts Future.t) Hashtbl.t = Hashtbl.create 16 in
+      List.iter
+        (fun (spec, kj) ->
+          (* a donor sorts, and so is submitted, before its dependents *)
+          let donors = List.map (Hashtbl.find futures) kj.kj_donors in
+          Hashtbl.replace futures kj.kj_key
+            (submit_job spec ~mode ~seed ~attempts ~budget ~cancel ~pool
+               ~memo ~obs ~span_parent:job_parent ~donors kj))
+        plan.union;
+      let runs =
+        List.map
+          (fun sp ->
+            let span = spec_span () in
+            List.map (fun kj -> (kj, Hashtbl.find futures kj.kj_key)) sp.sp_keyed
+            |> collect_outcomes ~memo ~obs
+            |> finish sp ~span ~domains:(Pool.size pool))
+          plan.per_spec
+      in
+      (runs, Hashtbl.fold (fun _ f n -> n + (Future.await f).evaluations) futures 0)
     in
     match shared with
     (* long-lived runtime: the pool and memo outlive this call, so any
@@ -577,7 +602,7 @@ let run ?(mode = `Hybrid) ?(seed = 11) ?(attempts = 3) ?budget ?(jobs = 1)
   plan ~mode ~seed ~attempts ~budget [ spec ]
   |> execute ~mode ~seed ~attempts ~budget ~jobs ~obs ~cancel ~shared
        ~on_run:ignore ~job_parent:run_span ~spec_span:(fun () -> run_span)
-  |> List.hd
+  |> fst |> List.hd
 
 type batch = {
   batch_runs : run list;
@@ -606,11 +631,11 @@ let run_batch ?(mode = `Hybrid) ?(seed = 11) ?(attempts = 3) ?budget
       let root = Obs.span obs ~name:"optimize.batch" () in
       (root, fun () -> Obs.span obs ~parent:root ~name:"batch.spec" ())
   in
-  let runs =
+  let runs, distinct_evaluations =
     execute ~mode ~seed ~attempts ~budget ~jobs ~obs ~cancel ~shared ~on_run
       ~job_parent:batch_span ~spec_span p
   in
-  let batch_truncated = List.exists (fun r -> r.truncated) runs in
+  let batch_truncated = List.exists (fun (r : run) -> r.truncated) runs in
   Obs.Span.finish
     ~attrs:
       [
@@ -618,6 +643,7 @@ let run_batch ?(mode = `Hybrid) ?(seed = 11) ?(attempts = 3) ?budget
         ("mode", Obs.Sink.String (mode_name_of mode));
         ("job_occurrences", Obs.Sink.Int p.job_occurrences);
         ("distinct_syntheses", Obs.Sink.Int distinct_syntheses);
+        ("distinct_evaluations", Obs.Sink.Int distinct_evaluations);
         ("truncated", Obs.Sink.Bool batch_truncated);
       ]
     batch_span;
@@ -638,42 +664,3 @@ let batch_plan_counts ?(mode = `Hybrid) ?(seed = 11) ?(attempts = 3) ?budget
     specs =
   let p = plan ~mode ~seed ~attempts ~budget specs in
   (p.job_occurrences, List.length p.union)
-
-(* ------------------------------------------------------------------ *)
-(* best-of-N restart search of one cell (the [synth] and [netlist-emit]
-   verbs); last in the file so its record labels shadow nothing above *)
-
-type restarts = {
-  best : Synthesizer.solution option;
-  evaluations : int;
-  truncated : bool;
-}
-
-(* restart [a] draws seed [Rng.mix seed a] whatever domain runs it, and
-   the fold is in attempt order, so the winner is pool-size independent *)
-let best_of_restarts ~pool ?budget ?obs ?cancel ~seed ~attempts process
-    requirements =
-  let cancelled () =
-    match cancel with Some c -> Cancel.cancelled c | None -> false
-  in
-  let restarts =
-    Pool.map_ordered pool
-      (fun a ->
-        if cancelled () then None
-        else
-          Some
-            (Synthesizer.synthesize ~seed:(Rng.mix seed a) ?budget ?obs process
-               requirements))
-      (List.init (Stdlib.max 1 attempts) Fun.id)
-  in
-  List.fold_left
-    (fun acc -> function
-      | None -> { acc with truncated = true }
-      | Some (Error _) -> acc
-      | Some (Ok s) ->
-        { acc with
-          best =
-            (match acc.best with None -> Some s | Some b -> Some (better b s));
-          evaluations = acc.evaluations + s.Synthesizer.evaluations })
-    { best = None; evaluations = 0; truncated = false }
-    restarts

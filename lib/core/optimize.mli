@@ -130,8 +130,8 @@ val shutdown_shared : shared -> unit
 (** Drain and join the pool. The cache stays readable. *)
 
 val shared_pool : shared -> Adc_exec.Pool.t
-(** The runtime's pool, for callers fanning out their own work (e.g.
-    the serve [synth] verb's restart fan-out). *)
+(** The runtime's pool, for callers submitting their own work (e.g.
+    the [synth] verb's {!synth_restarts}). *)
 
 val shared_jobs_cached : shared -> int
 (** Number of distinct {!Job_key.t} entries ever cached — the
@@ -177,8 +177,9 @@ val run :
       in [`Equation] mode, which has no synthesis phase.
     - [obs] (default {!Adc_obs.null}) — structured tracing and metrics.
       With a live trace sink the run emits one [optimize.run] root span,
-      one [optimize.job] span per {e distinct} MDAC job (children:
-      [optimize.attempt.*] and [synth.search]), and one
+      one [optimize.job] span per {e distinct} MDAC job, from its first
+      attempt's start to the fold (children: [optimize.attempt.*] and
+      [synth.search]), and one
       [optimize.candidate] span per candidate. The job spans' summed
       [evaluations] attributes equal {!run.synthesis_evaluations}, and
       their [warm] tags partition into exactly
@@ -191,10 +192,10 @@ val run :
       Instrumentation never reads any RNG stream: enabling it leaves
       every synthesis result bit-identical.
     - [cancel] (default {!Adc_exec.Cancel.never}) — cooperative
-      cancellation, polled before each job and before each restart
-      attempt. After it trips, in-flight attempts finish, pending jobs
-      publish empty outcomes (their stages fall back to the equation
-      model), every future settles, and the run returns with
+      cancellation, polled before each attempt ({!best_of_n}). After it
+      trips, in-flight attempts finish, jobs with no attempt run publish
+      empty outcomes (their stages fall back to the equation model),
+      every future settles, and the run returns with
       {!run.truncated} set — nothing leaks and the pool stays usable.
       Truncated results are best-effort and {e not} deterministic (the
       cut point depends on the wall clock).
@@ -271,16 +272,42 @@ val run_batch :
 val optimum_config : run -> Config.t
 (** [optimum_config r] is [r.optimum.config]. *)
 
+(** {1 The best-of-N search: every optimize job, [synth], [netlist-emit]} *)
+
 type restarts = {
   best : Adc_synth.Synthesizer.solution option;
       (** the winner: feasible beats infeasible, then lower power among
           feasible, lower total violation among infeasible, then the
-          earlier attempt; [None] if every restart failed or none ran *)
-  evaluations : int;  (** evaluator calls summed over the finished restarts *)
-  truncated : bool;   (** [cancel] tripped before every restart started *)
+          earlier attempt; [None] if every attempt failed or none ran *)
+  evaluations : int;  (** evaluator calls summed over the attempts that ran *)
+  warm : bool;
+      (** a warm-start donor had a solution; [false] when no attempt ran *)
+  truncated : bool;   (** [cancel] tripped before every attempt started *)
 }
 
-val best_of_restarts :
+val best_of_n :
+  pool:Adc_exec.Pool.t ->
+  ?cancel:Adc_exec.Cancel.t ->
+  ?donors:restarts Adc_exec.Future.t list ->
+  ?on_fold:(restarts -> unit) ->
+  attempts:int ->
+  into:restarts Adc_exec.Future.t ->
+  (int ->
+  warm_start:Adc_mdac.Ota.sizing option ->
+  (Adc_synth.Synthesizer.solution, string) result) ->
+  unit
+(** [best_of_n ~pool ~attempts ~into search] submits one pool task per
+    attempt; task [a] runs [search a ~warm_start], and [search] holds
+    the caller's policy (budget, seed, span parent). Attempt 0 gets no
+    warm start and waits on nothing; later attempts await [donors] and
+    get the sizing of the first with a solution. An attempt that finds
+    [cancel] tripped is skipped. The attempt that settles last folds
+    them in attempt order, passes the outcome to [on_fold] and resolves
+    [into], so the outcome is the same on any pool; an exception from
+    [search] or a donor fails [into]. [attempts <= 0] resolves [into]
+    at once; a size-1 pool runs every task inline. *)
+
+val synth_restarts :
   pool:Adc_exec.Pool.t ->
   ?budget:Adc_synth.Synthesizer.budget ->
   ?obs:Adc_obs.t ->
@@ -290,12 +317,10 @@ val best_of_restarts :
   Adc_circuit.Process.t ->
   Adc_mdac.Mdac_stage.requirements ->
   restarts
-(** The best-of-N restart search of one MDAC cell behind the [synth]
-    and [netlist-emit] verbs and the CLI's [synth --attempts]: [attempts]
-    (at least 1) independent {!Adc_synth.Synthesizer.synthesize} runs
-    fanned out over [pool], restart [a] seeded with
-    [Rng.mix seed a]. The result does not depend on the pool's size. A
-    restart that finds [cancel] tripped when it would start is skipped. *)
+(** The [synth] verb's policy over {!best_of_n} (also {!Deck.export}'s):
+    [attempts] (at least 1) runs at the uniform [budget], attempt [a]
+    seeded [Rng.mix seed a], parentless [synth.search] spans, no donors.
+    Waits for the outcome. *)
 
 val batch_plan_counts :
   ?mode:mode ->

@@ -24,7 +24,7 @@ let create ?(obs = Obs.null) ?(initial_size = 16) () =
 (* every lookup leaves a (near-zero-duration) [memo.lookup] span in the
    trace so the hit rate is recoverable from a trace file alone — the
    metrics registry may not have been enabled for the run *)
-let find_or_run t pool key compute =
+let find_or_run t pool key enqueue =
   let span = Obs.Span.start t.trace ~name:"memo.lookup" () in
   let finish ~hit =
     Obs.Span.finish ~attrs:[ ("hit", Obs.Sink.Bool hit) ] span
@@ -38,30 +38,25 @@ let find_or_run t pool key compute =
     finish ~hit:true;
     fut
   | None ->
-    (* install the promise before releasing the lock so a racing request
-       for the same key finds it; run the computation outside the lock *)
+    (* a future another requester can find must already have its tasks
+       queued, or that requester could queue tasks awaiting it ahead of
+       them (docs/PARALLELISM.md); an inline pool would run them under
+       the lock, so it enqueues after releasing it *)
     let fut = Future.create () in
     Hashtbl.add t.table key fut;
-    Mutex.unlock t.mutex;
+    let inline = Pool.size pool <= 1 in
+    if inline then Mutex.unlock t.mutex
+    else Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) (fun () -> enqueue fut);
     Atomic.incr t.n_misses;
     Obs.Metrics.inc t.misses;
     finish ~hit:false;
-    Pool.async pool (fun () ->
-        match compute key with
-        | v -> Future.resolve fut v
-        | exception e -> Future.fail fut e);
+    if inline then enqueue fut;
     fut
 
 let remove t key =
   Mutex.lock t.mutex;
   Hashtbl.remove t.table key;
   Mutex.unlock t.mutex
-
-let find t key =
-  Mutex.lock t.mutex;
-  let r = Hashtbl.find_opt t.table key in
-  Mutex.unlock t.mutex;
-  r
 
 let length t =
   Mutex.lock t.mutex;

@@ -2,12 +2,13 @@
 
     [Memo] is the dedup layer of the parallel hybrid flow: when several
     candidates need the same MDAC job, the {e first} request atomically
-    installs a pending {!Future} under the job key and schedules the
-    computation; every later request — from any domain, at any time —
+    installs a pending {!Future} under the job key and enqueues the tasks
+    that settle it; every later request — from any domain, at any time —
     receives that same future and simply awaits it. Each distinct key is
     therefore computed exactly once, even when two requesters race, and
     the cache never blocks a requester while a computation runs (the
-    critical section covers only the hash-table probe/insert).
+    critical section covers the hash-table probe/insert and, on a worker
+    pool, the queue pushes).
 
     Values are published through futures rather than stored raw so that a
     requester arriving {e during} the computation has something to wait
@@ -29,16 +30,14 @@ val create : ?obs:Adc_obs.t -> ?initial_size:int -> unit -> ('k, 'v) t
     a [memo.lookup] span tagged [hit: bool], so the hit rate is
     recoverable from a trace file alone ([adcopt trace summary]). *)
 
-val find_or_run : ('k, 'v) t -> Pool.t -> 'k -> ('k -> 'v) -> 'v Future.t
-(** [find_or_run t pool key compute] returns the future for [key],
-    scheduling [compute key] on [pool] if and only if this is the first
-    request for [key]. The install-then-schedule step is atomic with
-    respect to concurrent callers. On a size-1 pool the first call
-    computes inline and returns an already-settled future. *)
-
-val find : ('k, 'v) t -> 'k -> 'v Future.t option
-(** [find t key] is the future installed for [key], if any — without
-    scheduling anything. *)
+val find_or_run :
+  ('k, 'v) t -> Pool.t -> 'k -> ('v Future.t -> unit) -> 'v Future.t
+(** [find_or_run t pool key enqueue] returns the future for [key]. On the
+    first request for [key] it installs a pending future [fut] and calls
+    [enqueue fut], which submits to [pool] the tasks that settle [fut].
+    On a pool of size > 1 [enqueue] runs under the cache's lock (so it
+    must not call back into [t]): whoever finds [fut] finds its tasks
+    queued. On a size-1 pool it runs after the lock is released. *)
 
 val remove : ('k, 'v) t -> 'k -> unit
 (** [remove t key] drops the entry for [key] (a no-op if absent): the
@@ -53,7 +52,6 @@ val length : ('k, 'v) t -> int
 val stats : ('k, 'v) t -> int * int
 (** [stats t] is [(hits, misses)] over every {!find_or_run} since
     {!create} — counted unconditionally, independent of whether [obs]
-    carries a live metrics registry. {!find} does not count (it is a
-    probe, not a request). The serve daemon surfaces these as
+    carries a live metrics registry. The serve daemon surfaces these as
     [job_hits]/[job_misses] so cross-request reuse is visible without
     tracing. *)

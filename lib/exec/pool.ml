@@ -162,17 +162,6 @@ let submit t f =
       | exception e -> Future.fail fut e);
   fut
 
-let map_ordered t f xs =
-  let futures = List.map (fun x -> submit t (fun () -> f x)) xs in
-  (* settle everything before raising, so a failure cannot abandon
-     in-flight siblings that capture shared state *)
-  let settled =
-    List.map
-      (fun fut -> match Future.await fut with v -> Ok v | exception e -> Error e)
-      futures
-  in
-  List.map (function Ok v -> v | Error e -> raise e) settled
-
 (* A terminated domain leaves its major heap behind, garbage included.
    One major cycle adopts that heap and the next one sweeps it; until
    then the memory stays held while the next pool's domains grow heaps

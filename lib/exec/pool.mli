@@ -4,8 +4,8 @@
     submitted as thunks and their results published through {!Future}s;
     submission order equals dequeue order (single FIFO queue), which is
     what makes the dependency chains built by [Optimize.run] deadlock-free:
-    a task may await the future of any {e earlier-submitted} task, because
-    that task has necessarily been dequeued first (see
+    a task may await a future settled by {e earlier-submitted} tasks,
+    because those tasks have necessarily been dequeued first (see
     [docs/PARALLELISM.md]).
 
     {2 Sequential fallback}
@@ -58,7 +58,8 @@ val submit : t -> (unit -> 'a) -> 'a Future.t
 
 val async : t -> (unit -> unit) -> unit
 (** [async t f] schedules [f] for its side effects only (no future).
-    Used by {!Memo}, which installs its own future before submission.
+    Used by [Optimize.best_of_n], whose tasks settle one future between
+    them.
     Exceptions escaping [f] on a worker are swallowed after being
     reported — side-effect tasks must do their own error publishing.
     The report goes through the pool's observability context when one
@@ -67,12 +68,6 @@ val async : t -> (unit -> unit) -> unit
     Only when both channels are disabled does the report fall back to a
     raw [stderr] line (which could otherwise interleave with the
     [--progress] status line). *)
-
-val map_ordered : t -> ('a -> 'b) -> 'a list -> 'b list
-(** [map_ordered t f xs] evaluates [f] on every element of [xs] on the
-    pool and returns the results {e in the order of [xs]}, regardless of
-    completion order. The first exception (in list order) is re-raised
-    after all tasks have settled, so no task is abandoned mid-flight. *)
 
 val shutdown : t -> unit
 (** [shutdown t] waits for the queue to drain, stops the workers, joins

@@ -222,12 +222,16 @@ let reconcile events =
         (* the batch's job spans decompose the key-deduplicated union,
            one span per distinct synthesis on a fresh runtime (a shared
            runtime's cache hits emit none) *)
+        let jobs = jobs_under root in
+        let prefix =
+          Printf.sprintf "batch#%d(specs=%d)" root.Sink.id (expect "specs")
+        in
         [
-          { label =
-              Printf.sprintf "batch#%d(specs=%d) distinct_syntheses"
-                root.Sink.id (expect "specs");
-            expected = expect "distinct_syntheses";
-            actual = List.length (jobs_under root) };
+          { label = prefix ^ " distinct_syntheses";
+            expected = expect "distinct_syntheses"; actual = List.length jobs };
+          { label = prefix ^ " distinct_evaluations";
+            expected = expect "distinct_evaluations";
+            actual = (job_totals jobs).evaluations };
         ]
       | _ -> [])
     events

@@ -83,9 +83,10 @@ val reconcile : Adc_obs.Sink.event list -> check list
     [synthesis_evaluations], [cold_jobs] and [warm_jobs] from the run's
     own attributes against the sums over its child [optimize.job] spans.
     For every [optimize.batch] span (a hybrid [batch], [pareto] or
-    [sweep]): compare its [distinct_syntheses] against its child
-    [optimize.job] spans. A failing check means the scheduler lost or
-    duplicated work. Both hold for a fresh runtime's trace: on a shared
+    [sweep]): compare its [distinct_syntheses] and
+    [distinct_evaluations] against the count of its child
+    [optimize.job] spans and the sum of their [evaluations]. A failing
+    check means the scheduler lost or duplicated work. Both hold for a fresh runtime's trace: on a shared
     runtime a cached job emits no span. *)
 
 (** {2 Pool utilization} *)

@@ -179,13 +179,13 @@ let compute rt (req : Protocol.request) ~cancel ~emit =
     let truncated = Cancel.cancelled cancel in
     (Sweep { runs; chart }, Codec.chart_payload ~truncated chart, truncated)
   | Protocol.Synth, (_, [ spec ]) ->
-    (* best-of-N fan-out over the shared pool, per-attempt seeds; a
-       tripped deadline skips the attempts not yet started *)
+    (* best-of-N over the shared pool, one task per attempt; a tripped
+       deadline skips the attempts not yet started *)
     let job = Spec.make_job ~m ~input_bits:bits in
     let attempts = Stdlib.max 1 attempts in
     let requirements = Spec.stage_requirements spec job in
     let r =
-      Optimize.best_of_restarts ~pool:(pool ()) ?budget ~obs ~cancel ~seed
+      Optimize.synth_restarts ~pool:(pool ()) ?budget ~obs ~cancel ~seed
         ~attempts spec.Spec.process requirements
     in
     ( Synth { job; requirements; attempts; restarts = r },

@@ -431,6 +431,31 @@ let test_cluster_pareto_fan () =
             (Json.to_string (member_exn "result" solo_final))
             (Json.to_string (member_exn "result" routed_final))))
 
+(* a batch or pareto a daemon would refuse is refused by the router
+   itself, in the daemon's envelope, and reaches no backend *)
+let test_cluster_refuses_unplannable () =
+  with_fleet ~n:2 (fun fleet ->
+      with_solo (fun sock ->
+          let requests () =
+            List.map (fun (_, srv, _) -> Server.requests srv) fleet.fl_backends
+          in
+          List.iter
+            (fun req ->
+              let before = requests () in
+              let routed = call fleet.fl_front req in
+              Alcotest.(check bool) (req ^ ": bad_request") true
+                (member_exn "error" routed = Json.String "bad_request");
+              Alcotest.(check string) (req ^ ": the daemon's envelope")
+                (Json.to_string (call sock req))
+                (Json.to_string routed);
+              Alcotest.(check (list int)) (req ^ ": no backend asked") before
+                (requests ()))
+            [
+              {|{"id":1,"verb":"batch","ks":[]}|};
+              {|{"id":2,"verb":"batch","ks":[3]}|};
+              {|{"id":3,"verb":"pareto","ks":[10],"fs_list":[]}|};
+            ]))
+
 (* the router's placement: its ring over the fleet's backend sockets *)
 let fleet_ring fleet =
   Ring.create ~vnodes:Router.default_config.Router.vnodes
@@ -889,6 +914,8 @@ let () =
           quick "shutdown propagates the drain" test_cluster_shutdown_propagates;
           quick "ops plane: healthz, readyz flips, metrics" test_router_ops_plane;
           quick "batch cells stored under optimize keys" test_cluster_batch_cells_stored_as_optimize;
+          quick "unplannable batch/pareto refused, none forwarded"
+            test_cluster_refuses_unplannable;
         ] );
       ("listeners", [ quick "bad address is typed, nothing left bound" test_listen_errors ]);
     ]

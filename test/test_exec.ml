@@ -49,13 +49,17 @@ let test_future_cross_domain () =
 (* ------------------------------------------------------------------ *)
 (* Pool *)
 
+(* submit every element, then await the futures in list order *)
+let submit_all pool f xs =
+  List.map (fun x -> Pool.submit pool (fun () -> f x)) xs |> List.map Future.await
+
 let test_pool_executes_all_exactly_once () =
   Pool.with_pool ~size:parallel_size (fun pool ->
       let n = 200 in
       let hits = Array.make n 0 in
       let mutex = Mutex.create () in
       let results =
-        Pool.map_ordered pool
+        submit_all pool
           (fun i ->
             Mutex.lock mutex;
             hits.(i) <- hits.(i) + 1;
@@ -72,10 +76,8 @@ let test_pool_executes_all_exactly_once () =
 let test_pool_sequential_matches_parallel () =
   let work = List.init 50 (fun i -> i - 25) in
   let f x = (x * 7) + (x * x) in
-  let seq = Pool.with_pool ~size:1 (fun p -> Pool.map_ordered p f work) in
-  let par =
-    Pool.with_pool ~size:parallel_size (fun p -> Pool.map_ordered p f work)
-  in
+  let seq = Pool.with_pool ~size:1 (fun p -> submit_all p f work) in
+  let par = Pool.with_pool ~size:parallel_size (fun p -> submit_all p f work) in
   Alcotest.(check (list int)) "size-1 pool equals parallel pool" seq par;
   Alcotest.(check (list int)) "both equal plain List.map" (List.map f work) seq
 
@@ -101,13 +103,17 @@ let test_pool_propagates_exceptions () =
                   ignore (Future.await fut);
                   false
                 with Failure m -> m = "boom"));
-          (* map_ordered: first failure re-raised, siblings not abandoned *)
-          Alcotest.(check bool) (label ^ ": map_ordered re-raises") true
+          (* a failing task fails its own future, not its siblings' *)
+          let futs =
+            List.map
+              (fun i -> Pool.submit pool (fun () -> if i = 3 then raise Exit else i))
+              [ 0; 1; 2; 3; 4 ]
+          in
+          Alcotest.(check (list int)) (label ^ ": siblings settle") [ 0; 1; 2; 4 ]
+            (List.filteri (fun i _ -> i <> 3) futs |> List.map Future.await);
+          Alcotest.(check bool) (label ^ ": the failure re-raised") true
             (try
-               ignore
-                 (Pool.map_ordered pool
-                    (fun i -> if i = 3 then raise Exit else i)
-                    [ 0; 1; 2; 3; 4 ]);
+               ignore (Future.await (List.nth futs 3));
                false
              with Exit -> true)))
     [ 1; parallel_size ]
@@ -137,9 +143,10 @@ let test_memo_computes_each_key_once () =
       (* 40 requests race over 10 distinct keys *)
       let futures =
         List.init 40 (fun i ->
-            Memo.find_or_run memo pool (i mod 10) (fun key ->
-                Atomic.incr computed;
-                key * 100))
+            Memo.find_or_run memo pool (i mod 10) (fun fut ->
+                Pool.async pool (fun () ->
+                    Atomic.incr computed;
+                    Future.resolve fut (i mod 10 * 100))))
       in
       List.iteri
         (fun i fut ->
@@ -149,10 +156,7 @@ let test_memo_computes_each_key_once () =
         futures;
       Alcotest.(check int) "10 distinct keys computed" 10 (Atomic.get computed);
       Alcotest.(check int) "cache holds 10 keys" 10 (Memo.length memo);
-      Alcotest.(check bool) "find returns installed futures" true
-        (Memo.find memo 3 <> None && Memo.find memo 11 = None);
-      (* 40 find_or_run calls over 10 keys: 10 misses, 30 hits; the
-         un-counting Memo.find calls above must not move the counters *)
+      (* 40 find_or_run calls over 10 keys: 10 misses, 30 hits *)
       Alcotest.(check (pair int int)) "hit/miss counters" (30, 10)
         (Memo.stats memo))
 
@@ -160,9 +164,10 @@ let test_memo_caches_failures () =
   Pool.with_pool ~size:1 (fun pool ->
       let memo : (string, int) Memo.t = Memo.create () in
       let calls = Atomic.make 0 in
-      let compute _ =
-        Atomic.incr calls;
-        raise Exit
+      let compute fut =
+        Pool.async pool (fun () ->
+            Atomic.incr calls;
+            Future.fail fut Exit)
       in
       let f1 = Memo.find_or_run memo pool "k" compute in
       let f2 = Memo.find_or_run memo pool "k" compute in
@@ -173,6 +178,36 @@ let test_memo_caches_failures () =
            false
          with Exit -> true);
       Alcotest.(check int) "failed computation not retried" 1 (Atomic.get calls))
+
+(* a requester that finds a future finds the tasks that settle it
+   already queued: on a worker pool the first requester enqueues them
+   before anyone else can see the future, so a racing requester cannot
+   queue tasks that await it ahead of them *)
+let test_memo_found_future_is_queued () =
+  Pool.with_pool ~size:2 (fun pool ->
+      let memo : (string, int) Memo.t = Memo.create () in
+      let queued = Atomic.make false and seen_queued = Atomic.make false in
+      let racer = ref None in
+      let fut =
+        Memo.find_or_run memo pool "k" (fun fut ->
+            racer :=
+              Some
+                (Thread.create
+                   (fun () ->
+                     let found = Memo.find_or_run memo pool "k" (fun _ -> ()) in
+                     Atomic.set seen_queued (Atomic.get queued);
+                     ignore (Future.await found))
+                   ());
+            (* give the racer time to reach the cache first *)
+            Thread.delay 0.05;
+            Pool.async pool (fun () -> Future.resolve fut 1);
+            Atomic.set queued true)
+      in
+      Option.iter Thread.join !racer;
+      Alcotest.(check int) "settled" 1 (Future.await fut);
+      Alcotest.(check bool) "the racer found the tasks queued" true
+        (Atomic.get seen_queued);
+      Alcotest.(check (pair int int)) "one miss, one hit" (1, 1) (Memo.stats memo))
 
 (* ------------------------------------------------------------------ *)
 (* Rng.mix: the per-job seeding primitive *)
@@ -202,33 +237,32 @@ let run_fingerprint (r : Optimize.run) =
     r.Optimize.synthesis_evaluations,
     (r.Optimize.cold_jobs, r.Optimize.warm_jobs) )
 
+(* at attempts 1 only the 12- and 13-bit jobs have an attempt that
+   awaits its donors; at attempts 2 every warm job has one, and a 13-bit
+   job runs 2 + 4 = 6 attempt tasks *)
 let check_parallel_equals_sequential k =
   let spec = Spec.paper_case ~k in
-  let go jobs =
-    Optimize.run ~mode:`Hybrid ~seed:7 ~attempts:1 ~budget:tiny_budget ~jobs spec
-  in
-  let seq = go 1 and par = go parallel_size in
-  let opt_s, rank_s, evals_s, cw_s = run_fingerprint seq in
-  let opt_p, rank_p, evals_p, cw_p = run_fingerprint par in
-  Alcotest.(check string)
-    (Printf.sprintf "%d-bit: same optimum" k)
-    opt_s opt_p;
-  Alcotest.(check (list (pair string (float 0.0))))
-    (Printf.sprintf "%d-bit: bit-equal ranking" k)
-    rank_s rank_p;
-  Alcotest.(check int)
-    (Printf.sprintf "%d-bit: same evaluator-call total" k)
-    evals_s evals_p;
-  Alcotest.(check (pair int int))
-    (Printf.sprintf "%d-bit: same cold/warm attribution" k)
-    cw_s cw_p;
-  Alcotest.(check int)
-    (Printf.sprintf "%d-bit: distinct-job count unchanged" k)
-    (List.length seq.Optimize.distinct_jobs)
-    (List.length par.Optimize.distinct_jobs);
-  Alcotest.(check int)
-    (Printf.sprintf "%d-bit: parallel run used %d domains" k parallel_size)
-    parallel_size par.Optimize.domains
+  List.iter
+    (fun attempts ->
+      let go jobs =
+        Optimize.run ~mode:`Hybrid ~seed:7 ~attempts ~budget:tiny_budget ~jobs spec
+      in
+      let seq = go 1 and par = go parallel_size in
+      let opt_s, rank_s, evals_s, cw_s = run_fingerprint seq in
+      let opt_p, rank_p, evals_p, cw_p = run_fingerprint par in
+      let label what = Printf.sprintf "%d-bit, %d attempts: %s" k attempts what in
+      Alcotest.(check string) (label "same optimum") opt_s opt_p;
+      Alcotest.(check (list (pair string (float 0.0))))
+        (label "bit-equal ranking") rank_s rank_p;
+      Alcotest.(check int) (label "same evaluator-call total") evals_s evals_p;
+      Alcotest.(check (pair int int)) (label "same cold/warm attribution") cw_s cw_p;
+      Alcotest.(check int) (label "distinct-job count unchanged")
+        (List.length seq.Optimize.distinct_jobs)
+        (List.length par.Optimize.distinct_jobs);
+      Alcotest.(check int)
+        (label (Printf.sprintf "parallel run used %d domains" parallel_size))
+        parallel_size par.Optimize.domains)
+    [ 1; 2 ]
 
 let test_parallel_matches_sequential_10_11 () =
   List.iter check_parallel_equals_sequential [ 10; 11 ]
@@ -269,35 +303,92 @@ let test_batch_deterministic_any_jobs () =
         (run_fingerprint b_par = run_fingerprint b_seq))
     specs
 
-(* the best-of-N restart search behind synth and netlist-emit: the
-   winner, the evaluation total and the truncation flag are the same on
-   any pool, and a cancel tripped up front runs no restart at all *)
+(* the one best-of-N search, through the synth policy and directly:
+   the winner, the evaluation total and the flags are the same on any
+   pool, ties go to the earlier attempt, and a cancel tripped up front
+   runs no attempt at all *)
 let test_restart_search () =
   let spec = Spec.paper_case ~k:10 in
   let req = Spec.stage_requirements spec { Spec.m = 3; input_bits = 8 } in
   let go ?cancel size =
     Pool.with_pool ~size (fun pool ->
-        Optimize.best_of_restarts ~pool ~budget:tiny_budget ?cancel ~seed:7
+        Optimize.synth_restarts ~pool ~budget:tiny_budget ?cancel ~seed:7
           ~attempts:3 spec.Spec.process req)
   in
   let summary (r : Optimize.restarts) =
-    ( Option.map
-        (fun (s : Synthesizer.solution) ->
-          (s.Synthesizer.sizing, s.Synthesizer.power, s.Synthesizer.violation))
-        r.Optimize.best,
-      r.Optimize.evaluations,
-      r.Optimize.truncated )
+    Printf.sprintf "%s evals %d warm %b truncated %b"
+      (match r.Optimize.best with
+      | None -> "none"
+      | Some s ->
+        Printf.sprintf "%h/%h/%b/%d" s.Synthesizer.power s.Synthesizer.violation
+          s.Synthesizer.feasible s.Synthesizer.evaluations)
+      r.Optimize.evaluations r.Optimize.warm r.Optimize.truncated
   in
-  let one = go 1 and two = go 2 in
-  Alcotest.(check bool) "a restart succeeded" true (one.Optimize.best <> None);
-  Alcotest.(check bool) "not truncated" false one.Optimize.truncated;
-  Alcotest.(check bool) "pool of 2 == pool of 1" true (summary one = summary two);
+  (* pinned from an earlier implementation of the search, whose fold
+     and seeds this one must keep *)
+  let pinned =
+    "0x1.5f47dfe2d50b6p-11/0x0p+0/true/52 evals 154 warm false truncated false"
+  in
+  List.iter
+    (fun size ->
+      Alcotest.(check string)
+        (Printf.sprintf "synth winner on a pool of %d" size)
+        pinned (summary (go size)))
+    [ 1; 2; 4 ];
   let cancel = Adc_exec.Cancel.create () in
   Adc_exec.Cancel.cancel cancel;
-  let cut = go ~cancel 2 in
-  Alcotest.(check bool) "pre-tripped cancel: truncated" true cut.Optimize.truncated;
-  Alcotest.(check bool) "pre-tripped cancel: no winner" true (cut.Optimize.best = None);
-  Alcotest.(check int) "pre-tripped cancel: no evaluations" 0 cut.Optimize.evaluations
+  Alcotest.(check string) "pre-tripped cancel: nothing ran"
+    "none evals 0 warm false truncated true" (summary (go ~cancel 2));
+  (* the job path's shape: scripted attempts, donors, the fold *)
+  let base = Option.get (go 1).Optimize.best in
+  let sol ~power ~feasible ~evaluations =
+    Ok { base with Synthesizer.power; feasible; evaluations }
+  in
+  let outcome best =
+    let f = Future.create () in
+    Future.resolve f
+      { Optimize.best; evaluations = 1; warm = false; truncated = false };
+    f
+  in
+  let warm_starts = Array.make 3 None in
+  let search ?cancel ?donors size results =
+    Pool.with_pool ~size (fun pool ->
+        let into = Future.create () in
+        Optimize.best_of_n ~pool ?cancel ?donors ~attempts:(List.length results)
+          ~into (fun a ~warm_start ->
+            warm_starts.(a) <- warm_start;
+            List.nth results a);
+        Future.await into)
+  in
+  List.iter
+    (fun size ->
+      let r =
+        search ~donors:[ outcome None; outcome (Some base) ] size
+          [
+            sol ~power:1e-3 ~feasible:false ~evaluations:1;
+            sol ~power:2e-3 ~feasible:true ~evaluations:2;
+            sol ~power:2e-3 ~feasible:true ~evaluations:3;
+          ]
+      in
+      let label = Printf.sprintf "pool of %d: " size in
+      Alcotest.(check int) (label ^ "a tie goes to the earlier attempt") 2
+        (Option.get r.Optimize.best).Synthesizer.evaluations;
+      Alcotest.(check int) (label ^ "evaluations summed") 6 r.Optimize.evaluations;
+      Alcotest.(check bool) (label ^ "warm from the solved donor") true r.Optimize.warm;
+      Alcotest.(check (list bool)) (label ^ "attempt 0 alone starts cold")
+        [ false; true; true ]
+        (Array.to_list (Array.map Option.is_some warm_starts)))
+    [ 1; 4 ];
+  Alcotest.(check bool) "attempt 0 alone: warm still means a solved donor" true
+    (search ~donors:[ outcome (Some base) ] 2
+       [ sol ~power:1e-3 ~feasible:true ~evaluations:1 ])
+      .Optimize.warm;
+  Alcotest.(check string) "pre-tripped cancel, solved donor: cold, nothing ran"
+    "none evals 0 warm false truncated true"
+    (summary
+       (search ~cancel ~donors:[ outcome (Some base) ] 2
+          [ sol ~power:1e-3 ~feasible:true ~evaluations:1;
+            sol ~power:1e-3 ~feasible:true ~evaluations:1 ]))
 
 let test_seed_changes_results () =
   (* guards against the per-job seeding degenerating into a constant;
@@ -334,6 +425,7 @@ let () =
         [
           quick "each key computed once" test_memo_computes_each_key_once;
           quick "failures cached" test_memo_caches_failures;
+          quick "a found future has its tasks queued" test_memo_found_future_is_queued;
         ] );
       ("rng", [ quick "mix is a proper derivation" test_rng_mix_deterministic_and_spread ]);
       ("restarts", [ quick "best-of-N: any pool, cancel truncates" test_restart_search ]);

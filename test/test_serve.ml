@@ -527,7 +527,10 @@ let test_deadline_leaves_pool_reusable () =
   in
   ignore r.Optimize.truncated;
   let pool = Optimize.shared_pool shared in
-  let doubled = Pool.map_ordered pool (fun x -> 2 * x) [ 1; 2; 3 ] in
+  let doubled =
+    List.map (fun x -> Pool.submit pool (fun () -> 2 * x)) [ 1; 2; 3 ]
+    |> List.map Adc_exec.Future.await
+  in
   Alcotest.(check (list int)) "pool reusable after expiry" [ 2; 4; 6 ] doubled;
   Optimize.shutdown_shared shared
 
