@@ -13,13 +13,20 @@ type instruments = {
 
 type task = { run : unit -> unit; enqueued_ns : int64 }
 
+(* A worker domain of the process-wide reserve. Between pools it parks
+   on [assigned] until [create] hands it a pool to drain ([job]). *)
+type worker = { assigned : Condition.t; mutable job : (unit -> unit) option }
+
 type t = {
   size : int;
   queue : task Queue.t;
   mutex : Mutex.t;
   wakeup : Condition.t;       (* signalled on enqueue and on close *)
+  left : Condition.t;         (* signalled when a worker leaves the pool *)
   mutable closed : bool;
-  mutable workers : unit Domain.t list;
+  mutable active : int;       (* workers still inside [worker_loop] *)
+  mutable failure : exn option;  (* the first exception a worker raised *)
+  mutable workers : worker list;
   instr : instruments option;
   trace : Obs.Sink.t;         (* pool.task spans carrying the slot index *)
   created_ns : int64;
@@ -93,6 +100,56 @@ let worker_loop t ~slot =
   in
   next ()
 
+(* The reserve: worker domains no pool holds, most recently returned
+   first, all guarded by [reserve_mutex]. Domains are never joined, so
+   none terminates and leaves its heap behind for a major cycle to
+   adopt; a process exits with its parked workers. *)
+let reserve_mutex = Mutex.create ()
+let idle : worker list ref = ref []
+
+let rec park w =
+  Mutex.lock reserve_mutex;
+  while w.job = None do
+    Condition.wait w.assigned reserve_mutex
+  done;
+  let job = Option.get w.job in
+  w.job <- None;
+  Mutex.unlock reserve_mutex;
+  job ();
+  park w
+
+let assign w job =
+  Mutex.protect reserve_mutex (fun () ->
+      w.job <- Some job;
+      Condition.signal w.assigned)
+
+(* [n] workers: the idle ones first, then freshly spawned domains for
+   the shortfall *)
+let borrow n =
+  let borrowed =
+    Mutex.protect reserve_mutex (fun () ->
+        let taken = List.filteri (fun i _ -> i < n) !idle in
+        idle := List.filteri (fun i _ -> i >= n) !idle;
+        taken)
+  in
+  let spawn () =
+    let w = { assigned = Condition.create (); job = None } in
+    ignore (Domain.spawn (fun () -> park w) : unit Domain.t);
+    w
+  in
+  borrowed @ List.init (n - List.length borrowed) (fun _ -> spawn ())
+
+let hand_back ws = Mutex.protect reserve_mutex (fun () -> idle := ws @ !idle)
+
+(* What a worker runs for the pool: drain the queue until it is closed
+   and empty, then report leaving (and any escaped exception) *)
+let serve t ~slot () =
+  let failure = match worker_loop t ~slot with () -> None | exception e -> Some e in
+  Mutex.protect t.mutex (fun () ->
+      if t.failure = None then t.failure <- failure;
+      t.active <- t.active - 1;
+      Condition.broadcast t.left)
+
 let make_instruments (obs : Obs.t) ~size =
   if not (Obs.Metrics.enabled obs.Obs.metrics) then None
   else
@@ -118,16 +175,21 @@ let create ?(obs = Obs.null) ?size () =
       queue = Queue.create ();
       mutex = Mutex.create ();
       wakeup = Condition.create ();
+      left = Condition.create ();
       closed = false;
+      active = 0;
+      failure = None;
       workers = [];
       instr = make_instruments obs ~size;
       trace = obs.Obs.sink;
       created_ns = Obs.Clock.now_ns ();
     }
   in
-  if size > 1 then
-    t.workers <-
-      List.init size (fun slot -> Domain.spawn (fun () -> worker_loop t ~slot));
+  if size > 1 then begin
+    t.active <- size;
+    t.workers <- borrow size;
+    List.iteri (fun slot w -> assign w (serve t ~slot)) t.workers
+  end;
   t
 
 let size t = t.size
@@ -162,31 +224,29 @@ let submit t f =
       | exception e -> Future.fail fut e);
   fut
 
-(* A terminated domain leaves its major heap behind, garbage included.
-   One major cycle adopts that heap and the next one sweeps it; until
-   then the memory stays held while the next pool's domains grow heaps
-   of their own. A process that opens pool after pool (one per
-   optimization) and allocates little completes few major cycles per
-   pool, so without a collection here it holds several dead pools' heaps
-   at once. The collection costs about 2 ms after a 10-bit hybrid
-   optimization on a 2-core x86-64 host, once per pool. *)
+(* The workers go back to the reserve once each has left [worker_loop],
+   that is after the queue has drained; none is joined. An exception
+   that escaped a worker is re-raised here, once. *)
 let shutdown t =
-  let joined = t.workers <> [] in
-  if t.size > 1 then begin
-    Mutex.lock t.mutex;
-    t.closed <- true;
-    Condition.broadcast t.wakeup;
-    Mutex.unlock t.mutex;
-    List.iter Domain.join t.workers;
-    t.workers <- []
-  end
-  else t.closed <- true;
+  let ws, failure =
+    Mutex.protect t.mutex (fun () ->
+        t.closed <- true;
+        Condition.broadcast t.wakeup;
+        while t.active > 0 do
+          Condition.wait t.left t.mutex
+        done;
+        let taken = (t.workers, t.failure) in
+        t.workers <- [];
+        t.failure <- None;
+        taken)
+  in
+  hand_back ws;
   (match t.instr with
   | None -> ()
   | Some instr ->
     Obs.Metrics.set instr.wall
       (Int64.to_float (Obs.Clock.elapsed_ns ~since:t.created_ns)));
-  if joined then Gc.full_major ()
+  Option.iter raise failure
 
 let with_pool ?obs ?size f =
   let t = create ?obs ?size () in

@@ -14,11 +14,22 @@
     the thunk inline on the calling domain before returning. This is the
     graceful degradation path for single-core hosts
     ([recommended_size () = 1]) and for [--jobs 1], and it guarantees that
-    the sequential and parallel code paths share one implementation. *)
+    the sequential and parallel code paths share one implementation.
+
+    {2 The domain reserve}
+
+    Worker domains outlive the pools they serve. The process keeps one
+    reserve of idle workers: {!create} borrows from it and spawns new
+    domains only for the shortfall, and {!shutdown} hands its workers
+    back. No domain is ever joined, so none terminates and leaves its
+    heap for the major collector to adopt, and a process that opens pool
+    after pool keeps as many domains as its widest concurrent pools
+    needed. A process exits with its parked workers. *)
 
 type t
 (** A pool handle. Pools are cheap for [size = 1] (no domains); larger
-    pools hold [size] spawned domains until {!shutdown}. *)
+    pools hold [size] worker domains from the reserve until
+    {!shutdown}. *)
 
 val recommended_size : unit -> int
 (** [recommended_size ()] is [Domain.recommended_domain_count ()] — the
@@ -28,7 +39,8 @@ val recommended_size : unit -> int
 
 val create : ?obs:Adc_obs.t -> ?size:int -> unit -> t
 (** [create ~size ()] builds a pool with [size] execution slots: [size]
-    worker domains when [size > 1], or pure inline execution on the
+    worker domains when [size > 1] (idle ones from the reserve first,
+    newly spawned ones for the rest), or pure inline execution on the
     caller's domain when [size = 1]. [size] defaults to
     {!recommended_size}[ ()] and is clamped to at least 1.
 
@@ -70,10 +82,10 @@ val async : t -> (unit -> unit) -> unit
     [--progress] status line). *)
 
 val shutdown : t -> unit
-(** [shutdown t] waits for the queue to drain, stops the workers, joins
-    their domains, and then runs a full major collection, so the heaps
-    the workers leave behind are reclaimed before another pool starts.
-    Idempotent. Submitting after shutdown raises [Invalid_argument]. *)
+(** [shutdown t] waits for the queue to drain and for every worker to
+    finish its task and leave the pool, then returns the workers to the
+    reserve for the next {!create}. Idempotent. Submitting after
+    shutdown raises [Invalid_argument]. *)
 
 val with_pool : ?obs:Adc_obs.t -> ?size:int -> (t -> 'a) -> 'a
 (** [with_pool ~size f] runs [f] over a fresh pool and guarantees

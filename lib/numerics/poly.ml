@@ -87,17 +87,20 @@ type totals = {
   roots_calls : int;
   aberth_iterations : int;
   aberth_max_iter_hits : int;
+  aberth_floor_stops : int;
 }
 
 let g_calls = Atomic.make 0
 let g_iterations = Atomic.make 0
 let g_max_iter_hits = Atomic.make 0
+let g_floor_stops = Atomic.make 0
 
 let totals () =
   {
     roots_calls = Atomic.get g_calls;
     aberth_iterations = Atomic.get g_iterations;
     aberth_max_iter_hits = Atomic.get g_max_iter_hits;
+    aberth_floor_stops = Atomic.get g_floor_stops;
   }
 
 (* [x / y] by Smith's method, operation for operation the stdlib
@@ -158,7 +161,16 @@ let[@inline] hypot_lt x y t = (not (surely_above x y t)) && Float.hypot x y < t
    (Gauss-Seidel), so the result is bit for bit the boxed [Complex.t]
    formulation while the loop allocates nothing. The sweep's largest
    step matters only through [max_step < tol], that is [0 < tol] and
-   every step below [tol]. *)
+   every step below [tol], and through the floor test below.
+
+   Rounding floor: a degree-11 denominator's steps stop shrinking near
+   1e-10 (scaled) and never meet [tol] = 1e-12. So, when [0 < tol], the
+   first sweep whose every step is below [floor_step] starts a count of
+   [floor_sweeps] more sweeps, after which the iteration stops
+   (docs/SOLVER.md, "noise floor"). *)
+let floor_step = 1e-8
+let floor_sweeps = 3
+
 let roots ?(max_iter = 200) ?(tol = 1e-12) p =
   let n = degree p in
   if n < 1 then invalid_arg "Poly.roots: degree < 1";
@@ -184,10 +196,12 @@ let roots ?(max_iter = 200) ?(tol = 1e-12) p =
   done;
   let out = Array.make 2 0.0 in
   let converged = ref false in
+  (* sweeps left once the floor is reached: -1 before that, 0 stops *)
+  let floor_left = ref (-1) in
   let iter = ref 0 in
-  while (not !converged) && !iter < max_iter do
+  while (not !converged) && !floor_left <> 0 && !iter < max_iter do
     incr iter;
-    let all_small = ref true in
+    let all_small = ref true and all_floor = ref true in
     for i = 0 to n - 1 do
       let zre = zr.(i) and zim = zi.(i) in
       horner_into out q zre zim;
@@ -226,14 +240,20 @@ let roots ?(max_iter = 200) ?(tol = 1e-12) p =
         let sre = out.(0) and sim = out.(1) in
         zr.(i) <- zre -. sre;
         zi.(i) <- zim -. sim;
-        all_small := !all_small && hypot_lt sre sim tol
+        all_small := !all_small && hypot_lt sre sim tol;
+        all_floor := !all_floor && hypot_lt sre sim floor_step
       end
     done;
-    if !all_small && 0.0 < tol then converged := true
+    if 0.0 < tol then begin
+      if !all_small then converged := true
+      else if !floor_left > 0 then decr floor_left
+      else if !all_floor then floor_left := floor_sweeps
+    end
   done;
   Atomic.incr g_calls;
   ignore (Atomic.fetch_and_add g_iterations !iter);
-  if not !converged then Atomic.incr g_max_iter_hits;
+  if !floor_left = 0 then Atomic.incr g_floor_stops
+  else if not !converged then Atomic.incr g_max_iter_hits;
   (* unscale and clean imaginary residue of real roots *)
   Array.init n (fun k ->
       let re = zr.(k) *. r and im = zi.(k) *. r in

@@ -38,10 +38,12 @@ val is_finite : t -> bool
 val roots : ?max_iter:int -> ?tol:float -> t -> Complex.t array
 (** [roots p] computes all complex roots by the Aberth-Ehrlich
     simultaneous iteration, stopping once a sweep moves no root by
-    [tol] (scaled variable) or after [max_iter] sweeps. Real-axis roots
-    are snapped to the axis when their imaginary part is below the
-    cleanup threshold. The iteration allocates nothing; the result is
-    bit for bit that of the same iteration over boxed [Complex.t].
+    [tol] (scaled variable), [3] sweeps after the first sweep that
+    moves no root by [1e-8] (the rounding floor, when [0 < tol]), or
+    after [max_iter] sweeps. Real-axis roots are snapped to the axis
+    when their imaginary part is below the cleanup threshold. The
+    iteration allocates nothing; the result is bit for bit that of the
+    same iteration over boxed [Complex.t].
     Raises [Invalid_argument] when [degree p < 1] or when a coefficient
     is not finite (no root would move, and the initial guesses would
     come back as plausible-looking roots). *)
@@ -51,6 +53,8 @@ type totals = {
   aberth_iterations : int;     (** Aberth sweeps summed over those calls *)
   aberth_max_iter_hits : int;  (** calls that stopped at [max_iter]
                                    without meeting [tol] *)
+  aberth_floor_stops : int;    (** calls that stopped at the rounding
+                                   floor without meeting [tol] *)
 }
 
 val totals : unit -> totals

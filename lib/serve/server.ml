@@ -146,6 +146,8 @@ let sync_solver_metrics t =
       (po.Poly.aberth_iterations - prev.po.Poly.aberth_iterations);
     add "solver.aberth_max_iter_total"
       (po.Poly.aberth_max_iter_hits - prev.po.Poly.aberth_max_iter_hits);
+    add "solver.aberth_floor_stops_total"
+      (po.Poly.aberth_floor_stops - prev.po.Poly.aberth_floor_stops);
     add "solver.servo_probes_total" (sv.Ota.servo_probes - prev.sv.Ota.servo_probes);
     add "solver.servo_fallbacks_total"
       (sv.Ota.servo_fallbacks - prev.sv.Ota.servo_fallbacks);
@@ -551,6 +553,7 @@ let preregister_metrics m =
         "solver.poly_roots_total";
         "solver.aberth_iterations_total";
         "solver.aberth_max_iter_total";
+        "solver.aberth_floor_stops_total";
         "solver.servo_probes_total";
         "solver.servo_fallbacks_total";
       ];

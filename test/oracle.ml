@@ -2,7 +2,12 @@
    must match bit for bit: the Aberth iteration over boxed [Complex.t]
    values, and pole/zero extraction that roots the reduced numerator and
    denominator separately after cancellation ([reduce], then [poles],
-   then [zeros]). Shared by the numerics and sfg suites. *)
+   then [zeros]). Shared by the numerics, sfg and synth suites.
+
+   [~floor_stop:false] turns off the rounding-floor stop, so the
+   iteration runs until [tol] or [max_iter] as it did before the stop
+   existed: the reference the floor stop's tolerance is measured
+   against. *)
 
 module Poly = Adc_numerics.Poly
 module Rootfind = Adc_numerics.Rootfind
@@ -16,7 +21,7 @@ let eval_complex p z =
   done;
   !acc
 
-let roots ?(max_iter = 200) ?(tol = 1e-12) poly =
+let roots ?(max_iter = 200) ?(tol = 1e-12) ?(floor_stop = true) poly =
   let p = Poly.coeffs poly in
   let n = Poly.degree poly in
   if n < 1 then invalid_arg "Oracle.roots: degree < 1";
@@ -36,8 +41,9 @@ let roots ?(max_iter = 200) ?(tol = 1e-12) poly =
         { Complex.re = 0.9 *. cos theta; im = 0.9 *. sin theta })
   in
   let converged = ref false in
+  let floor_left = ref (-1) in
   let iter = ref 0 in
-  while (not !converged) && !iter < max_iter do
+  while (not !converged) && !floor_left <> 0 && !iter < max_iter do
     incr iter;
     let max_step = ref 0.0 in
     for i = 0 to n - 1 do
@@ -66,6 +72,11 @@ let roots ?(max_iter = 200) ?(tol = 1e-12) poly =
       end
     done;
     if !max_step < tol then converged := true
+    else if floor_stop && 0.0 < tol then begin
+      (* three more sweeps after the first one under 1e-8, then stop *)
+      if !floor_left > 0 then decr floor_left
+      else if !max_step < 1e-8 then floor_left := 3
+    end
   done;
   Array.map
     (fun z ->
@@ -75,11 +86,11 @@ let roots ?(max_iter = 200) ?(tol = 1e-12) poly =
       else z)
     zs
 
-let reduce ?(tol = 1e-6) (a : Ratfun.t) =
+let reduce ?(tol = 1e-6) ?floor_stop (a : Ratfun.t) =
   let open Ratfun in
   if Poly.is_zero a.num || Poly.degree a.num < 1 || Poly.degree a.den < 1 then a
   else begin
-    let nz = roots a.num and dp = roots a.den in
+    let nz = roots ?floor_stop a.num and dp = roots ?floor_stop a.den in
     let num_lead = (Poly.coeffs a.num).(Poly.degree a.num) in
     let den_lead = (Poly.coeffs a.den).(Poly.degree a.den) in
     let matched = ref [] in
@@ -106,8 +117,11 @@ let reduce ?(tol = 1e-6) (a : Ratfun.t) =
         (Poly.scale den_lead (Poly.from_roots (Array.of_list !remaining_d)))
   end
 
-let poles (a : Ratfun.t) = if Poly.degree a.den < 1 then [||] else roots a.den
-let zeros (a : Ratfun.t) = if Poly.degree a.num < 1 then [||] else roots a.num
+let poles ?floor_stop (a : Ratfun.t) =
+  if Poly.degree a.den < 1 then [||] else roots ?floor_stop a.den
+
+let zeros ?floor_stop (a : Ratfun.t) =
+  if Poly.degree a.num < 1 then [||] else roots ?floor_stop a.num
 
 let sort_by_magnitude arr =
   let a = Array.copy arr in
@@ -138,10 +152,10 @@ let freq_window poles zeros =
     let hi = List.fold_left Float.max 0.0 ms /. (2.0 *. Float.pi) in
     (Float.max 1e-3 (lo /. 1e3), hi *. 1e3)
 
-let characterize h : Analysis.spec =
-  let h = reduce h in
-  let poles = sort_by_magnitude (poles h) in
-  let zeros = sort_by_magnitude (zeros h) in
+let characterize ?floor_stop h : Analysis.spec =
+  let h = reduce ?floor_stop h in
+  let poles = sort_by_magnitude (poles ?floor_stop h) in
+  let zeros = sort_by_magnitude (zeros ?floor_stop h) in
   let dc_signed = Ratfun.dc_gain h in
   let dc = Float.abs dc_signed in
   let f_lo, f_hi = freq_window poles zeros in

@@ -133,6 +133,72 @@ let test_pool_shutdown_drains () =
        false
      with Invalid_argument _ -> true)
 
+(* The worker domains a pool of [size] runs its tasks on: [size] tasks
+   that each wait until all have started, so every worker takes one *)
+let worker_ids size =
+  Pool.with_pool ~size (fun pool ->
+      let m = Mutex.create () and all_in = Condition.create () in
+      let ids = ref [] in
+      let task () =
+        Mutex.protect m (fun () ->
+            ids := (Domain.self () :> int) :: !ids;
+            Condition.broadcast all_in;
+            while List.length !ids < size do
+              Condition.wait all_in m
+            done)
+      in
+      List.init size (fun _ -> Pool.submit pool task) |> List.iter Future.await;
+      List.sort_uniq compare !ids)
+
+let test_pool_reuses_domains () =
+  let first = worker_ids 2 in
+  Alcotest.(check int) "two workers" 2 (List.length first);
+  Alcotest.(check bool) "workers are not the caller" false
+    (List.mem (Domain.self () :> int) first);
+  Alcotest.(check (list int)) "the next pool runs on the same domains" first (worker_ids 2);
+  let wider = worker_ids 3 in
+  Alcotest.(check int) "three workers" 3 (List.length wider);
+  Alcotest.(check (list int)) "a wider pool adds exactly one domain" first
+    (List.filter (fun id -> List.mem id first) wider)
+
+let test_pool_shutdown_waits_for_inflight () =
+  let pool = Pool.create ~size:2 () in
+  let started = Atomic.make 0 and finished = Atomic.make 0 in
+  for _ = 1 to 2 do
+    Pool.async pool (fun () ->
+        Atomic.incr started;
+        Unix.sleepf 0.2;
+        Atomic.incr finished)
+  done;
+  while Atomic.get started < 2 do
+    Domain.cpu_relax ()
+  done;
+  Pool.shutdown pool;
+  Alcotest.(check int) "in-flight tasks finished before shutdown returned" 2
+    (Atomic.get finished)
+
+(* [pool_exit.exe] leaves a pool's workers parked in the reserve and
+   returns from its main: the process must still end, and promptly *)
+let test_exit_with_parked_domains () =
+  let exe = Filename.concat (Filename.dirname Sys.executable_name) "pool_exit.exe" in
+  let pid = Unix.create_process exe [| exe |] Unix.stdin Unix.stdout Unix.stderr in
+  let deadline = Unix.gettimeofday () +. 30.0 in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+      Unix.sleepf 0.05;
+      wait ()
+    | 0, _ ->
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      Alcotest.fail "a process with parked worker domains did not exit"
+    | _, status -> status
+  in
+  match wait () with
+  | Unix.WEXITED 0 -> ()
+  | Unix.WEXITED c -> Alcotest.failf "pool_exit.exe exited %d" c
+  | Unix.WSIGNALED n | Unix.WSTOPPED n -> Alcotest.failf "pool_exit.exe killed by signal %d" n
+
 (* ------------------------------------------------------------------ *)
 (* Memo *)
 
@@ -420,6 +486,9 @@ let () =
           quick "size-1 matches parallel" test_pool_sequential_matches_parallel;
           quick "exception propagation" test_pool_propagates_exceptions;
           quick "shutdown drains the queue" test_pool_shutdown_drains;
+          quick "later pools reuse the parked domains" test_pool_reuses_domains;
+          quick "shutdown waits for in-flight tasks" test_pool_shutdown_waits_for_inflight;
+          quick "a process exits with parked domains" test_exit_with_parked_domains;
         ] );
       ( "memo",
         [

@@ -379,6 +379,35 @@ let test_poly_roots_allocation_free () =
   Alcotest.(check int) "both stopped at max_iter" 2
     (t1.Poly.aberth_max_iter_hits - t0.Poly.aberth_max_iter_hits)
 
+(* Eleven real roots a tenth of a decade apart: the sweeps never meet
+   [tol] = 1e-12, and the iteration stops 3 sweeps after every step
+   first falls below 1e-8, bit for bit as the boxed oracle does. The
+   200-sweep reference only wanders on the floor: the clustered roots
+   are ill-conditioned, so they agree to 1e-10 relative, not to the
+   last bit. *)
+let test_poly_roots_floor_stop () =
+  let p =
+    Poly.from_roots (Array.init 11 (fun k -> { Complex.re = -.(10.0 ** (0.1 *. float_of_int k)); im = 0.0 }))
+  in
+  let t0 = Poly.totals () in
+  let rs = Poly.roots p in
+  let t1 = Poly.totals () in
+  Alcotest.(check int) "stopped at the floor" 1
+    (t1.Poly.aberth_floor_stops - t0.Poly.aberth_floor_stops);
+  Alcotest.(check int) "not at max_iter" 0
+    (t1.Poly.aberth_max_iter_hits - t0.Poly.aberth_max_iter_hits);
+  let sweeps = t1.Poly.aberth_iterations - t0.Poly.aberth_iterations in
+  Alcotest.(check bool) (Printf.sprintf "%d sweeps, not 200" sweeps) true (sweeps < 30);
+  Alcotest.(check bool) "bit-equal to the boxed oracle" true (Oracle.same_roots (Oracle.roots p) rs);
+  let worst =
+    Array.fold_left Float.max 0.0
+      (Array.map2
+         (fun a b -> Complex.norm (Complex.sub a b) /. Complex.norm b)
+         rs
+         (Oracle.roots ~floor_stop:false p))
+  in
+  Alcotest.(check bool) (Printf.sprintf "within %.2g of the 200-sweep roots" worst) true (worst < 1e-10)
+
 (* ------------------------------------------------------------------ *)
 (* FFT *)
 
@@ -803,6 +832,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_roots_bit_equal_boxed_oracle;
           quick "roots reject non-finite coefficients" test_poly_roots_rejects_non_finite;
           quick "roots allocation-free" test_poly_roots_allocation_free;
+          quick "roots stop at the rounding floor" test_poly_roots_floor_stop;
         ] );
       ( "fft",
         [

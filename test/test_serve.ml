@@ -1188,8 +1188,9 @@ let test_server_ops_plane_scrape () =
         (contains scraped "adcopt_serve_scrapes_total 1");
       (* the evaluator's DC, bias-servo and root-finding work reaches the
          scrape: the counters are preregistered and move once a hybrid
-         optimize has run (servo fallbacks are rare, so that one need only
-         be present) *)
+         optimize has run (servo fallbacks are rare, and root-finding now
+         stops at its rounding floor before max_iter, so those two need
+         only be present) *)
       let counter text name =
         let prefix = "adcopt_" ^ name ^ " " in
         match
@@ -1206,11 +1207,12 @@ let test_server_ops_plane_scrape () =
           "solver_dc_newton_iterations_total";
           "solver_poly_roots_total";
           "solver_aberth_iterations_total";
-          "solver_aberth_max_iter_total";
+          "solver_aberth_floor_stops_total";
           "solver_servo_probes_total";
         ]
       in
       ignore (counter scraped "solver_servo_fallbacks_total");
+      ignore (counter scraped "solver_aberth_max_iter_total");
       let before = List.map (counter scraped) evaluator_counters in
       let hybrid =
         Client.request c

@@ -336,6 +336,97 @@ let test_verified_settling () =
         (st.Ota.static_error < 0.01)
   end
 
+(* The rounding-floor stop of [Poly.roots] against the 200-sweep
+   reference, on the metrics the hybrid evaluator reports for seeded
+   candidates of an m2 and an m3 job on three cards. The reference
+   re-characterizes the evaluator's transfer function with the boxed
+   oracle, floor stop off. power, sr, swing and saturated come from the
+   operating point, not the roots, and are bit-equal. When nothing
+   cancels, a0 reads no root and is bit-equal too, and gbw and pm read
+   the dominant pole's last bits through the frequency window, so they
+   are held to 1e-14 relative. When a pole-zero pair cancels, the reduced
+   ratio is rebuilt from roots that either stop settles only to the
+   floor (~1e-10), so a0, gbw and pm are held to 1e-9 relative. *)
+let floor_stop_cases =
+  lazy
+    (let module Spec = Adc_pipeline.Spec in
+     let specs =
+       [
+         Spec.paper_case ~k:10;
+         Spec.make ~process:(Fixtures.card "c018.sp") ~k:10 ~fs:40e6 ();
+         Spec.make ~process:(Fixtures.card "c060.sp") ~k:10 ~fs:40e6 ();
+       ]
+     in
+     let jobs = [ { Spec.m = 2; input_bits = 8 }; { Spec.m = 3; input_bits = 10 } ] in
+     List.concat_map
+       (fun spec ->
+         List.map
+           (fun job ->
+             let proc = spec.Spec.process in
+             let req = Spec.stage_requirements spec job in
+             (proc, req, Synthesizer.initial_sizing proc req))
+           jobs)
+       specs
+     |> Array.of_list)
+
+(* [Some cancelled] when the candidate evaluates and every metric is
+   within its tolerance, [None] when one is not; an evaluation that
+   fails has nothing to compare and counts as within *)
+let floor_stop_within (case, seed) =
+  let proc, req, z0 = (Lazy.force floor_stop_cases).(case) in
+  let z = List.hd (Fixtures.candidates ~rng:(Random.State.make [| seed |]) ~n:1 z0) in
+  match Synthesizer.evaluate_sizing ~kind:Synthesizer.Hybrid proc req z with
+  | _, None -> Some false
+  | metrics, Some perf ->
+    let module Analysis = Adc_sfg.Analysis in
+    let spec = Oracle.characterize ~floor_stop:false perf.Ota.tf in
+    let cancelled =
+      Array.length spec.Analysis.poles < Adc_numerics.Poly.degree perf.Ota.tf.Adc_sfg.Ratfun.den
+    in
+    let reference =
+      List.filter_map
+        (fun (name, v) -> Option.map (fun x -> (name, x)) v)
+        [
+          ("power", Some perf.Ota.power);
+          ("a0", Some spec.Analysis.dc_gain);
+          ("gbw", spec.Analysis.unity_gain_hz);
+          ("pm", spec.Analysis.phase_margin_deg);
+          ("sr", Some perf.Ota.slew_rate);
+          ("swing", Some (perf.Ota.swing_high -. perf.Ota.swing_low));
+          ("saturated", Some (if perf.Ota.all_saturated then 1.0 else 0.0));
+        ]
+    in
+    let within name a b =
+      let rel tol = Float.abs (a -. b) <= tol *. Float.abs b in
+      match name with
+      | ("a0" | "gbw" | "pm") when cancelled -> rel 1e-9
+      | "gbw" | "pm" -> rel 1e-14
+      | _ -> Oracle.same_float a b
+    in
+    if
+      List.map fst metrics = List.map fst reference
+      && List.for_all2 (fun (name, a) (_, b) -> within name a b) metrics reference
+    then Some cancelled
+    else None
+
+let prop_floor_stop_within_tolerance =
+  QCheck2.Test.make ~name:"hybrid metrics: floor stop within tolerance of 200 sweeps" ~count:40
+    ~print:(fun (case, seed) -> Printf.sprintf "case %d, seed %d" case seed)
+    QCheck2.Gen.(pair (int_range 0 5) nat)
+    (fun c -> floor_stop_within c <> None)
+
+(* Seeded candidates whose ratio cancels a pole-zero pair and whose a0
+   moves with the stop: c025 m3@10b seed 175 (a0, gbw and pm ~1e-11),
+   c018 m3@10b seed 249 (a0 ~5e-14) *)
+let test_floor_stop_cancelling_candidates () =
+  List.iter
+    (fun (case, seed) ->
+      Alcotest.(check (option bool))
+        (Printf.sprintf "case %d seed %d cancels, within 1e-9" case seed)
+        (Some true)
+        (floor_stop_within (case, seed)))
+    [ (1, 175); (3, 249) ]
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   let slow name f = Alcotest.test_case name `Slow f in
@@ -374,6 +465,8 @@ let () =
           quick "equation evaluator" test_equation_evaluator_runs;
           quick "hybrid evaluator" test_hybrid_evaluator_runs;
           quick "hybrid sweep optimum matches oracle" test_hybrid_sweep_optimum_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_floor_stop_within_tolerance;
+          quick "floor stop on cancelling candidates" test_floor_stop_cancelling_candidates;
           slow "small synthesis" test_synthesize_small_budget;
           slow "deterministic pattern" test_synthesize_deterministic_pattern_only;
           slow "warm start" test_warm_start_uses_fewer_evals;
