@@ -27,6 +27,7 @@ module Protocol = Adc_serve.Protocol
 module Compute = Adc_serve.Compute
 module Store = Adc_serve.Store
 module Server = Adc_serve.Server
+module Tallies = Adc_serve.Tallies
 module Client = Adc_serve.Client
 module Transport = Adc_serve.Transport
 module Router = Adc_cluster.Router
@@ -393,10 +394,12 @@ let compute ~jobs ?timeout ?store ~json ?trace ~metrics ~progress ?print verb
     | Some p ->
       { obs with Adc_obs.sink = Adc_obs.Sink.tee obs.Adc_obs.sink (Progress.sink p) }
   in
+  let tallies = Tallies.attach obs.Adc_obs.metrics in
   (* flush the trace, end the status line, print the metrics table (on
      stderr when stdout carries a payload or a deck) *)
   let finish_obs () =
     Option.iter Progress.finish progress;
+    Tallies.fold tallies;
     if Adc_obs.Metrics.enabled obs.Adc_obs.metrics then
       (if json || verb = Protocol.Netlist_emit then prerr_string else print_string)
         (Adc_obs.Metrics.render obs.Adc_obs.metrics);

@@ -1,5 +1,6 @@
 module Vec = Adc_numerics.Vec
 module Sparse = Adc_numerics.Sparse
+module Tally = Adc_numerics.Tally
 
 type result = {
   x : Vec.t;
@@ -8,15 +9,10 @@ type result = {
   residual : float;
 }
 
-(* process-wide totals for live metrics, mirroring Transient.totals:
-   summed over every solve (converged or not) on any domain *)
-type totals = { total_solves : int; total_newton_iterations : int }
-
-let g_solves = Atomic.make 0
-let g_newton = Atomic.make 0
-
-let totals () =
-  { total_solves = Atomic.get g_solves; total_newton_iterations = Atomic.get g_newton }
+(* process-wide counts for live metrics: summed over every solve
+   (converged or not) on any domain *)
+let solves = Tally.make "solver.dc_solves_total"
+let newton_iterations = Tally.make "solver.dc_newton_iterations_total"
 
 let residual_norm ctx ~x ~time ~source_scale ~gmin ~cap_policy =
   let res = Vec.create (Array.length x) in
@@ -55,7 +51,7 @@ type outcome = Running | Converged | Max_iter | Singular
 
 (* The one damped-Newton kernel. Its iterations allocate nothing beyond
    what [Mna.assemble_into] does: the loop state is unboxed locals. It
-   reports the iterations spent on failure too, so the DC totals count
+   reports the iterations spent on failure too, so the DC tallies count
    every iteration a solve performs. *)
 let newton_counted ?(max_iter = 120) ?(vstep_limit = 0.4) ?ctx ~x0 ~time
     ~source_scale ~gmin ~cap_policy nl =
@@ -114,7 +110,7 @@ let solve ?x0 ?(time = 0.0) ?(max_iter = 120) ?ctx nl =
       (Printf.sprintf "Dc.solve: x0 has %d entries, the netlist %d unknowns"
          (Array.length x) n)
   | _ -> ());
-  Atomic.incr g_solves;
+  Tally.incr solves;
   let x0 = match x0 with Some x -> Vec.copy x | None -> Vec.create n in
   let ctx = match ctx with Some c -> c | None -> Mna.context nl in
   let newton ~x0 ~source_scale ~gmin =
@@ -123,7 +119,7 @@ let solve ?x0 ?(time = 0.0) ?(max_iter = 120) ?ctx nl =
         ~cap_policy:Mna.Cap_open nl
     in
     let (Ok (_, k) | Error (_, k)) = r in
-    ignore (Atomic.fetch_and_add g_newton k);
+    Tally.add newton_iterations k;
     Result.map_error fst r
   in
   let finish ~x ~iterations ~strategy =

@@ -36,19 +36,6 @@ val solve :
     equality; a value-only retarget through [Netlist.set_wave] keeps it
     valid), and [x0] must have [Netlist.unknown_count nl] entries. *)
 
-type totals = {
-  total_solves : int;             (** {!solve} calls, converged or not *)
-  total_newton_iterations : int;
-      (** Newton iterations inside {!solve}, failed continuation
-          attempts included *)
-}
-
-val totals : unit -> totals
-(** Monotonic process-wide counters summed over every {!solve} on any
-    domain — the live-metrics view of the DC work, mirroring
-    [Transient.totals]. Iterations of the transient engine's own
-    {!newton} calls are not included. *)
-
 val node_voltage : result -> Netlist.node -> float
 (** Voltage of a node in a solved result (0 for ground). *)
 

@@ -1,12 +1,9 @@
 module Vec = Adc_numerics.Vec
 module Mat = Adc_numerics.Mat
 module Sparse = Adc_numerics.Sparse
+module Tally = Adc_numerics.Tally
 
-type cap_companion = { geq : float; ieq : float }
-
-type cap_policy =
-  | Cap_open
-  | Cap_companion of (cap_index:int -> np:int -> nn:int -> farads:float -> cap_companion)
+type cap_policy = Cap_open | Cap_companion of { geq : float array; ieq : float array }
 
 let[@inline] node_voltage_of (x : float array) n = if n = 0 then 0.0 else x.(n - 1)
 
@@ -57,14 +54,14 @@ let assemble_core nl ~x ~time ~source_scale ~gmin ~cap_policy ~jadd ~fadd =
     | Netlist.Resistor { np; nn; ohms; _ } -> stamp_resistor_like np nn ohms
     | Netlist.Switch { np; nn; r_on; r_off; closed_at; _ } ->
       stamp_resistor_like np nn (if closed_at time then r_on else r_off)
-    | Netlist.Capacitor { np; nn; farads; _ } -> begin
+    | Netlist.Capacitor { np; nn; _ } -> begin
       let k = !cap_idx in
       incr cap_idx;
       match cap_policy with
       | Cap_open -> ()
-      | Cap_companion f ->
-        let { geq; ieq } = f ~cap_index:k ~np ~nn ~farads in
-        let i = (geq *. (v np -. v nn)) +. ieq in
+      | Cap_companion { geq; ieq } ->
+        let geq = geq.(k) in
+        let i = (geq *. (v np -. v nn)) +. ieq.(k) in
         stamp_f np i;
         stamp_f nn (-.i);
         stamp_conductance np nn geq
@@ -148,7 +145,7 @@ let cache : (int, (Sparse.pattern * cache_entry) list ref) Hashtbl.t =
   Hashtbl.create 16
 
 let cache_mutex = Mutex.create ()
-let cache_analyses = ref 0
+let cache_analyses = Tally.make "solver.shared_analyses_total"
 let max_cached_topologies = 64
 
 (* What a topology compiles to: its pattern and symbolic entry, the slot
@@ -241,9 +238,9 @@ let compile nl =
   let n = Netlist.unknown_count nl in
   let nv = Netlist.node_count nl - 1 in
   let x0 = Vec.create n in
+  let n_caps = cap_count nl in
   let dummy_companion =
-    Cap_companion
-      (fun ~cap_index:_ ~np:_ ~nn:_ ~farads:_ -> { geq = 1.0; ieq = 0.0 })
+    Cap_companion { geq = Array.make n_caps 1.0; ieq = Array.make n_caps 0.0 }
   in
   let record policy =
     let calls = ref [] in
@@ -378,14 +375,14 @@ let stamp topo (io : float array) (vals : Sparse.fbuf) nl ~(x : float array) ~ti
       cur :=
         add_resistor_like vals prog jac res x !cur np nn
           (if closed_at time then r_on else r_off)
-    | Netlist.Capacitor { np; nn; farads; _ } -> begin
+    | Netlist.Capacitor { np; nn; _ } -> begin
       let ci = !cap_idx in
       incr cap_idx;
       match cap_policy with
       | Cap_open -> ()
-      | Cap_companion f ->
-        let { geq; ieq } = f ~cap_index:ci ~np ~nn ~farads in
-        let i = (geq *. (node_voltage_of x np -. node_voltage_of x nn)) +. ieq in
+      | Cap_companion { geq; ieq } ->
+        let geq = geq.(ci) in
+        let i = (geq *. (node_voltage_of x np -. node_voltage_of x nn)) +. ieq.(ci) in
         add_f res np i;
         add_f res nn (-.i);
         cur := add_conductance vals prog jac !cur np nn geq
@@ -514,7 +511,7 @@ let ensure_numeric lu =
           | Some existing -> existing
           | None ->
             entry.sym <- Some s;
-            incr cache_analyses;
+            Tally.incr cache_analyses;
             s
         in
         Mutex.unlock cache_mutex;
@@ -541,7 +538,7 @@ let ctx_stats ctx =
   | Sparse_lu { numeric = None; _ } | Dense_lu _ ->
     { Sparse.analyses = 0; refactorizations = 0; solves = 0 }
 
-let shared_analyses () = !cache_analyses
+let shared_analyses () = Tally.get cache_analyses
 
 module Oracle = struct
   let with_dense f =

@@ -20,16 +20,13 @@
     independent cross-check for the tests, is reached only through
     {!Oracle.with_dense}. *)
 
-type cap_companion = {
-  geq : float;  (** companion conductance *)
-  ieq : float;  (** companion current source, leaving the positive node *)
-}
-
 type cap_policy =
   | Cap_open  (** DC: capacitors carry no current *)
-  | Cap_companion of (cap_index:int -> np:int -> nn:int -> farads:float -> cap_companion)
-      (** Transient: integration-method companion model; [cap_index]
-          counts capacitors in declaration order. *)
+  | Cap_companion of { geq : float array; ieq : float array }
+      (** Transient: the integration-method companion model of each
+          capacitor in declaration order (at least {!cap_count} entries),
+          a conductance [geq] beside a current source [ieq] leaving the
+          positive node. *)
 
 val node_voltage_of : float array -> int -> float
 (** Voltage of a node index given the unknown vector (0 for ground). *)
@@ -68,9 +65,9 @@ val assemble_into :
   unit
 (** Stamp the Jacobian and residual at [x] into the context's buffers.
     On a production context this is the compiled loop, which allocates
-    nothing under [Cap_open] while every source is [Stimulus.Dc]; a
-    [Cap_companion] callback's record, a non-constant waveform's value
-    and a switch's [closed_at] are allocated by the callee. *)
+    nothing while every source is [Stimulus.Dc]; a non-constant
+    waveform's value and a switch's [closed_at] are allocated by the
+    callee. *)
 
 val residual_into :
   ctx ->
@@ -102,10 +99,13 @@ val ctx_stats : ctx -> Adc_numerics.Sparse.stats
 (** Factorization/solve counters of this context's workspace (zeros
     before the first solve, and always zeros on a dense context). *)
 
-val shared_analyses : unit -> int
+val cache_analyses : Adc_numerics.Tally.t
 (** Process-wide count of symbolic analyses published to the topology
     cache — stays tiny while refactorization counts grow, which is the
     point. *)
+
+val shared_analyses : unit -> int
+(** [Tally.get cache_analyses]. *)
 
 (** The dense LU oracle. Test-only: no production path enters it. *)
 module Oracle : sig

@@ -1,5 +1,6 @@
 module Vec = Adc_numerics.Vec
 module Sparse = Adc_numerics.Sparse
+module Tally = Adc_numerics.Tally
 
 type waveforms = { times : float array; data : float array array }
 
@@ -29,33 +30,12 @@ type stats = {
   solver : Sparse.stats;
 }
 
-(* process-wide totals for live metrics, mirroring Sparse.totals: summed
-   over every run (successful or not) on any domain *)
-type totals = {
-  total_runs : int;
-  total_newton_iterations : int;
-  total_accepted_steps : int;
-  total_rejected_steps : int;
-}
-
-let g_runs = Atomic.make 0
-let g_newton = Atomic.make 0
-let g_accepted = Atomic.make 0
-let g_rejected = Atomic.make 0
-
-let totals () =
-  {
-    total_runs = Atomic.get g_runs;
-    total_newton_iterations = Atomic.get g_newton;
-    total_accepted_steps = Atomic.get g_accepted;
-    total_rejected_steps = Atomic.get g_rejected;
-  }
-
-let record_totals ~newton ~accepted ~rejected =
-  Atomic.incr g_runs;
-  ignore (Atomic.fetch_and_add g_newton newton);
-  ignore (Atomic.fetch_and_add g_accepted accepted);
-  ignore (Atomic.fetch_and_add g_rejected rejected)
+(* process-wide counts for live metrics: summed over every run
+   (successful or not) on any domain *)
+let runs = Tally.make "solver.transient_runs_total"
+let newton_total = Tally.make "solver.newton_iterations_total"
+let accepted_total = Tally.make "solver.transient_accepted_steps_total"
+let rejected_total = Tally.make "solver.transient_rejected_steps_total"
 
 let run_with_stats ?x0 ?(max_newton = 60) ?(control = Lte default_lte) nl
     ~t_stop ~dt =
@@ -104,18 +84,19 @@ let run_with_stats ?x0 ?(max_newton = 60) ?(control = Lte default_lte) nl
     let error = ref None in
     (* one implicit step: solve the circuit at [t] with step size [h],
        backward Euler when [be], trapezoidal otherwise *)
+    (* the companion model of every capacitor, filled once per step
+       attempt and read by every Newton iteration of that attempt *)
+    let geq = Array.make n_caps 0.0 and ieq = Array.make n_caps 0.0 in
+    let companion = Mna.Cap_companion { geq; ieq } in
     let solve_step ~be ~h ~t ~x_guess =
-      let companion ~cap_index ~np:_ ~nn:_ ~farads =
-        if be then
-          let geq = farads /. h in
-          { Mna.geq; ieq = -.geq *. cap_v.(cap_index) }
-        else
-          let geq = 2.0 *. farads /. h in
-          { Mna.geq; ieq = -.((geq *. cap_v.(cap_index)) +. cap_i.(cap_index)) }
-      in
+      for ci = 0 to n_caps - 1 do
+        let _, _, farads = cap_nodes.(ci) in
+        let g = if be then farads /. h else 2.0 *. farads /. h in
+        geq.(ci) <- g;
+        ieq.(ci) <- (if be then -.g *. cap_v.(ci) else -.((g *. cap_v.(ci)) +. cap_i.(ci)))
+      done;
       Dc.newton ~max_iter:max_newton ~vstep_limit:3.3 ~ctx
-        ~x0:x_guess ~time:t ~source_scale:1.0 ~gmin:1e-12
-        ~cap_policy:(Mna.Cap_companion companion) nl
+        ~x0:x_guess ~time:t ~source_scale:1.0 ~gmin:1e-12 ~cap_policy:companion nl
     in
     let advance_caps ~be ~h x' =
       Array.iteri
@@ -338,7 +319,10 @@ let run_with_stats ?x0 ?(max_newton = 60) ?(control = Lte default_lte) nl
           data.(!out_idx) <- Vec.copy !x_cur;
           incr out_idx
         done);
-    record_totals ~newton:!newton_iters ~accepted:!accepted ~rejected:!rejected;
+    Tally.incr runs;
+    Tally.add newton_total !newton_iters;
+    Tally.add accepted_total !accepted;
+    Tally.add rejected_total !rejected;
     (match !error with
     | Some e -> Error e
     | None ->

@@ -50,18 +50,6 @@ type stats = {
   solver : Adc_numerics.Sparse.stats;  (** factorization counters *)
 }
 
-type totals = {
-  total_runs : int;
-  total_newton_iterations : int;
-  total_accepted_steps : int;
-  total_rejected_steps : int;
-}
-
-val totals : unit -> totals
-(** Monotonic process-wide counters summed over every transient run
-    (successful or aborted) on any domain — the live-metrics companion
-    to per-run {!stats}, mirroring [Sparse.totals]. *)
-
 val run :
   ?x0:float array ->
   ?max_newton:int ->

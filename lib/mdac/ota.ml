@@ -10,6 +10,7 @@ module Dpi = Adc_sfg.Dpi
 module Ratfun = Adc_sfg.Ratfun
 module Analysis = Adc_sfg.Analysis
 module Rootfind = Adc_numerics.Rootfind
+module Tally = Adc_numerics.Tally
 
 type topology = Miller_simple | Miller_cascode
 
@@ -163,20 +164,11 @@ let build ?(load_cap = 1e-12) ?vcm ?(drive_noninv = true) ?inv_dc proc z =
   Netlist.capacitor nl "cl" p.out Netlist.ground load_cap;
   p
 
-(* Process-wide servo counters for live metrics, mirroring [Poly.totals]:
-   each {!solve_biased} call adds once on return. *)
-type servo_totals = { servo_calls : int; servo_probes : int; servo_fallbacks : int }
-
-let g_servo_calls = Atomic.make 0
-let g_servo_probes = Atomic.make 0
-let g_servo_fallbacks = Atomic.make 0
-
-let servo_totals () =
-  {
-    servo_calls = Atomic.get g_servo_calls;
-    servo_probes = Atomic.get g_servo_probes;
-    servo_fallbacks = Atomic.get g_servo_fallbacks;
-  }
+(* process-wide servo counts for live metrics: each {!solve_biased}
+   call adds once on return *)
+let servo_calls = Tally.make "solver.servo_calls_total"
+let servo_probes = Tally.make "solver.servo_probes_total"
+let servo_fallbacks = Tally.make "solver.servo_fallbacks_total"
 
 (* The servo's closed-loop guide: the open-loop bench with [vin] replaced
    by a unity-gain VCVS [ein] that holds [inv] at vcm + (v_out - vdd/2).
@@ -357,7 +349,7 @@ let solve_biased ?(load_cap = 1e-12) proc z =
     Rootfind.monotone_bisect ~tol:servo_tol ~known ~probe lo hi
   in
   let fallback () =
-    Atomic.incr g_servo_fallbacks;
+    Tally.incr servo_fallbacks;
     x_prev := None;
     match (probe lo, probe hi) with
     | None, _ | _, None -> `Failed
@@ -373,8 +365,8 @@ let solve_biased ?(load_cap = 1e-12) proc z =
       | Ok v_star -> `Centered v_star
       | Error _ -> fallback ())
   in
-  Atomic.incr g_servo_calls;
-  ignore (Atomic.fetch_and_add g_servo_probes !probes);
+  Tally.incr servo_calls;
+  Tally.add servo_probes !probes;
   match outcome with
   | `Failed -> Error "OTA DC failed during bias servo"
   | `Railed -> (

@@ -74,20 +74,16 @@ val biased_operating_point :
     servo the evaluator uses internally); for external analyses such as
     device noise that need a valid high-gain operating point. *)
 
-type servo_totals = {
-  servo_calls : int;      (** bias-servo runs (behind {!biased_operating_point},
-                              {!evaluate}, {!symbolic_transfer} and
-                              {!settling_bench}) *)
-  servo_probes : int;     (** DC probes of the servo's sweep bench, the
-                              locator solve and the returned point excluded *)
-  servo_fallbacks : int;  (** runs that dropped the closed-loop guide and
-                              bisected from the window's edges *)
-}
+(** Process-wide {!Adc_numerics.Tally}s, added once per bias-servo run
+    on any domain (behind {!biased_operating_point}, {!evaluate},
+    {!symbolic_transfer} and {!settling_bench}): the runs, the DC probes
+    of the servo's sweep bench (the locator solve and the returned point
+    excluded), and the runs that dropped the closed-loop guide and
+    bisected from the window's edges. *)
 
-val servo_totals : unit -> servo_totals
-(** Monotonic process-wide counters summed over every servo run on any
-    domain, added once per run — the live-metrics view of the bias
-    servo, mirroring [Adc_numerics.Poly.totals]. *)
+val servo_calls : Adc_numerics.Tally.t
+val servo_probes : Adc_numerics.Tally.t
+val servo_fallbacks : Adc_numerics.Tally.t
 
 type performance = {
   power : float;            (** static supply power, W *)

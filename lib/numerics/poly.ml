@@ -80,28 +80,12 @@ let eval_complex p z =
 
 let is_finite p = Array.for_all Float.is_finite p
 
-(* Process-wide root-finding totals for live metrics, mirroring
-   [Dc.totals]: each {!roots} call adds once on return, never per
-   iteration. *)
-type totals = {
-  roots_calls : int;
-  aberth_iterations : int;
-  aberth_max_iter_hits : int;
-  aberth_floor_stops : int;
-}
-
-let g_calls = Atomic.make 0
-let g_iterations = Atomic.make 0
-let g_max_iter_hits = Atomic.make 0
-let g_floor_stops = Atomic.make 0
-
-let totals () =
-  {
-    roots_calls = Atomic.get g_calls;
-    aberth_iterations = Atomic.get g_iterations;
-    aberth_max_iter_hits = Atomic.get g_max_iter_hits;
-    aberth_floor_stops = Atomic.get g_floor_stops;
-  }
+(* process-wide root-finding counts for live metrics: each {!roots}
+   call adds once on return, never per iteration *)
+let roots_calls = Tally.make "solver.poly_roots_total"
+let aberth_iterations = Tally.make "solver.aberth_iterations_total"
+let aberth_max_iter_hits = Tally.make "solver.aberth_max_iter_total"
+let aberth_floor_stops = Tally.make "solver.aberth_floor_stops_total"
 
 (* [x / y] by Smith's method, operation for operation the stdlib
    [Complex.div] (both branches), written to [out.(0)] (re) and
@@ -250,10 +234,10 @@ let roots ?(max_iter = 200) ?(tol = 1e-12) p =
       else if !all_floor then floor_left := floor_sweeps
     end
   done;
-  Atomic.incr g_calls;
-  ignore (Atomic.fetch_and_add g_iterations !iter);
-  if !floor_left = 0 then Atomic.incr g_floor_stops
-  else if not !converged then Atomic.incr g_max_iter_hits;
+  Tally.incr roots_calls;
+  Tally.add aberth_iterations !iter;
+  if !floor_left = 0 then Tally.incr aberth_floor_stops
+  else if not !converged then Tally.incr aberth_max_iter_hits;
   (* unscale and clean imaginary residue of real roots *)
   Array.init n (fun k ->
       let re = zr.(k) *. r and im = zi.(k) *. r in

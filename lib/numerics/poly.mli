@@ -48,19 +48,15 @@ val roots : ?max_iter:int -> ?tol:float -> t -> Complex.t array
     is not finite (no root would move, and the initial guesses would
     come back as plausible-looking roots). *)
 
-type totals = {
-  roots_calls : int;           (** {!roots} calls that ran the iteration *)
-  aberth_iterations : int;     (** Aberth sweeps summed over those calls *)
-  aberth_max_iter_hits : int;  (** calls that stopped at [max_iter]
-                                   without meeting [tol] *)
-  aberth_floor_stops : int;    (** calls that stopped at the rounding
-                                   floor without meeting [tol] *)
-}
+(** Process-wide {!Tally}s, added once per {!roots} call on any domain:
+    the calls that ran the iteration, their Aberth sweeps, and the calls
+    that stopped at [max_iter] or at the rounding floor without meeting
+    [tol]. *)
 
-val totals : unit -> totals
-(** Monotonic process-wide counters summed over every {!roots} call on
-    any domain, added once per call — the live-metrics view of
-    root-finding, mirroring [Dc.totals]. *)
+val roots_calls : Tally.t
+val aberth_iterations : Tally.t
+val aberth_max_iter_hits : Tally.t
+val aberth_floor_stops : Tally.t
 
 val horner_into : float array -> float array -> float -> float -> unit
 (** [horner_into out c zre zim] writes the polynomial with coefficients

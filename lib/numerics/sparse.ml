@@ -252,9 +252,14 @@ let full_factor (m : t) =
   in
   (sched, Array.sub lg.vbuf 0 lg.len, Array.sub eg.vbuf 0 eg.len, dvals)
 
-(* Process-wide totals across every workspace, for live metrics: a
+(* Process-wide counts across every workspace, for live metrics: a
    daemon scrape wants "how hard is the numeric core working", which
    per-workspace stats can't answer once workspaces are short-lived. *)
+let analyses_total = Tally.make "solver.sparse_analyses_total"
+let refactorizations_total = Tally.make "solver.sparse_refactorizations_total"
+let solves_total = Tally.make "solver.sparse_solves_total"
+let pivot_drift_total = Tally.make "solver.pivot_drift_total"
+
 type totals = {
   total_analyses : int;
   total_refactorizations : int;
@@ -262,21 +267,16 @@ type totals = {
   total_pivot_drift : int;
 }
 
-let g_analyses = Atomic.make 0
-let g_refactorizations = Atomic.make 0
-let g_solves = Atomic.make 0
-let g_pivot_drift = Atomic.make 0
-
 let totals () =
   {
-    total_analyses = Atomic.get g_analyses;
-    total_refactorizations = Atomic.get g_refactorizations;
-    total_solves = Atomic.get g_solves;
-    total_pivot_drift = Atomic.get g_pivot_drift;
+    total_analyses = Tally.get analyses_total;
+    total_refactorizations = Tally.get refactorizations_total;
+    total_solves = Tally.get solves_total;
+    total_pivot_drift = Tally.get pivot_drift_total;
   }
 
 let analyze m =
-  Atomic.incr g_analyses;
+  Tally.incr analyses_total;
   let sched, _, _, _ = full_factor m in
   { spat = m.pat; sched }
 
@@ -365,14 +365,14 @@ let refactorize num (m : t) =
   if not (num.npat == m.pat || pattern_equal num.npat m.pat) then
     invalid_arg "Sparse.refactorize: pattern mismatch";
   num.n_refactorizations <- num.n_refactorizations + 1;
-  Atomic.incr g_refactorizations;
+  Tally.incr refactorizations_total;
   (try replay num m
    with Unstable_pivot ->
      (* the shared pivot order went stale for these values: re-pivot
         into a schedule private to this workspace *)
      num.n_analyses <- num.n_analyses + 1;
-     Atomic.incr g_analyses;
-     Atomic.incr g_pivot_drift;
+     Tally.incr analyses_total;
+     Tally.incr pivot_drift_total;
      let sched, lv, uv, dv = full_factor m in
      let n = m.pat.n in
      num.nsched <- sched;
@@ -392,7 +392,7 @@ let solve num ~b ~x =
   if Array.length b <> n || Array.length x <> n then
     invalid_arg "Sparse.solve: dimension mismatch";
   num.n_solves <- num.n_solves + 1;
-  Atomic.incr g_solves;
+  Tally.incr solves_total;
   let y = num.ny in
   let lvals = num.lvals and uvals = num.uvals and dvals = num.dvals in
   (* y = P b *)

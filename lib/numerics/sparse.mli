@@ -140,7 +140,6 @@ type totals = {
 }
 
 val totals : unit -> totals
-(** Monotonic process-wide counters summed across every workspace that
-    ever existed (atomics, safe to read from any domain). These feed the
-    live metrics registry in the serve daemon; per-workspace {!stats}
-    remain the right tool for a single run's accounting. *)
+(** A view of this module's four {!Tally}s, summed across every
+    workspace that ever existed; per-workspace {!stats} remain the right
+    tool for a single run's accounting. *)

@@ -7,11 +7,6 @@ module Metrics = Adc_obs.Metrics
 module Span = Adc_obs.Span
 module Clock = Adc_obs.Clock
 module Log = Adc_obs.Log
-module Sparse = Adc_numerics.Sparse
-module Poly = Adc_numerics.Poly
-module Transient = Adc_circuit.Transient
-module Dc = Adc_circuit.Dc
-module Ota = Adc_mdac.Ota
 
 type config = {
   socket_path : string option;
@@ -57,15 +52,6 @@ type item = {
   admitted_at : int64;
 }
 
-(* last solver totals folded into the metrics registry (delta sync) *)
-type solver_seen = {
-  sp : Sparse.totals;
-  tr : Transient.totals;
-  dc : Dc.totals;
-  po : Poly.totals;
-  sv : Ota.servo_totals;
-}
-
 type t = {
   cfg : config;
   tr : Transport.t;
@@ -76,6 +62,7 @@ type t = {
   qcond : Condition.t;
   shared : Optimize.shared;
   rt : Compute.runtime;  (* the request path, on [shared] *)
+  tallies : Tallies.t;  (* the solver counters of [cfg.obs]'s registry *)
   started_at : float;
   smutex : Mutex.t;
   mutable n_requests : int;
@@ -84,7 +71,6 @@ type t = {
   mutable n_deadline : int;
   mutable n_failed : int;
   mutable n_inflight : int;
-  mutable solver_seen : solver_seen;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -108,51 +94,6 @@ let observe_latency t verb ms =
     ms
 
 let gen_req_id t = Printf.sprintf "r%06d" (Atomic.fetch_and_add t.req_seq 1)
-
-(* Fold the numeric core's process-wide totals into the live registry as
-   monotonic counters. Delta-synced under [smutex] at read time (scrape
-   or stats) rather than on the hot path: the solver counters tick
-   millions of times per busy second and must not take a daemon lock. *)
-let sync_solver_metrics t =
-  let m = t.cfg.obs.Obs.metrics in
-  if Metrics.enabled m then begin
-    locked t @@ fun t ->
-    let sp = Sparse.totals () and tr = Transient.totals () and dc = Dc.totals ()
-    and po = Poly.totals () and sv = Ota.servo_totals () in
-    let prev = t.solver_seen in
-    let add name v = Metrics.add (Metrics.counter m name) v in
-    add "solver.sparse_analyses_total"
-      (sp.Sparse.total_analyses - prev.sp.Sparse.total_analyses);
-    add "solver.sparse_refactorizations_total"
-      (sp.Sparse.total_refactorizations - prev.sp.Sparse.total_refactorizations);
-    add "solver.sparse_solves_total"
-      (sp.Sparse.total_solves - prev.sp.Sparse.total_solves);
-    add "solver.pivot_drift_total"
-      (sp.Sparse.total_pivot_drift - prev.sp.Sparse.total_pivot_drift);
-    add "solver.transient_runs_total"
-      (tr.Transient.total_runs - prev.tr.Transient.total_runs);
-    add "solver.newton_iterations_total"
-      (tr.Transient.total_newton_iterations
-      - prev.tr.Transient.total_newton_iterations);
-    add "solver.transient_accepted_steps_total"
-      (tr.Transient.total_accepted_steps - prev.tr.Transient.total_accepted_steps);
-    add "solver.transient_rejected_steps_total"
-      (tr.Transient.total_rejected_steps - prev.tr.Transient.total_rejected_steps);
-    add "solver.dc_solves_total" (dc.Dc.total_solves - prev.dc.Dc.total_solves);
-    add "solver.dc_newton_iterations_total"
-      (dc.Dc.total_newton_iterations - prev.dc.Dc.total_newton_iterations);
-    add "solver.poly_roots_total" (po.Poly.roots_calls - prev.po.Poly.roots_calls);
-    add "solver.aberth_iterations_total"
-      (po.Poly.aberth_iterations - prev.po.Poly.aberth_iterations);
-    add "solver.aberth_max_iter_total"
-      (po.Poly.aberth_max_iter_hits - prev.po.Poly.aberth_max_iter_hits);
-    add "solver.aberth_floor_stops_total"
-      (po.Poly.aberth_floor_stops - prev.po.Poly.aberth_floor_stops);
-    add "solver.servo_probes_total" (sv.Ota.servo_probes - prev.sv.Ota.servo_probes);
-    add "solver.servo_fallbacks_total"
-      (sv.Ota.servo_fallbacks - prev.sv.Ota.servo_fallbacks);
-    t.solver_seen <- { sp; tr; dc; po; sv }
-  end
 
 (* ------------------------------------------------------------------ *)
 (* stats *)
@@ -368,7 +309,6 @@ let admit t conn (req : Protocol.request) =
   Metrics.inc (Metrics.counter t.cfg.obs.Obs.metrics "serve.requests_total");
   match req.Protocol.verb with
   | Protocol.Stats ->
-    sync_solver_metrics t;
     Transport.send conn
       (Protocol.ok_response ~id ?req_id:wire_rid ~verb:Protocol.Stats
          ~cached:false (stats_json t));
@@ -528,9 +468,9 @@ let flight_events t =
 (* ------------------------------------------------------------------ *)
 (* lifecycle *)
 
-(* the solver counters and ops gauges exist from the first scrape even
-   before any request ran: a stable exposition shape is what dashboards
-   and the CI asserts key on *)
+(* the serve counters and ops gauges, like the solver counters of
+   [Tallies.attach], exist from the first scrape: a stable exposition
+   shape is what dashboards and the CI asserts key on *)
 let preregister_metrics m =
   if Metrics.enabled m then begin
     List.iter
@@ -540,22 +480,6 @@ let preregister_metrics m =
         "serve.overloaded_total";
         "serve.deadline_exceeded_total";
         "serve.scrapes_total";
-        "solver.sparse_analyses_total";
-        "solver.sparse_refactorizations_total";
-        "solver.sparse_solves_total";
-        "solver.pivot_drift_total";
-        "solver.transient_runs_total";
-        "solver.newton_iterations_total";
-        "solver.transient_accepted_steps_total";
-        "solver.transient_rejected_steps_total";
-        "solver.dc_solves_total";
-        "solver.dc_newton_iterations_total";
-        "solver.poly_roots_total";
-        "solver.aberth_iterations_total";
-        "solver.aberth_max_iter_total";
-        "solver.aberth_floor_stops_total";
-        "solver.servo_probes_total";
-        "solver.servo_fallbacks_total";
       ];
     List.iter
       (fun n -> ignore (Metrics.gauge m n))
@@ -610,6 +534,7 @@ let create cfg =
     qcond = Condition.create ();
     shared;
     rt = { Compute.shared = (fun () -> shared); obs = cfg.obs; store };
+    tallies = Tallies.attach cfg.obs.Obs.metrics;
     started_at = Unix.gettimeofday ();
     smutex = Mutex.create ();
     n_requests = 0;
@@ -618,14 +543,6 @@ let create cfg =
     n_deadline = 0;
     n_failed = 0;
     n_inflight = 0;
-    solver_seen =
-      {
-        sp = Sparse.totals ();
-        tr = Transient.totals ();
-        dc = Dc.totals ();
-        po = Poly.totals ();
-        sv = Ota.servo_totals ();
-      };
   }
 
 let tcp_port t = Transport.tcp_port t.tr
@@ -655,12 +572,13 @@ let run t =
   in
   let before_scrape () =
     Metrics.inc (Metrics.counter t.cfg.obs.Obs.metrics "serve.scrapes_total");
-    sync_solver_metrics t
+    Tallies.fold t.tallies
   in
   Transport.run t.tr ~log:t.cfg.log ~metrics:t.cfg.obs.Obs.metrics
     ~before_scrape ~not_ready:(fun () -> None) ~handle_line:(handle_line t)
     ~drain;
-  Optimize.shutdown_shared t.shared
+  Optimize.shutdown_shared t.shared;
+  Tallies.fold t.tallies
 
 let requests t = locked t (fun t -> t.n_requests)
 let completed t = locked t (fun t -> t.n_completed)

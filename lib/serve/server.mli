@@ -29,7 +29,8 @@
     {!stop} (or SIGTERM via the CLI, or the [shutdown] verb) makes the
     daemon stop accepting, drain every queued and in-flight request,
     join its workers, close the listeners, unlink the socket and shut
-    down the domain pool — then {!run} returns. *)
+    down the domain pool — then {!run} folds the solver tallies into the
+    registry ({!Tallies.fold}) and returns. *)
 
 type config = {
   socket_path : string option;   (** Unix-domain socket to listen on *)

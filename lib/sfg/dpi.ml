@@ -1,6 +1,7 @@
 module Netlist = Adc_circuit.Netlist
 module Smallsig = Adc_circuit.Smallsig
 module Poly = Adc_numerics.Poly
+module Tally = Adc_numerics.Tally
 
 exception Unsupported of string
 
@@ -319,7 +320,7 @@ end)
    before anything is published. *)
 let cache : program Programs.t = Programs.create 16
 let cache_mutex = Mutex.create ()
-let compiled = ref 0
+let compiled_programs = Tally.make "solver.dpi_programs_total"
 let max_cached_programs = 64
 
 let program nl key =
@@ -333,10 +334,8 @@ let program nl key =
         | None ->
           if Programs.length cache >= max_cached_programs then Programs.reset cache;
           Programs.replace cache key p;
-          incr compiled;
+          Tally.incr compiled_programs;
           p)
-
-let compiled_programs () = Mutex.protect cache_mutex (fun () -> !compiled)
 
 (* ------------------------------------------------------------------ *)
 (* Per candidate                                                       *)

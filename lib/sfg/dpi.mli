@@ -62,6 +62,6 @@ val numeric_transfer_to : result -> Adc_circuit.Netlist.node -> Ratfun.t
 (** {!numeric_tf}: the same transfer function instantiated with the
     extracted small-signal values. *)
 
-val compiled_programs : unit -> int
+val compiled_programs : Adc_numerics.Tally.t
 (** Process-wide count of programs compiled and published to the cache
     — a handful per process however many candidates are built. *)

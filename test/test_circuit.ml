@@ -10,6 +10,7 @@ module Stimulus = Adc_circuit.Stimulus
 module Dc = Adc_circuit.Dc
 module Mna = Adc_circuit.Mna
 module Sparse = Adc_numerics.Sparse
+module Tally = Adc_numerics.Tally
 module Vec = Adc_numerics.Vec
 module Smallsig = Adc_circuit.Smallsig
 module Ac = Adc_circuit.Ac
@@ -680,10 +681,10 @@ let prop_random_netlist_backends_agree =
       in
       let nl1 = build (seed + 1) in
       let agree = Vec.max_abs_diff (solve `Dense nl1) (solve `Sparse nl1) <= 1e-9 in
-      let published = Mna.shared_analyses () in
+      let published = Tally.get Mna.cache_analyses in
       (* same topology, different values: must reuse the cached symbolic *)
       let x2 = solve `Sparse (build (seed + 2)) in
-      let shared = Mna.shared_analyses () = published in
+      let shared = Tally.get Mna.cache_analyses = published in
       (* replaying the recorded factorization is bit-deterministic *)
       let x2' = solve `Sparse (build (seed + 2)) in
       agree && shared && Vec.max_abs_diff x2 x2' = 0.0)
@@ -740,10 +741,17 @@ let prop_compiled_stamps_match_reference =
       let x = Array.init (Netlist.unknown_count nl) (fun _ -> Rng.uniform_in rng (-3.3) 3.3) in
       let time = Rng.uniform_in rng 0.0 1e-6 and source_scale = Rng.uniform_in rng 0.1 1.0 in
       let gmin = [| 0.0; 1e-12; 1e-3 |].(Rng.int_below rng 3) in
+      let farads =
+        List.filter_map
+          (function Netlist.Capacitor { farads; _ } -> Some farads | _ -> None)
+          (Netlist.devices nl)
+      in
       let companion =
         Mna.Cap_companion
-          (fun ~cap_index ~np:_ ~nn:_ ~farads ->
-            { Mna.geq = farads *. 1e9; ieq = float_of_int cap_index *. 1e-6 })
+          {
+            geq = Array.of_list (List.map (fun f -> f *. 1e9) farads);
+            ieq = Array.init (List.length farads) (fun k -> float_of_int k *. 1e-6);
+          }
       in
       let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
       let same_vec a b = Array.for_all2 same a b in

@@ -9,6 +9,7 @@ module Comparator = Adc_mdac.Comparator
 module Mdac_stage = Adc_mdac.Mdac_stage
 module Sha = Adc_mdac.Sha
 module Ota = Adc_mdac.Ota
+module Tally = Adc_numerics.Tally
 module Expr = Adc_sfg.Expr
 
 let proc = Process.c025
@@ -385,13 +386,13 @@ let test_servo_takes_the_guide () =
                 (fun backend ->
                   Fixtures.on_solver backend @@ fun () ->
                   let o = cold_servo ~load_cap proc z in
-                  let before = Ota.servo_totals () in
+                  let calls0 = Tally.get Ota.servo_calls and probes0 = Tally.get Ota.servo_probes
+                  and fallbacks0 = Tally.get Ota.servo_fallbacks in
                   ignore (Ota.biased_operating_point ~load_cap proc z);
-                  let after = Ota.servo_totals () in
-                  if after.Ota.servo_calls - before.Ota.servo_calls <> 1 then
+                  if Tally.get Ota.servo_calls - calls0 <> 1 then
                     Alcotest.fail "biased_operating_point is not one servo call";
-                  let d_probes = after.Ota.servo_probes - before.Ota.servo_probes
-                  and d_fallbacks = after.Ota.servo_fallbacks - before.Ota.servo_fallbacks in
+                  let d_probes = Tally.get Ota.servo_probes - probes0
+                  and d_fallbacks = Tally.get Ota.servo_fallbacks - fallbacks0 in
                   match o.res with
                   | Ok _ when o.railed ->
                     incr railed;
@@ -506,11 +507,10 @@ let test_servo_falls_back_on_failed_replay () =
   let w = warm_servo ~load_cap proc z in
   Alcotest.(check bool) "plain warm servo centres the output" true
     (Result.is_ok w.w_res && not w.ended_failed);
-  let before = Ota.servo_totals () in
+  let fallbacks0 = Tally.get Ota.servo_fallbacks and probes0 = Tally.get Ota.servo_probes in
   let got = Ota.biased_operating_point ~load_cap proc z in
-  let after = Ota.servo_totals () in
-  Alcotest.(check int) "the guide is dropped" 1 (after.Ota.servo_fallbacks - before.Ota.servo_fallbacks);
-  let probes = after.Ota.servo_probes - before.Ota.servo_probes in
+  Alcotest.(check int) "the guide is dropped" 1 (Tally.get Ota.servo_fallbacks - fallbacks0);
+  let probes = Tally.get Ota.servo_probes - probes0 in
   Alcotest.(check bool)
     (Printf.sprintf "guided probes before the plain ones (%d > %d)" probes w.w_probes)
     true (probes > w.w_probes);
@@ -586,6 +586,57 @@ let test_settling_bench_matches_oracle () =
   in
   let diff = Float.abs (final `Dense -. final `Sparse) in
   Alcotest.(check bool) (Printf.sprintf "final values differ by %g" diff) true (diff <= 1e-9)
+
+(* A transient Newton iteration allocates nothing: on the netlist of
+   the m3@11b settling bench, the companion-model Newton solve of one
+   step costs the same minor words whether it stops after 5 iterations
+   or 60. The step time sits past the input ramp: a [Pwl] value between
+   two corners is still boxed by [Stimulus.value]. *)
+let test_transient_newton_words_independent_of_iterations () =
+  let spec = Spec.paper_case ~k:13 in
+  let proc = spec.Spec.process in
+  let req = Spec.stage_requirements spec { Spec.m = 3; input_bits = 11 } in
+  let caps = req.Mdac_stage.caps in
+  let vcm = Ota.default_vcm proc in
+  let nl = Netlist.create proc in
+  let p = Ota.add_core proc Ota.default_sizing nl in
+  let step_node = Netlist.node nl "vstep" and vg_ref = Netlist.node nl "vg_ref" in
+  Netlist.vsource nl "vip" p.Ota.noninv Netlist.ground (Stimulus.Dc vcm);
+  Netlist.vsource nl "vg_src" vg_ref Netlist.ground (Stimulus.Dc vcm);
+  Netlist.switch nl "sw_reset" p.Ota.inv vg_ref ~r_on:50.0 ~r_off:1e13
+    ~closed_at:(fun t -> t < 0.5e-9);
+  Netlist.vsource nl "vstep_src" step_node Netlist.ground
+    (Stimulus.Pwl [| (0.0, vcm); (1.0e-9, vcm); (1.01e-9, vcm +. 0.25) |]);
+  Netlist.capacitor nl "cs" step_node p.Ota.inv (caps.Caps.gain *. caps.Caps.c_feedback);
+  Netlist.capacitor nl "cf" p.Ota.inv p.Ota.out caps.Caps.c_feedback;
+  Netlist.capacitor nl "cl" p.Ota.out Netlist.ground req.Mdac_stage.c_load_ext;
+  let h = 1e-11 in
+  let geq =
+    Array.of_list
+      (List.filter_map
+         (function Netlist.Capacitor { farads; _ } -> Some (farads /. h) | _ -> None)
+         (Netlist.devices nl))
+  in
+  let cap_policy = Mna.Cap_companion { geq; ieq = Array.make (Array.length geq) 0.0 } in
+  let ctx = Mna.context nl in
+  let x0 = Array.make (Netlist.unknown_count nl) 0.0 in
+  let run max_iter () =
+    match
+      Dc.newton ~max_iter ~vstep_limit:1e-3 ~ctx ~x0 ~time:2e-9 ~source_scale:1.0 ~gmin:1e-12
+        ~cap_policy nl
+    with
+    | Error e when e = Printf.sprintf "Newton: no convergence in %d iterations" max_iter -> ()
+    | Error e -> Alcotest.failf "Newton stopped early: %s" e
+    | Ok _ -> Alcotest.failf "converged within %d iterations" max_iter
+  in
+  run 1 ();
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let w5 = words (run 5) and w60 = words (run 60) in
+  Alcotest.(check (float 0.0)) "minor words independent of max_iter" w5 w60
 
 (* ------------------------------------------------------------------ *)
 (* Switched-capacitor MDAC transient bench *)
@@ -674,6 +725,8 @@ let () =
           quick "cascode gain" test_ota_cascode_has_more_gain;
           quick "settling bench" test_ota_settling_bench_accuracy;
           quick "settling bench matches oracle" test_settling_bench_matches_oracle;
+          quick "transient newton words independent of iterations"
+            test_transient_newton_words_independent_of_iterations;
           quick "symbolic transfer" test_ota_symbolic_transfer_mentions_devices;
           quick "power tracks bias" test_ota_power_tracks_bias;
         ] );

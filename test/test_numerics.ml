@@ -10,6 +10,7 @@ module Stats = Adc_numerics.Stats
 module Rng = Adc_numerics.Rng
 module Interp = Adc_numerics.Interp
 module Units = Adc_numerics.Units
+module Tally = Adc_numerics.Tally
 
 let check_close ?(eps = 1e-9) msg expected actual =
   if Float.abs (expected -. actual) > eps *. (1.0 +. Float.abs expected) then
@@ -359,9 +360,35 @@ let test_poly_roots_rejects_non_finite () =
     [ [| 2.0; nan; 1.0 |]; [| nan; 1.0 |]; [| 1.0; 2.0; infinity |]; [| neg_infinity; 1.0; 1.0 |] ];
   Alcotest.(check bool) "is_finite" false (Poly.is_finite (Poly.of_coeffs [| 2.0; nan; 1.0 |]))
 
+(* Tallies: names are unique across the linked modules (a second
+   declaration is refused), and two domains adding at once lose nothing. *)
+let test_tally_names_unique () =
+  let names = List.map fst (Tally.all ()) in
+  Alcotest.(check bool) "the solver tallies are declared" true
+    (List.mem "solver.poly_roots_total" names && List.mem "solver.sparse_solves_total" names);
+  Alcotest.(check int) "no name twice" (List.length names)
+    (List.length (List.sort_uniq String.compare names));
+  Alcotest.check_raises "a duplicate is refused"
+    (Invalid_argument "Tally.make: duplicate name solver.poly_roots_total") (fun () ->
+      ignore (Tally.make "solver.poly_roots_total"))
+
+let test_tally_add_across_domains () =
+  let t = Tally.make "test.tally_across_domains" in
+  let work () =
+    for i = 1 to 10_000 do
+      Tally.add t i;
+      Tally.incr t
+    done
+  in
+  let d = Domain.spawn work in
+  work ();
+  Domain.join d;
+  Alcotest.(check int) "both domains' adds" (2 * ((10_000 * 10_001 / 2) + 10_000)) (Tally.get t);
+  Alcotest.(check bool) "listed" true (List.mem_assoc "test.tally_across_domains" (Tally.all ()))
+
 (* The Aberth sweep allocates nothing: with [tol = 0] every call runs
    exactly [max_iter] sweeps, and 5 or 60 of them cost the same minor
-   words (the setup and the result only). The totals add once per call. *)
+   words (the setup and the result only). The tallies add once per call. *)
 let test_poly_roots_allocation_free () =
   let p = Poly.from_roots (Array.init 11 (fun k -> { Complex.re = -.float_of_int (k + 1); im = 0.0 })) in
   let words max_iter =
@@ -370,14 +397,13 @@ let test_poly_roots_allocation_free () =
     Gc.minor_words () -. before
   in
   ignore (words 1);
-  let t0 = Poly.totals () in
+  let calls0 = Tally.get Poly.roots_calls and sweeps0 = Tally.get Poly.aberth_iterations
+  and hits0 = Tally.get Poly.aberth_max_iter_hits in
   let w5 = words 5 and w60 = words 60 in
-  let t1 = Poly.totals () in
   Alcotest.(check (float 0.0)) "minor words independent of sweeps" w5 w60;
-  Alcotest.(check int) "two calls" 2 (t1.Poly.roots_calls - t0.Poly.roots_calls);
-  Alcotest.(check int) "sweeps summed" 65 (t1.Poly.aberth_iterations - t0.Poly.aberth_iterations);
-  Alcotest.(check int) "both stopped at max_iter" 2
-    (t1.Poly.aberth_max_iter_hits - t0.Poly.aberth_max_iter_hits)
+  Alcotest.(check int) "two calls" 2 (Tally.get Poly.roots_calls - calls0);
+  Alcotest.(check int) "sweeps summed" 65 (Tally.get Poly.aberth_iterations - sweeps0);
+  Alcotest.(check int) "both stopped at max_iter" 2 (Tally.get Poly.aberth_max_iter_hits - hits0)
 
 (* Eleven real roots a tenth of a decade apart: the sweeps never meet
    [tol] = 1e-12, and the iteration stops 3 sweeps after every step
@@ -389,14 +415,12 @@ let test_poly_roots_floor_stop () =
   let p =
     Poly.from_roots (Array.init 11 (fun k -> { Complex.re = -.(10.0 ** (0.1 *. float_of_int k)); im = 0.0 }))
   in
-  let t0 = Poly.totals () in
+  let stops0 = Tally.get Poly.aberth_floor_stops and hits0 = Tally.get Poly.aberth_max_iter_hits
+  and sweeps0 = Tally.get Poly.aberth_iterations in
   let rs = Poly.roots p in
-  let t1 = Poly.totals () in
-  Alcotest.(check int) "stopped at the floor" 1
-    (t1.Poly.aberth_floor_stops - t0.Poly.aberth_floor_stops);
-  Alcotest.(check int) "not at max_iter" 0
-    (t1.Poly.aberth_max_iter_hits - t0.Poly.aberth_max_iter_hits);
-  let sweeps = t1.Poly.aberth_iterations - t0.Poly.aberth_iterations in
+  Alcotest.(check int) "stopped at the floor" 1 (Tally.get Poly.aberth_floor_stops - stops0);
+  Alcotest.(check int) "not at max_iter" 0 (Tally.get Poly.aberth_max_iter_hits - hits0);
+  let sweeps = Tally.get Poly.aberth_iterations - sweeps0 in
   Alcotest.(check bool) (Printf.sprintf "%d sweeps, not 200" sweeps) true (sweeps < 30);
   Alcotest.(check bool) "bit-equal to the boxed oracle" true (Oracle.same_roots (Oracle.roots p) rs);
   let worst =
@@ -797,6 +821,11 @@ let () =
     [
       ( "vec",
         [ quick "basic ops" test_vec_basic; quick "dim mismatch" test_vec_dim_mismatch ] );
+      ( "tally",
+        [
+          quick "names unique" test_tally_names_unique;
+          quick "add across domains" test_tally_add_across_domains;
+        ] );
       ( "mat",
         [
           quick "known 2x2" test_lu_known_system;

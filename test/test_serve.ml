@@ -1247,6 +1247,74 @@ let test_server_ops_plane_scrape () =
       Thread.join slow;
       Client.close c)
 
+(* A fresh daemon's first scrape lists one counter per solver tally,
+   at 0, before any request ran: the exposition shape dashboards and the
+   CI greps key on. A tally exists only if its module is linked, so this
+   also pins which modules the daemon links. *)
+let test_server_first_scrape_lists_solver_tallies () =
+  let obs = Adc_obs.in_memory () in
+  with_server
+    ~cfg:(fun c -> { c with Server.obs; metrics_addr = Some ("127.0.0.1", 0) })
+    (fun srv _socket ->
+      let port =
+        match Server.metrics_port srv with
+        | Some p -> p
+        | None -> Alcotest.fail "metrics listener did not bind"
+      in
+      let _, scraped = http_get port "/metrics" in
+      let solver_lines =
+        List.filter
+          (String.starts_with ~prefix:"adcopt_solver_")
+          (String.split_on_char '\n' scraped)
+      in
+      let expected =
+        List.map
+          (fun n -> "adcopt_solver_" ^ n ^ " 0")
+          [
+            "aberth_floor_stops_total";
+            "aberth_iterations_total";
+            "aberth_max_iter_total";
+            "dc_newton_iterations_total";
+            "dc_solves_total";
+            "dpi_programs_total";
+            "newton_iterations_total";
+            "pivot_drift_total";
+            "poly_roots_total";
+            "servo_calls_total";
+            "servo_fallbacks_total";
+            "servo_probes_total";
+            "shared_analyses_total";
+            "sparse_analyses_total";
+            "sparse_refactorizations_total";
+            "sparse_solves_total";
+            "transient_accepted_steps_total";
+            "transient_rejected_steps_total";
+            "transient_runs_total";
+          ]
+      in
+      Alcotest.(check (list string)) "every solver tally, at 0" expected solver_lines)
+
+(* The exit table reads the registry after [Server.run] returns: the
+   solver work of a daemon that was never scraped nor asked for stats
+   must be in it. *)
+let test_server_exit_registry_has_solver_work () =
+  let obs = Adc_obs.in_memory () in
+  with_server
+    ~cfg:(fun c -> { c with Server.obs })
+    (fun _srv socket ->
+      let c = Client.connect_unix socket in
+      let hybrid =
+        Client.request c
+          (Json.parse
+             {|{"verb":"optimize","k":10,"mode":"hybrid","seed":7,"attempts":1,"budget":{"sa_iterations":12,"pattern_evals":20,"space_factor":0.6}}|})
+      in
+      Alcotest.(check bool) "hybrid optimize ok" true (member_exn "ok" hybrid = Json.Bool true);
+      Client.close c);
+  match List.assoc_opt "solver.dc_solves_total" (Adc_obs.Metrics.snapshot obs.Adc_obs.metrics) with
+  | Some (Adc_obs.Metrics.Counter n) ->
+    Alcotest.(check bool) (Printf.sprintf "%d DC solves folded at exit" n) true (n > 0)
+  | _ -> Alcotest.fail "solver.dc_solves_total missing from the registry"
+
 let test_server_dump_trace_roundtrip () =
   with_server
     ~cfg:(fun c -> { c with Server.flight_capacity = 64 })
@@ -1376,6 +1444,10 @@ let () =
           quick "req_id echoed and stamped on spans" test_server_req_id_envelope;
           slow "ops plane: scrape, healthz, readyz flip"
             test_server_ops_plane_scrape;
+          quick "first scrape lists every solver tally"
+            test_server_first_scrape_lists_solver_tallies;
+          quick "exit registry holds unscraped solver work"
+            test_server_exit_registry_has_solver_work;
           quick "dump-trace round-trips the flight recorder"
             test_server_dump_trace_roundtrip;
         ] );

@@ -9,6 +9,7 @@ module Mason = Adc_sfg.Mason
 module Dpi = Adc_sfg.Dpi
 module Analysis = Adc_sfg.Analysis
 module Poly = Adc_numerics.Poly
+module Tally = Adc_numerics.Tally
 module Process = Adc_circuit.Process
 module Netlist = Adc_circuit.Netlist
 module Stimulus = Adc_circuit.Stimulus
@@ -370,14 +371,14 @@ let test_dpi_cap_sign_change_compiles_anew () =
   in
   Alcotest.(check bool) "cgs > 0 at the operating point" true
     ((Smallsig.find_mos ss "m_cap_sign").Smallsig.caps.Mosfet.cgs > 0.0);
-  let before = Dpi.compiled_programs () in
+  let before = Tally.get Dpi.compiled_programs in
   check_against_reference "cgs > 0" nl ss out;
-  Alcotest.(check int) "first topology compiled" (before + 1) (Dpi.compiled_programs ());
+  Alcotest.(check int) "first topology compiled" (before + 1) (Tally.get Dpi.compiled_programs);
   check_against_reference "cgs < 0" nl (flip ss) out;
-  Alcotest.(check int) "the flipped cap compiles its own" (before + 2) (Dpi.compiled_programs ());
+  Alcotest.(check int) "the flipped cap compiles its own" (before + 2) (Tally.get Dpi.compiled_programs);
   ignore (Dpi.build nl ss);
   ignore (Dpi.build nl (flip ss));
-  Alcotest.(check int) "both are cached" (before + 2) (Dpi.compiled_programs ())
+  Alcotest.(check int) "both are cached" (before + 2) (Tally.get Dpi.compiled_programs)
 
 (* the same OTA on another card is the same topology *)
 let test_dpi_program_shared_across_cards () =
@@ -389,10 +390,10 @@ let test_dpi_program_shared_across_cards () =
   in
   let p25, ss25 = point "c025" in
   ignore (Dpi.build p25.Ota.nl ss25);
-  let after_c025 = Dpi.compiled_programs () in
+  let after_c025 = Tally.get Dpi.compiled_programs in
   let p18, ss18 = point "c018" in
   check_against_reference "c018 on the c025 program" p18.Ota.nl ss18 p18.Ota.out;
-  Alcotest.(check int) "no compilation for c018" after_c025 (Dpi.compiled_programs ())
+  Alcotest.(check int) "no compilation for c018" after_c025 (Tally.get Dpi.compiled_programs)
 
 (* Two domains build a topology nobody has compiled yet at the same time:
    both may compile, one program is published, both answer the
@@ -401,7 +402,7 @@ let test_dpi_compile_race () =
   let nl, out = common_source ~m_name:"m_race" () in
   let ss = small_signal nl in
   let expected = (Oracle.dpi nl ss).Oracle.numeric_tf out in
-  let before = Dpi.compiled_programs () in
+  let before = Tally.get Dpi.compiled_programs in
   let go = Atomic.make false in
   let racer () =
     while not (Atomic.get go) do
@@ -414,7 +415,7 @@ let test_dpi_compile_race () =
   let r1 = Domain.join d1 and r2 = Domain.join d2 in
   Alcotest.(check bool) "first racer" true (Oracle.same_ratfun expected r1);
   Alcotest.(check bool) "second racer" true (Oracle.same_ratfun expected r2);
-  Alcotest.(check int) "one program published" (before + 1) (Dpi.compiled_programs ())
+  Alcotest.(check int) "one program published" (before + 1) (Tally.get Dpi.compiled_programs)
 
 (* The output must be an SFG unknown, on a fresh topology and a cached one *)
 let test_dpi_output_not_unknown () =
@@ -429,22 +430,22 @@ let test_dpi_output_not_unknown () =
     | _ -> Alcotest.failf "%s: the input node was accepted as an output" what
     | exception Dpi.Unsupported _ -> ()
   in
-  let before = Dpi.compiled_programs () in
+  let before = Tally.get Dpi.compiled_programs in
   refused "cache miss";
-  Alcotest.(check int) "compiled once" (before + 1) (Dpi.compiled_programs ());
+  Alcotest.(check int) "compiled once" (before + 1) (Tally.get Dpi.compiled_programs);
   refused "cache hit";
-  Alcotest.(check int) "then cached" (before + 1) (Dpi.compiled_programs ())
+  Alcotest.(check int) "then cached" (before + 1) (Tally.get Dpi.compiled_programs)
 
 (* A hybrid optimization builds thousands of candidates over a handful of
    topologies. Runs before any other OTA test of this suite, so the count
    is this job's own. *)
 let test_dpi_hybrid_job_compiles_few () =
-  let before = Dpi.compiled_programs () in
+  let before = Tally.get Dpi.compiled_programs in
   let budget = { Synthesizer.sa_iterations = 12; pattern_evals = 20; space_factor = 0.6 } in
   let r =
     Optimize.run ~mode:`Hybrid ~seed:7 ~attempts:1 ~budget ~jobs:1 (Spec.paper_case ~k:10)
   in
-  let compiled = Dpi.compiled_programs () - before in
+  let compiled = Tally.get Dpi.compiled_programs - before in
   Alcotest.(check bool)
     (Printf.sprintf "%d programs for %d evaluator calls" compiled r.Optimize.synthesis_evaluations)
     true
@@ -615,7 +616,7 @@ let test_characterize_roots_once () =
   let den = Poly.from_roots (distinct_lhp_roots 11 ~scale:1e3) in
   let h = Ratfun.make num den in
   Alcotest.(check int) "degree 11" 11 (Poly.degree h.Ratfun.den);
-  let calls () = (Poly.totals ()).Poly.roots_calls in
+  let calls () = Tally.get Poly.roots_calls in
   let before = calls () in
   let spec = Analysis.characterize h in
   Alcotest.(check int) "roots calls" 2 (calls () - before);
