@@ -111,10 +111,21 @@ type attempt =
    folds them with [better] in attempt order, so the winner does not
    depend on which domain ran what (contract in optimize.mli). *)
 let best_of_n ~pool ?(cancel = Cancel.never) ?(donors = []) ?(on_fold = ignore)
-    ~attempts ~into search =
-  let warm_start () =
+    ?(obs = Obs.null) ?(wait_parent = fun _ -> Obs.Span.dummy) ~attempts ~into
+    search =
+  (* a donor still pending parks this domain: when tracing, the wait is
+     an [optimize.donor_wait] span tagged with the domain, so a trace
+     can tell a parked worker from a busy one *)
+  let await a d =
+    if Obs.tracing obs && not (Future.is_resolved d) then
+      Obs.with_span obs ~parent:(wait_parent a) ~name:"optimize.donor_wait"
+        ~attrs:[ ("domain_id", Obs.Sink.Int (Domain.self () :> int)) ]
+        (fun _ -> Future.await d)
+    else Future.await d
+  in
+  let warm_start a =
     List.find_map
-      (fun d -> Option.map (fun s -> s.Synthesizer.sizing) (Future.await d).best)
+      (fun d -> Option.map (fun s -> s.Synthesizer.sizing) (await a d).best)
       donors
   in
   let slots = Array.make (Stdlib.max 0 attempts) Skipped in
@@ -131,7 +142,8 @@ let best_of_n ~pool ?(cancel = Cancel.never) ?(donors = []) ?(on_fold = ignore)
               { acc with
                 best = Some (match acc.best with None -> s | Some b -> better b s);
                 evaluations = acc.evaluations + s.Synthesizer.evaluations })
-          { best = None; evaluations = 0; warm = ran && warm_start () <> None;
+          { best = None; evaluations = 0;
+            warm = ran && warm_start (Array.length slots) <> None;
             truncated = false }
           slots
       in
@@ -144,7 +156,7 @@ let best_of_n ~pool ?(cancel = Cancel.never) ?(donors = []) ?(on_fold = ignore)
   let run a =
     (* a cancel is polled again after the donors, which may have taken
        a while *)
-    let warm_start = if a = 0 || Cancel.cancelled cancel then None else warm_start () in
+    let warm_start = if a = 0 || Cancel.cancelled cancel then None else warm_start a in
     if Cancel.cancelled cancel then Skipped else Ran (search a ~warm_start)
   in
   (* each task writes its slot before its decrement, and the atomic
@@ -259,9 +271,9 @@ let keyed_schedule (spec : Spec.t) ~mode_name ~seed ~attempts ~budget jobs =
    pattern descent from the analytic seed (smooth across jobs); later
    attempts anneal, longer on the GHz-class jobs, whose good basins are
    rare. An explicit budget override (tests, CI) caps every attempt.
-   Callers submit in hardest-first order and pass the futures of the
-   job's [donors], which were submitted earlier: a blocked worker always
-   waits on tasks enqueued before its own, so the pool cannot deadlock
+   Callers submit in plan order and pass the futures of the job's
+   [donors], which were submitted earlier: a blocked worker always waits
+   on tasks enqueued before its own, so the pool cannot deadlock
    (docs/PARALLELISM.md). *)
 let submit_job (spec : Spec.t) ~mode ~seed ~attempts ~budget ~cancel ~pool
     ~memo ~obs ~span_parent ~donors kj =
@@ -287,12 +299,34 @@ let submit_job (spec : Spec.t) ~mode ~seed ~attempts ~budget ~cancel ~pool
           span := Some s;
           s)
   in
+  let n = attempts_for ~attempts job in
+  (* attempt [a]'s span opens at its donor wait or at its search,
+     whichever comes first, and the search finishes and clears it; only
+     attempt [a]'s task touches slot [a] before the fold *)
+  let attempt_spans = Array.make n Obs.Span.dummy in
+  let attempt_span a =
+    if not (Obs.Span.is_live attempt_spans.(a)) then
+      attempt_spans.(a) <-
+        Obs.span obs ~parent:(job_span ())
+          ~name:(if a = 0 then "optimize.attempt.det" else "optimize.attempt.sa")
+          ();
+    attempt_spans.(a)
+  in
+  (* the fold's wait hangs from the job span *)
+  let wait_parent a = if a < n then attempt_span a else job_span () in
+  (* a span still open at the fold is that of an attempt the cancel
+     skipped after its donor wait *)
+  let on_fold outcome =
+    Array.iteri
+      (fun a span ->
+        Obs.Span.finish
+          ~attrs:[ ("attempt", Obs.Sink.Int a); ("skipped", Obs.Sink.Bool true) ]
+          span)
+      attempt_spans;
+    finish_job_span (job_span ()) job ~attempts ~outcome
+  in
   let search a ~warm_start =
-    let attempt_span =
-      Obs.span obs ~parent:(job_span ())
-        ~name:(if a = 0 then "optimize.attempt.det" else "optimize.attempt.sa")
-        ()
-    in
+    let attempt_span = attempt_span a in
     let budget =
       match (budget, a) with
       | Some b, 0 -> { b with Synthesizer.sa_iterations = 0 }
@@ -309,13 +343,12 @@ let submit_job (spec : Spec.t) ~mode ~seed ~attempts ~budget ~cancel ~pool
         ~obs ~span_parent:attempt_span spec.Spec.process req
     in
     Obs.Span.finish ~attrs:[ ("attempt", Obs.Sink.Int a) ] attempt_span;
+    attempt_spans.(a) <- Obs.Span.dummy;
     r
   in
   Memo.find_or_run memo pool kj.kj_key (fun into ->
-      best_of_n ~pool ~cancel ~donors ~attempts:(attempts_for ~attempts job)
-        ~into
-        ~on_fold:(fun outcome -> finish_job_span (job_span ()) job ~attempts ~outcome)
-        search)
+      best_of_n ~pool ~cancel ~donors ~on_fold ~obs ~wait_parent ~attempts:n
+        ~into search)
 
 (* deterministic assembly: await and aggregate in schedule order. Also
    counts cached outcomes — a run that warm-hits a job still reports
@@ -391,8 +424,9 @@ type spec_plan = {
 
 type plan = {
   per_spec : spec_plan list;
-  union : (Spec.t * keyed_job) list;
-      (* the fused work list: key-deduplicated, hardest-first *)
+  union : (Spec.t * keyed_job * int) list;
+      (* the fused work list: key-deduplicated, each job with its height,
+         in submission order (tallest first, then hardest-first) *)
   job_occurrences : int;
 }
 
@@ -401,15 +435,36 @@ let mode_name_of = function
   | `Hybrid -> "hybrid"
   | `Hybrid_verified -> "hybrid_verified"
 
+(* Each job's height in a hardest-first work list: the length of the
+   longest warm-start chain that hangs from it, itself included (1 for a
+   job no other job awaits). A donor sorts before its dependents, so one
+   pass from the back settles every dependent before its donors. *)
+let with_heights work =
+  let heights : (Job_key.t, int) Hashtbl.t = Hashtbl.create 16 in
+  let height kj = Option.value (Hashtbl.find_opt heights kj.kj_key) ~default:1 in
+  List.iter
+    (fun (_, kj) ->
+      let above = height kj + 1 in
+      List.iter
+        (fun d ->
+          match Hashtbl.find_opt heights d with
+          | Some h when h >= above -> ()
+          | _ -> Hashtbl.replace heights d above)
+        kj.kj_donors)
+    (List.rev work);
+  List.map (fun (spec, kj) -> (spec, kj, height kj)) work
+
 (* The one planner behind [run], [run_batch] and [batch_plan_counts].
    Per-spec planning is a pure function of each spec alone — a spec's
    keyed schedule (and therefore its result) cannot depend on what else
    is in the batch. The work lists are then fused: deduplicated by
    Job_key (equal keys mean bit-identical outcomes, so either spec's
-   closure may compute the shared entry) and ordered hardest-first. A
-   donor always has strictly more input bits than its dependent, so
-   every donor sorts — and is submitted — before any job that awaits
-   it, batch-wide. *)
+   closure may compute the shared entry), ordered hardest-first and
+   then, stably, tallest first: the head of the longest warm-start chain
+   starts first (highest-level-first list scheduling). Only the
+   submission order changes, never a key or a donor. A donor is
+   strictly taller than each of its dependents, so every donor is still
+   submitted before any job that awaits it, batch-wide. *)
 let plan ~mode ~seed ~attempts ~budget specs =
   let mode_name = mode_name_of mode in
   let per_spec =
@@ -442,6 +497,8 @@ let plan ~mode ~seed ~attempts ~budget specs =
            match Spec.compare_job a.kj_job b.kj_job with
            | 0 -> Job_key.compare a.kj_key b.kj_key
            | c -> c)
+    |> with_heights
+    |> List.stable_sort (fun (_, _, a) (_, _, b) -> compare b a)
   in
   let job_occurrences =
     List.fold_left (fun n sp -> n + List.length sp.sp_keyed) 0 per_spec
@@ -538,8 +595,8 @@ let assemble sp ~mode ~obs ~run_span ~domains ~t_start
     truncated;
   }
 
-(* The one executor. The union is submitted in its hardest-first order
-   on one pool and memo, then each spec collects exactly its own
+(* The one executor. The union is submitted in its plan order on one
+   pool and memo, then each spec collects exactly its own
    schedule and is assembled, in input order — the collection a solo
    run over the same spec performs, so every run is byte-identical to
    it. [job_parent] parents the job spans; [spec_span ()] opens the span
@@ -567,8 +624,8 @@ let execute ~mode ~seed ~attempts ~budget ~jobs ~obs ~cancel ~shared ~on_run
     let execute_on pool memo =
       let futures : (Job_key.t, restarts Future.t) Hashtbl.t = Hashtbl.create 16 in
       List.iter
-        (fun (spec, kj) ->
-          (* a donor sorts, and so is submitted, before its dependents *)
+        (fun (spec, kj, _) ->
+          (* a donor is taller, so submitted before its dependents *)
           let donors = List.map (Hashtbl.find futures) kj.kj_donors in
           Hashtbl.replace futures kj.kj_key
             (submit_job spec ~mode ~seed ~attempts ~budget ~cancel ~pool
@@ -664,3 +721,17 @@ let batch_plan_counts ?(mode = `Hybrid) ?(seed = 11) ?(attempts = 3) ?budget
     specs =
   let p = plan ~mode ~seed ~attempts ~budget specs in
   (p.job_occurrences, List.length p.union)
+
+type submission = {
+  sub_job : Spec.job;
+  sub_key : Job_key.t;
+  sub_donors : Job_key.t list;
+  sub_height : int;
+}
+
+let submission_order ?(mode = `Hybrid) ?(seed = 11) ?(attempts = 3) ?budget
+    specs =
+  (plan ~mode ~seed ~attempts ~budget specs).union
+  |> List.map (fun (_, kj, h) ->
+         { sub_job = kj.kj_job; sub_key = kj.kj_key; sub_donors = kj.kj_donors;
+           sub_height = h })

@@ -33,15 +33,17 @@
 
     {1 Warm-start retargeting}
 
-    Jobs are scheduled hardest-first (descending input accuracy, then
+    Jobs are listed hardest-first (descending input accuracy, then
     descending stage resolution). Each job warm-starts from the best
-    already-scheduled donor with the same stage resolution and an
+    earlier-listed donor with the same stage resolution and an
     accuracy within one bit — the paper's "retargeting" effect ("2-3
     weeks for the first block, 1 day for subsequent blocks"). Donor
     choice is a pure function of the schedule, {e not} of completion
     order: a parallel run picks exactly the donors a sequential run
     would, which is the key determinism guarantee (see
-    [docs/PARALLELISM.md]).
+    [docs/PARALLELISM.md]). The pool is handed the jobs tallest
+    warm-start chain first ({!submission_order}), which changes only
+    when each job starts.
 
     {1 Parallelism and reproducibility}
 
@@ -211,8 +213,9 @@ val run :
     [run_batch] turns N overlapping requests into one near-minimal
     synthesis pass: each spec's keyed work list is derived independently
     (a pure function of that spec alone), the lists are fused and
-    deduplicated globally by {!Job_key}, the union is scheduled
-    hardest-first across one domain pool, and per-spec results are
+    deduplicated globally by {!Job_key}, the union is submitted
+    tallest warm-start chain first ({!submission_order}) to one domain
+    pool, and per-spec results are
     assembled from the shared outcomes. Because equal keys guarantee
     bit-identical outcomes, every run in {!batch.batch_runs} is
     byte-identical to the run a sequential [run] over the same spec
@@ -290,6 +293,8 @@ val best_of_n :
   ?cancel:Adc_exec.Cancel.t ->
   ?donors:restarts Adc_exec.Future.t list ->
   ?on_fold:(restarts -> unit) ->
+  ?obs:Adc_obs.t ->
+  ?wait_parent:(int -> Adc_obs.Span.t) ->
   attempts:int ->
   into:restarts Adc_exec.Future.t ->
   (int ->
@@ -305,7 +310,14 @@ val best_of_n :
     them in attempt order, passes the outcome to [on_fold] and resolves
     [into], so the outcome is the same on any pool; an exception from
     [search] or a donor fails [into]. [attempts <= 0] resolves [into]
-    at once; a size-1 pool runs every task inline. *)
+    at once; a size-1 pool runs every task inline.
+
+    When [obs] (default {!Adc_obs.null}) is tracing, an attempt (or the
+    fold) that finds a donor still pending awaits it inside an
+    [optimize.donor_wait] span, a child of [wait_parent a] ([a] the
+    attempt, [attempts] for the fold; default no parent), tagged with
+    the waiting domain's [domain_id]. Otherwise the wait allocates
+    nothing and reads no clock. *)
 
 val synth_restarts :
   pool:Adc_exec.Pool.t ->
@@ -333,3 +345,26 @@ val batch_plan_counts :
     over the same specs would report: summed per-spec work-list lengths,
     and the size of their key-deduplicated union. Pure; [(0, 0)] in
     [`Equation] mode. *)
+
+(** {1 The submission order} *)
+
+type submission = {
+  sub_job : Spec.job;
+  sub_key : Job_key.t;
+  sub_donors : Job_key.t list;  (** warm-start donors, preference order *)
+  sub_height : int;
+      (** the length of the longest warm-start chain hanging from this
+          job, itself included: 1 when no job awaits it *)
+}
+
+val submission_order :
+  ?mode:mode ->
+  ?seed:int ->
+  ?attempts:int ->
+  ?budget:Adc_synth.Synthesizer.budget ->
+  Spec.t list ->
+  submission list
+(** The key-deduplicated union {!run_batch} over the same specs submits,
+    in its submission order: tallest first, hardest-first among equal
+    heights. A donor is strictly taller than each of its dependents, so
+    it is submitted before them. Pure; [[]] in [`Equation] mode. *)

@@ -64,15 +64,22 @@ let run_task_measured t instr ~slot task =
     (Int64.to_int (Obs.Clock.elapsed_ns ~since:t0))
 
 (* one [pool.task] span per dequeued task, tagged with the execution
-   slot: the per-domain utilization timeline of `adcopt trace
-   utilization` is reconstructed from these. Emitted only when the
-   sink is live, so the bare path still never reads the clock. *)
+   slot and the running domain's id: the per-domain utilization timeline
+   of `adcopt trace utilization` is reconstructed from these, and a
+   span another layer tags with the same [domain_id] is placed in the
+   task around it. Emitted only when the sink is live, so the bare path
+   still never reads the clock. *)
 let dispatch t ~slot task =
   let span = Obs.Span.start t.trace ~name:"pool.task" () in
   (match t.instr with
   | None -> run_task t task
   | Some instr -> run_task_measured t instr ~slot task);
-  Obs.Span.finish ~attrs:[ ("domain", Obs.Sink.Int slot) ] span
+  if Obs.Span.is_live span then
+    Obs.Span.finish
+      ~attrs:
+        [ ("domain", Obs.Sink.Int slot);
+          ("domain_id", Obs.Sink.Int (Domain.self () :> int)) ]
+      span
 
 let worker_loop t ~slot =
   let rec next () =

@@ -242,6 +242,7 @@ let reconcile events =
 type domain_util = {
   domain : int;
   busy_ns : int64;
+  blocked_ns : int64;  (* the part of [busy_ns] parked on a donor *)
   tasks : int;
   timeline : float array;  (* busy fraction per bucket *)
 }
@@ -272,6 +273,17 @@ let utilization ?(buckets = 60) events =
       List.fold_left (fun acc e -> Int64.max acc (end_ns e)) Int64.min_int tasks
     in
     let span = Int64.max 1L (Int64.sub t1 t0) in
+    let waits =
+      List.filter (fun (e : Sink.event) -> e.Sink.name = "optimize.donor_wait") events
+    in
+    (* a donor wait is blocked time of the task that holds it: the same
+       domain id, and inside the task's interval *)
+    let holds (task : Sink.event) (w : Sink.event) =
+      attr_int "domain_id" w <> None
+      && attr_int "domain_id" task = attr_int "domain_id" w
+      && task.Sink.start_ns <= w.Sink.start_ns
+      && end_ns w <= end_ns task
+    in
     let domains : (int, Sink.event list ref) Hashtbl.t = Hashtbl.create 8 in
     List.iter
       (fun e ->
@@ -305,7 +317,14 @@ let utilization ?(buckets = 60) events =
               done)
             !evs;
           Array.iteri (fun i v -> timeline.(i) <- Float.min 1.0 v) timeline;
-          { domain = d; busy_ns = !busy; tasks = List.length !evs; timeline }
+          let blocked_ns =
+            List.fold_left
+              (fun acc (w : Sink.event) ->
+                if List.exists (fun e -> holds e w) !evs then Int64.add acc w.Sink.dur_ns
+                else acc)
+              0L waits
+          in
+          { domain = d; busy_ns = !busy; blocked_ns; tasks = List.length !evs; timeline }
           :: acc)
         domains []
       |> List.sort (fun a b -> compare a.domain b.domain)
@@ -384,8 +403,8 @@ let render_utilization u =
         else 100.0 *. Int64.to_float d.busy_ns /. Int64.to_float wall
       in
       Buffer.add_string b
-        (Printf.sprintf "  domain %2d [%s] %5.1f%% busy, %d tasks\n" d.domain bar
-           pct d.tasks))
+        (Printf.sprintf "  domain %2d [%s] %5.1f%% busy (%s blocked on donors), %d tasks\n"
+           d.domain bar pct (fmt_ns d.blocked_ns) d.tasks))
     u.per_domain;
   let total_busy =
     List.fold_left (fun acc d -> Int64.add acc d.busy_ns) 0L u.per_domain

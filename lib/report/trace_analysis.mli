@@ -94,6 +94,9 @@ val reconcile : Adc_obs.Sink.event list -> check list
 type domain_util = {
   domain : int;
   busy_ns : int64;
+  blocked_ns : int64;
+      (** the part of [busy_ns] spent parked on a warm-start donor: the
+          [optimize.donor_wait] spans inside this slot's tasks *)
   tasks : int;
   timeline : float array;  (** busy fraction per time bucket, 0..1 *)
 }
@@ -108,7 +111,9 @@ val utilization : ?buckets:int -> Adc_obs.Sink.event list -> utilization option
 (** Reconstructed from the [pool.task] spans (one per executed task,
     tagged with its slot); [None] when the trace holds none — e.g. an
     equation-mode run, which never builds a pool. [buckets] (default 60)
-    is the timeline resolution. *)
+    is the timeline resolution. A parked worker counts as busy, so each
+    slot also reports as blocked the [optimize.donor_wait] spans that lie
+    inside one of its tasks on the same [domain_id]. *)
 
 (** {2 Rendering} *)
 

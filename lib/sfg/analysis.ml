@@ -42,30 +42,50 @@ let eval_jw_into out ~num ~den f =
     out.(1) <- ((r *. xim) -. xre) /. d
   end
 
-(* log-spaced search for |H| crossing [level]; hz bounds derived from the
-   pole/zero magnitudes so the search window always brackets the action.
-   The 400 grid points are computed as the scan reaches them (an array of
-   them would be allocated straight into the major heap), and the scan
-   stops where [Rootfind.find_sign_change] would. *)
-let find_crossing out ~num ~den ~level ~f_lo ~f_hi =
-  let n = 400 in
+(* Log-spaced search for |H| crossing each of [levels]; hz bounds derived
+   from the pole/zero magnitudes so the search window always brackets the
+   action. One scan serves every level: |H| is computed once per grid
+   point, and each level keeps the first sign change of |H| - level, the
+   one [Rootfind.find_sign_change] would find on its own. The 400 grid
+   points are computed as the scan reaches them (an array of them would
+   be allocated straight into the major heap), and the scan stops once
+   every level has its bracket. [Rootfind.brent] then refines each. *)
+let find_crossings out ~num ~den ~f_lo ~f_hi levels =
+  let n = 400 and k = Array.length levels in
   let lf0 = log10 f_lo and lf1 = log10 f_hi in
   let grid i = 10.0 ** (lf0 +. ((lf1 -. lf0) *. float_of_int i /. float_of_int (n - 1))) in
-  let f_of x =
+  let mag x =
     eval_jw_into out ~num ~den x;
-    Float.hypot out.(0) out.(1) -. level
+    Float.hypot out.(0) out.(1)
   in
-  let rec scan i prev_x prev_f =
-    if i >= n then None
-    else
-      let x = grid i in
-      let fx = f_of x in
-      if prev_f *. fx <= 0.0 && (prev_f <> 0.0 || fx <> 0.0) then
-        Some (Rootfind.brent f_of prev_x x)
-      else scan (i + 1) x fx
+  (* per level: |H| - level at the previous grid point, and the index
+     [i] of the first bracket [grid (i - 1), grid i] (0 until found) *)
+  let m0 = mag (grid 0) in
+  let prev_f = Array.map (fun level -> m0 -. level) levels in
+  let bracket = Array.make k 0 in
+  let rec scan i open_levels =
+    if i < n && open_levels > 0 then begin
+      let m = mag (grid i) in
+      let closed = ref 0 in
+      for j = 0 to k - 1 do
+        if bracket.(j) = 0 then begin
+          let fx = m -. levels.(j) in
+          if prev_f.(j) *. fx <= 0.0 && (prev_f.(j) <> 0.0 || fx <> 0.0) then begin
+            bracket.(j) <- i;
+            incr closed
+          end
+          else prev_f.(j) <- fx
+        end
+      done;
+      scan (i + 1) (open_levels - !closed)
+    end
   in
-  let x0 = grid 0 in
-  scan 1 x0 (f_of x0)
+  scan 1 k;
+  Array.mapi
+    (fun j i ->
+      if i = 0 then None
+      else Some (Rootfind.brent (fun x -> mag x -. levels.(j)) (grid (i - 1)) (grid i)))
+    bracket
 
 let freq_window poles zeros =
   let mags =
@@ -92,7 +112,16 @@ let characterize h =
     eval_jw_into out ~num ~den f;
     Float.atan2 out.(1) out.(0)
   in
-  let unity = if dc > 1.0 then find_crossing out ~num ~den ~level:1.0 ~f_lo ~f_hi else None in
+  (* the unity crossing exists only above unity DC gain, the -3 dB one
+     above zero gain *)
+  let unity, bw =
+    if dc > 1.0 then
+      let c = find_crossings out ~num ~den ~f_lo ~f_hi [| 1.0; dc /. sqrt 2.0 |] in
+      (c.(0), c.(1))
+    else if dc > 0.0 then
+      (None, (find_crossings out ~num ~den ~f_lo ~f_hi [| dc /. sqrt 2.0 |]).(0))
+    else (None, None)
+  in
   let pm =
     match unity with
     | None -> None
@@ -119,9 +148,6 @@ let characterize h =
       (* measure phase relative to the DC phase (handles inverting gains) *)
       let excess = (!unwrapped -. ph_dc) *. 180.0 /. Float.pi in
       Some (180.0 +. excess)
-  in
-  let bw =
-    if dc > 0.0 then find_crossing out ~num ~den ~level:(dc /. sqrt 2.0) ~f_lo ~f_hi else None
   in
   let gbw = match bw with Some f -> Some (dc *. f) | None -> None in
   {

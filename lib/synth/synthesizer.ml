@@ -266,12 +266,31 @@ let synthesize ?(kind = Hybrid) ?(engine = `Sa) ?budget ?(seed = 1) ?warm_start
   let p_ref =
     Float.max 1e-5 (Mdac_stage.equation_power proc req).Mdac_stage.p_ota
   in
+  (* The evaluator is a function of the point alone, so each distinct
+     point is evaluated once per search: the table holds its result
+     under the bits of the normalized coordinates. [eval_count] still
+     counts every [cost] call. *)
+  let evaluated : (string, (string * float) list * Ota.performance option) Hashtbl.t =
+    Hashtbl.create 64
+  in
+  let evaluate x =
+    let key = Bytes.create (8 * Array.length x) in
+    Array.iteri (fun i v -> Bytes.set_int64_le key (8 * i) (Int64.bits_of_float v)) x;
+    let key = Bytes.unsafe_to_string key in
+    match Hashtbl.find_opt evaluated key with
+    | Some r -> r
+    | None ->
+      let r =
+        evaluate_sizing ~kind proc req
+          (sizing_of_values seed_sizing (Space.denormalize space x))
+      in
+      Hashtbl.add evaluated key r;
+      r
+  in
   let eval_count = ref 0 in
   let cost x =
     incr eval_count;
-    let values = Space.denormalize space x in
-    let z = sizing_of_values seed_sizing values in
-    let metrics, _ = evaluate_sizing ~kind proc req z in
+    let metrics, _ = evaluate x in
     if metrics = [] then 1e3
     else begin
       let lookup name = List.assoc_opt name metrics in
@@ -301,7 +320,7 @@ let synthesize ?(kind = Hybrid) ?(engine = `Sa) ?budget ?(seed = 1) ?warm_start
   in
   let best_values = Space.denormalize space refined.Pattern.best_x in
   let best_sizing = sizing_of_values seed_sizing best_values in
-  let metrics, perf = evaluate_sizing ~kind proc req best_sizing in
+  let metrics, perf = evaluate refined.Pattern.best_x in
   let result =
   if metrics = [] then Error "synthesized point failed final evaluation"
   else begin
@@ -348,6 +367,7 @@ let synthesize ?(kind = Hybrid) ?(engine = `Sa) ?budget ?(seed = 1) ?warm_start
         ("sa_iterations", Int budget.sa_iterations);
         ("pattern_evals", Int budget.pattern_evals);
         ("evaluations", Int !eval_count);
+        ("distinct_points", Int (Hashtbl.length evaluated));
       ]
     in
     let attrs =

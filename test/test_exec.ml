@@ -10,6 +10,7 @@ module Spec = Adc_pipeline.Spec
 module Config = Adc_pipeline.Config
 module Optimize = Adc_pipeline.Optimize
 module Synthesizer = Adc_synth.Synthesizer
+module Job_key = Adc_pipeline.Job_key
 
 (* a pool size > 1 even on single-core hosts, so the parallel machinery
    (domains, queue, futures) is genuinely exercised everywhere *)
@@ -456,6 +457,140 @@ let test_restart_search () =
           [ sol ~power:1e-3 ~feasible:true ~evaluations:1;
             sol ~power:1e-3 ~feasible:true ~evaluations:1 ]))
 
+(* an attempt that finds its donor pending is traced as parked: one
+   [optimize.donor_wait] span under the attempt's span, tagged with the
+   domain; a settled donor is awaited untraced *)
+let test_donor_wait_traced () =
+  let obs = Adc_obs.in_memory () in
+  let attempt_span = Adc_obs.span obs ~name:"attempt" () in
+  let outcome = { Optimize.best = None; evaluations = 0; warm = false; truncated = false } in
+  let run donor ~settle =
+    Pool.with_pool ~size:2 (fun pool ->
+        let into = Future.create () in
+        Optimize.best_of_n ~pool ~obs ~wait_parent:(fun _ -> attempt_span)
+          ~donors:[ donor ] ~attempts:2 ~into (fun _ ~warm_start:_ -> Error "scripted");
+        settle ();
+        ignore (Future.await into));
+    List.filter
+      (fun (e : Adc_obs.Sink.event) -> e.Adc_obs.Sink.name = "optimize.donor_wait")
+      (Adc_obs.Sink.drain obs.Adc_obs.sink)
+  in
+  let pending = Future.create () in
+  let waits =
+    run pending ~settle:(fun () ->
+        Thread.delay 0.1;
+        Future.resolve pending outcome)
+  in
+  (match waits with
+  | [ w ] ->
+    Alcotest.(check (option int)) "child of the attempt span"
+      (Some (Adc_obs.Span.id attempt_span)) w.Adc_obs.Sink.parent;
+    Alcotest.(check bool) "tagged with the domain" true
+      (match List.assoc_opt "domain_id" w.Adc_obs.Sink.attrs with
+      | Some (Adc_obs.Sink.Int _) -> true
+      | _ -> false);
+    Alcotest.(check bool) "lasts the wait" true (w.Adc_obs.Sink.dur_ns > 10_000_000L)
+  | ws -> Alcotest.failf "expected one donor wait, got %d" (List.length ws));
+  let settled = Future.create () in
+  Future.resolve settled outcome;
+  Alcotest.(check int) "a settled donor: no wait traced" 0
+    (List.length (run settled ~settle:ignore))
+
+(* ------------------------------------------------------------------ *)
+(* The submission order: the tallest warm-start chain first *)
+
+(* every donor is submitted before its dependents, each height is one
+   more than the tallest dependent's, heights never increase along the
+   order, and equal heights keep the hardest-first order *)
+let check_submission_order label specs =
+  let order =
+    Optimize.submission_order ~mode:`Hybrid ~seed:7 ~attempts:2
+      ~budget:tiny_budget specs
+  in
+  let position = Hashtbl.create 16 in
+  List.iteri (fun i (s : Optimize.submission) -> Hashtbl.replace position s.Optimize.sub_key i) order;
+  let rec height key =
+    List.fold_left
+      (fun h (s : Optimize.submission) ->
+        if List.exists (Job_key.equal key) s.Optimize.sub_donors then
+          Stdlib.max h (1 + height s.Optimize.sub_key)
+        else h)
+      1 order
+  in
+  let name (s : Optimize.submission) = Spec.job_to_string s.Optimize.sub_job in
+  List.iteri
+    (fun i (s : Optimize.submission) ->
+      List.iter
+        (fun d ->
+          match Hashtbl.find_opt position d with
+          | Some j when j < i -> ()
+          | _ -> Alcotest.failf "%s: a donor of %s is not submitted before it" label (name s))
+        s.Optimize.sub_donors;
+      Alcotest.(check int)
+        (Printf.sprintf "%s: height of %s" label (name s))
+        (height s.Optimize.sub_key) s.Optimize.sub_height)
+    order;
+  let rec pairs = function
+    | (a : Optimize.submission) :: ((b : Optimize.submission) :: _ as rest) ->
+      if b.Optimize.sub_height > a.Optimize.sub_height then
+        Alcotest.failf "%s: %s (height %d) after %s (height %d)" label (name b)
+          b.Optimize.sub_height (name a) a.Optimize.sub_height;
+      if b.Optimize.sub_height = a.Optimize.sub_height
+         && Spec.compare_job a.Optimize.sub_job b.Optimize.sub_job > 0
+      then Alcotest.failf "%s: %s before harder %s at equal height" label (name a) (name b);
+      pairs rest
+    | _ -> ()
+  in
+  pairs order;
+  order
+
+let test_submission_order () =
+  List.iter
+    (fun k ->
+      ignore (check_submission_order (Printf.sprintf "k=%d" k) [ Spec.paper_case ~k ]))
+    [ 8; 9; 10; 11; 12; 13 ];
+  let batch =
+    check_submission_order "batch k=10..13"
+      (List.map (fun k -> Spec.paper_case ~k) [ 10; 11; 12; 13 ])
+  in
+  Alcotest.(check int) "batch: one submission per distinct key"
+    (snd
+       (Optimize.batch_plan_counts ~mode:`Hybrid ~seed:7 ~attempts:2
+          ~budget:tiny_budget
+          (List.map (fun k -> Spec.paper_case ~k) [ 10; 11; 12; 13 ])))
+    (List.length batch);
+  (* at k = 10 the chain m2@10b -> m2@9b -> m2@8b starts ahead of the
+     10-bit jobs nothing awaits (hardest-first put m4@10b and m3@10b
+     first) *)
+  let k10 = check_submission_order "k=10" [ Spec.paper_case ~k:10 ] in
+  Alcotest.(check (list (pair string int))) "k=10 order"
+    [ ("m2@10b", 3); ("m2@9b", 2); ("m4@10b", 1); ("m3@10b", 1); ("m2@8b", 1) ]
+    (List.map
+       (fun (s : Optimize.submission) -> (Spec.job_to_string s.Optimize.sub_job, s.Optimize.sub_height))
+       k10);
+  Alcotest.(check int) "equation mode submits nothing" 0
+    (List.length (Optimize.submission_order ~mode:`Equation [ Spec.paper_case ~k:10 ]))
+
+(* the fused batch's payloads are the same bytes on any pool *)
+let test_batch_payloads_any_jobs () =
+  let specs = List.map (fun k -> Spec.paper_case ~k) [ 10; 11; 12; 13 ] in
+  let payloads jobs =
+    (Optimize.run_batch ~mode:`Hybrid ~seed:7 ~attempts:2 ~budget:tiny_budget
+       ~jobs specs)
+      .Optimize.batch_runs
+    |> List.map (fun r -> Adc_json.Json.to_string (Adc_serve.Codec.optimize_payload r))
+  in
+  let one = payloads 1 in
+  List.iter
+    (fun jobs ->
+      List.iteri
+        (fun i (a, b) ->
+          Alcotest.(check string)
+            (Printf.sprintf "k=%d: -j %d bytes = -j 1 bytes" (10 + i) jobs)
+            a b)
+        (List.combine one (payloads jobs)))
+    [ 2; 4 ]
+
 let test_seed_changes_results () =
   (* guards against the per-job seeding degenerating into a constant;
      needs attempts >= 2 because attempt 0 is deliberately seed-free
@@ -497,12 +632,18 @@ let () =
           quick "a found future has its tasks queued" test_memo_found_future_is_queued;
         ] );
       ("rng", [ quick "mix is a proper derivation" test_rng_mix_deterministic_and_spread ]);
-      ("restarts", [ quick "best-of-N: any pool, cancel truncates" test_restart_search ]);
+      ( "restarts",
+        [
+          quick "best-of-N: any pool, cancel truncates" test_restart_search;
+          quick "a pending donor is traced as a wait" test_donor_wait_traced;
+        ] );
+      ("schedule", [ quick "tallest warm-start chain first" test_submission_order ]);
       ( "optimize-parallel",
         [
           slow "jobs=N == jobs=1 (k=10,11)" test_parallel_matches_sequential_10_11;
           slow "jobs=N == jobs=1 (k=12,13)" test_parallel_matches_sequential_12_13;
           slow "batch deterministic at any jobs" test_batch_deterministic_any_jobs;
           slow "seed sensitivity" test_seed_changes_results;
+          slow "batch payload bytes at -j 1, 2, 4" test_batch_payloads_any_jobs;
         ] );
     ]

@@ -231,6 +231,33 @@ let test_utilization () =
   Alcotest.(check bool) "no pool spans -> None" true
     (Analysis.utilization [ mk "optimize.job" ] = None)
 
+(* a donor wait is blocked time of the slot whose task, on the same
+   domain id, holds it: slot 1's task spans the wait in time too, but
+   runs on another domain *)
+let test_utilization_donor_waits () =
+  let task slot did start dur id =
+    mk "pool.task" ~id ~start ~dur
+      ~attrs:[ ("domain", Sink.Int slot); ("domain_id", Sink.Int did) ]
+  in
+  let wait did start dur id =
+    mk "optimize.donor_wait" ~id ~start ~dur ~attrs:[ ("domain_id", Sink.Int did) ]
+  in
+  let events =
+    [ task 0 7 0L 100L 1; task 1 9 0L 200L 2; wait 7 20L 30L 3; wait 7 60L 10L 4;
+      (* a wait no task holds is nobody's *)
+      wait 5 20L 10L 5 ]
+  in
+  match Analysis.utilization ~buckets:10 events with
+  | None -> Alcotest.fail "expected utilization"
+  | Some u ->
+    let blocked =
+      List.map (fun d -> (d.Analysis.domain, d.Analysis.blocked_ns)) u.Analysis.per_domain
+    in
+    Alcotest.(check (list (pair int int64))) "blocked per slot" [ (0, 40L); (1, 0L) ] blocked;
+    let text = Analysis.render_utilization u in
+    Alcotest.(check bool) "rendered beside busy" true
+      (contains_substring text "40 ns blocked on donors")
+
 (* ------------------------------------------------------------------ *)
 (* live-run reconciliation: trace summary totals match the run record *)
 
@@ -561,6 +588,7 @@ let () =
           quick "tree and orphan promotion" test_tree_and_orphans;
           quick "critical path" test_critical_path;
           quick "pool utilization" test_utilization;
+          quick "pool utilization counts donor waits as blocked" test_utilization_donor_waits;
         ] );
       ( "reconciliation",
         [

@@ -679,6 +679,58 @@ let test_characterize_matches_oracle_on_otas () =
     (Printf.sprintf "cascode-order transfer functions covered (%d)" !high_order)
     true (!high_order > 0)
 
+(* The one-pass crossing scan is bit for bit the two separate scans of
+   [Oracle.find_crossing] (a grid array and [Rootfind.find_sign_change]
+   per level), on OTA transfer functions from three cards. *)
+let prop_crossings_match_two_scans =
+  let cards =
+    lazy
+      [
+        Spec.paper_case ~k:10;
+        Spec.make ~process:(Fixtures.card "c018.sp") ~k:10 ~fs:40e6 ();
+        Spec.make ~process:(Fixtures.card "c060.sp") ~k:10 ~fs:40e6 ();
+      ]
+  in
+  QCheck2.Test.make ~name:"one-pass crossings = two scans, three cards" ~count:15
+    QCheck2.Gen.(pair bool (array_size (return 9) (float_range (-1.0) 1.0)))
+    (fun (cascode, u) ->
+      let job =
+        if cascode then { Spec.m = 3; input_bits = 10 } else { Spec.m = 2; input_bits = 8 }
+      in
+      List.for_all
+        (fun (spec : Spec.t) ->
+          let proc = spec.Spec.process in
+          let req = Spec.stage_requirements spec job in
+          let z = Synthesizer.initial_sizing proc req in
+          let f i = exp (u.(i) *. log 1.25) in
+          let z =
+            {
+              z with
+              Ota.w_pair = z.Ota.w_pair *. f 0;
+              w_mirror = z.Ota.w_mirror *. f 1;
+              w_tail = z.Ota.w_tail *. f 2;
+              w_cs = z.Ota.w_cs *. f 3;
+              w_sink = z.Ota.w_sink *. f 4;
+              i_bias = z.Ota.i_bias *. f 5;
+              c_comp = z.Ota.c_comp *. f 6;
+              v_casc = z.Ota.v_casc +. (0.2 *. u.(7));
+              v_cascp = z.Ota.v_cascp +. (0.2 *. u.(8));
+            }
+          in
+          match Ota.evaluate ~load_cap:req.Mdac_stage.c_load_eff proc z with
+          | Error _ -> true
+          | Ok perf ->
+            let spec = Analysis.characterize perf.Ota.tf in
+            let r, poles, zeros = Ratfun.factor perf.Ota.tf in
+            let f_lo, f_hi = Oracle.freq_window poles zeros in
+            let dc = Float.abs (Ratfun.dc_gain r) in
+            let scan above level =
+              if dc > above then Oracle.find_crossing r ~level ~f_lo ~f_hi else None
+            in
+            Oracle.same_option (scan 1.0 1.0) spec.Analysis.unity_gain_hz
+            && Oracle.same_option (scan 0.0 (dc /. sqrt 2.0)) spec.Analysis.bandwidth_3db_hz)
+        (Lazy.force cards))
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "sfg"
@@ -741,5 +793,6 @@ let () =
           quick "characterize roots once" test_characterize_roots_once;
           quick "characterize rejects non-finite" test_characterize_rejects_non_finite;
           quick "characterize matches oracle on otas" test_characterize_matches_oracle_on_otas;
+          QCheck_alcotest.to_alcotest prop_crossings_match_two_scans;
         ] );
     ]

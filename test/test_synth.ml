@@ -139,6 +139,26 @@ let test_pattern_respects_eval_budget () =
   ignore (Pattern.minimize ~max_evals:50 ~dim:1 ~x0:[| 0.0 |] f);
   Alcotest.(check bool) "bounded evals" true (!count <= 60)
 
+(* Pinned: a coordinate at its upper bound clamps the +step move back
+   onto the base point, so the search pays for the base point again.
+   The synthesizer's per-search table absorbs such repeats. *)
+let test_pattern_clamped_move_revisits_base () =
+  let points = ref [] in
+  let f x =
+    points := Array.to_list (Array.map Int64.bits_of_float x) :: !points;
+    ((x.(0) -. 1.5) ** 2.0) +. ((x.(1) -. 0.6) ** 2.0)
+  in
+  let r = Pattern.minimize ~max_evals:40 ~dim:2 ~x0:[| 1.0; 0.2 |] f in
+  let calls = List.rev !points in
+  let distinct = List.length (List.sort_uniq compare calls) in
+  Alcotest.(check (pair int int)) "cost calls, distinct points" (41, 29)
+    (List.length calls, distinct);
+  Alcotest.(check int) "evaluations count every call" (List.length calls)
+    r.Pattern.evaluations;
+  Alcotest.(check bool) "the first move re-evaluates the base point" true
+    (List.nth calls 1 = List.nth calls 0);
+  check_close "x0 stays on its bound" 1.0 r.Pattern.best_x.(0)
+
 let test_de_minimizes_shifted_bowl () =
   let rng = Rng.create 9 in
   let r = De.minimize rng ~dim:2 (sphere [| 0.4; 0.6 |]) in
@@ -299,6 +319,40 @@ let test_synthesize_deterministic_pattern_only () =
   in
   check_close "pattern-only is reproducible" (run ()) (run ())
 
+(* A seeded hybrid search evaluates each distinct point once: the
+   evaluator (one bias-servo run per call) runs once per distinct point,
+   fewer times than the search calls its cost, and the count of cost
+   calls is the one pinned before the table existed. *)
+let test_synthesize_evaluates_each_point_once () =
+  let spec = Adc_pipeline.Spec.paper_case ~k:10 in
+  let req =
+    Adc_pipeline.Spec.stage_requirements spec { Adc_pipeline.Spec.m = 2; input_bits = 8 }
+  in
+  let obs = Adc_obs.in_memory () in
+  let servo0 = Adc_numerics.Tally.get Ota.servo_calls in
+  match
+    Synthesizer.synthesize ~kind:Synthesizer.Hybrid ~obs
+      ~budget:{ Synthesizer.sa_iterations = 40; pattern_evals = 60; space_factor = 1.0 }
+      ~seed:3 spec.Adc_pipeline.Spec.process req
+  with
+  | Error e -> Alcotest.failf "synthesize failed: %s" e
+  | Ok sol ->
+    let servo = Adc_numerics.Tally.get Ota.servo_calls - servo0 in
+    let distinct =
+      match Adc_obs.Sink.drain obs.Adc_obs.sink with
+      | [ e ] -> (
+        match List.assoc_opt "distinct_points" e.Adc_obs.Sink.attrs with
+        | Some (Adc_obs.Sink.Int n) -> n
+        | _ -> Alcotest.fail "synth.search span without distinct_points")
+      | evs -> Alcotest.failf "expected one synth.search span, got %d" (List.length evs)
+    in
+    Alcotest.(check int) "cost calls (pinned)" 101 sol.Synthesizer.evaluations;
+    Alcotest.(check int) "one evaluator run per distinct point" distinct servo;
+    Alcotest.(check bool)
+      (Printf.sprintf "fewer evaluator runs (%d) than cost calls (%d)" servo
+         sol.Synthesizer.evaluations)
+      true (servo < sol.Synthesizer.evaluations)
+
 let test_warm_start_uses_fewer_evals () =
   let req = easy_requirements () in
   match Synthesizer.synthesize ~seed:3 proc req with
@@ -453,6 +507,7 @@ let () =
           quick "anneal deterministic" test_anneal_deterministic;
           quick "pattern quadratic" test_pattern_converges_quadratic;
           quick "pattern budget" test_pattern_respects_eval_budget;
+          quick "pattern clamped move revisits the base" test_pattern_clamped_move_revisits_base;
           quick "de bowl" test_de_minimizes_shifted_bowl;
           quick "de seed point" test_de_uses_seed_point;
         ] );
@@ -465,6 +520,7 @@ let () =
           quick "equation evaluator" test_equation_evaluator_runs;
           quick "hybrid evaluator" test_hybrid_evaluator_runs;
           quick "hybrid sweep optimum matches oracle" test_hybrid_sweep_optimum_matches_oracle;
+          quick "hybrid search evaluates each point once" test_synthesize_evaluates_each_point_once;
           QCheck_alcotest.to_alcotest prop_floor_stop_within_tolerance;
           quick "floor stop on cancelling candidates" test_floor_stop_cancelling_candidates;
           slow "small synthesis" test_synthesize_small_budget;
