@@ -114,12 +114,24 @@ type schedule = {
   eorder : int array;
 }
 
-type symbolic = { spat : pattern; sched : schedule }
+(* [recovered] holds the pivot orders that drift recoveries over this
+   symbolic have produced, most recently used first, at most
+   [max_recovered] of them. Every domain sharing the symbolic reads and
+   extends it without a lock; its schedules are immutable, and which of
+   them it holds decides only how fast a recovery finds its order, never
+   the order found (see [recover]). *)
+type symbolic = {
+  spat : pattern;
+  sched : schedule;
+  recovered : schedule list Atomic.t;
+}
 
 let symbolic_pattern s = s.spat
 
 (* relative threshold below which a replayed pivot is declared unstable *)
 let pivot_tol = 1e-3
+
+let max_recovered = 64
 
 type growable = { mutable buf : int array; mutable vbuf : float array; mutable len : int }
 
@@ -259,12 +271,14 @@ let analyses_total = Tally.make "solver.sparse_analyses_total"
 let refactorizations_total = Tally.make "solver.sparse_refactorizations_total"
 let solves_total = Tally.make "solver.sparse_solves_total"
 let pivot_drift_total = Tally.make "solver.pivot_drift_total"
+let pivot_order_hits_total = Tally.make "solver.pivot_order_hits_total"
 
 type totals = {
   total_analyses : int;
   total_refactorizations : int;
   total_solves : int;
   total_pivot_drift : int;
+  total_pivot_order_hits : int;
 }
 
 let totals () =
@@ -273,17 +287,18 @@ let totals () =
     total_refactorizations = Tally.get refactorizations_total;
     total_solves = Tally.get solves_total;
     total_pivot_drift = Tally.get pivot_drift_total;
+    total_pivot_order_hits = Tally.get pivot_order_hits_total;
   }
 
 let analyze m =
   Tally.incr analyses_total;
   let sched, _, _, _ = full_factor m in
-  { spat = m.pat; sched }
+  { spat = m.pat; sched; recovered = Atomic.make [] }
 
 type stats = { analyses : int; refactorizations : int; solves : int }
 
 type numeric = {
-  npat : pattern;
+  nsym : symbolic;
   mutable nsched : schedule;
   mutable lvals : fbuf;
   mutable uvals : fbuf;
@@ -299,7 +314,7 @@ type numeric = {
 let create_numeric sym =
   let n = sym.spat.n in
   {
-    npat = sym.spat;
+    nsym = sym;
     nsched = sym.sched;
     lvals = fbuf_create sym.sched.lptr.(n);
     uvals = fbuf_create sym.sched.eptr.(n);
@@ -312,83 +327,208 @@ let create_numeric sym =
     n_solves = 0;
   }
 
-exception Unstable_pivot
+(* Unchecked array access for the replay and solve loops ([pick],
+   [replay], [solve]), which run at every Newton iteration. Their
+   indices come from a schedule [full_factor] built for the pattern
+   [refactorize] checked, so they lie in [0, n) for the scatter and
+   solve arrays ([solve] checks [b] and [x]) and within [lptr]/[eptr]
+   for the value buffers, which [fit] and [create_numeric] size to the
+   schedule. *)
+external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
+external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
 
-(* numeric replay of the recorded schedule; raises Unstable_pivot when a
-   pivot falls below [pivot_tol] of its column magnitude *)
-let replay num (m : t) =
-  let { perm; pinv; lptr; lrows; eptr; eorder } = num.nsched in
+(* [full_factor]'s pivot rule at column [j] of schedule [s], given the
+   eliminated column in [x]: the candidates are the rows not pivoted
+   before [j] that the column reaches, [perm.(j)] and [lrows] of column
+   [j]. Returns the diagonal [j] when it is a candidate within 0.1 of
+   the largest magnitude (and nonzero), else the unique largest (NaN
+   never counts); -1 when [full_factor] would raise {!Singular} or
+   break an exact tie by its DFS post-order, which [s] does not
+   record. *)
+let pick s (x : float array) j =
+  let { perm; lptr; lrows; _ } = s in
+  let best = ref (-1) and pmax = ref 0.0 and tied = ref false in
+  let diag = ref false in
+  (* index [lptr.(j) - 1] stands for [perm.(j)] *)
+  for i = lptr.!(j) - 1 to lptr.!(j + 1) - 1 do
+    let t = if i < lptr.!(j) then perm.!(j) else lrows.!(i) in
+    if t = j then diag := true;
+    let a = Float.abs x.!(t) in
+    if a > !pmax then begin
+      pmax := a;
+      best := t;
+      tied := false
+    end
+    else if a = !pmax && a > 0.0 then tied := true
+  done;
+  let aj = Float.abs x.!(j) in
+  let p =
+    if !diag && aj >= 0.1 *. !pmax && aj > 0.0 then j
+    else if !tied then -1
+    else !best
+  in
+  if p >= 0 && Float.abs x.!(p) >= 1e-300 then p else -1
+
+exception Drift of int
+
+(* Numeric replay of schedule [s] from column [from] on, into [num]'s
+   buffers (which must hold [s]'s sizes). Raises [Drift j] at the first
+   column [j] whose pivot does not hold: under [~strict] a pivot holds
+   when it is the row [pick] names, otherwise when it is at least
+   [pivot_tol] of its column's magnitude. *)
+let replay num s (m : t) ~strict ~from =
+  let { perm; pinv; lptr; lrows; eptr; eorder } = s in
   let { colptr; rowidx; n } = m.pat in
   let vals = m.vals in
   let lvals = num.lvals and uvals = num.uvals and dvals = num.dvals in
   let x = num.nx in
-  for j = 0 to n - 1 do
-    for i = eptr.(j) to eptr.(j + 1) - 1 do
-      x.(eorder.(i)) <- 0.0
+  for j = from to n - 1 do
+    for i = eptr.!(j) to eptr.!(j + 1) - 1 do
+      x.!(eorder.!(i)) <- 0.0
     done;
-    for i = lptr.(j) to lptr.(j + 1) - 1 do
-      x.(lrows.(i)) <- 0.0
+    for i = lptr.!(j) to lptr.!(j + 1) - 1 do
+      x.!(lrows.!(i)) <- 0.0
     done;
-    x.(perm.(j)) <- 0.0;
-    for idx = colptr.(j) to colptr.(j + 1) - 1 do
-      x.(rowidx.(idx)) <- FB.unsafe_get vals idx
+    x.!(perm.!(j)) <- 0.0;
+    for idx = colptr.!(j) to colptr.!(j + 1) - 1 do
+      x.!(rowidx.!(idx)) <- FB.unsafe_get vals idx
     done;
-    for i = eptr.(j) to eptr.(j + 1) - 1 do
-      let t = eorder.(i) in
-      let xt = x.(t) in
+    for i = eptr.!(j) to eptr.!(j + 1) - 1 do
+      let t = eorder.!(i) in
+      let xt = x.!(t) in
       FB.unsafe_set uvals i xt;
       if xt <> 0.0 then begin
-        let k = pinv.(t) in
-        for li = lptr.(k) to lptr.(k + 1) - 1 do
-          let r = lrows.(li) in
-          x.(r) <- x.(r) -. (FB.unsafe_get lvals li *. xt)
+        let k = pinv.!(t) in
+        for li = lptr.!(k) to lptr.!(k + 1) - 1 do
+          let r = lrows.!(li) in
+          x.!(r) <- x.!(r) -. (FB.unsafe_get lvals li *. xt)
         done
       end
     done;
-    let piv = x.(perm.(j)) in
-    let apiv = Float.abs piv in
-    let cmax = ref apiv in
-    for i = lptr.(j) to lptr.(j + 1) - 1 do
-      let a = Float.abs x.(lrows.(i)) in
-      if a > !cmax then cmax := a
-    done;
-    if apiv < 1e-300 || apiv < pivot_tol *. !cmax then raise Unstable_pivot;
+    let piv = x.!(perm.!(j)) in
+    if strict then begin
+      if pick s x j <> perm.!(j) then raise (Drift j)
+    end
+    else begin
+      let apiv = Float.abs piv in
+      let cmax = ref apiv in
+      for i = lptr.!(j) to lptr.!(j + 1) - 1 do
+        let a = Float.abs x.!(lrows.!(i)) in
+        if a > !cmax then cmax := a
+      done;
+      if apiv < 1e-300 || apiv < pivot_tol *. !cmax then raise (Drift j)
+    end;
     FB.unsafe_set dvals j piv;
-    for i = lptr.(j) to lptr.(j + 1) - 1 do
-      FB.unsafe_set lvals i (x.(lrows.(i)) /. piv)
+    for i = lptr.!(j) to lptr.!(j + 1) - 1 do
+      FB.unsafe_set lvals i (x.!(lrows.!(i)) /. piv)
     done
   done
+
+(* Make [num]'s [L]/[U] buffers hold schedule [s], keeping the values of
+   the columns before [from]. *)
+let fit num s ~from =
+  let grow buf size keep =
+    if FB.dim buf >= size then buf
+    else begin
+      let b = fbuf_create size in
+      FB.blit (FB.sub buf 0 keep) (FB.sub b 0 keep);
+      b
+    end
+  in
+  let n = Array.length s.perm in
+  num.lvals <- grow num.lvals s.lptr.(n) s.lptr.(from);
+  num.uvals <- grow num.uvals s.eptr.(n) s.eptr.(from)
+
+(* whether [c] shares [s]'s pivots before column [j] and takes [row]
+   at [j]: exactly when [c]'s replay agrees with [s]'s through column
+   [j - 1] and its column [j] can pass under [pick] *)
+let continues s ~j ~row c =
+  c.perm.(j) = row
+  &&
+  let rec same i = i >= j || (c.perm.(i) = s.perm.(i) && same (i + 1)) in
+  same 0
+
+let rec remember sym s =
+  let old = Atomic.get sym.recovered in
+  let kept = List.filteri (fun i _ -> i < max_recovered - 1) old in
+  if not (Atomic.compare_and_set sym.recovered old (s :: kept)) then
+    remember sym s
+
+(* move-to-front, best effort: a lost race only leaves the order as it
+   was *)
+let promote sym s =
+  match Atomic.get sym.recovered with
+  | c :: _ when c == s -> ()
+  | old ->
+    if List.memq s old then
+      ignore
+        (Atomic.compare_and_set sym.recovered old
+           (s :: List.filter (fun c -> c != s) old))
+
+(* Recover from a drifted replay with the schedule [full_factor] would
+   build for these values. A strict replay of a known schedule that
+   passes every column is that schedule: by induction over the columns,
+   equal pivots before [j] give column [j] the same structure, hence the
+   same arithmetic in the same order and the same values, and at [j]
+   [pick] names [full_factor]'s own pivot. When a strict replay fails at
+   [j], [pick] (when defined) names the pivot any passing schedule must
+   take there, so the search resumes at [j] in a known schedule that
+   agrees with the columns already replayed; if none does, or [pick]
+   is undefined, [full_factor] runs and its schedule joins the set. *)
+let recover num (m : t) =
+  let sym = num.nsym in
+  let rec search s from =
+    fit num s ~from;
+    match replay num s m ~strict:true ~from with
+    | () -> Some s
+    | exception Drift j ->
+      let row = pick s num.nx j in
+      if row < 0 then None
+      else
+        match
+          List.find_opt (continues s ~j ~row) (sym.sched :: Atomic.get sym.recovered)
+        with
+        | Some c -> search c j
+        | None -> None
+  in
+  let first =
+    match Atomic.get sym.recovered with c :: _ -> c | [] -> sym.sched
+  in
+  match search first 0 with
+  | Some s ->
+    Tally.incr pivot_order_hits_total;
+    num.nsched <- s;
+    promote sym s
+  | None ->
+    num.n_analyses <- num.n_analyses + 1;
+    Tally.incr analyses_total;
+    let sched, lv, uv, dv = full_factor m in
+    num.nsched <- sched;
+    fit num sched ~from:0;
+    Array.iteri (fun i v -> FB.unsafe_set num.lvals i v) lv;
+    Array.iteri (fun i v -> FB.unsafe_set num.uvals i v) uv;
+    Array.iteri (fun i v -> FB.unsafe_set num.dvals i v) dv;
+    remember sym sched
 
 let refactorize num (m : t) =
   (* contexts of one topology share their pattern physically, so the
      structural walk is only the fallback *)
-  if not (num.npat == m.pat || pattern_equal num.npat m.pat) then
+  if not (num.nsym.spat == m.pat || pattern_equal num.nsym.spat m.pat) then
     invalid_arg "Sparse.refactorize: pattern mismatch";
   num.n_refactorizations <- num.n_refactorizations + 1;
   Tally.incr refactorizations_total;
-  (try replay num m
-   with Unstable_pivot ->
-     (* the shared pivot order went stale for these values: re-pivot
-        into a schedule private to this workspace *)
-     num.n_analyses <- num.n_analyses + 1;
-     Tally.incr analyses_total;
+  (try replay num num.nsched m ~strict:false ~from:0
+   with Drift _ ->
+     (* the replayed pivot order went stale for these values *)
      Tally.incr pivot_drift_total;
-     let sched, lv, uv, dv = full_factor m in
-     let n = m.pat.n in
-     num.nsched <- sched;
-     num.lvals <- fbuf_create sched.lptr.(n);
-     num.uvals <- fbuf_create sched.eptr.(n);
-     num.dvals <- fbuf_create n;
-     Array.iteri (fun i v -> FB.set num.lvals i v) lv;
-     Array.iteri (fun i v -> FB.set num.uvals i v) uv;
-     Array.iteri (fun i v -> FB.set num.dvals i v) dv);
+     recover num m);
   num.factored <- true
 
 let solve num ~b ~x =
   if not num.factored then
     invalid_arg "Sparse.solve: refactorize before solving";
   let { perm; pinv; lptr; lrows; eptr; eorder } = num.nsched in
-  let n = num.npat.n in
+  let n = num.nsym.spat.n in
   if Array.length b <> n || Array.length x <> n then
     invalid_arg "Sparse.solve: dimension mismatch";
   num.n_solves <- num.n_solves + 1;
@@ -397,30 +537,30 @@ let solve num ~b ~x =
   let lvals = num.lvals and uvals = num.uvals and dvals = num.dvals in
   (* y = P b *)
   for k = 0 to n - 1 do
-    y.(k) <- b.(perm.(k))
+    y.!(k) <- b.!(perm.!(k))
   done;
   (* forward: L y' = y (unit diagonal) *)
   for k = 0 to n - 1 do
-    let t = y.(k) in
+    let t = y.!(k) in
     if t <> 0.0 then
-      for li = lptr.(k) to lptr.(k + 1) - 1 do
-        let p = pinv.(lrows.(li)) in
-        y.(p) <- y.(p) -. (FB.unsafe_get lvals li *. t)
+      for li = lptr.!(k) to lptr.!(k + 1) - 1 do
+        let p = pinv.!(lrows.!(li)) in
+        y.!(p) <- y.!(p) -. (FB.unsafe_get lvals li *. t)
       done
   done;
   (* backward: U x = y', column-oriented *)
   for j = n - 1 downto 0 do
-    let xj = y.(j) /. FB.unsafe_get dvals j in
-    x.(j) <- xj;
+    let xj = y.!(j) /. FB.unsafe_get dvals j in
+    x.!(j) <- xj;
     if xj <> 0.0 then
-      for i = eptr.(j) to eptr.(j + 1) - 1 do
-        let p = pinv.(eorder.(i)) in
-        y.(p) <- y.(p) -. (FB.unsafe_get uvals i *. xj)
+      for i = eptr.!(j) to eptr.!(j + 1) - 1 do
+        let p = pinv.!(eorder.!(i)) in
+        y.!(p) <- y.!(p) -. (FB.unsafe_get uvals i *. xj)
       done
   done
 
 let lu_nnz num =
-  let n = num.npat.n in
+  let n = num.nsym.spat.n in
   num.nsched.lptr.(n) + num.nsched.eptr.(n) + n
 
 let stats num =

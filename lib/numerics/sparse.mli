@@ -10,13 +10,33 @@
     (no graph traversal, no allocation), which is what a Newton loop or a
     transient stepper calls thousands of times per analysis.
 
-    The {!symbolic} value is immutable and safe to share across domains;
-    each domain owns its own {!numeric} workspace. If a replay hits a
-    pivot that has become unstable for the current values (smaller than
-    [1e-3] times its column's magnitude), {!refactorize} transparently
-    re-pivots with a fresh analysis private to that {!numeric} and counts
-    it in {!stats}, so callers see at most a performance blip, never a
-    wrong answer. *)
+    The {!symbolic} value is safe to share across domains; each domain
+    owns its own {!numeric} workspace. A replay {e drifts} when a pivot
+    falls below [1e-3] of its column's magnitude for the current values;
+    {!refactorize} then recovers with exactly the pivot order and the
+    factors a fresh full analysis of those values would give, so callers
+    see at most a performance blip, never a different answer. It first
+    looks for that order among the ones already known: the symbolic's
+    own and those earlier recoveries over it produced, kept in a small
+    lock-free set on the symbolic (most recently used first, at most 64).
+    It replays a known order under the full analysis's own pivot rule
+    (a {e strict} replay): at each column the recorded pivot must be the
+    diagonal when the diagonal is a candidate of at least 0.1 times the
+    largest candidate magnitude and nonzero, and otherwise the unique
+    largest candidate of magnitude at least [1e-300], where the
+    candidates are the rows the column reaches that earlier columns did
+    not pivot and NaN never counts as the largest. An exact tie fails,
+    since the full analysis breaks ties by its DFS order, which an order
+    does not record. The structure of a column follows from the pattern
+    and the pivots of the columns before it, so by induction a strict
+    replay that passes every column performs the full analysis's
+    arithmetic in its order: the same [L], [U] and diagonal, bit for
+    bit. A strict replay that fails at a column resumes there in a known
+    order that agrees with every column so far and takes the pivot the
+    rule names; when none does, the full analysis runs, is counted in
+    {!stats}, and its order joins the set. Which orders the set holds,
+    and in what order domains filled it, changes only how fast a
+    recovery arrives. *)
 
 (** {1 Sparsity patterns} *)
 
@@ -85,9 +105,10 @@ val to_dense : t -> Mat.t
 
 type symbolic
 (** The recorded factorization schedule: row permutation plus the exact
-    fill structure and elimination order of every column. Immutable;
-    shared read-only across threads/domains and across all matrices with
-    an equal pattern. *)
+    fill structure and elimination order of every column, shared across
+    threads/domains and across all matrices with an equal pattern. Its
+    one mutable part is the set of orders drift recoveries have found,
+    which never changes a result. *)
 
 val analyze : t -> symbolic
 (** Full left-looking LU with partial pivoting at the matrix's current
@@ -106,7 +127,9 @@ val create_numeric : symbolic -> numeric
 
 val refactorize : numeric -> t -> unit
 (** Replay the recorded schedule against the matrix's current values.
-    On pivot instability, re-analyzes into this workspace (counted in
+    On pivot drift, recovers the order a full analysis would pick, from
+    the symbolic's set of known orders when one passes the strict
+    replay, else by a full analysis into this workspace (counted in
     {!stats}); raises {!Singular} when the matrix itself is singular.
     Raises [Invalid_argument] if the matrix's pattern differs from the
     symbolic's. *)
@@ -121,7 +144,9 @@ val lu_nnz : numeric -> int
 (** {1 Counters} *)
 
 type stats = {
-  analyses : int;  (** full pivot-order analyses performed by this workspace *)
+  analyses : int;
+      (** full pivot-order analyses performed by this workspace (drift
+          recoveries that found a known order are not analyses) *)
   refactorizations : int;  (** numeric replays (the hot-loop operation) *)
   solves : int;  (** forward/back substitutions *)
 }
@@ -134,12 +159,15 @@ type totals = {
   total_refactorizations : int;
   total_solves : int;
   total_pivot_drift : int;
-      (** times a numeric replay hit {i Unstable_pivot} and had to
-          re-analyze privately — each one is also counted in
-          [total_analyses] *)
+      (** times a numeric replay drifted: every one recovers, either
+          through a known order ([total_pivot_order_hits]) or through a
+          full analysis (also counted in [total_analyses]) *)
+  total_pivot_order_hits : int;
+      (** drift recoveries that replayed a known order strictly instead
+          of re-analysing *)
 }
 
 val totals : unit -> totals
-(** A view of this module's four {!Tally}s, summed across every
+(** A view of this module's five {!Tally}s, summed across every
     workspace that ever existed; per-workspace {!stats} remain the right
     tool for a single run's accounting. *)

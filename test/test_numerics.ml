@@ -184,6 +184,157 @@ let test_sparse_pivot_instability_fallback () =
   let st = Sparse.stats num in
   Alcotest.(check int) "re-analysis happened" 1 st.Sparse.analyses
 
+(* The anti-diagonal values of the fallback test, met by a second
+   workspace over the same symbolic: the order the first one recovered
+   is in the symbolic's set, so the second replays it instead of
+   re-analysing, with the bits a fresh analysis gives. *)
+let test_sparse_recovered_order_reused () =
+  let m1 = dense_of_rows [| [| 10.0; 1.0 |]; [| 1.0; 10.0 |] |] in
+  let s = sparse_of_dense m1 2 in
+  let sym = Sparse.analyze s in
+  let anti () =
+    Sparse.clear s;
+    Sparse.add_at s ~row:0 ~col:0 1e-8;
+    Sparse.add_at s ~row:0 ~col:1 1.0;
+    Sparse.add_at s ~row:1 ~col:0 1.0;
+    Sparse.add_at s ~row:1 ~col:1 1e-8
+  in
+  let solve_bits num =
+    let x = [| 0.0; 0.0 |] in
+    Sparse.solve num ~b:[| 1.0; 2.0 |] ~x;
+    Array.map Int64.bits_of_float x
+  in
+  let first = Sparse.create_numeric sym in
+  Sparse.refactorize first s;
+  anti ();
+  Sparse.refactorize first s;
+  Alcotest.(check int) "first workspace re-analyses" 1 (Sparse.stats first).Sparse.analyses;
+  let before = Sparse.totals () in
+  let second = Sparse.create_numeric sym in
+  Sparse.refactorize second s;
+  let after = Sparse.totals () in
+  Alcotest.(check int) "second workspace: no analysis" 0 (Sparse.stats second).Sparse.analyses;
+  Alcotest.(check int) "one drift" 1 (after.Sparse.total_pivot_drift - before.Sparse.total_pivot_drift);
+  Alcotest.(check int) "one hit" 1
+    (after.Sparse.total_pivot_order_hits - before.Sparse.total_pivot_order_hits);
+  Alcotest.(check int) "no analysis counted" 0
+    (after.Sparse.total_analyses - before.Sparse.total_analyses);
+  let fresh = Sparse.create_numeric (Sparse.analyze s) in
+  Sparse.refactorize fresh s;
+  Alcotest.(check (array int64)) "fresh analysis bits" (solve_bits fresh) (solve_bits second);
+  Alcotest.(check (array int64)) "first workspace bits" (solve_bits fresh) (solve_bits first)
+
+(* Column 0 ties rows 1 and 2 exactly with a small diagonal: the full
+   analysis breaks the tie by its DFS order, which a recorded order does
+   not keep, so even the order that analysis itself recovered is not
+   replayed. *)
+let test_sparse_tie_reanalyses () =
+  let m1 =
+    dense_of_rows [| [| 10.0; 1.0; 1.0 |]; [| 1.0; 10.0; 1.0 |]; [| 1.0; 1.0; 10.0 |] |]
+  in
+  let s = sparse_of_dense m1 3 in
+  let sym = Sparse.analyze s in
+  let tied =
+    [| [| 1e-8; 1.0; 2.0 |]; [| 1.0; 1e-8; 3.0 |]; [| -1.0; 4.0; 1e-8 |] |]
+  in
+  Sparse.clear s;
+  Array.iteri (fun i row -> Array.iteri (fun j v -> Sparse.add_at s ~row:i ~col:j v) row) tied;
+  let x = Array.make 3 0.0 and xf = Array.make 3 0.0 in
+  let b = [| 1.0; 2.0; 3.0 |] in
+  let fresh = Sparse.create_numeric (Sparse.analyze s) in
+  Sparse.refactorize fresh s;
+  Sparse.solve fresh ~b ~x:xf;
+  for round = 1 to 2 do
+    let before = Sparse.totals () in
+    let num = Sparse.create_numeric sym in
+    Sparse.refactorize num s;
+    let after = Sparse.totals () in
+    let tag = Printf.sprintf "workspace %d: " round in
+    Alcotest.(check int) (tag ^ "full analysis") 1 (Sparse.stats num).Sparse.analyses;
+    Alcotest.(check int) (tag ^ "no hit") 0
+      (after.Sparse.total_pivot_order_hits - before.Sparse.total_pivot_order_hits);
+    Sparse.solve num ~b ~x;
+    Alcotest.(check (array int64)) (tag ^ "fresh analysis bits")
+      (Array.map Int64.bits_of_float xf) (Array.map Int64.bits_of_float x)
+  done
+
+(* Random MNA-shaped systems over one shared symbolic, analysed at
+   dominant diagonals and then met with value sets that drift it: tiny
+   diagonals, off-diagonal magnitudes from {0.5, 1, 2} so exact ties are
+   common. Every factorization that drifts, on a fresh workspace or on
+   one carried across the value sets, must give the bits of a fresh
+   analysis of the same values (or the same [Singular]). *)
+let prop_sparse_recovered_order_bits =
+  QCheck2.Test.make ~name:"sparse drift recovery = fresh analysis, bit for bit" ~count:300
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 2 + Rng.int_below rng 9 in
+      (* symmetric pattern; a few rows without a diagonal, as the branch
+         rows of voltage sources *)
+      let entries = ref [] in
+      for i = 0 to n - 1 do
+        if Rng.uniform rng < 0.8 then entries := (i, i) :: !entries;
+        for j = i + 1 to n - 1 do
+          if Rng.uniform rng < 0.35 then entries := (i, j) :: (j, i) :: !entries
+        done
+      done;
+      let entries = Array.of_list !entries in
+      let s = Sparse.create (Sparse.pattern_of_entries ~n entries) in
+      let fill f =
+        Sparse.clear s;
+        Array.iter (fun (i, j) -> Sparse.add_at s ~row:i ~col:j (f i j)) entries
+      in
+      let mags = [| 0.5; 1.0; 2.0 |] in
+      let drifting () =
+        let v =
+          Array.init n (fun i ->
+              Array.init n (fun j ->
+                  if i = j then
+                    if Rng.uniform rng < 0.5 then float_of_int (4 + Rng.int_below rng 3)
+                    else 1e-9
+                  else
+                    (if Rng.uniform rng < 0.5 then -1.0 else 1.0)
+                    *. mags.(Rng.int_below rng 3)))
+        in
+        fun i j -> v.(i).(j)
+      in
+      let b = Array.init n (fun _ -> Rng.uniform_in rng (-5.0) 5.0) in
+      let outcome num =
+        match Sparse.refactorize num s with
+        | () ->
+          let x = Array.make n 0.0 in
+          Sparse.solve num ~b ~x;
+          Some (Array.map Int64.bits_of_float x)
+        | exception Sparse.Singular -> None
+      in
+      let fresh () =
+        match Sparse.analyze s with
+        | sym -> outcome (Sparse.create_numeric sym)
+        | exception Sparse.Singular -> None
+      in
+      fill (fun i j -> if i = j then 10.0 +. Rng.uniform rng else Rng.uniform_in rng (-1.0) 1.0);
+      match Sparse.analyze s with
+      | exception Sparse.Singular -> true
+      | sym ->
+        let sets = Array.init 4 (fun _ -> drifting ()) in
+        let carried = Sparse.create_numeric sym in
+        let agrees num =
+          let drift0 = (Sparse.totals ()).Sparse.total_pivot_drift in
+          let got = outcome num in
+          (Sparse.totals ()).Sparse.total_pivot_drift = drift0 || got = fresh ()
+        in
+        (* twice over: the second pass meets the orders the first one
+           recovered *)
+        List.for_all
+          (fun _ ->
+            Array.for_all
+              (fun f ->
+                fill f;
+                agrees (Sparse.create_numeric sym) && agrees carried)
+              sets)
+          [ 1; 2 ])
+
 let test_sparse_singular () =
   let p = Sparse.pattern_of_entries ~n:2 [| (0, 0); (1, 1) |] in
   let s = Sparse.create p in
@@ -841,8 +992,11 @@ let () =
           quick "known 2x2" test_sparse_known_system;
           quick "refactorize reuse" test_sparse_refactorize_reuse;
           quick "pivot fallback" test_sparse_pivot_instability_fallback;
+          quick "recovered order reused" test_sparse_recovered_order_reused;
+          quick "exact tie re-analyses" test_sparse_tie_reanalyses;
           quick "singular" test_sparse_singular;
           QCheck_alcotest.to_alcotest prop_sparse_matches_dense;
+          QCheck_alcotest.to_alcotest prop_sparse_recovered_order_bits;
         ] );
       ( "cxm",
         [

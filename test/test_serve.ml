@@ -1279,6 +1279,7 @@ let test_server_first_scrape_lists_solver_tallies () =
             "dpi_programs_total";
             "newton_iterations_total";
             "pivot_drift_total";
+            "pivot_order_hits_total";
             "poly_roots_total";
             "servo_calls_total";
             "servo_fallbacks_total";
