@@ -138,6 +138,17 @@ let json_arg =
 
 let die fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 1) fmt
 
+(* The one-line refusal (exit 1) of a --store directory, for either
+   exception [Store.open_dir] raises; anything else is re-raised. *)
+let refuse_store verb dir e =
+  let reason =
+    match e with
+    | Invalid_argument _ -> Unix.ENOTDIR
+    | Unix.Unix_error (err, _, _) -> err
+    | e -> raise e
+  in
+  die "adcopt %s: cannot open store %s: %s" verb dir (Unix.error_message reason)
+
 let host_port_of_string s =
   match String.rindex_opt s ':' with
   | None -> die "adcopt: --listen expects HOST:PORT, got %s" s
@@ -381,6 +392,11 @@ let compute ~jobs ?timeout ?store ~json ?trace ~metrics ~progress ?print verb
     match Compute.validate req with Ok n -> n | Error e -> exit_error verb e
   in
   let jobs = resolve_jobs jobs in
+  let store =
+    Option.map
+      (fun dir -> try Store.open_dir dir with e -> refuse_store (cli_name verb) dir e)
+      store
+  in
   let obs =
     try Adc_obs.create ?trace ~metrics ()
     with Sys_error msg -> die "adcopt: cannot open trace file: %s" msg
@@ -407,8 +423,7 @@ let compute ~jobs ?timeout ?store ~json ?trace ~metrics ~progress ?print verb
   in
   let shared = lazy (Optimize.create_shared ~obs ~jobs ()) in
   let runtime =
-    { Compute.shared = (fun () -> Lazy.force shared); obs;
-      store = Option.map Store.open_dir store }
+    { Compute.shared = (fun () -> Lazy.force shared); obs; store }
   in
   let emit point = if json then print_payload point in
   let t0 = Unix.gettimeofday () in
@@ -916,8 +931,10 @@ let serve socket listen queue_depth workers jobs store store_max_entries
     try Server.create cfg with
     | Transport.Listen_failed e ->
       die "adcopt serve: cannot listen (%s)" (Transport.error_message e)
-    | Unix.Unix_error (e, _, arg) ->
-      die "adcopt serve: cannot listen (%s: %s)" arg (Unix.error_message e)
+    | (Invalid_argument _ | Unix.Unix_error _) as e when Option.is_some store ->
+      (* the config names a socket, so these come from the store, which
+         opens before any listener binds *)
+      refuse_store "serve" (Option.get store) e
   in
   (* SIGTERM/SIGINT begin the graceful drain: stop accepting, finish
      queued and in-flight work, flush, then Server.run returns *)

@@ -131,26 +131,20 @@ let assemble nl ~x ~time ~source_scale ~gmin ~cap_policy =
 
 
 (* ------------------------------------------------------------------ *)
-(* The per-topology caches                                             *)
+(* The topology cache                                                  *)
 (* ------------------------------------------------------------------ *)
 
-type cache_entry = { mutable sym : Sparse.symbolic option }
-
-(* Symbolic factorizations keyed by structural pattern. Annealing
-   evaluates thousands of candidate sizings over a handful of circuit
-   topologies; candidates with equal patterns share one read-only
-   symbolic. The mutex guards this table and the topology table below;
-   analysis and compilation run outside it. *)
-let cache : (int, (Sparse.pattern * cache_entry) list ref) Hashtbl.t =
-  Hashtbl.create 16
-
-let cache_mutex = Mutex.create ()
+(* Annealing evaluates thousands of candidate sizings over a handful of
+   circuit topologies. Each topology is compiled once, and every context
+   of it shares the compiled stamps and one read-only symbolic
+   factorization. *)
 let cache_analyses = Tally.make "solver.shared_analyses_total"
 let max_cached_topologies = 64
 
-(* What a topology compiles to: its pattern and symbolic entry, the slot
-   of every [jadd] call [assemble_core] makes under each capacitor policy,
-   and the MNA row of each device's branch current (-1 for none). *)
+(* What a topology compiles to: its pattern, the slot of every [jadd]
+   call [assemble_core] makes under each capacitor policy, the MNA row
+   of each device's branch current (-1 for none), and the symbolic
+   factorization the topology's first solve publishes. *)
 type topology = {
   n_nodes : int;
   n_devices : int;
@@ -158,7 +152,7 @@ type topology = {
   prog_open : int array;
   prog_companion : int array;
   branch_row : int array;
-  entry : cache_entry;
+  sym : Sparse.symbolic option Atomic.t;
 }
 
 (* The structure a topology is keyed by, values left out: the node
@@ -201,35 +195,7 @@ module Topologies = Hashtbl.Make (struct
 end)
 
 let topologies : topology Topologies.t = Topologies.create 16
-
-let intern_pattern pat =
-  Mutex.lock cache_mutex;
-  let key = Sparse.pattern_hash pat in
-  let entry =
-    match Hashtbl.find_opt cache key with
-    | Some bucket -> begin
-      match
-        List.find_opt (fun (p, _) -> Sparse.pattern_equal p pat) !bucket
-      with
-      | Some (_, e) -> e
-      | None ->
-        let e = { sym = None } in
-        bucket := (pat, e) :: !bucket;
-        e
-    end
-    | None ->
-      if Hashtbl.length cache >= max_cached_topologies then begin
-        (* a compiled topology holds its entry: drop those too, so every
-           context built from here on starts from a fresh symbolic *)
-        Hashtbl.reset cache;
-        Topologies.reset topologies
-      end;
-      let e = { sym = None } in
-      Hashtbl.replace cache key (ref [ (pat, e) ]);
-      e
-  in
-  Mutex.unlock cache_mutex;
-  entry
+let topologies_mutex = Mutex.create ()
 
 (* Two recording passes of [assemble_core], once per topology; the
    companion pass (a superset of the open one) also yields the pattern
@@ -270,19 +236,21 @@ let compile nl =
             nv + branch nl name
           | _ -> -1)
         devs;
-    entry = intern_pattern pat;
+    sym = Atomic.make None;
   }
 
-(* Compiled once per topology and shared read-only by every domain. When
-   two domains compile the same key, the first to publish wins (the two
-   are equal, and intern the same symbolic entry). *)
+(* Compiled once per topology and shared read-only by every domain;
+   compilation runs outside the lock. When two domains compile the same
+   key, the first to publish wins and the other's equal copy is dropped
+   before any context holds it. A full table is emptied: contexts built
+   earlier keep their topology and its symbolic. *)
 let topology nl =
   let key = topology_key nl in
-  match Mutex.protect cache_mutex (fun () -> Topologies.find_opt topologies key) with
+  match Mutex.protect topologies_mutex (fun () -> Topologies.find_opt topologies key) with
   | Some t -> t
   | None ->
     let t = compile nl in
-    Mutex.protect cache_mutex (fun () ->
+    Mutex.protect topologies_mutex (fun () ->
         match Topologies.find_opt topologies key with
         | Some first -> first
         | None ->
@@ -490,32 +458,25 @@ let residual_into ctx ~x ~time ~source_scale ~gmin ~cap_policy res =
       ~jadd:(fun _ _ _ -> ())
       ~fadd:(fun i v -> res.(i) <- res.(i) +. v)
 
+(* The first solve of a topology analyses its context's matrix and
+   publishes the symbolic on the topology. Domains racing to publish
+   each analyse their own matrix; one [compare_and_set] wins, and every
+   loser drops its analysis and adopts the winner's symbolic, so all
+   contexts of a topology replay one pivot order. *)
 let ensure_numeric lu =
   match lu.numeric with
   | Some num -> num
   | None ->
-    let entry = lu.topo.entry in
     let sym =
-      Mutex.lock cache_mutex;
-      let cached = entry.sym in
-      Mutex.unlock cache_mutex;
-      match cached with
+      match Atomic.get lu.topo.sym with
       | Some s -> s
       | None ->
-        (* analyze outside the lock (reads only this ctx's matrix);
-           first writer wins, racers just recompute an identical value *)
         let s = Sparse.analyze lu.mat in
-        Mutex.lock cache_mutex;
-        let s =
-          match entry.sym with
-          | Some existing -> existing
-          | None ->
-            entry.sym <- Some s;
-            Tally.incr cache_analyses;
-            s
-        in
-        Mutex.unlock cache_mutex;
-        s
+        if Atomic.compare_and_set lu.topo.sym None (Some s) then begin
+          Tally.incr cache_analyses;
+          s
+        end
+        else Option.get (Atomic.get lu.topo.sym)
     in
     let num = Sparse.create_numeric sym in
     lu.numeric <- Some num;
@@ -531,12 +492,6 @@ let factor_and_solve ctx ~rhs ~dx =
     match Mat.solve d.jac rhs with
     | exception Mat.Singular -> raise Sparse.Singular
     | sol -> Array.blit sol 0 dx 0 (Array.length sol))
-
-let ctx_stats ctx =
-  match ctx.solver with
-  | Sparse_lu { numeric = Some num; _ } -> Sparse.stats num
-  | Sparse_lu { numeric = None; _ } | Dense_lu _ ->
-    { Sparse.analyses = 0; refactorizations = 0; solves = 0 }
 
 let shared_analyses () = Tally.get cache_analyses
 

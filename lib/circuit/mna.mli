@@ -95,14 +95,11 @@ val ctx_residual : ctx -> float array
 
 val ctx_netlist : ctx -> Netlist.t
 
-val ctx_stats : ctx -> Adc_numerics.Sparse.stats
-(** Factorization/solve counters of this context's workspace (zeros
-    before the first solve, and always zeros on a dense context). *)
-
 val cache_analyses : Adc_numerics.Tally.t
-(** Process-wide count of symbolic analyses published to the topology
-    cache — stays tiny while refactorization counts grow, which is the
-    point. *)
+(** Process-wide count of symbolic analyses published on compiled
+    topologies, one per topology solved — stays tiny while
+    refactorization counts grow, which is the point. A context's own
+    work shows in the deltas of [Adc_numerics.Sparse.totals]. *)
 
 val shared_analyses : unit -> int
 (** [Tally.get cache_analyses]. *)

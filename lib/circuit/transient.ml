@@ -1,5 +1,4 @@
 module Vec = Adc_numerics.Vec
-module Sparse = Adc_numerics.Sparse
 module Tally = Adc_numerics.Tally
 
 type waveforms = { times : float array; data : float array array }
@@ -23,13 +22,6 @@ let default_lte =
     dt_min_factor = 1e-6;
   }
 
-type stats = {
-  newton_iterations : int;
-  accepted_steps : int;
-  rejected_steps : int;
-  solver : Sparse.stats;
-}
-
 (* process-wide counts for live metrics: summed over every run
    (successful or not) on any domain *)
 let runs = Tally.make "solver.transient_runs_total"
@@ -37,8 +29,7 @@ let newton_total = Tally.make "solver.newton_iterations_total"
 let accepted_total = Tally.make "solver.transient_accepted_steps_total"
 let rejected_total = Tally.make "solver.transient_rejected_steps_total"
 
-let run_with_stats ?x0 ?(max_newton = 60) ?(control = Lte default_lte) nl
-    ~t_stop ~dt =
+let run ?x0 ?(max_newton = 60) ?(control = Lte default_lte) nl ~t_stop ~dt =
   (* [> 0.0] is false on NaN; infinities would leave a one-point grid *)
   if not (dt > 0.0 && t_stop > 0.0 && Float.is_finite dt && Float.is_finite t_stop)
   then invalid_arg "Transient.run: bad time parameters";
@@ -323,22 +314,7 @@ let run_with_stats ?x0 ?(max_newton = 60) ?(control = Lte default_lte) nl
     Tally.add newton_total !newton_iters;
     Tally.add accepted_total !accepted;
     Tally.add rejected_total !rejected;
-    (match !error with
-    | Some e -> Error e
-    | None ->
-      Ok
-        ( { times; data },
-          {
-            newton_iterations = !newton_iters;
-            accepted_steps = !accepted;
-            rejected_steps = !rejected;
-            solver = Mna.ctx_stats ctx;
-          } ))
-
-let run ?x0 ?max_newton ?control nl ~t_stop ~dt =
-  match run_with_stats ?x0 ?max_newton ?control nl ~t_stop ~dt with
-  | Ok (w, _) -> Ok w
-  | Error e -> Error e
+    match !error with Some e -> Error e | None -> Ok { times; data }
 
 let node_waveform _nl { times; data } node =
   let idx = Netlist.node_index node in

@@ -43,13 +43,6 @@ val default_lte : lte
 (** [reltol 1e-5], [abstol 1e-9], growth cap 2.5, internal steps between
     [1e-6 * dt] and [16 * dt]. *)
 
-type stats = {
-  newton_iterations : int;  (** summed over all step solves *)
-  accepted_steps : int;
-  rejected_steps : int;  (** LTE rejections + Newton failures retried *)
-  solver : Adc_numerics.Sparse.stats;  (** factorization counters *)
-}
-
 val run :
   ?x0:float array ->
   ?max_newton:int ->
@@ -64,16 +57,17 @@ val run :
     [control] defaults to [Lte default_lte]. Raises [Invalid_argument]
     unless [dt] and [t_stop] are finite and positive. *)
 
-val run_with_stats :
-  ?x0:float array ->
-  ?max_newton:int ->
-  ?control:control ->
-  Netlist.t ->
-  t_stop:float ->
-  dt:float ->
-  (waveforms * stats, string) result
-(** Same as {!run}, also reporting step/iteration/factorization counts
-    of the run. *)
+(** Process-wide {!Adc_numerics.Tally}s, added once per run on any
+    domain that got past its initial DC point, aborted or not: the runs,
+    the Newton iterations of their step solves, and their accepted and
+    rejected steps (LTE rejections and Newton failures retried). A
+    [Fixed] run that succeeds accepts one step per grid interval and
+    rejects none. One run's counts are the deltas around it. *)
+
+val runs : Adc_numerics.Tally.t
+val newton_total : Adc_numerics.Tally.t
+val accepted_total : Adc_numerics.Tally.t
+val rejected_total : Adc_numerics.Tally.t
 
 val node_waveform : Netlist.t -> waveforms -> Netlist.node -> (float * float) array
 (** Time series of one node voltage on the fixed grid. *)

@@ -51,8 +51,6 @@ let nnz p = p.colptr.(p.n)
 let pattern_equal a b =
   a.n = b.n && a.colptr = b.colptr && a.rowidx = b.rowidx
 
-let pattern_hash p = Hashtbl.hash (p.n, p.colptr, p.rowidx)
-
 let slot p ~row ~col =
   let lo = ref p.colptr.(col) and hi = ref (p.colptr.(col + 1) - 1) in
   let found = ref (-1) in
@@ -125,8 +123,6 @@ type symbolic = {
   sched : schedule;
   recovered : schedule list Atomic.t;
 }
-
-let symbolic_pattern s = s.spat
 
 (* relative threshold below which a replayed pivot is declared unstable *)
 let pivot_tol = 1e-3
@@ -264,9 +260,9 @@ let full_factor (m : t) =
   in
   (sched, Array.sub lg.vbuf 0 lg.len, Array.sub eg.vbuf 0 eg.len, dvals)
 
-(* Process-wide counts across every workspace, for live metrics: a
-   daemon scrape wants "how hard is the numeric core working", which
-   per-workspace stats can't answer once workspaces are short-lived. *)
+(* Process-wide counts across every workspace: the one place the
+   numeric core's work is counted, read by the metrics registry and, as
+   deltas, by the tests. *)
 let analyses_total = Tally.make "solver.sparse_analyses_total"
 let refactorizations_total = Tally.make "solver.sparse_refactorizations_total"
 let solves_total = Tally.make "solver.sparse_solves_total"
@@ -295,8 +291,6 @@ let analyze m =
   let sched, _, _, _ = full_factor m in
   { spat = m.pat; sched; recovered = Atomic.make [] }
 
-type stats = { analyses : int; refactorizations : int; solves : int }
-
 type numeric = {
   nsym : symbolic;
   mutable nsched : schedule;
@@ -306,9 +300,6 @@ type numeric = {
   nx : float array;  (* scatter workspace *)
   ny : float array;  (* solve workspace *)
   mutable factored : bool;
-  mutable n_analyses : int;
-  mutable n_refactorizations : int;
-  mutable n_solves : int;
 }
 
 let create_numeric sym =
@@ -322,9 +313,6 @@ let create_numeric sym =
     nx = Array.make (max n 1) 0.0;
     ny = Array.make (max n 1) 0.0;
     factored = false;
-    n_analyses = 0;
-    n_refactorizations = 0;
-    n_solves = 0;
   }
 
 (* Unchecked array access for the replay and solve loops ([pick],
@@ -500,7 +488,6 @@ let recover num (m : t) =
     num.nsched <- s;
     promote sym s
   | None ->
-    num.n_analyses <- num.n_analyses + 1;
     Tally.incr analyses_total;
     let sched, lv, uv, dv = full_factor m in
     num.nsched <- sched;
@@ -515,7 +502,6 @@ let refactorize num (m : t) =
      structural walk is only the fallback *)
   if not (num.nsym.spat == m.pat || pattern_equal num.nsym.spat m.pat) then
     invalid_arg "Sparse.refactorize: pattern mismatch";
-  num.n_refactorizations <- num.n_refactorizations + 1;
   Tally.incr refactorizations_total;
   (try replay num num.nsched m ~strict:false ~from:0
    with Drift _ ->
@@ -531,7 +517,6 @@ let solve num ~b ~x =
   let n = num.nsym.spat.n in
   if Array.length b <> n || Array.length x <> n then
     invalid_arg "Sparse.solve: dimension mismatch";
-  num.n_solves <- num.n_solves + 1;
   Tally.incr solves_total;
   let y = num.ny in
   let lvals = num.lvals and uvals = num.uvals and dvals = num.dvals in
@@ -558,14 +543,3 @@ let solve num ~b ~x =
         y.!(p) <- y.!(p) -. (FB.unsafe_get uvals i *. xj)
       done
   done
-
-let lu_nnz num =
-  let n = num.nsym.spat.n in
-  num.nsched.lptr.(n) + num.nsched.eptr.(n) + n
-
-let stats num =
-  {
-    analyses = num.n_analyses;
-    refactorizations = num.n_refactorizations;
-    solves = num.n_solves;
-  }

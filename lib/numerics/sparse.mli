@@ -34,7 +34,7 @@
     bit. A strict replay that fails at a column resumes there in a known
     order that agrees with every column so far and takes the pivot the
     rule names; when none does, the full analysis runs, is counted in
-    {!stats}, and its order joins the set. Which orders the set holds,
+    {!totals}, and its order joins the set. Which orders the set holds,
     and in what order domains filled it, changes only how fast a
     recovery arrives. *)
 
@@ -56,9 +56,8 @@ val dim : pattern -> int
 val nnz : pattern -> int
 
 val pattern_equal : pattern -> pattern -> bool
-(** Structural equality — the key used by the topology cache. *)
-
-val pattern_hash : pattern -> int
+(** Structural equality: {!refactorize}'s guard that a matrix fits a
+    symbolic built for another matrix. *)
 
 val slot : pattern -> row:int -> col:int -> int
 (** The value-array index of an entry; raises [Not_found] when the
@@ -115,8 +114,6 @@ val analyze : t -> symbolic
     values; returns the schedule (the numeric result is discarded — call
     {!refactorize} to populate a {!numeric}). Raises {!Singular}. *)
 
-val symbolic_pattern : symbolic -> pattern
-
 type numeric
 (** A per-owner factorization workspace: the [L]/[U]/diagonal value
     arrays plus scratch, over a (possibly shared) {!symbolic}. Not
@@ -130,7 +127,7 @@ val refactorize : numeric -> t -> unit
     On pivot drift, recovers the order a full analysis would pick, from
     the symbolic's set of known orders when one passes the strict
     replay, else by a full analysis into this workspace (counted in
-    {!stats}); raises {!Singular} when the matrix itself is singular.
+    {!totals}); raises {!Singular} when the matrix itself is singular.
     Raises [Invalid_argument] if the matrix's pattern differs from the
     symbolic's. *)
 
@@ -138,26 +135,14 @@ val solve : numeric -> b:Vec.t -> x:Vec.t -> unit
 (** Solve [A x = b] with the last {!refactorize}d values. [x] and [b]
     may alias. Raises [Invalid_argument] before any refactorization. *)
 
-val lu_nnz : numeric -> int
-(** Nonzeros in [L] + [U] including the diagonal (fill-in measure). *)
-
 (** {1 Counters} *)
-
-type stats = {
-  analyses : int;
-      (** full pivot-order analyses performed by this workspace (drift
-          recoveries that found a known order are not analyses) *)
-  refactorizations : int;  (** numeric replays (the hot-loop operation) *)
-  solves : int;  (** forward/back substitutions *)
-}
-
-val stats : numeric -> stats
-(** A healthy run shows [analyses] ≪ [refactorizations] ≤ [solves]. *)
 
 type totals = {
   total_analyses : int;
-  total_refactorizations : int;
-  total_solves : int;
+      (** full pivot-order analyses: every {!analyze}, and every drift
+          recovery that found no known order *)
+  total_refactorizations : int;  (** numeric replays (the hot-loop operation) *)
+  total_solves : int;  (** forward/back substitutions *)
   total_pivot_drift : int;
       (** times a numeric replay drifted: every one recovers, either
           through a known order ([total_pivot_order_hits]) or through a
@@ -169,5 +154,7 @@ type totals = {
 
 val totals : unit -> totals
 (** A view of this module's five {!Tally}s, summed across every
-    workspace that ever existed; per-workspace {!stats} remain the right
-    tool for a single run's accounting. *)
+    workspace of the process. They are the module's only counters: one
+    run's work is the difference of two readings taken around it (with
+    nothing else solving meanwhile). A healthy run shows analyses ≪
+    refactorizations ≤ solves. *)

@@ -86,8 +86,10 @@ val create : config -> t
     socket is accepting (kernel backlog) from here on, so a client may
     connect as soon as [create] returns even if {!run} starts on
     another thread a moment later. Raises [Invalid_argument] when the
-    config names no listener, {!Transport.Listen_failed} when a listener
-    cannot bind (after releasing those already bound). The listeners,
+    config names no listener, what {!Store.open_dir} raises when the
+    store cannot be opened (before any listener binds), and
+    {!Transport.Listen_failed} when a listener cannot bind (after
+    releasing those already bound). The listeners,
     connections, drain and ops plane are {!Transport}'s. *)
 
 val run : t -> unit

@@ -68,7 +68,8 @@ let sweep_unlocked t =
 
 let open_dir ?max_entries dir =
   mkdir_p dir;
-  if not (Sys.is_directory dir) then
+  (* a dangling symlink passes [mkdir_p] and fails [Sys.is_directory] *)
+  if not (try Sys.is_directory dir with Sys_error _ -> false) then
     invalid_arg (Printf.sprintf "Store.open_dir: %s is not a directory" dir);
   let t =
     { dir; max_entries; mutex = Mutex.create (); hits = 0; misses = 0;

@@ -25,7 +25,10 @@ type t
 
 val open_dir : ?max_entries:int -> string -> t
 (** [open_dir dir] creates [dir] (and parents) if needed. Raises
-    [Invalid_argument] if the path exists and is not a directory.
+    [Invalid_argument] if the path exists and is not a directory (a
+    dangling symlink included), and [Unix.Unix_error] if creating it or
+    a missing parent fails (a parent that is a file, no permission, a
+    read-only file system). It raises nothing else.
 
     [max_entries] (default unbounded) caps the directory at that many
     entry files with an LRU-by-mtime sweep — run once at open (a

@@ -44,3 +44,15 @@ let on_solver solver f =
   | `Dense -> Adc_circuit.Mna.Oracle.with_dense f
 
 let solver_name = function `Sparse -> "sparse" | `Dense -> "dense"
+
+(* The sparse work done since [before] was read, as deltas of the
+   process-wide [Sparse.totals]: nothing else may solve meanwhile. *)
+let sparse_since (before : Adc_numerics.Sparse.totals) =
+  let now = Adc_numerics.Sparse.totals () in
+  {
+    Adc_numerics.Sparse.total_analyses = now.total_analyses - before.total_analyses;
+    total_refactorizations = now.total_refactorizations - before.total_refactorizations;
+    total_solves = now.total_solves - before.total_solves;
+    total_pivot_drift = now.total_pivot_drift - before.total_pivot_drift;
+    total_pivot_order_hits = now.total_pivot_order_hits - before.total_pivot_order_hits;
+  }

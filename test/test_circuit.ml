@@ -578,7 +578,8 @@ let test_transient_backends_agree () =
   (* identical fixed-step trajectories: both backends solve the same
      Newton systems, so the whole waveform must agree to solver noise.
      The sparse runs replay the shared symbolic factorization (no
-     analysis of their own); the dense oracle reports no counters. *)
+     analysis beyond the one a new topology publishes); the dense oracle
+     does no sparse work. *)
   let builders = equivalence_netlists () in
   let cases =
     [
@@ -591,29 +592,38 @@ let test_transient_backends_agree () =
   List.iter
     (fun (name, build, t_stop, dt) ->
       let run backend =
+        let sparse = Sparse.totals () and published = Mna.shared_analyses () in
+        let accepted = Tally.get Transient.accepted_total in
         match
           Fixtures.on_solver backend (fun () ->
-              Transient.run_with_stats ~control:Transient.Fixed (build ()) ~t_stop ~dt)
+              Transient.run ~control:Transient.Fixed (build ()) ~t_stop ~dt)
         with
-        | Ok r -> r
+        | Ok w ->
+          ( w,
+            Fixtures.sparse_since sparse,
+            Mna.shared_analyses () - published,
+            Tally.get Transient.accepted_total - accepted )
         | Error e -> Alcotest.failf "%s: transient failed: %s" name e
       in
-      let wd, std = run `Dense and ws, sts = run `Sparse in
+      let wd, dense, _, _ = run `Dense in
+      let ws, s, published, accepted = run `Sparse in
       Array.iteri
         (fun i t ->
           let diff = Vec.max_abs_diff wd.Transient.data.(i) ws.Transient.data.(i) in
           if diff > 1e-9 then
             Alcotest.failf "%s: backends differ by %g at t=%g" name diff t)
         wd.Transient.times;
-      let s = sts.Transient.solver in
-      Alcotest.(check int) (name ^ ": sparse analyses") 0 s.Sparse.analyses;
+      Alcotest.(check int) (name ^ ": sparse analyses") 0
+        (s.Sparse.total_analyses - published);
       Alcotest.(check bool)
         (Printf.sprintf "%s: sparse refactorizations (%d) cover the steps" name
-           s.Sparse.refactorizations)
+           s.Sparse.total_refactorizations)
         true
-        (s.Sparse.refactorizations >= sts.Transient.accepted_steps);
-      Alcotest.(check bool) (name ^ ": dense reports zeros") true
-        (std.Transient.solver = { Sparse.analyses = 0; refactorizations = 0; solves = 0 }))
+        (s.Sparse.total_refactorizations >= accepted);
+      Alcotest.(check bool) (name ^ ": dense does no sparse work") true
+        (dense.Sparse.total_analyses = 0
+        && dense.Sparse.total_refactorizations = 0
+        && dense.Sparse.total_solves = 0))
     cases
 
 (* Regression for the Newton convergence criterion: acceptance is judged
@@ -849,14 +859,22 @@ let test_lte_matches_fixed_rc () =
     (nl, out)
   in
   let t_stop = 5.0 *. tau and dt = tau /. 100.0 in
+  (* the waveform, the run's accepted steps and its sparse work beside
+     the symbolic a new topology publishes *)
   let run control =
     let nl, out = build () in
-    match Transient.run_with_stats ~control nl ~t_stop ~dt with
+    let sparse = Sparse.totals () and published = Mna.shared_analyses () in
+    let accepted = Tally.get Transient.accepted_total in
+    match Transient.run ~control nl ~t_stop ~dt with
     | Error e -> Alcotest.failf "transient failed: %s" e
-    | Ok (w, st) -> (Transient.node_waveform nl w out, st)
+    | Ok w ->
+      ( Transient.node_waveform nl w out,
+        Tally.get Transient.accepted_total - accepted,
+        Fixtures.sparse_since sparse,
+        Mna.shared_analyses () - published )
   in
-  let fixed_wf, fixed_st = run Transient.Fixed in
-  let ada_wf, ada_st = run (Transient.Lte Transient.default_lte) in
+  let fixed_wf, fixed_steps, _, _ = run Transient.Fixed in
+  let ada_wf, ada_steps, s, published = run (Transient.Lte Transient.default_lte) in
   let ada = Adc_numerics.Interp.of_samples ada_wf in
   check_close ~eps:2e-3 "adaptive 1 tau" (1.0 -. exp (-1.0)) (Adc_numerics.Interp.eval ada tau);
   check_close ~eps:2e-3 "adaptive 3 tau" (1.0 -. exp (-3.0))
@@ -867,21 +885,20 @@ let test_lte_matches_fixed_rc () =
       if Float.abs (v_fixed -. v_ada) > 2e-3 then
         Alcotest.failf "t=%g: fixed %g vs adaptive %g" t v_fixed v_ada)
     fixed_wf;
-  Alcotest.(check bool) "adaptive takes fewer steps" true
-    (ada_st.Transient.accepted_steps < fixed_st.Transient.accepted_steps / 4);
-  let s = ada_st.Transient.solver in
+  Alcotest.(check bool) "adaptive takes fewer steps" true (ada_steps < fixed_steps / 4);
   Alcotest.(check bool) "refactorizations dominate analyses" true
-    (s.Sparse.refactorizations > 0 && s.Sparse.analyses = 0)
+    (s.Sparse.total_refactorizations > 0 && s.Sparse.total_analyses - published = 0)
 
-(* The oracle hook is scoped: contexts built inside it are dense (their
-   counters stay zero through a solve), and the production solver is
+(* The oracle hook is scoped: contexts built inside it are dense (a
+   solve on one refactorizes nothing), and the production solver is
    back once the thunk returns or raises. *)
 let test_oracle_hook_is_scoped () =
   let nl = List.assoc "divider" (equivalence_netlists ()) () in
   let refactorizations () =
+    let before = Sparse.totals () in
     let ctx = Mna.context nl in
     ignore (Dc.solve ~ctx nl);
-    (Mna.ctx_stats ctx).Sparse.refactorizations
+    (Fixtures.sparse_since before).Sparse.total_refactorizations
   in
   Alcotest.(check int) "dense inside" 0 (Mna.Oracle.with_dense refactorizations);
   Alcotest.(check int) "dense when nested" 0
@@ -908,6 +925,24 @@ let test_transient_rejects_non_finite_times () =
       ("t_stop = infinity", infinity, 1e-8);
       ("dt = infinity", 1e-6, infinity);
     ]
+
+(* A [Fixed] run integrates exactly on its grid: it counts one run, one
+   accepted step per grid interval and no rejected step. *)
+let test_transient_fixed_tallies () =
+  let builders = equivalence_netlists () in
+  List.iter
+    (fun (name, t_stop, dt) ->
+      let nl = List.assoc name builders () in
+      let tallies = Transient.[ runs; accepted_total; rejected_total ] in
+      let before = List.map Tally.get tallies in
+      match Transient.run ~control:Transient.Fixed nl ~t_stop ~dt with
+      | Error e -> Alcotest.failf "%s: transient failed: %s" name e
+      | Ok w ->
+        let intervals = Array.length w.Transient.times - 1 in
+        Alcotest.(check (list int)) (name ^ ": runs, accepted, rejected")
+          [ 1; intervals; 0 ]
+          (List.map2 (fun t b -> Tally.get t - b) tallies before))
+    [ ("rc lowpass", 5e-6, 5e-8); ("switched cap", 20e-9, 20e-12) ]
 
 (* ------------------------------------------------------------------ *)
 (* Netlist bookkeeping *)
@@ -981,6 +1016,7 @@ let () =
           quick "switch divider" test_transient_switch_divider;
           quick "sine source" test_transient_sine_follows_source;
           quick "rejects non-finite times" test_transient_rejects_non_finite_times;
+          quick "fixed run tallies its grid" test_transient_fixed_tallies;
         ] );
       ( "stimulus",
         [

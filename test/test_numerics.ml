@@ -143,6 +143,7 @@ let test_sparse_refactorize_reuse () =
   let m1 = dense_of_rows [| [| 4.0; 1.0 |]; [| 1.0; 5.0 |] |] in
   let s = sparse_of_dense m1 2 in
   let num = Sparse.create_numeric (Sparse.analyze s) in
+  let before = Sparse.totals () in
   Sparse.refactorize num s;
   let x = [| 0.0; 0.0 |] in
   Sparse.solve num ~b:[| 5.0; 6.0 |] ~x;
@@ -158,10 +159,10 @@ let test_sparse_refactorize_reuse () =
   Sparse.solve num ~b:[| 5.0; 10.0 |] ~x;
   check_close "second x0" 1.0 x.(0);
   check_close "second x1" 3.0 x.(1);
-  let st = Sparse.stats num in
-  Alcotest.(check int) "no re-analysis" 0 st.Sparse.analyses;
-  Alcotest.(check int) "refactorizations" 2 st.Sparse.refactorizations;
-  Alcotest.(check int) "solves" 2 st.Sparse.solves
+  let st = Fixtures.sparse_since before in
+  Alcotest.(check int) "no re-analysis" 0 st.Sparse.total_analyses;
+  Alcotest.(check int) "refactorizations" 2 st.Sparse.total_refactorizations;
+  Alcotest.(check int) "solves" 2 st.Sparse.total_solves
 
 let test_sparse_pivot_instability_fallback () =
   (* the first analysis picks the (dominant) diagonal; the second value
@@ -169,6 +170,7 @@ let test_sparse_pivot_instability_fallback () =
   let m1 = dense_of_rows [| [| 10.0; 1.0 |]; [| 1.0; 10.0 |] |] in
   let s = sparse_of_dense m1 2 in
   let num = Sparse.create_numeric (Sparse.analyze s) in
+  let before = Sparse.totals () in
   Sparse.refactorize num s;
   Sparse.clear s;
   Sparse.add_at s ~row:0 ~col:0 1e-8;
@@ -181,8 +183,8 @@ let test_sparse_pivot_instability_fallback () =
   (* x ~ [2; 1] for the anti-diagonal system *)
   check_close ~eps:1e-6 "x0" 2.0 x.(0);
   check_close ~eps:1e-6 "x1" 1.0 x.(1);
-  let st = Sparse.stats num in
-  Alcotest.(check int) "re-analysis happened" 1 st.Sparse.analyses
+  let st = Fixtures.sparse_since before in
+  Alcotest.(check int) "re-analysis happened" 1 st.Sparse.total_analyses
 
 (* The anti-diagonal values of the fallback test, met by a second
    workspace over the same symbolic: the order the first one recovered
@@ -205,20 +207,19 @@ let test_sparse_recovered_order_reused () =
     Array.map Int64.bits_of_float x
   in
   let first = Sparse.create_numeric sym in
+  let before = Sparse.totals () in
   Sparse.refactorize first s;
   anti ();
   Sparse.refactorize first s;
-  Alcotest.(check int) "first workspace re-analyses" 1 (Sparse.stats first).Sparse.analyses;
+  Alcotest.(check int) "first workspace re-analyses" 1
+    (Fixtures.sparse_since before).Sparse.total_analyses;
   let before = Sparse.totals () in
   let second = Sparse.create_numeric sym in
   Sparse.refactorize second s;
-  let after = Sparse.totals () in
-  Alcotest.(check int) "second workspace: no analysis" 0 (Sparse.stats second).Sparse.analyses;
-  Alcotest.(check int) "one drift" 1 (after.Sparse.total_pivot_drift - before.Sparse.total_pivot_drift);
-  Alcotest.(check int) "one hit" 1
-    (after.Sparse.total_pivot_order_hits - before.Sparse.total_pivot_order_hits);
-  Alcotest.(check int) "no analysis counted" 0
-    (after.Sparse.total_analyses - before.Sparse.total_analyses);
+  let work = Fixtures.sparse_since before in
+  Alcotest.(check int) "second workspace: no analysis" 0 work.Sparse.total_analyses;
+  Alcotest.(check int) "one drift" 1 work.Sparse.total_pivot_drift;
+  Alcotest.(check int) "one hit" 1 work.Sparse.total_pivot_order_hits;
   let fresh = Sparse.create_numeric (Sparse.analyze s) in
   Sparse.refactorize fresh s;
   Alcotest.(check (array int64)) "fresh analysis bits" (solve_bits fresh) (solve_bits second);
@@ -248,11 +249,10 @@ let test_sparse_tie_reanalyses () =
     let before = Sparse.totals () in
     let num = Sparse.create_numeric sym in
     Sparse.refactorize num s;
-    let after = Sparse.totals () in
+    let work = Fixtures.sparse_since before in
     let tag = Printf.sprintf "workspace %d: " round in
-    Alcotest.(check int) (tag ^ "full analysis") 1 (Sparse.stats num).Sparse.analyses;
-    Alcotest.(check int) (tag ^ "no hit") 0
-      (after.Sparse.total_pivot_order_hits - before.Sparse.total_pivot_order_hits);
+    Alcotest.(check int) (tag ^ "full analysis") 1 work.Sparse.total_analyses;
+    Alcotest.(check int) (tag ^ "no hit") 0 work.Sparse.total_pivot_order_hits;
     Sparse.solve num ~b ~x;
     Alcotest.(check (array int64)) (tag ^ "fresh analysis bits")
       (Array.map Int64.bits_of_float xf) (Array.map Int64.bits_of_float x)
